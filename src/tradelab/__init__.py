@@ -36,7 +36,6 @@ from .marketdata import (
     load_panel,
     load_series,
     save_panel,
-    split_panel,
 )
 
 __version__ = "0.1.0"
@@ -74,6 +73,5 @@ __all__ = [
     "save_episode_log",
     "save_panel",
     "save_report",
-    "split_panel",
     "__version__",
 ]

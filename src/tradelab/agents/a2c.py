@@ -11,12 +11,13 @@ config, data) triple fixes the whole parameter trajectory bit for bit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+import operator
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..binfile import read_frame, write_frame
+from ..config import decode_config
 from ..errors import TradeLabError
 from .mlp import MlpParams, init_mlp, mlp_backward, mlp_forward, params_to_vector, vector_to_params
 
@@ -70,36 +71,17 @@ class A2CConfig:
         if self.max_grad_norm <= 0:
             raise ValueError("max_grad_norm must be positive")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if len(self.hidden_sizes) != 2:
+            raise ValueError(f"hidden_sizes must hold two layer widths, got {list(self.hidden_sizes)}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "gamma": self.gamma,
-            "lr": self.lr,
-            "value_coef": self.value_coef,
-            "entropy_coef": self.entropy_coef,
-            "max_grad_norm": self.max_grad_norm,
-            "total_timesteps": self.total_timesteps,
-            "n_envs": self.n_envs,
-            "seed": self.seed,
-            "hidden_sizes": list(self.hidden_sizes),
-            "rms_decay": self.rms_decay,
-            "rms_eps": self.rms_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "A2CConfig":
-        data = dict(data)
-        if "hidden_sizes" in data:
-            data["hidden_sizes"] = tuple(data["hidden_sizes"])
-        return cls(**data)
+        return asdict(self)
 
 
 class ObsNormalizer:
     """Running per-feature standardization (Welford), freezable for eval.
 
-    The map is purely affine, x -> (x - mean) / sd, so it inverts exactly;
-    no clipping is applied.
+    The map is purely affine, x -> (x - mean) / sd; no clipping is applied.
     """
 
     def __init__(self, dim: int):
@@ -132,14 +114,8 @@ class ObsNormalizer:
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self._sd()
 
-    def denormalize(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self._sd() + self.mean
-
     def freeze(self) -> None:
         self.frozen = True
-
-    def state(self) -> dict:
-        return {"count": self.count, "frozen": self.frozen}
 
 
 @dataclass(frozen=True)
@@ -280,7 +256,6 @@ class MlpPolicy:
         self.config = config
         self.steps_trained = steps_trained
         self.deterministic = deterministic
-        self.stateful = False
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
         z = self.normalizer.normalize(np.asarray(observation, dtype=np.float64))
@@ -375,14 +350,13 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one JSON header line + little-endian float64 payload of
+# checkpoints: a binfile frame whose payload is
 # [flat params ++ normalizer mean ++ normalizer m2]
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(policy: MlpPolicy, path) -> None:
     params_vec = params_to_vector(policy.params)
     header = {
-        "format": CHECKPOINT_MAGIC,
         "sizes": list(policy.params.sizes),
         "param_count": int(params_vec.size),
         "normalizer_count": int(policy.normalizer.count),
@@ -391,46 +365,26 @@ def save_checkpoint(policy: MlpPolicy, path) -> None:
         "steps_trained": int(policy.steps_trained),
         "config": None if policy.config is None else policy.config.to_dict(),
     }
-    blob = bytearray()
-    blob.extend(json.dumps(header, sort_keys=True).encode())
-    blob.extend(b"\n")
-    blob.extend(params_vec.astype("<f8").tobytes())
-    blob.extend(policy.normalizer.mean.astype("<f8").tobytes())
-    blob.extend(policy.normalizer.m2.astype("<f8").tobytes())
-    Path(path).write_bytes(bytes(blob))
+    write_frame(path, CHECKPOINT_MAGIC, header, [params_vec, policy.normalizer.mean, policy.normalizer.m2])
 
 
 def load_checkpoint(path) -> MlpPolicy:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    raw = path.read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode())
-    if header.get("format") != CHECKPOINT_MAGIC:
-        raise TradeLabError(f"not a checkpoint file: {path}")
-    sizes = tuple(header["sizes"])
-    count = int(header["param_count"])
-    dim = int(header["obs_dim"])
-    offset = newline + 1
-    params_vec = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).copy()
-    offset += count * 8
-    mean = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset).copy()
-    offset += dim * 8
-    m2 = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset).copy()
-    params = vector_to_params(params_vec, sizes)
-    if not params.all_finite():
-        raise TradeLabError(f"checkpoint contains non-finite parameters: {path}")
-    normalizer = ObsNormalizer(dim)
-    normalizer.mean = mean
-    normalizer.m2 = m2
-    normalizer.count = int(header["normalizer_count"])
-    normalizer.freeze()
-    config = None if header.get("config") is None else A2CConfig.from_dict(header["config"])
-    return MlpPolicy(
-        params,
-        normalizer,
-        label=header.get("label", "a2c"),
-        config=config,
-        steps_trained=int(header.get("steps_trained", 0)),
-    )
+    def decode(header, take):
+        params = vector_to_params(take("<f8", header["param_count"]).copy(), tuple(header["sizes"]))
+        if not params.all_finite():
+            raise TradeLabError("checkpoint contains non-finite parameters")
+        normalizer = ObsNormalizer(header["obs_dim"])
+        normalizer.mean = take("<f8", normalizer.dim).copy()
+        normalizer.m2 = take("<f8", normalizer.dim).copy()
+        normalizer.count = operator.index(header["normalizer_count"])
+        normalizer.freeze()
+        config = header.get("config")
+        return MlpPolicy(
+            params,
+            normalizer,
+            label=header.get("label", "a2c"),
+            config=None if config is None else decode_config(A2CConfig, config, "checkpoint a2c"),
+            steps_trained=operator.index(header.get("steps_trained", 0)),
+        )
+
+    return read_frame(path, CHECKPOINT_MAGIC, decode)

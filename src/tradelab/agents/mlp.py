@@ -22,7 +22,6 @@ __all__ = [
     "mlp_backward",
     "params_to_vector",
     "vector_to_params",
-    "zeros_like_params",
 ]
 
 
@@ -186,7 +185,3 @@ def vector_to_params(vector: np.ndarray, sizes) -> MlpParams:
         out[name] = vector[offset : offset + size].reshape(shape)
         offset += size
     return MlpParams(**out)
-
-
-def zeros_like_params(params: MlpParams) -> MlpParams:
-    return MlpParams(**{f.name: np.zeros_like(getattr(params, f.name)) for f in fields(MlpParams)})

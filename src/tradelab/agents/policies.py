@@ -46,7 +46,6 @@ def act_hold(observation) -> np.ndarray:
 
 class HoldPolicy:
     label = "hold"
-    stateful = False
 
     def act(self, observation, rng) -> np.ndarray:
         return act_hold(observation)
@@ -54,7 +53,6 @@ class HoldPolicy:
 
 class RandomPolicy:
     label = "random"
-    stateful = False
 
     def act(self, observation, rng) -> np.ndarray:
         return act_random(observation, rng)
@@ -64,7 +62,6 @@ class BuyAndHoldPolicy:
     """Max buy across all tickers on the first call, then hold forever."""
 
     label = "buy-and-hold"
-    stateful = True
 
     def __init__(self):
         self._fired = False
@@ -85,7 +82,6 @@ class MomentumPolicy:
     """
 
     label = "momentum"
-    stateful = False
 
     def act(self, observation, rng) -> np.ndarray:
         n = n_tickers_of(observation)

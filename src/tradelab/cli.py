@@ -26,6 +26,7 @@ from .agents import (
     save_checkpoint,
 )
 from .analytics import behavior_profile, compare_profiles, load_report, save_report, write_comparison_csv
+from .config import decode_config
 from .env import EnvConfig, TradingEnv, Window, load_episode_log, run_episode, save_episode_log
 from .errors import TradeLabError
 from .indicators import IndicatorConfig, build_features, write_features_csv
@@ -85,6 +86,8 @@ class RunConfig:
             base = config_path.parent
             raw["data"] = {t: str(base / p) for t, p in raw.get("data", {}).items()}
             raw["aux"] = {name: str(base / p) for name, p in raw.get("aux", {}).items()}
+            if "out" in raw:
+                raw["out"] = str(base / str(raw["out"]))
         for key, value in overrides.items():
             if value is not None:
                 raw[key] = value
@@ -94,9 +97,9 @@ class RunConfig:
             tickers=list(raw.get("tickers", [])),
             split=raw.get("split"),
             align=raw.get("align", "intersect"),
-            indicators=IndicatorConfig.from_dict(raw.get("indicators", {})),
-            env=EnvConfig.from_dict(raw.get("env", {})),
-            a2c=A2CConfig.from_dict(raw.get("a2c", {})),
+            indicators=decode_config(IndicatorConfig, raw.get("indicators", {}), "indicators"),
+            env=decode_config(EnvConfig, raw.get("env", {}), "env"),
+            a2c=decode_config(A2CConfig, raw.get("a2c", {}), "a2c"),
             out=str(raw.get("out", "out")),
             seed=int(raw.get("seed", 0)),
         )
@@ -198,14 +201,10 @@ def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
     features = _build_features(cfg)
     windows = _windows(cfg, features)
     window = windows.get("train", windows["full"])
-    a2c_cfg = cfg.a2c
-    overrides = {}
+    overrides = {"seed": cfg.seed}
     if timesteps is not None:
         overrides["total_timesteps"] = timesteps
-    if cfg.seed != a2c_cfg.seed:
-        overrides["seed"] = cfg.seed
-    if overrides:
-        a2c_cfg = A2CConfig.from_dict({**a2c_cfg.to_dict(), **overrides})
+    a2c_cfg = decode_config(A2CConfig, {**cfg.a2c.to_dict(), **overrides}, "a2c")
 
     policy, stats = a2c_train(a2c_cfg, lambda: TradingEnv(cfg.env, features, window))
     ckpt = cfg.out_dir / "a2c.ckpt"

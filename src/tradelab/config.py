@@ -1,0 +1,47 @@
+"""Decoding of JSON config sections into the frozen config dataclasses."""
+
+from __future__ import annotations
+
+import types
+import typing
+
+from .errors import TradeLabError
+
+__all__ = ["ConfigError", "decode_config"]
+
+
+class ConfigError(TradeLabError):
+    pass
+
+
+def _is_json_type(value, hint) -> bool:
+    """Whether a decoded JSON value fits a field annotation as it is, uncoerced."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_is_json_type(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_is_json_type(v, args[0]) for v in value)
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):  # JSON true/false is not a number
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def decode_config(cls, data, section: str):
+    """Build ``cls`` from the JSON object ``data``; unknown fields, values of the
+    wrong JSON type and out-of-range values raise a ConfigError naming
+    ``section`` and the field."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigError(f"config section {section!r} has unknown field {key!r}")
+        if not _is_json_type(value, hints[key]):
+            expected = hints[key] if typing.get_origin(hints[key]) else hints[key].__name__
+            raise ConfigError(f"config field {section}.{key} must be {expected}, got {value!r}")
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        raise ConfigError(f"config section {section!r}: {exc}") from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,17 +82,7 @@ class EnvConfig:
             raise ValueError("reward_scale must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "initial_capital": self.initial_capital,
-            "hmax": self.hmax,
-            "cost_rate": self.cost_rate,
-            "reward_scale": self.reward_scale,
-            "turbulence_gate": self.turbulence_gate,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnvConfig":
-        return cls(**data)
+        return asdict(self)
 
 
 @dataclass(frozen=True)

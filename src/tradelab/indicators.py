@@ -35,7 +35,6 @@ __all__ = [
     "sma",
     "ema",
     "macd",
-    "macd_signal",
     "bollinger",
     "rsi",
     "cci",
@@ -79,7 +78,7 @@ class IndicatorConfig:
     sma_long: int = 60
     macd_fast: int = 12
     macd_slow: int = 26
-    macd_signal: int = 9
+    macd_signal: int = 9  # no feature reads it; it stays in the config written beside features.csv
     boll_period: int = 20
     boll_k: float = 2.0
     turb_window: int | None = 252
@@ -108,10 +107,6 @@ class IndicatorConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IndicatorConfig":
-        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +172,6 @@ def macd(closes, cfg: IndicatorConfig = IndicatorConfig()):
     fast, d_fast = ema(closes, cfg.macd_fast)
     slow, d_slow = ema(closes, cfg.macd_slow)
     return fast - slow, d_fast & d_slow
-
-
-def macd_signal(closes, cfg: IndicatorConfig = IndicatorConfig()):
-    """Signal line: EMA of the MACD line over the defined region."""
-    line, d_line = macd(closes, cfg)
-    x, squeeze = _as_columns(line)
-    start = int(np.argmax(d_line))
-    sig_defined_region, d_inner = ema(x[start:], cfg.macd_signal)
-    out = _blank(x.shape)
-    out[start:] = sig_defined_region
-    defined = np.zeros(x.shape[0], dtype=bool)
-    defined[start:] = d_inner
-    return _restore(out, squeeze), defined
 
 
 def bollinger(closes, cfg: IndicatorConfig = IndicatorConfig()):

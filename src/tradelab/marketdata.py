@@ -1,4 +1,4 @@
-"""Loading, validation, alignment, and splitting of hourly OHLCV bar data.
+"""Loading, validation, and alignment of hourly OHLCV bar data.
 
 Timestamps are UTC epoch seconds internally; input parsing accepts ISO-8601
 (a trailing ``Z`` or an explicit offset; naive values are taken as UTC) as
@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import read_frame, write_frame
 from .errors import TradeLabError
 
 __all__ = [
-    "Bar",
     "BarSeries",
     "AuxSeries",
     "MarketPanel",
-    "SplitSpec",
     "ColumnSchema",
     "MarketDataError",
     "SchemaMismatch",
@@ -30,19 +29,18 @@ __all__ = [
     "DuplicateTimestamp",
     "EmptyIntersection",
     "UnfillableLeadingGap",
-    "BoundaryOutOfRange",
     "parse_timestamp",
     "format_timestamp",
     "load_bars",
     "load_series",
     "align_panel",
-    "split_panel",
     "save_panel",
     "load_panel",
     "write_panel_csv",
 ]
 
 PANEL_MAGIC = "tradelab-panel-v1"
+OHLCV = ("open", "high", "low", "close", "volume")
 
 
 class MarketDataError(TradeLabError):
@@ -66,7 +64,13 @@ class SchemaMismatch(MarketDataError):
 
 
 class InvalidBar(MarketDataError):
-    pass
+    """A bar breaks an invariant or the time order; ``index`` is its position, when known."""
+
+    def __init__(self, reason: str, path=None, row: int | None = None, index: int | None = None, ticker: str = ""):
+        message = reason if index is None else f"{ticker}: {reason} at index {index}"
+        super().__init__(message, path=path, row=row)
+        self.reason = reason
+        self.index = index
 
 
 class DuplicateTimestamp(MarketDataError):
@@ -78,10 +82,6 @@ class EmptyIntersection(MarketDataError):
 
 
 class UnfillableLeadingGap(MarketDataError):
-    pass
-
-
-class BoundaryOutOfRange(MarketDataError):
     pass
 
 
@@ -105,34 +105,6 @@ def format_timestamp(ts: int) -> str:
     return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One OHLCV bar. ``problem()`` returns None when all invariants hold."""
-
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def problem(self) -> str | None:
-        values = (self.open, self.high, self.low, self.close, self.volume)
-        if not all(np.isfinite(v) for v in values):
-            return "non-finite field"
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            return "non-positive price"
-        if self.volume < 0:
-            return "negative volume"
-        if self.low > self.high:
-            return f"low {self.low} above high {self.high}"
-        if not (self.low <= self.open <= self.high):
-            return f"open {self.open} outside [low, high]"
-        if not (self.low <= self.close <= self.high):
-            return f"close {self.close} outside [low, high]"
-        return None
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
@@ -153,61 +125,34 @@ class BarSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", _readonly(np.asarray(self.timestamps, dtype=np.int64)))
-        for name in ("open", "high", "low", "close", "volume"):
+        for name in OHLCV:
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=np.float64)))
-        n = self.timestamps.shape[0]
-        for name in ("open", "high", "low", "close", "volume"):
-            if getattr(self, name).shape != (n,):
+            if getattr(self, name).shape != self.timestamps.shape:
                 raise ValueError(f"{self.ticker}: field {name} length mismatch")
-        if n == 0:
-            raise InvalidBar("series contains no bars", path=None)
-        if np.any(np.diff(self.timestamps) <= 0):
-            bad = int(np.argmax(np.diff(self.timestamps) <= 0)) + 1
-            raise InvalidBar(f"{self.ticker}: timestamps not strictly increasing at index {bad}")
-        problems = _bar_problems(self.open, self.high, self.low, self.close, self.volume)
-        if problems is not None:
-            idx, why = problems
-            raise InvalidBar(f"{self.ticker}: {why} at index {idx}")
+        if len(self) == 0:
+            raise InvalidBar("series contains no bars")
+        ts, o, h, l, c, v = self.timestamps, self.open, self.high, self.low, self.close, self.volume
+        ordered = np.ones(ts.shape, dtype=bool)
+        ordered[1:] = ts[1:] > ts[:-1]
+        # a bar with several faults is reported by the first check it fails
+        checks = (
+            (np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v), "non-finite field"),
+            ((o > 0) & (h > 0) & (l > 0) & (c > 0), "non-positive price"),
+            (v >= 0, "negative volume"),
+            (l <= h, "low {l} above high {h}"),
+            ((l <= o) & (o <= h), "open {o} outside [low, high]"),
+            ((l <= c) & (c <= h), "close {c} outside [low, high]"),
+            (ordered, "timestamp not strictly increasing"),
+        )
+        ok = np.logical_and.reduce([passed for passed, _ in checks])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            reason = next(why for passed, why in checks if not passed[i])
+            reason = reason.format(o=float(o[i]), h=float(h[i]), l=float(l[i]), c=float(c[i]))
+            raise InvalidBar(reason, index=i, ticker=self.ticker)
 
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
-
-    def bar(self, i: int) -> Bar:
-        return Bar(
-            int(self.timestamps[i]),
-            float(self.open[i]),
-            float(self.high[i]),
-            float(self.low[i]),
-            float(self.close[i]),
-            float(self.volume[i]),
-        )
-
-    @classmethod
-    def from_bars(cls, ticker: str, bars) -> "BarSeries":
-        bars = list(bars)
-        return cls(
-            ticker=ticker,
-            timestamps=np.array([b.timestamp for b in bars], dtype=np.int64),
-            open=np.array([b.open for b in bars]),
-            high=np.array([b.high for b in bars]),
-            low=np.array([b.low for b in bars]),
-            close=np.array([b.close for b in bars]),
-            volume=np.array([b.volume for b in bars]),
-        )
-
-
-def _bar_problems(o, h, l, c, v):
-    """First violated bar invariant as (index, reason), or None."""
-    finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v)
-    ok = (
-        finite
-        & (o > 0) & (h > 0) & (l > 0) & (c > 0) & (v >= 0)
-        & (l <= h) & (l <= o) & (o <= h) & (l <= c) & (c <= h)
-    )
-    if ok.all():
-        return None
-    idx = int(np.argmin(ok))
-    return idx, Bar(0, float(o[idx]), float(h[idx]), float(l[idx]), float(c[idx]), float(v[idx])).problem()
 
 
 @dataclass(frozen=True)
@@ -250,7 +195,7 @@ class MarketPanel:
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "timestamps", _readonly(np.asarray(self.timestamps, dtype=np.int64)))
         shape = (self.timestamps.shape[0], len(self.tickers))
-        for name in ("open", "high", "low", "close", "volume"):
+        for name in OHLCV:
             arr = _readonly(np.asarray(getattr(self, name), dtype=np.float64))
             if arr.shape != shape:
                 raise ValueError(f"panel field {name} has shape {arr.shape}, expected {shape}")
@@ -271,32 +216,6 @@ class MarketPanel:
     def n_tickers(self) -> int:
         return len(self.tickers)
 
-    def slice(self, start: int, stop: int) -> "MarketPanel":
-        return MarketPanel(
-            tickers=self.tickers,
-            timestamps=self.timestamps[start:stop],
-            open=self.open[start:stop],
-            high=self.high[start:stop],
-            low=self.low[start:stop],
-            close=self.close[start:stop],
-            volume=self.volume[start:stop],
-            aux={name: values[start:stop] for name, values in self.aux.items()},
-        )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Half-open train/test partition of a panel's time range at ``boundary``."""
-
-    boundary: int
-    train: tuple[int, int]  # [start, boundary) as epoch seconds
-    test: tuple[int, int]  # [boundary, end]
-
-    def __post_init__(self):
-        if not (self.train[0] < self.boundary <= self.test[0] <= self.test[1]):
-            raise ValueError("train must precede test and both must be non-empty")
-
-
 @dataclass(frozen=True)
 class ColumnSchema:
     """Column mapping for bar CSVs; ``ticker`` selects long-format files."""
@@ -314,10 +233,7 @@ DEFAULT_SCHEMA = ColumnSchema()
 
 
 def _open_csv(path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with path.open(newline="") as handle:
+    with Path(path).open(newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise SchemaMismatch("file is empty, expected a header row", path=path, row=1)
@@ -344,46 +260,37 @@ def load_bars(path, schema: ColumnSchema = DEFAULT_SCHEMA, ticker: str | None = 
     """
     path = Path(path)
     header, rows = _open_csv(path)
-    wanted = {
-        "timestamp": schema.timestamp,
-        "open": schema.open,
-        "high": schema.high,
-        "low": schema.low,
-        "close": schema.close,
-        "volume": schema.volume,
-    }
+    wanted = {key: getattr(schema, key) for key in ("timestamp", *OHLCV)}
     if schema.ticker is not None:
         if ticker is None:
             raise ValueError("long-format schema requires an explicit ticker")
         wanted["ticker"] = schema.ticker
     col = _column_indices(header, wanted, path)
     name = ticker if ticker is not None else path.stem
+    ticker_col, value_cols = col.get("ticker"), [col[key] for key in OHLCV]
 
-    bars: list[Bar] = []
-    for offset, row in enumerate(rows):
-        row_no = offset + 2  # header is row 1
-        if schema.ticker is not None and row[col["ticker"]] != name:
-            continue
+    # Parse up to the first unparsable row; BarSeries then checks the parsed
+    # bars at once, and a bad bar before that row is the one reported.
+    records, row_nos, parse_error = [], [], None
+    for row_no, row in enumerate(rows, start=2):  # header is row 1
         try:
-            bar = Bar(
-                timestamp=parse_timestamp(row[col["timestamp"]]),
-                open=float(row[col["open"]]),
-                high=float(row[col["high"]]),
-                low=float(row[col["low"]]),
-                close=float(row[col["close"]]),
-                volume=float(row[col["volume"]]),
-            )
+            if ticker_col is not None and row[ticker_col] != name:
+                continue
+            records.append([parse_timestamp(row[col["timestamp"]])] + [float(row[i]) for i in value_cols])
         except (ValueError, IndexError) as exc:
-            raise InvalidBar(f"unparsable field: {exc}", path=path, row=row_no) from None
-        why = bar.problem()
-        if why is not None:
-            raise InvalidBar(why, path=path, row=row_no)
-        if bars and bar.timestamp <= bars[-1].timestamp:
-            raise InvalidBar("timestamp not strictly increasing", path=path, row=row_no)
-        bars.append(bar)
-    if not bars:
-        raise InvalidBar(f"no usable rows for ticker {name!r}", path=path)
-    return BarSeries.from_bars(name, bars)
+            parse_error = InvalidBar(f"unparsable field: {exc}", path=path, row=row_no)
+            break
+        row_nos.append(row_no)
+    if not records:
+        raise parse_error or InvalidBar(f"no usable rows for ticker {name!r}", path=path)
+    timestamps, *values = zip(*records)
+    try:
+        series = BarSeries(name, np.array(timestamps, dtype=np.int64), *(np.array(v) for v in values))
+    except InvalidBar as exc:
+        raise InvalidBar(exc.reason, path=path, row=row_nos[exc.index]) from None
+    if parse_error is not None:
+        raise parse_error
+    return series
 
 
 def load_series(path, name: str) -> AuxSeries:
@@ -447,7 +354,7 @@ def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
         if timestamps.size == 0:
             raise EmptyIntersection("no timestamps remain after dropping leading gaps")
 
-    matrices = {name: np.empty((timestamps.size, len(series))) for name in ("open", "high", "low", "close", "volume")}
+    matrices = {name: np.empty((timestamps.size, len(series))) for name in OHLCV}
     for j, s in enumerate(series):
         idx = np.searchsorted(s.timestamps, timestamps, side="right") - 1
         if np.any(idx < 0):
@@ -472,71 +379,22 @@ def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
     return MarketPanel(tickers=tuple(tickers), timestamps=timestamps, aux=aux_columns, **matrices)
 
 
-def split_panel(panel: MarketPanel, boundary: int) -> tuple[MarketPanel, MarketPanel]:
-    """Partition a panel at ``boundary``: train holds t < boundary, test t >= boundary.
-
-    The boundary bar belongs to the test split. Raises BoundaryOutOfRange when
-    either side would be empty.
-    """
-    cut = int(np.searchsorted(panel.timestamps, int(boundary), side="left"))
-    if cut == 0 or cut == panel.n_timestamps:
-        raise BoundaryOutOfRange(
-                f"boundary {format_timestamp(boundary)} not strictly inside "
-                f"[{format_timestamp(panel.timestamps[0])}, {format_timestamp(panel.timestamps[-1])}]"
-        )
-    return panel.slice(0, cut), panel.slice(cut, panel.n_timestamps)
-
-
-# ---------------------------------------------------------------------------
-# Cache serialization: one JSON header line + little-endian float64/int64 payload.
-# Content-addressed by value only, so identical inputs yield identical bytes.
-# ---------------------------------------------------------------------------
-
 def save_panel(panel: MarketPanel, path) -> None:
-    import json
-
-    header = {
-        "format": PANEL_MAGIC,
-        "tickers": list(panel.tickers),
-        "aux": sorted(panel.aux),
-        "n_timestamps": panel.n_timestamps,
-    }
-    blob = bytearray()
-    blob.extend(json.dumps(header, sort_keys=True).encode())
-    blob.extend(b"\n")
-    blob.extend(panel.timestamps.astype("<i8").tobytes())
-    for name in ("open", "high", "low", "close", "volume"):
-        blob.extend(getattr(panel, name).astype("<f8").tobytes())
-    for name in sorted(panel.aux):
-        blob.extend(panel.aux[name].astype("<f8").tobytes())
-    Path(path).write_bytes(bytes(blob))
+    """Binary cache: timestamps, the OHLCV matrices, then aux series by name."""
+    header = {"tickers": list(panel.tickers), "aux": sorted(panel.aux), "n_timestamps": panel.n_timestamps}
+    arrays = [panel.timestamps, *(getattr(panel, name) for name in OHLCV), *(panel.aux[a] for a in sorted(panel.aux))]
+    write_frame(path, PANEL_MAGIC, header, arrays)
 
 
 def load_panel(path) -> MarketPanel:
-    import json
+    def decode(header, take):
+        t, tickers = header["n_timestamps"], tuple(header["tickers"])
+        timestamps = take("<i8", t)
+        matrices = {name: take("<f8", t * len(tickers)).reshape(t, len(tickers)) for name in OHLCV}
+        aux = {name: take("<f8", t) for name in header["aux"]}
+        return MarketPanel(tickers=tickers, timestamps=timestamps, aux=aux, **matrices)
 
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    raw = path.read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode())
-    if header.get("format") != PANEL_MAGIC:
-        raise MarketDataError(f"not a panel cache: {path}", path=path)
-    t = int(header["n_timestamps"])
-    n = len(header["tickers"])
-    offset = newline + 1
-    timestamps = np.frombuffer(raw, dtype="<i8", count=t, offset=offset).astype(np.int64)
-    offset += t * 8
-    matrices = {}
-    for name in ("open", "high", "low", "close", "volume"):
-        matrices[name] = np.frombuffer(raw, dtype="<f8", count=t * n, offset=offset).reshape(t, n)
-        offset += t * n * 8
-    aux = {}
-    for name in header["aux"]:
-        aux[name] = np.frombuffer(raw, dtype="<f8", count=t, offset=offset)
-        offset += t * 8
-    return MarketPanel(tickers=tuple(header["tickers"]), timestamps=timestamps, aux=aux, **matrices)
+    return read_frame(path, PANEL_MAGIC, decode)
 
 
 def write_panel_csv(panel: MarketPanel, path) -> None:

@@ -302,9 +302,73 @@ class TestReport:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "section, value, names",
+        [
+            ("env", {"hmaxx": 5}, ["'env'", "'hmaxx'"]),
+            ("env", {"hmax": "100"}, ["env.hmax", "int"]),
+            ("indicators", {"rsi_period": 8.5}, ["indicators.rsi_period"]),
+            ("a2c", {"hidden_sizes": [16]}, ["'a2c'", "hidden_sizes"]),
+            ("a2c", [16, 16], ["'a2c'", "JSON object"]),
+        ],
+    )
+    def test_bad_config_section_exits_one(self, workspace, capsys, section, value, names):
+        config = json.loads((workspace / "config.json").read_text())
+        config[section] = value
+        (workspace / "config.json").write_text(json.dumps(config))
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config")
+        for name in names:
+            assert name in err
+
+    @pytest.mark.parametrize("fault", ["truncated", "over-long", "missing-key"])
+    @pytest.mark.parametrize("name, key", [("panel.bin", "n_timestamps"), ("a2c.ckpt", "param_count")])
+    def test_bad_binary_file_exits_one(self, workspace, capsys, name, key, fault):
+        run(workspace, "ingest")
+        ckpt = workspace / "out" / "a2c.ckpt"
+        if name == "a2c.ckpt":
+            run(workspace, "train")
+        path = workspace / "out" / name
+        raw = path.read_bytes()
+        if fault == "truncated":
+            raw = raw[:-8]
+        elif fault == "over-long":
+            raw += bytes(8)
+        else:
+            head, _, payload = raw.partition(b"\n")
+            header = json.loads(head)
+            del header[key]
+            raw = json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+        path.write_bytes(raw)
+        capsys.readouterr()
+        assert run(workspace, "simulate", "--agent", str(ckpt) if name == "a2c.ckpt" else "hold") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        if fault == "missing-key":
+            assert key in err
+
+
 class TestOutFlag:
     def test_out_override_redirects_everything(self, workspace):
         other = workspace / "elsewhere"
         assert run(workspace, "ingest", "--out", str(other)) == 0
         assert (other / "panel.bin").exists()
         assert not (workspace / "out" / "panel.bin").exists()
+
+    def test_config_out_resolves_against_config_dir(self, workspace, monkeypatch):
+        config = json.loads((workspace / "config.json").read_text())
+        config["data"] = {ticker: f"../{p}" for ticker, p in config["data"].items()}
+        config["out"] = "myout"
+        (workspace / "sub").mkdir()
+        (workspace / "sub" / "run.json").write_text(json.dumps(config))
+        cwd = workspace / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["ingest", "--config", str(workspace / "sub" / "run.json")]) == 0
+        assert (workspace / "sub" / "myout" / "panel.bin").exists()
+        assert not (cwd / "myout").exists()
+        # the --out flag still resolves against the working directory
+        assert main(["ingest", "--config", str(workspace / "sub" / "run.json"), "--out", "flagout"]) == 0
+        assert (cwd / "flagout" / "panel.bin").exists()

@@ -27,7 +27,6 @@ from tradelab.indicators import (
     dx,
     ema,
     macd,
-    macd_signal,
     rsi,
     sma,
     turbulence,
@@ -117,17 +116,6 @@ def test_macd_composition_oracle(rng):
     slow, d_slow = ema(x, cfg.macd_slow)
     assert np.array_equal(defined, d_fast & d_slow)
     assert np.all(np.abs(values[defined] - (fast - slow)[defined]) <= 1e-12)
-
-
-def test_macd_signal_is_ema_of_line(rng):
-    x = _series(rng, 150)
-    cfg = IndicatorConfig()
-    line, d_line = macd(x, cfg)
-    sig, d_sig = macd_signal(x, cfg)
-    start = int(np.argmax(d_line))
-    inner, inner_defined = ema(line[start:], cfg.macd_signal)
-    assert np.array_equal(d_sig[start:], inner_defined)
-    assert np.allclose(sig[start:][inner_defined], inner[inner_defined], atol=1e-12, equal_nan=False)
 
 
 # ---------------------------------------------------------------------------

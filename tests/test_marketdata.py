@@ -1,4 +1,4 @@
-"""Loader, alignment, and split behavior, checked against brute-force oracles."""
+"""Loader, alignment, and cache behavior, checked against brute-force oracles."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ import pytest
 from conftest import HOUR, hourly_axis, make_walk_series, write_bars_csv
 from tradelab.marketdata import (
     AuxSeries,
-    Bar,
     BarSeries,
-    BoundaryOutOfRange,
     ColumnSchema,
     DuplicateTimestamp,
     EmptyIntersection,
@@ -23,7 +21,6 @@ from tradelab.marketdata import (
     load_series,
     parse_timestamp,
     save_panel,
-    split_panel,
     write_panel_csv,
 )
 
@@ -147,6 +144,70 @@ def test_load_bars_long_format(tmp_path):
     assert b.close[0] == 20.5
     with pytest.raises(ValueError):
         load_bars(path, schema=schema)  # ticker required for long format
+
+
+GOOD_ROW = "2022-03-04T08:00:00Z,10,11,9,10.5,100"
+HIGH_BELOW_LOW_ROW = "2022-03-04T09:00:00Z,10.5,9.5,10,10.2,200"
+UNPARSABLE_ROW = "2022-03-04T10:00:00Z,ten,11,9,10.5,100"
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([GOOD_ROW, HIGH_BELOW_LOW_ROW, UNPARSABLE_ROW], "low 10.0 above high 9.5"),
+        ([GOOD_ROW, UNPARSABLE_ROW, HIGH_BELOW_LOW_ROW], "unparsable field"),
+        (["2022-03-04T09:00:00Z,10,11,9,10.5,100", GOOD_ROW, UNPARSABLE_ROW], "timestamp not strictly increasing"),
+        ([GOOD_ROW, "2022-03-04T07:00:00Z,10,11,9,10.5,-1"], "negative volume"),  # outranks the order fault
+    ],
+    ids=["invariant-before-parse", "parse-before-invariant", "order-before-parse", "two-faults-one-row"],
+)
+def test_load_bars_reports_first_bad_row(tmp_path, rows, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["timestamp,open,high,low,close,volume", *rows]) + "\n")
+    with pytest.raises(InvalidBar) as err:
+        load_bars(path)
+    assert err.value.row == 3
+    assert str(err.value).startswith(reason)
+    assert "bad.csv" in str(err.value)
+
+
+def test_load_bars_long_format_reports_physical_row(tmp_path):
+    path = tmp_path / "all.csv"
+    path.write_text(
+        "timestamp,ticker,open,high,low,close,volume\n"
+        "2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100\n"
+        "2022-03-04T08:00:00Z,BBB,20,21,19,20.5,300\n"
+        "2022-03-04T09:00:00Z,BBB,20,21,19,20.5,300\n"
+        "2022-03-04T09:00:00Z,AAA,10.5,9.5,10,10.2,200\n"
+        "2022-03-04T10:00:00Z,BBB,20,21,19,20.5,300\n"
+    )
+    schema = ColumnSchema(ticker="ticker")
+    with pytest.raises(InvalidBar) as err:
+        load_bars(path, schema=schema, ticker="AAA")
+    assert err.value.row == 5
+    assert len(load_bars(path, schema=schema, ticker="BBB")) == 3
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("close", np.nan, "non-finite field"),
+        ("low", -1.0, "non-positive price"),
+        ("volume", -1.0, "negative volume"),
+        ("high", 8.0, "low 9.0 above high 8.0"),
+        ("open", 11.5, "open 11.5 outside [low, high]"),
+        ("close", 8.5, "close 8.5 outside [low, high]"),
+        ("timestamps", T0, "timestamp not strictly increasing"),
+    ],
+)
+def test_bar_series_reports_first_fault(field, value, reason):
+    columns = {"timestamps": hourly_axis(T0, 3), "open": 10.0, "high": 11.0, "low": 9.0, "close": 10.5, "volume": 100.0}
+    columns = {name: np.full(3, v) if np.ndim(v) == 0 else v for name, v in columns.items()}
+    columns[field][1] = value
+    with pytest.raises(InvalidBar) as err:
+        BarSeries("AAA", **columns)
+    assert err.value.index == 1
+    assert str(err.value) == f"AAA: {reason} at index 1"
 
 
 def test_load_bars_round_trip(tmp_path, rng):
@@ -322,52 +383,13 @@ def test_panel_arrays_read_only(rng):
 
 
 # ---------------------------------------------------------------------------
-# split_panel
+# cache round trip
 # ---------------------------------------------------------------------------
 
 def _panel_of(rng, count):
     series = [make_walk_series(t, hourly_axis(T0, count), rng) for t in ("AAA", "BBB")]
     return align_panel(series, fill="intersect")
 
-
-def test_split_boundary_out_of_range(rng):
-    panel = _panel_of(rng, 10)
-    with pytest.raises(BoundaryOutOfRange):
-        split_panel(panel, T0 - HOUR)
-    with pytest.raises(BoundaryOutOfRange):
-        split_panel(panel, T0)  # nothing strictly before this
-    with pytest.raises(BoundaryOutOfRange):
-        split_panel(panel, T0 + 100 * HOUR)
-
-
-def test_split_partition_exact(rng):
-    panel = _panel_of(rng, 50)
-    train, test = split_panel(panel, T0 + 20 * HOUR)
-    assert train.n_timestamps + test.n_timestamps == panel.n_timestamps
-    assert np.array_equal(np.concatenate([train.timestamps, test.timestamps]), panel.timestamps)
-    assert np.array_equal(np.vstack([train.close, test.close]), panel.close)
-    assert train.timestamps[-1] < T0 + 20 * HOUR <= test.timestamps[0]
-
-
-def test_split_reference_dates(rng):
-    # hourly panel spanning 2022-03-04 to 2024-03-01, split at 2023-12-01:
-    # the boundary bar must land in the test side
-    start = parse_timestamp("2022-03-04T08:00:00Z")
-    end = parse_timestamp("2024-03-01T16:00:00Z")
-    count = (end - start) // HOUR + 1
-    series = [make_walk_series("AAA", hourly_axis(start, int(count)), np.random.default_rng(7))]
-    panel = align_panel(series, fill="intersect")
-    boundary = parse_timestamp("2023-12-01T00:00:00Z")
-    train, test = split_panel(panel, boundary)
-    assert train.timestamps[-1] < boundary
-    assert test.timestamps[0] >= boundary
-    # the first bar at or after midnight Dec 1 sits in test
-    assert format_timestamp(test.timestamps[0]).startswith("2023-12-01")
-
-
-# ---------------------------------------------------------------------------
-# cache round trip
-# ---------------------------------------------------------------------------
 
 def test_save_load_panel_round_trip(tmp_path, rng):
     base = hourly_axis(T0, 60)
