@@ -5,8 +5,9 @@ state-independent log-std vector. Samples are clamped to [-1, 1] after
 drawing; the log-density in the gradient uses the pre-clamp sample, a known
 small bias accepted for simplicity. Updates are plain n-step advantage
 policy gradients with an RMSProp-style adaptive step on the flat parameter
-vector, and everything is driven by one seeded generator, so a (seed,
-config, data) triple fixes the whole parameter trajectory bit for bit.
+vector ``MlpParams.vector``, and everything is driven by one seeded
+generator, so a (seed, config, data) triple fixes the whole parameter
+trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 
 from ..binfile import read_frame, write_frame
 from ..config import decode_config
+from ..env import TradingEnv
 from ..errors import TradeLabError
-from .mlp import MlpParams, init_mlp, mlp_backward, mlp_forward, params_to_vector, vector_to_params
+from .mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
 
 __all__ = [
     "A2CConfig",
@@ -213,8 +215,7 @@ def a2c_loss_and_grad(
     z2 = ((actions - mean) ** 2) / sigma2
     d_log_std = -(advantages[:, None] * (z2 - 1.0)).sum(axis=0) / b - cfg.entropy_coef
 
-    grads = mlp_backward(params, cache, d_mean, d_value, d_log_std)
-    g = params_to_vector(grads)
+    g = mlp_backward(params, cache, d_mean, d_value, d_log_std).vector
     if not np.isfinite(g).all():
         raise NonFiniteLoss(f"update {update_index}: non-finite gradient")
     return policy_loss, value_loss, entropy, g
@@ -234,13 +235,10 @@ def a2c_update(
     if grad_norm > cfg.max_grad_norm:
         g = g * (cfg.max_grad_norm / grad_norm)
 
-    p = params_to_vector(params)
     if opt_state is None:
-        opt_state = np.zeros_like(p)
+        opt_state = np.zeros_like(g)
     opt_state = cfg.rms_decay * opt_state + (1.0 - cfg.rms_decay) * g**2
-    p = p - cfg.lr * g / (np.sqrt(opt_state) + cfg.rms_eps)
-
-    new_params = vector_to_params(p, params.sizes)
+    new_params = MlpParams(params.vector - cfg.lr * g / (np.sqrt(opt_state) + cfg.rms_eps), params.sizes)
     stats = UpdateStats(policy_loss=policy_loss, value_loss=value_loss, entropy=entropy, grad_norm=grad_norm)
     return new_params, opt_state, stats
 
@@ -267,20 +265,20 @@ class MlpPolicy:
 
 
 def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
-    """Train over n_envs synchronized copies of the factory's environment.
+    """Train over n_envs lockstep copies of the factory's environment.
 
-    All envs share the same data window, so rollouts differ only through
-    action sampling. Normalizer statistics adapt during training and freeze
-    into the returned policy.
+    The factory's environment supplies the env config, features and window,
+    so every worker shares them and rollouts differ only through action
+    sampling. One TradingEnv with ``copies=n_envs`` steps all workers in one
+    call per rollout step. Normalizer statistics adapt during training and
+    freeze into the returned policy.
     """
     rng = np.random.default_rng(cfg.seed)
-    envs = [env_factory() for _ in range(cfg.n_envs)]
-    obs_dim = envs[0].observation_size
-    n_actions = envs[0].n_tickers
-    episode_steps = envs[0].window.steps
-    for env in envs[1:]:
-        if env.observation_size != obs_dim or env.window.steps != episode_steps:
-            raise ValueError("env_factory must produce identically shaped environments")
+    template = env_factory()
+    env = TradingEnv(template.cfg, template.features, template.window, copies=cfg.n_envs)
+    obs_dim = env.observation_size
+    n_actions = env.n_tickers
+    episode_steps = env.window.steps
 
     params = init_mlp((obs_dim, *cfg.hidden_sizes, n_actions), rng)
     normalizer = ObsNormalizer(obs_dim)
@@ -291,7 +289,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
         total_timesteps=cfg.total_timesteps,
     )
 
-    raw_obs = np.stack([env.reset() for env in envs])
+    raw_obs = env.reset()
     normalizer.update(raw_obs)
     episode_return = np.zeros(cfg.n_envs)
 
@@ -307,21 +305,18 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
             norm_obs = normalizer.normalize(raw_obs)
             mean, log_std, _, _ = mlp_forward(params, norm_obs)
             raw_actions = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
-            clamped = np.clip(raw_actions, -1.0, 1.0)
 
             obs_buf[k] = norm_obs
             act_buf[k] = raw_actions
-            for e, env in enumerate(envs):
-                outcome = env.step(clamped[e])
-                rew_buf[k, e] = outcome.reward
-                done_buf[k, e] = float(outcome.done)
-                episode_return[e] += outcome.reward
-                if outcome.done:
-                    stats.episode_rewards.append(float(episode_return[e]))
-                    episode_return[e] = 0.0
-                    raw_obs[e] = env.reset()
-                else:
-                    raw_obs[e] = outcome.observation
+            outcome = env.step(np.clip(raw_actions, -1.0, 1.0))
+            rew_buf[k] = outcome.reward
+            done_buf[k] = float(outcome.done)
+            episode_return += outcome.reward
+            raw_obs = outcome.observation
+            if outcome.done:  # the copies share one clock, so they finish together
+                stats.episode_rewards.extend(episode_return.tolist())
+                episode_return[:] = 0.0
+                raw_obs = env.reset()
             normalizer.update(raw_obs)
             steps_done += cfg.n_envs
 
@@ -355,7 +350,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(policy: MlpPolicy, path) -> None:
-    params_vec = params_to_vector(policy.params)
+    params_vec = policy.params.vector
     header = {
         "sizes": list(policy.params.sizes),
         "param_count": int(params_vec.size),
@@ -370,7 +365,7 @@ def save_checkpoint(policy: MlpPolicy, path) -> None:
 
 def load_checkpoint(path) -> MlpPolicy:
     def decode(header, take):
-        params = vector_to_params(take("<f8", header["param_count"]).copy(), tuple(header["sizes"]))
+        params = MlpParams(take("<f8", header["param_count"]).copy(), header["sizes"])
         if not params.all_finite():
             raise TradeLabError("checkpoint contains non-finite parameters")
         normalizer = ObsNormalizer(header["obs_dim"])

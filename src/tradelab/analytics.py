@@ -28,6 +28,7 @@ __all__ = [
     "EmptyLog",
     "LogTooShort",
     "WindowMismatch",
+    "DuplicateLabel",
     "MalformedReport",
     "cumulative_reward",
     "integral_holding",
@@ -58,6 +59,10 @@ class LogTooShort(TradeLabError):
 
 
 class WindowMismatch(TradeLabError):
+    pass
+
+
+class DuplicateLabel(TradeLabError):
     pass
 
 
@@ -252,6 +257,11 @@ def compare_profiles(reports) -> ProfileComparison:
                 f"report {report.agent_label!r} covers a different window than {reports[0].agent_label!r}"
             )
     labels = tuple(r.agent_label for r in reports)
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise DuplicateLabel(
+            f"reports share the agent label {repeated[0]!r}; each row of a comparison needs its own label"
+        )
     table = {
         "final_cumulative_reward": tuple(r.final_cumulative_reward for r in reports),
         "trader_score": tuple(r.trader_score for r in reports),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .agents import (
     save_checkpoint,
 )
 from .analytics import behavior_profile, compare_profiles, load_report, save_report, write_comparison_csv
-from .config import decode_config
+from .config import ConfigError, decode_config
 from .env import EnvConfig, TradingEnv, Window, load_episode_log, run_episode, save_episode_log
 from .errors import TradeLabError
 from .indicators import IndicatorConfig, build_features, write_features_csv
@@ -44,6 +45,7 @@ from .svgchart import render_bar_chart, render_line_chart
 __all__ = ["RunConfig", "UnknownAgent", "main", "entrypoint"]
 
 ALIGN_MODES = ("intersect", "forward-fill")
+SECTIONS = {"indicators": IndicatorConfig, "env": EnvConfig, "a2c": A2CConfig}
 
 
 class UnknownAgent(TradeLabError):
@@ -54,9 +56,9 @@ class UnknownAgent(TradeLabError):
 class RunConfig:
     """Everything one run needs; flag overrides win over the config file."""
 
-    data: dict = field(default_factory=dict)  # ticker -> OHLCV csv path
-    aux: dict = field(default_factory=dict)  # name -> csv path
-    tickers: list = field(default_factory=list)
+    data: dict[str, str] = field(default_factory=dict)  # ticker -> OHLCV csv path
+    aux: dict[str, str] = field(default_factory=dict)  # name -> csv path
+    tickers: list[str] = field(default_factory=list)
     split: str | None = None  # ISO date; boundary bar falls on the test side
     align: str = "intersect"
     indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
@@ -76,32 +78,32 @@ class RunConfig:
 
     @classmethod
     def load(cls, path, overrides: dict) -> "RunConfig":
-        """Read the JSON config (optional) and fold flag overrides on top."""
-        raw: dict = {}
-        if path is not None:
-            config_path = Path(path)
-            if not config_path.exists():
-                raise FileNotFoundError(str(config_path))
-            raw = json.loads(config_path.read_text())
-            base = config_path.parent
-            raw["data"] = {t: str(base / p) for t, p in raw.get("data", {}).items()}
-            raw["aux"] = {name: str(base / p) for name, p in raw.get("aux", {}).items()}
-            if "out" in raw:
-                raw["out"] = str(base / str(raw["out"]))
-        for key, value in overrides.items():
-            if value is not None:
-                raw[key] = value
-        return cls(
-            data=raw.get("data", {}),
-            aux=raw.get("aux", {}),
-            tickers=list(raw.get("tickers", [])),
-            split=raw.get("split"),
-            align=raw.get("align", "intersect"),
-            indicators=decode_config(IndicatorConfig, raw.get("indicators", {}), "indicators"),
-            env=decode_config(EnvConfig, raw.get("env", {}), "env"),
-            a2c=decode_config(A2CConfig, raw.get("a2c", {}), "a2c"),
-            out=str(raw.get("out", "out")),
-            seed=int(raw.get("seed", 0)),
+        """Read the JSON config (optional) and fold flag overrides on top.
+
+        Paths in the file resolve against its directory once every field has
+        been checked; paths given as flags resolve against the working directory.
+        """
+        cfg = cls() if path is None else cls._read(Path(path))
+        return dataclasses.replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
+
+    @classmethod
+    def _read(cls, path: Path) -> "RunConfig":
+        if not path.exists():
+            raise FileNotFoundError(str(path))
+        try:
+            raw = json.loads(path.read_text())
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+            sections = {name: decode_config(kind, raw[name], name) for name, kind in SECTIONS.items() if name in raw}
+            cfg = decode_config(cls, {**raw, **sections}, None)
+        except (ConfigError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            raise ConfigError(f"{exc} in {path}") from None
+        base = path.parent
+        return dataclasses.replace(
+            cfg,
+            data={ticker: str(base / p) for ticker, p in cfg.data.items()},
+            aux={name: str(base / p) for name, p in cfg.aux.items()},
+            out=str(base / cfg.out) if "out" in raw else cfg.out,
         )
 
     @property
@@ -232,6 +234,7 @@ def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
 def cmd_analyze(cfg: RunConfig, log_paths: list) -> int:
     logs = [load_episode_log(path) for path in log_paths]
     reports = [behavior_profile(log) for log in logs]
+    table = compare_profiles(reports) if len(reports) >= 2 else None  # fails before anything is written
     for report in reports:
         target = cfg.out_dir / f"report_{report.agent_label}"
         save_report(report, target)
@@ -240,8 +243,7 @@ def cmd_analyze(cfg: RunConfig, log_paths: list) -> int:
             f"{report.agent_label}: trader_score={report.trader_score:.4f} "
             f"({side} by the 0.5 convention) -> {target}"
         )
-    if len(reports) >= 2:
-        table = compare_profiles(reports)
+    if table is not None:
         out = cfg.out_dir / "comparison.csv"
         write_comparison_csv(table, out)
         print(f"comparison over {len(reports)} agents -> {out}")

@@ -19,8 +19,10 @@ def _is_json_type(value, hint) -> bool:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_is_json_type(value, arg) for arg in args)
-    if origin is tuple:
+    if origin in (tuple, list):
         return isinstance(value, (list, tuple)) and all(_is_json_type(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_is_json_type(v, args[1]) for v in value.values())
     if hint is type(None):
         return value is None
     if isinstance(value, bool):  # JSON true/false is not a number
@@ -28,20 +30,22 @@ def _is_json_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def decode_config(cls, data, section: str):
+def decode_config(cls, data, section: str | None):
     """Build ``cls`` from the JSON object ``data``; unknown fields, values of the
     wrong JSON type and out-of-range values raise a ConfigError naming
-    ``section`` and the field."""
+    ``section`` (None for the top level) and the field."""
+    where = "config" if section is None else f"config section {section!r}"
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {section!r} must be a JSON object, got {data!r}")
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
         if key not in hints:
-            raise ConfigError(f"config section {section!r} has unknown field {key!r}")
+            raise ConfigError(f"{where} has unknown field {key!r}")
         if not _is_json_type(value, hints[key]):
             expected = hints[key] if typing.get_origin(hints[key]) else hints[key].__name__
-            raise ConfigError(f"config field {section}.{key} must be {expected}, got {value!r}")
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"config field {name} must be {expected}, got {value!r}")
     try:
         return cls(**data)
     except ValueError as exc:
-        raise ConfigError(f"config section {section!r}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None

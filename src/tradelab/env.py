@@ -4,6 +4,14 @@ The observation is ``[cash] ++ prices (N) ++ shares (N) ++ features (8N,
 ticker-major)``, length 1 + 2N + 8N (301 in the 30-ticker reference
 configuration). One episode is one full pass over a window of the panel.
 
+``TradingEnv`` is one core over E lockstep copies of an episode: cash (E,),
+integer shares (E, N) and one time index, so every copy sees the same prices,
+features and turbulence gate. Sells settle vectorized over (E, N); buys fill
+in ascending ticker order within each copy, clipped to that copy's cash.
+``copies=None`` (the default) is the single env of ``run_episode`` and the
+CLI, with unbatched observation, reward and state; ``a2c_train`` steps its
+workers as ``copies=n_envs``, one ``step`` call per rollout step.
+
 Logs follow a pre-trade convention: row t records the state an agent saw at
 timestamp t, so the holdings bought at step t appear first in row t+1, the
 first row always shows the initial capital, and the unscaled rewards
@@ -17,6 +25,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +36,7 @@ from .marketdata import format_timestamp, parse_timestamp
 __all__ = [
     "EnvConfig",
     "Window",
-    "PortfolioState",
+    "EnvState",
     "StepOutcome",
     "EpisodeLog",
     "TradingEnv",
@@ -35,10 +44,7 @@ __all__ = [
     "WindowBeforeWarmup",
     "StepAfterDone",
     "MalformedLog",
-    "encode_state",
     "observation_size",
-    "reset",
-    "step",
     "run_episode",
     "save_episode_log",
     "load_episode_log",
@@ -104,32 +110,22 @@ class Window:
         return self.stop - self.start - 1
 
 
-@dataclass(frozen=True)
-class PortfolioState:
-    """Cash, integer share counts, and the closes at the current index."""
+class EnvState(NamedTuple):
+    """The state after the last reset or step. A batched env gives cash and
+    portfolio_value as (E,) and shares as (E, N); a single env gives floats
+    and (N,). The arrays are read-only and never change after they are returned."""
 
     t: int
-    cash: float
-    shares: np.ndarray  # int64 (N,)
-    prices: np.ndarray  # float64 (N,)
-
-    def __post_init__(self):
-        shares = np.array(self.shares, dtype=np.int64)
-        prices = np.array(self.prices, dtype=np.float64)
-        shares.setflags(write=False)
-        prices.setflags(write=False)
-        object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "prices", prices)
-
-    @property
-    def portfolio_value(self) -> float:
-        return float(self.cash + self.shares @ self.prices)
+    cash: float | np.ndarray
+    shares: np.ndarray
+    portfolio_value: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
+    """``info`` holds ``traded`` (signed share counts), ``fees`` and ``gated``."""
+
     observation: np.ndarray
-    reward: float
+    reward: float | np.ndarray
     done: bool
     info: dict
 
@@ -138,120 +134,31 @@ def observation_size(n_tickers: int) -> int:
     return 1 + 2 * n_tickers + len(FEATURE_NAMES) * n_tickers
 
 
-def encode_state(state: PortfolioState, features: FeaturePanel) -> np.ndarray:
-    """[cash] ++ prices ++ shares ++ per-ticker feature rows, fixed order."""
-    block = features.features[state.t]  # (N, 8), rows are tickers
-    return np.concatenate(
-        [[state.cash], state.prices, state.shares.astype(np.float64), block.reshape(-1)]
-    )
-
-
-def _check_window(features: FeaturePanel, window: Window) -> None:
-    if window.start < features.warmup:
-        raise WindowBeforeWarmup(
-            f"window starts at {window.start} but features are defined from {features.warmup}"
-        )
-    if window.stop > features.n_timestamps:
-        raise ValueError(f"window stops at {window.stop} beyond panel length {features.n_timestamps}")
-
-
-def reset(cfg: EnvConfig, features: FeaturePanel, window: Window) -> tuple[PortfolioState, np.ndarray]:
-    """Fresh state at the window start: full cash, zero shares."""
-    _check_window(features, window)
-    n = features.n_tickers
-    state = PortfolioState(
-        t=window.start,
-        cash=float(cfg.initial_capital),
-        shares=np.zeros(n, dtype=np.int64),
-        prices=features.closes[window.start],
-    )
-    return state, encode_state(state, features)
-
-
-def step(
-    state: PortfolioState,
-    action,
-    cfg: EnvConfig,
-    features: FeaturePanel,
-    window: Window,
-) -> tuple[PortfolioState, StepOutcome]:
-    """Execute one trading step: sells, then cash-clipped buys, then advance.
-
-    The reward compares the new portfolio value (new prices, fees paid)
-    against the pre-trade value at the old prices, scaled by reward_scale.
-    """
-    if state.t >= window.stop - 1:
-        raise StepAfterDone(f"episode already finished at index {state.t}")
-    a = np.asarray(action, dtype=np.float64)
-    if a.shape != state.shares.shape:
-        raise ValueError(f"action shape {a.shape}, expected {state.shares.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("action contains non-finite components")
-    a = np.clip(a, -1.0, 1.0)
-    desired = np.rint(a * cfg.hmax).astype(np.int64)
-
-    gated = False
-    if cfg.turbulence_gate is not None:
-        turb = features.aux.get("turbulence")
-        turb_defined = features.aux_defined.get("turbulence")
-        if turb is not None and turb_defined is not None and turb_defined[state.t]:
-            if turb[state.t] > cfg.turbulence_gate:
-                desired = -state.shares  # liquidate everything, buy nothing
-                gated = True
-
-    prices = state.prices
-    cash = float(state.cash)
-    shares = state.shares.copy()
-    value_before = float(cash + shares @ prices)
-
-    traded = np.zeros_like(shares)
-    fees = np.zeros(len(shares))
-
-    # sells first, each clipped to current holdings
-    sell_qty = np.minimum(-np.minimum(desired, 0), shares)
-    proceeds = sell_qty * prices
-    cash += float(proceeds.sum() * (1.0 - cfg.cost_rate))
-    fees += proceeds * cfg.cost_rate
-    shares -= sell_qty
-    traded -= sell_qty
-
-    # buys in ascending ticker index, clipped to remaining cash
-    for i in np.nonzero(desired > 0)[0]:
-        unit = prices[i] * (1.0 + cfg.cost_rate)
-        qty = min(int(desired[i]), int(math.floor(cash / unit)))
-        while qty > 0 and qty * unit > cash:  # guard against float overdraw
-            qty -= 1
-        if qty <= 0:
-            continue
-        cost = qty * unit
-        cash -= cost
-        shares[i] += qty
-        traded[i] += qty
-        fees[i] += qty * prices[i] * cfg.cost_rate
-
-    t_new = state.t + 1
-    new_prices = features.closes[t_new]
-    new_state = PortfolioState(t=t_new, cash=cash, shares=shares, prices=new_prices)
-    reward = cfg.reward_scale * (new_state.portfolio_value - value_before)
-    done = t_new == window.stop - 1
-    outcome = StepOutcome(
-        observation=encode_state(new_state, features),
-        reward=float(reward),
-        done=done,
-        info={"traded": traded, "fees": fees, "gated": gated},
-    )
-    return new_state, outcome
-
-
 class TradingEnv:
-    """Stateful wrapper around the functional reset/step core."""
+    """E lockstep copies of one episode over a window of the feature panel.
 
-    def __init__(self, cfg: EnvConfig, features: FeaturePanel, window: Window):
-        _check_window(features, window)
-        self.cfg = cfg
-        self.features = features
-        self.window = window
-        self._state: PortfolioState | None = None
+    ``step`` executes one trading step in every copy: sells, then cash-clipped
+    buys, then advance. The reward compares the new portfolio value (new
+    prices, fees paid) against the pre-trade value at the old prices, scaled
+    by reward_scale.
+    """
+
+    def __init__(self, cfg: EnvConfig, features: FeaturePanel, window: Window, copies: int | None = None):
+        if window.start < features.warmup:
+            raise WindowBeforeWarmup(f"window starts at {window.start} but features are defined from {features.warmup}")
+        if window.stop > features.n_timestamps:
+            raise ValueError(f"window stops at {window.stop} beyond panel length {features.n_timestamps}")
+        if copies is not None and (int(copies) != copies or copies < 1):
+            raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
+        self.cfg, self.features, self.window = cfg, features, window
+        self.copies = None if copies is None else int(copies)
+        # per timestamp: whether the turbulence gate liquidates every position
+        turb, defined = features.aux.get("turbulence"), features.aux_defined.get("turbulence")
+        if cfg.turbulence_gate is None or turb is None or defined is None:
+            self._gate = [False] * features.n_timestamps
+        else:
+            self._gate = (np.asarray(defined, dtype=bool) & (turb > cfg.turbulence_gate)).tolist()
+        self._t: int | None = None
 
     @property
     def n_tickers(self) -> int:
@@ -262,18 +169,100 @@ class TradingEnv:
         return observation_size(self.n_tickers)
 
     @property
-    def state(self) -> PortfolioState:
-        if self._state is None:
+    def state(self) -> EnvState:
+        if self._t is None:
             raise EnvError("environment not reset yet")
-        return self._state
+        if self.copies is None:
+            return EnvState(self._t, float(self._cash[0]), self._shares[0], float(self._values[0]))
+        return EnvState(self._t, self._cash, self._shares, self._values)
 
     def reset(self) -> np.ndarray:
-        self._state, observation = reset(self.cfg, self.features, self.window)
-        return observation
+        """Fresh copies at the window start: full cash, zero shares."""
+        e = 1 if self.copies is None else self.copies
+        self._t = self.window.start
+        self._settle(np.full(e, float(self.cfg.initial_capital)), np.zeros((e, self.n_tickers), dtype=np.int64))
+        return self._observe()
 
     def step(self, action) -> StepOutcome:
-        self._state, outcome = step(self.state, action, self.cfg, self.features, self.window)
-        return outcome
+        """``action`` is (N,) for a single env and (E, N) for a batched one."""
+        t = self._t
+        if t is None:
+            raise EnvError("environment not reset yet")
+        if t >= self.window.stop - 1:
+            raise StepAfterDone(f"episode already finished at index {t}")
+        cfg, shares = self.cfg, self._shares
+        a = np.asarray(action, dtype=np.float64)
+        expected = shares.shape if self.copies is not None else shares.shape[1:]
+        if a.shape != expected:
+            raise ValueError(f"action shape {a.shape}, expected {expected}")
+        if not np.isfinite(a).all():
+            raise ValueError("action contains non-finite components")
+        gated = self._gate[t]
+        if gated:
+            desired = -shares  # liquidate everything, buy nothing
+        else:
+            clipped = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, at less call overhead
+            desired = np.rint(clipped * cfg.hmax).astype(np.int64).reshape(shares.shape)
+
+        # sells first, each clipped to current holdings
+        prices = self.features.closes[t]
+        sold = np.minimum(-np.minimum(desired, 0), shares)
+        proceeds = sold * prices
+        cash = self._cash + proceeds.sum(axis=1) * (1.0 - cfg.cost_rate)
+        fees = proceeds * cfg.cost_rate
+        shares = shares - sold
+
+        # buys in ascending ticker index per copy, clipped to remaining cash;
+        # Python floats do the same IEEE operations, in the same order, as numpy scalars
+        bought = np.zeros(shares.shape, dtype=np.int64)
+        copy_ids, tickers = np.nonzero(desired > 0)
+        if copy_ids.size:
+            left = cash.tolist()
+            units = (prices * (1.0 + cfg.cost_rate)).tolist()
+            fills = desired[copy_ids, tickers].tolist()
+            for k, (e, i) in enumerate(zip(copy_ids.tolist(), tickers.tolist())):
+                unit, have = units[i], left[e]
+                qty = math.floor(have / unit)
+                if qty >= fills[k]:
+                    qty = fills[k]
+                while qty > 0 and qty * unit > have:  # guard against float overdraw
+                    qty -= 1
+                left[e] = have - qty * unit  # exact when qty is 0
+                fills[k] = qty
+            bought[copy_ids, tickers] = fills
+            cash = np.array(left)
+            shares += bought
+            fees += bought * prices * cfg.cost_rate
+
+        value_before = self._values
+        self._t = t + 1
+        self._settle(cash, shares)
+        reward = cfg.reward_scale * (self._values - value_before)
+        done = self._t == self.window.stop - 1
+        observation = self._observe()
+        traded = bought - sold
+        if self.copies is None:
+            reward, traded, fees = float(reward[0]), traded[0], fees[0]
+        return StepOutcome(observation, reward, done, {"traded": traded, "fees": fees, "gated": gated})
+
+    def _settle(self, cash: np.ndarray, shares: np.ndarray) -> None:
+        """Store the state at the current index and value it. The stacked
+        (E, 1, N) @ (N, 1) product is one dot product per copy, so each value
+        is bit-equal to ``cash[e] + shares[e] @ prices``."""
+        prices = self.features.closes[self._t]
+        values = cash + (shares[:, None, :] @ prices[:, None])[:, 0, 0]
+        for arr in (cash, shares, values):
+            arr.setflags(write=False)
+        self._cash, self._shares, self._values = cash, shares, values
+
+    def _observe(self) -> np.ndarray:
+        n, t = self.n_tickers, self._t
+        obs = np.empty((self._shares.shape[0], self.observation_size))
+        obs[:, 0] = self._cash
+        obs[:, 1 : 1 + n] = self.features.closes[t]
+        obs[:, 1 + n : 1 + 2 * n] = self._shares
+        obs[:, 1 + 2 * n :] = self.features.features[t].reshape(-1)
+        return obs if self.copies is not None else obs[0]
 
 
 @dataclass(frozen=True)
@@ -339,38 +328,28 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
     n = env.n_tickers
     length = len(window)
 
-    timestamps = features.timestamps[window.start : window.stop]
     actions = np.zeros((length, n))
     holdings = np.zeros((length, n), dtype=np.int64)
     cash = np.zeros(length)
     values = np.zeros(length)
-    rewards = np.zeros(length - 1)
-
-    state = env.state
-    holdings[0] = state.shares
-    cash[0] = state.cash
-    values[0] = state.portfolio_value
-    for k in range(length - 1):
-        action = np.clip(np.asarray(policy.act(observation, rng), dtype=np.float64), -1.0, 1.0)
-        actions[k] = action
-        outcome = env.step(action)
-        state = env.state
+    for k in range(length):
+        _, cash[k], holdings[k], values[k] = env.state
+        if k == length - 1:
+            break
+        # np.clip, at less call overhead
+        actions[k] = np.minimum(np.maximum(np.asarray(policy.act(observation, rng), dtype=np.float64), -1.0), 1.0)
+        outcome = env.step(actions[k])
         observation = outcome.observation
-        holdings[k + 1] = state.shares
-        cash[k + 1] = state.cash
-        values[k + 1] = state.portfolio_value
-        # the unscaled reward IS the value delta, recorded exactly
-        rewards[k] = values[k + 1] - values[k]
     if not outcome.done:
         raise EnvError("window walk ended before the done flag")
 
     return EpisodeLog(
-        timestamps=timestamps,
+        timestamps=features.timestamps[window.start : window.stop],
         actions=actions,
         holdings=holdings,
         cash=cash,
         portfolio_value=values,
-        rewards=rewards,
+        rewards=np.diff(values),  # the unscaled reward IS the value delta, recorded exactly
         agent_label=getattr(policy, "label", type(policy).__name__),
         meta={
             "config": cfg.to_dict(),
@@ -456,7 +435,14 @@ def load_episode_log(path) -> EpisodeLog:
     meta: dict = {}
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
-        data = json.loads(sidecar.read_text())
+        try:
+            data = json.loads(sidecar.read_text())
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise MalformedLog(f"sidecar {sidecar} is not JSON: {exc}") from None
+        if not isinstance(data, dict) or not isinstance(data.get("agent_label", ""), str) \
+                or not isinstance(data.get("meta", {}), dict):
+            raise MalformedLog(f"sidecar {sidecar} must be a JSON object with a string agent_label "
+                               f"and an object meta, got {data!r}")
         agent_label = data.get("agent_label", agent_label)
         meta = data.get("meta", {})
     return EpisodeLog(

@@ -1,6 +1,7 @@
 """Analytics tests: every metric against a brute-force oracle, the documented
 degenerate cases, profile comparison, and report persistence."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from tradelab.agents import HoldPolicy, RandomPolicy
 from tradelab.analytics import (
     BehaviorReport,
     DiversityStats,
+    DuplicateLabel,
     EmptyLog,
     LogTooShort,
     MalformedReport,
@@ -325,9 +327,9 @@ class TestCompareProfiles:
 
     def test_identical_logs_identical_rows(self, rng):
         log = synthetic_log(rng, label="twin")
-        a, b = behavior_profile(log), behavior_profile(log)
+        a, b = behavior_profile(log), behavior_profile(replace(log, agent_label="twin-2"))
         table = compare_profiles([a, b])
-        assert table.row("twin") == table.row("twin")
+        assert table.row("twin") == table.row("twin-2")
         assert table.trader_score[0] == table.trader_score[1]
         assert table.final_cumulative_reward[0] == table.final_cumulative_reward[1]
 
@@ -346,6 +348,14 @@ class TestCompareProfiles:
         b = behavior_profile(synthetic_log(rng, t=31))
         with pytest.raises(WindowMismatch):
             compare_profiles([a, b])
+
+    def test_duplicate_labels_rejected(self, rng):
+        # a repeated label would make row() return the first report's row for both
+        a = behavior_profile(synthetic_log(rng, label="twin"))
+        b = behavior_profile(synthetic_log(rng, label="solo"))
+        c = behavior_profile(synthetic_log(rng, label="twin"))
+        with pytest.raises(DuplicateLabel, match="'twin'"):
+            compare_profiles([a, b, c])
 
     def test_needs_two(self, rng):
         with pytest.raises(ValueError):

@@ -257,6 +257,18 @@ class TestAnalyze:
         assert run(workspace, "analyze", hold_log, short_log) == 1
         assert "window" in capsys.readouterr().err.lower()
 
+    def test_duplicate_labels_exit_one(self, workspace, capsys):
+        hold_log, _ = self._logs(workspace)
+        copy = workspace / "copy.csv"
+        copy.write_bytes((workspace / "out" / "log_hold.csv").read_bytes())
+        (workspace / "copy.csv.json").write_bytes((workspace / "out" / "log_hold.csv.json").read_bytes())
+        capsys.readouterr()
+        assert run(workspace, "analyze", hold_log, str(copy)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'hold'" in err
+        assert not (workspace / "out" / "comparison.csv").exists()
+        assert not (workspace / "out" / "report_hold").exists()
+
     def test_missing_log_exits_one(self, workspace, capsys):
         assert run(workspace, "analyze", str(workspace / "nolog.csv")) == 1
         assert "error:" in capsys.readouterr().err
@@ -322,6 +334,33 @@ class TestMalformedInputs:
         assert err.startswith("error: config")
         for name in names:
             assert name in err
+
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda config: {**config, "seed": [1]}, ["config field seed", "int", "[1]"]),
+            (lambda config: [config], ["config must be a JSON object", "list"]),
+            (lambda config: {**config, "outt": "elsewhere"}, ["unknown field 'outt'"]),
+            (lambda config: {**config, "data": {"AA": 5}}, ["config field data", "dict[str, str]"]),
+            (lambda config: {**config, "tickers": ["AA", "CC"]}, ["tickers without a data path", "CC"]),
+        ],
+        ids=["seed-list", "top-level-list", "unknown-key", "data-path-number", "ticker-without-data"],
+    )
+    def test_bad_config_top_level_exits_one(self, workspace, capsys, edit, names):
+        path = workspace / "config.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and err.rstrip().endswith(f"in {path}")
+        for name in names:
+            assert name in err
+
+    def test_config_that_is_not_json_exits_one(self, workspace, capsys):
+        path = workspace / "config.json"
+        path.write_text('{"seed": 1,')
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
 
     @pytest.mark.parametrize("fault", ["truncated", "over-long", "missing-key"])
     @pytest.mark.parametrize("name, key", [("panel.bin", "n_timestamps"), ("a2c.ckpt", "param_count")])

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import flat_features, make_features
 from tradelab.env import (
     EnvConfig,
+    EnvError,
     EpisodeLog,
     MalformedLog,
     StepAfterDone,
     TradingEnv,
     Window,
     WindowBeforeWarmup,
-    encode_state,
     load_episode_log,
     observation_size,
-    reset,
     run_episode,
     save_episode_log,
-    step,
 )
 
 
@@ -60,7 +60,7 @@ class _Random:
 
 def test_observation_is_301_dimensional_for_30_tickers():
     features = make_features([f"T{i:02d}" for i in range(30)], 40, seed=2)
-    state, observation = reset(EnvConfig(), features, Window(16, 40))
+    observation = TradingEnv(EnvConfig(), features, Window(16, 40)).reset()
     assert observation_size(30) == 301
     assert observation.shape == (301,)
 
@@ -68,7 +68,9 @@ def test_observation_is_301_dimensional_for_30_tickers():
 def test_reset_initial_state():
     features = make_features(["A", "B"], 30, seed=1)
     cfg = EnvConfig()
-    state, observation = reset(cfg, features, Window(16, 30))
+    env = TradingEnv(cfg, features, Window(16, 30))
+    observation = env.reset()
+    state = env.state
     assert state.cash == 1_000_000.0
     assert np.all(state.shares == 0)
     assert observation[0] == 1_000_000.0
@@ -77,15 +79,15 @@ def test_reset_initial_state():
 
 def test_reset_is_deterministic():
     features = make_features(["A", "B"], 30, seed=1)
-    _, first = reset(EnvConfig(), features, Window(16, 30))
-    _, second = reset(EnvConfig(), features, Window(16, 30))
+    first = TradingEnv(EnvConfig(), features, Window(16, 30)).reset()
+    second = TradingEnv(EnvConfig(), features, Window(16, 30)).reset()
     assert np.array_equal(first, second)
 
 
 def test_reset_before_warmup_rejected():
     features = make_features(["A", "B"], 30, seed=1)
     with pytest.raises(WindowBeforeWarmup):
-        reset(EnvConfig(), features, Window(10, 30))
+        TradingEnv(EnvConfig(), features, Window(10, 30)).reset()
 
 
 def test_window_needs_two_rows():
@@ -96,7 +98,7 @@ def test_window_needs_two_rows():
 def test_encode_layout_small():
     features = flat_features(np.array([[10.0, 20.0], [11.0, 19.0]]))
     cfg = EnvConfig(initial_capital=500.0)
-    state, observation = reset(cfg, features, Window(0, 2))
+    observation = TradingEnv(cfg, features, Window(0, 2)).reset()
     assert observation.shape == (21,)  # 1 + 2*2 + 8*2
     assert observation[0] == 500.0
     assert list(observation[1:3]) == [10.0, 20.0]
@@ -127,8 +129,10 @@ def test_hand_accounting_oracle():
     #   V_old = 1000, V_new = 699.7 + 10*11 + 10*19 = 999.7, reward = -0.3
     features = flat_features(np.array([[10.0, 20.0], [11.0, 19.0]]))
     cfg = EnvConfig(initial_capital=1000.0, hmax=10, cost_rate=0.001)
-    state, _ = reset(cfg, features, Window(0, 2))
-    state, outcome = step(state, np.array([1.0, 1.0]), cfg, features, Window(0, 2))
+    env = TradingEnv(cfg, features, Window(0, 2))
+    env.reset()
+    outcome = env.step(np.array([1.0, 1.0]))
+    state = env.state
     assert np.array_equal(state.shares, [10, 10])
     assert abs(state.cash - 699.7) <= 1e-12
     assert abs(outcome.reward - (-0.3)) <= 1e-12
@@ -164,8 +168,10 @@ def test_sell_clips_to_holdings():
 def test_buy_clips_to_cash():
     features = flat_features(np.array([[100.0], [100.0]]))
     cfg = EnvConfig(initial_capital=550.0, hmax=100, cost_rate=0.0)
-    state, _ = reset(cfg, features, Window(0, 2))
-    state, outcome = step(state, np.array([1.0]), cfg, features, Window(0, 2))
+    env = TradingEnv(cfg, features, Window(0, 2))
+    env.reset()
+    env.step(np.array([1.0]))
+    state = env.state
     assert state.shares[0] == 5  # floor(550 / 100)
     assert abs(state.cash - 50.0) <= 1e-12
 
@@ -173,8 +179,10 @@ def test_buy_clips_to_cash():
 def test_buys_fill_in_ascending_ticker_order():
     features = flat_features(np.array([[100.0, 100.0], [100.0, 100.0]]))
     cfg = EnvConfig(initial_capital=350.0, hmax=3, cost_rate=0.0)
-    state, _ = reset(cfg, features, Window(0, 2))
-    state, _ = step(state, np.array([1.0, 1.0]), cfg, features, Window(0, 2))
+    env = TradingEnv(cfg, features, Window(0, 2))
+    env.reset()
+    env.step(np.array([1.0, 1.0]))
+    state = env.state
     assert list(state.shares) == [3, 0]  # ticker 0 exhausts the cash first
     assert abs(state.cash - 50.0) <= 1e-12
 
@@ -192,18 +200,21 @@ def test_step_after_done():
 def test_invalid_actions_rejected():
     features = flat_features(np.array([[10.0, 20.0], [11.0, 19.0]]))
     cfg = EnvConfig()
-    state, _ = reset(cfg, features, Window(0, 2))
+    env = TradingEnv(cfg, features, Window(0, 2))
+    env.reset()
     with pytest.raises(ValueError):
-        step(state, np.array([np.nan, 0.0]), cfg, features, Window(0, 2))
+        env.step(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
-        step(state, np.zeros(3), cfg, features, Window(0, 2))
+        env.step(np.zeros(3))
 
 
 def test_action_components_clamped():
     features = flat_features(np.array([[10.0], [10.0]]))
     cfg = EnvConfig(initial_capital=10_000.0, hmax=10, cost_rate=0.0)
-    state, _ = reset(cfg, features, Window(0, 2))
-    state, _ = step(state, np.array([25.0]), cfg, features, Window(0, 2))
+    env = TradingEnv(cfg, features, Window(0, 2))
+    env.reset()
+    env.step(np.array([25.0]))
+    state = env.state
     assert state.shares[0] == 10  # clamped to +1 before scaling by hmax
 
 
@@ -231,6 +242,118 @@ def test_accounting_identity_fuzz():
             prev_shares = state.shares.copy()
             total_steps += 1
     assert total_steps == 10_000
+
+
+# ---------------------------------------------------------------------------
+# batched core: E lockstep copies
+# ---------------------------------------------------------------------------
+
+def _turbulent_features(seed):
+    features = make_features(["A", "B", "C", "D", "E"], 90, seed=seed, vol=0.02)
+    turb = np.abs(np.random.default_rng(seed).normal(0.0, 10.0, features.n_timestamps))
+    defined = np.arange(features.n_timestamps) % 7 != 0
+    return flat_features(features.closes, turbulence=(turb, defined))
+
+
+@pytest.mark.parametrize(
+    "capital, gate",
+    [(1_000_000.0, None), (50_000.0, None), (50_000.0, 12.0)],
+    ids=["1m", "50k-cash-binds", "50k-gated"],
+)
+def test_batched_env_equals_single_envs_bit_for_bit(capital, gate):
+    features = _turbulent_features(21)
+    window = Window(16, 60)
+    cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001, reward_scale=1e-3, turbulence_gate=gate)
+    batched = TradingEnv(cfg, features, window, copies=4)
+    singles = [TradingEnv(cfg, features, window) for _ in range(4)]
+    rng = np.random.default_rng(7)
+    observations = batched.reset()
+    assert observations.shape == (4, observation_size(5))
+    for e, env in enumerate(singles):
+        assert np.array_equal(observations[e], env.reset())
+    gated_steps = clipped_buys = 0
+    for _ in range(2 * window.steps + 5):  # through done, a reset and part of a second episode
+        actions = rng.uniform(-1.2, 1.2, size=(4, 5))
+        outcome = batched.step(actions)
+        state = batched.state
+        assert outcome.reward.shape == (4,) and outcome.info["traded"].shape == (4, 5)
+        gated_steps += outcome.info["gated"]
+        desired = np.rint(np.clip(actions, -1.0, 1.0) * cfg.hmax)
+        clipped_buys += np.sum((desired > 0) & (outcome.info["traded"] < desired))
+        for e, env in enumerate(singles):
+            single = env.step(actions[e])
+            assert np.array_equal(outcome.observation[e], single.observation)
+            assert outcome.reward[e] == single.reward
+            assert outcome.done == single.done
+            assert outcome.info["gated"] == single.info["gated"]
+            assert np.array_equal(outcome.info["traded"][e], single.info["traded"])
+            assert np.array_equal(outcome.info["fees"][e], single.info["fees"])
+            assert state.cash[e] == env.state.cash
+            assert np.array_equal(state.shares[e], env.state.shares)
+            assert state.portfolio_value[e] == env.state.portfolio_value
+        if outcome.done:
+            observations = batched.reset()
+            for e, env in enumerate(singles):
+                assert np.array_equal(observations[e], env.reset())
+    assert (gated_steps > 0) == (gate is not None)
+    assert clipped_buys > 0 or capital == 1_000_000.0
+
+
+def test_batched_accounting_fuzz():
+    # cash and shares stay non-negative, at most hmax shares move per ticker
+    # per step, and every copy's rewards telescope to V_T - V_0
+    features = make_features(["A", "B", "C", "D", "E"], 120, seed=11, vol=0.02)
+    cfg = EnvConfig(initial_capital=50_000.0, hmax=20, cost_rate=0.001)
+    window = Window(16, 117)
+    env = TradingEnv(cfg, features, window, copies=4)
+    master = np.random.default_rng(98)
+    for episode in range(25):
+        env.reset()
+        v0 = env.state.portfolio_value
+        rng = np.random.default_rng(master.integers(1 << 60))
+        rewards = []
+        for _ in range(window.steps):
+            before = env.state.shares
+            outcome = env.step(rng.uniform(-1, 1, size=(4, 5)))
+            state = env.state
+            assert np.all(state.cash >= 0.0)
+            assert np.all(state.shares >= 0)
+            assert np.all(np.abs(state.shares - before) <= cfg.hmax)
+            assert np.array_equal(state.shares - before, outcome.info["traded"])
+            rewards.append(outcome.reward)
+        assert outcome.done
+        totals = np.array([math.fsum(column) for column in np.array(rewards).T])
+        assert np.allclose(totals, state.portfolio_value - v0, rtol=0.0, atol=1e-9 * cfg.initial_capital)
+
+
+def test_state_arrays_are_never_mutated_by_later_steps():
+    features = make_features(["A", "B", "C"], 40, seed=3)
+    env = TradingEnv(EnvConfig(hmax=10), features, Window(16, 40), copies=2)
+    env.reset()
+    env.step(np.ones((2, 3)))
+    held = env.state
+    snapshot = [np.array(x, copy=True) for x in held[1:]]
+    env.step(-np.ones((2, 3)))
+    for kept, copy in zip(held[1:], snapshot):
+        assert np.array_equal(kept, copy)
+        assert not kept.flags.writeable
+    assert np.all(env.state.shares == 0)
+
+
+def test_batched_env_checks_copies_and_action_shape():
+    features = make_features(["A", "B"], 30, seed=1)
+    for bad in (0, -1, 1.5):
+        with pytest.raises(ValueError):
+            TradingEnv(EnvConfig(), features, Window(16, 30), copies=bad)
+    env = TradingEnv(EnvConfig(), features, Window(16, 30), copies=3)
+    with pytest.raises(EnvError):
+        env.step(np.zeros((3, 2)))
+    assert env.reset().shape == (3, observation_size(2))
+    with pytest.raises(ValueError):
+        env.step(np.zeros(2))
+    one = TradingEnv(EnvConfig(), features, Window(16, 30), copies=1)
+    assert one.reset().shape == (1, observation_size(2))
+    assert one.step(np.zeros((1, 2))).reward.shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +549,31 @@ def test_load_rejects_malformed(tmp_path):
     path2.write_text("t,timestamp,cash,portfolio_value,reward,action_0,hold_0\n0,2022-03-04T08:00:00Z,1,1,0,0,0\n")
     with pytest.raises(MalformedLog):
         load_episode_log(path2)
+
+
+@pytest.mark.parametrize(
+    "sidecar, names",
+    [
+        ("[1]", ["JSON object", "[1]"]),
+        ('"hold"', ["JSON object", "'hold'"]),
+        ('{"agent_label": 7}', ["string agent_label", "7"]),
+        ('{"agent_label": "x", "meta": [1]}', ["object meta", "[1]"]),
+        ("{oops", ["not JSON"]),
+        (b"\xff\xfe{}", ["not JSON"]),
+    ],
+    ids=["list", "string", "label-number", "meta-list", "not-json", "not-utf8"],
+)
+def test_load_rejects_malformed_sidecar(tmp_path, sidecar, names):
+    features = make_features(["A", "B"], 40, seed=9)
+    path = tmp_path / "episode.csv"
+    save_episode_log(run_episode(_Hold(), EnvConfig(), features, Window(16, 40)), path)
+    side = tmp_path / "episode.csv.json"
+    side.write_bytes(sidecar if isinstance(sidecar, bytes) else sidecar.encode())
+    with pytest.raises(MalformedLog) as caught:
+        load_episode_log(path)
+    assert str(side) in str(caught.value)
+    for name in names:
+        assert name in str(caught.value)
 
 
 def test_episode_log_validates_shapes():
