@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TradeLabError
-from .marketdata import format_timestamp
+from .marketdata import format_timestamps, write_csv_columns
 
 __all__ = [
     "TradeStats",
@@ -282,60 +282,83 @@ def compare_profiles(reports) -> ProfileComparison:
 # persistence: one JSON document of record plus flat CSVs for plotting
 # ---------------------------------------------------------------------------
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_array(items: list, depth: int) -> str:
+    """``json.dumps(..., indent=2)`` of a list whose items are already JSON
+    text, for a list whose opening bracket sits at nesting depth ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_floats(values: np.ndarray) -> list:
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
 def save_report(report: BehaviorReport, directory) -> None:
     """Write report.json plus cumulative_reward/integral_holding/
     holdings_matrix CSVs under the given directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    doc = {
+    timestamps = np.asarray(report.timestamps, dtype=np.int64)
+    cumulative = np.asarray(report.cumulative_reward, dtype=np.float64)
+    held = np.asarray(report.integral_holding, dtype=np.int64)
+    holdings = np.asarray(report.holdings_matrix, dtype=np.int64)
+    small = {
         "format": REPORT_MAGIC,
         "agent_label": report.agent_label,
-        "timestamps": [int(v) for v in report.timestamps],
-        "cumulative_reward": [float(v) for v in report.cumulative_reward],
-        "integral_holding": [int(v) for v in report.integral_holding],
-        "holdings_matrix": [[int(v) for v in row] for row in report.holdings_matrix],
         "trade_stats": report.trade_stats.to_dict(),
         "diversity": report.diversity.to_dict(),
         "trader_score": report.trader_score,
     }
-    (directory / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # json.dumps(doc, sort_keys=True, indent=2), with the four large arrays encoded column-wise
+    fields = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ") for key, value in small.items()}
+    fields.update({
+        "timestamps": _json_array(list(map(str, timestamps.tolist())), 1),
+        "cumulative_reward": _json_array(_json_floats(cumulative), 1),
+        "integral_holding": _json_array(list(map(str, held.tolist())), 1),
+        "holdings_matrix": _json_array([_json_array(list(map(str, row)), 2) for row in holdings.tolist()], 1),
+    })
+    doc = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    (directory / "report.json").write_text("{\n" + doc + "\n}\n")
 
-    with (directory / "cumulative_reward.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "timestamp", "cumulative_reward"])
-        for k, value in enumerate(report.cumulative_reward):
-            writer.writerow([k + 1, format_timestamp(report.timestamps[k + 1]), repr(float(value))])
-
-    with (directory / "integral_holding.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ticker", "integral_holding"])
-        for i, value in enumerate(report.integral_holding):
-            writer.writerow([i, int(value)])
-
-    n = report.holdings_matrix.shape[1]
-    with (directory / "holdings_matrix.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "timestamp"] + [f"hold_{i}" for i in range(n)])
-        for t in range(report.holdings_matrix.shape[0]):
-            writer.writerow(
-                [t, format_timestamp(report.timestamps[t])]
-                + [int(v) for v in report.holdings_matrix[t]]
-            )
+    stamps = format_timestamps(timestamps)
+    write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"], [
+        map(str, range(1, cumulative.shape[0] + 1)), stamps[1:], map(float.__repr__, cumulative.tolist()),
+    ])
+    write_csv_columns(directory / "integral_holding.csv", ["ticker", "integral_holding"], [
+        map(str, range(held.shape[0])), map(str, held.tolist()),
+    ])
+    write_csv_columns(
+        directory / "holdings_matrix.csv", ["t", "timestamp"] + [f"hold_{i}" for i in range(holdings.shape[1])],
+        [map(str, range(holdings.shape[0])), stamps, *(map(str, column) for column in holdings.T.tolist())],
+    )
 
 
 def load_report(directory) -> BehaviorReport:
-    """Rebuild a report from its JSON document of record."""
+    """Rebuild a report from its JSON document of record.
+
+    Every array must have the shape save_report gives it: timestamps (T,)
+    with T >= 2, cumulative_reward (T-1,), holdings_matrix (T, N) with
+    N >= 1, and integral_holding and the trade-stat vectors (N,).
+    """
     path = Path(directory) / "report.json"
     if not path.exists():
         raise FileNotFoundError(str(path))
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise MalformedReport(f"unparsable report JSON: {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != REPORT_MAGIC:
         raise MalformedReport(f"not a behavior report: {path}")
     try:
-        return BehaviorReport(
+        report = BehaviorReport(
             agent_label=doc["agent_label"],
             timestamps=np.array(doc["timestamps"], dtype=np.int64),
             cumulative_reward=np.array(doc["cumulative_reward"], dtype=np.float64),
@@ -347,6 +370,26 @@ def load_report(directory) -> BehaviorReport:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedReport(f"report fields missing or malformed: {path}: {exc}") from None
+
+    def require(ok: bool, name: str, values: np.ndarray, expected: str) -> None:
+        if not ok:
+            raise MalformedReport(f"report field {name} has shape {values.shape}, expected {expected}: {path}")
+
+    stamps, holdings = report.timestamps, report.holdings_matrix
+    require(stamps.ndim == 1 and stamps.shape[0] >= 2, "timestamps", stamps, "(T,) with T >= 2")
+    t = stamps.shape[0]
+    require(holdings.ndim == 2 and holdings.shape[0] == t and holdings.shape[1] >= 1,
+            "holdings_matrix", holdings, f"({t}, N) with N >= 1")
+    n = holdings.shape[1]
+    vectors = {
+        "cumulative_reward": (report.cumulative_reward, (t - 1,)),
+        "integral_holding": (report.integral_holding, (n,)),
+    }
+    for name in ("trade_count", "total_turnover", "max_shares_held"):
+        vectors[f"trade_stats.{name}"] = (getattr(report.trade_stats, name), (n,))
+    for name, (values, shape) in vectors.items():
+        require(values.shape == shape, name, values, str(shape))
+    return report
 
 
 def write_comparison_csv(comparison: ProfileComparison, path) -> None:

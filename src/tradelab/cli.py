@@ -28,7 +28,7 @@ from .agents import (
 )
 from .analytics import behavior_profile, compare_profiles, load_report, save_report, write_comparison_csv
 from .config import ConfigError, decode_config
-from .env import EnvConfig, TradingEnv, Window, load_episode_log, run_episode, save_episode_log
+from .env import EnvConfig, TradingEnv, Window, load_episode_log, observation_size, run_episode, save_episode_log
 from .errors import TradeLabError
 from .indicators import IndicatorConfig, build_features, write_features_csv
 from .marketdata import (
@@ -169,12 +169,19 @@ def cmd_features(cfg: RunConfig) -> int:
     return 0
 
 
-def _resolve_agent(cfg: RunConfig, name: str):
+def _resolve_agent(name: str, n_tickers: int):
     if name in BASELINE_POLICIES:
         return make_baseline(name)
     candidate = Path(name)
     if candidate.exists():
-        return load_checkpoint(candidate)
+        policy = load_checkpoint(candidate)
+        width = observation_size(n_tickers)
+        if policy.normalizer.dim != width:
+            raise TradeLabError(
+                f"checkpoint {candidate} takes {policy.normalizer.dim}-wide observations, "
+                f"but the panel's {n_tickers} tickers give {width}-wide ones"
+            )
+        return policy
     raise UnknownAgent(
         f"unknown agent {name!r}; valid baselines: {', '.join(sorted(BASELINE_POLICIES))}, "
         "or pass a checkpoint path"
@@ -188,7 +195,7 @@ def cmd_simulate(cfg: RunConfig, agent: str, window_name: str | None) -> int:
         window_name = "test" if "test" in windows else "full"
     if window_name not in windows:
         raise TradeLabError(f"window {window_name!r} unavailable; choose from {sorted(windows)}")
-    policy = _resolve_agent(cfg, agent)
+    policy = _resolve_agent(agent, features.n_tickers)
     log = run_episode(policy, cfg.env, features, windows[window_name], seed=cfg.seed)
     out = cfg.out_dir / f"log_{log.agent_label}.csv"
     save_episode_log(log, out)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import TradeLabError
 from .indicators import FEATURE_NAMES, FeaturePanel
-from .marketdata import format_timestamp, parse_timestamp
+from .marketdata import format_timestamps, parse_timestamps, write_csv_columns
 
 __all__ = [
     "EnvConfig",
@@ -378,37 +378,61 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         + [f"action_{i}" for i in range(n)]
         + [f"hold_{i}" for i in range(n)]
     )
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for t in range(log.n_timestamps):
-            reward = log.rewards[t] if t < log.n_timestamps - 1 else 0.0
-            writer.writerow(
-                [
-                    t,
-                    format_timestamp(log.timestamps[t]),
-                    repr(float(log.cash[t])),
-                    repr(float(log.portfolio_value[t])),
-                    repr(float(reward)),
-                ]
-                + [repr(float(a)) for a in log.actions[t]]
-                + [int(h) for h in log.holdings[t]]
-            )
+    write_csv_columns(path, header, [
+        map(str, range(log.n_timestamps)),
+        format_timestamps(log.timestamps),
+        map(float.__repr__, log.cash.tolist()),
+        map(float.__repr__, log.portfolio_value.tolist()),
+        map(float.__repr__, log.rewards.tolist() + [0.0]),
+        *(map(float.__repr__, column) for column in log.actions.T.tolist()),
+        *(map(str, column) for column in log.holdings.T.tolist()),
+    ])
     sidecar = {"agent_label": log.agent_label, "meta": log.meta}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+
+
+def _floats(cells) -> np.ndarray:
+    return np.fromiter(map(float, cells), np.float64, len(cells))
+
+
+def _share_counts(cells) -> np.ndarray:
+    values = _floats(cells)
+    whole = (np.abs(values) < 2.0**63) & (np.floor(values) == values)  # False for NaN and ±inf
+    if not whole.all():
+        raise ValueError(f"{cells[int(np.argmin(whole))]!r} is not a whole number of shares")
+    return values.astype(np.int64)
+
+
+def _parse_column(path, name: str, cells, parse) -> np.ndarray:
+    """``parse(cells)``; a cell it rejects raises MalformedLog naming the
+    file, the column and the cell's 1-based row (the header is row 1)."""
+    try:
+        return parse(cells)
+    except (ValueError, OverflowError) as exc:
+        reason = str(exc)
+    for row, cell in enumerate(cells, start=2):
+        try:
+            parse((cell,))
+        except (ValueError, OverflowError) as exc:
+            raise MalformedLog(f"unparsable cell in {path}: column {name!r}, row {row}: {exc}") from None
+    raise MalformedLog(f"unparsable column {name!r} in {path}: {reason}")
 
 
 def load_episode_log(path) -> EpisodeLog:
     """Read a log written by save_episode_log or by an external agent.
 
     A missing sidecar is fine (the file stem becomes the agent label), which
-    keeps the format open to traces from agents trained elsewhere.
+    keeps the format open to traces from agents trained elsewhere. Holdings
+    must be whole numbers of shares ("3.0" reads as 3).
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedLog(f"log {path} is not CSV text: {exc}") from None
     if len(rows) < 3:
         raise MalformedLog(f"log needs a header and at least two rows: {path}")
     header = rows[0]
@@ -419,17 +443,19 @@ def load_episode_log(path) -> EpisodeLog:
     hold_cols = [i for i, name in enumerate(header) if name.startswith("hold_")]
     if not action_cols or len(action_cols) != len(hold_cols):
         raise MalformedLog(f"action_*/hold_* columns missing or unbalanced in {path}")
+    width = max(action_cols + hold_cols) + 1
+    if min(map(len, rows)) < width:
+        row = next(k for k, cells in enumerate(rows, start=1) if len(cells) < width)
+        raise MalformedLog(f"row {row} of {path} has {len(rows[row - 1])} cells, the header needs {width}")
+    columns = list(zip(*rows[1:]))  # every row is at least `width` long, so zip drops no needed cell
+    del rows  # hold the cells once, as columns
 
-    body = rows[1:]
-    try:
-        timestamps = np.array([parse_timestamp(r[1]) for r in body], dtype=np.int64)
-        cash = np.array([float(r[2]) for r in body])
-        values = np.array([float(r[3]) for r in body])
-        rewards = np.array([float(r[4]) for r in body[:-1]])
-        actions = np.array([[float(r[i]) for i in action_cols] for r in body])
-        holdings = np.array([[int(float(r[i])) for i in hold_cols] for r in body], dtype=np.int64)
-    except (ValueError, IndexError) as exc:
-        raise MalformedLog(f"unparsable log row in {path}: {exc}") from None
+    timestamps = _parse_column(path, "timestamp", columns[1], parse_timestamps)
+    cash = _parse_column(path, "cash", columns[2], _floats)
+    values = _parse_column(path, "portfolio_value", columns[3], _floats)
+    rewards = _parse_column(path, "reward", columns[4][:-1], _floats)  # the terminal row's reward is no step
+    actions = np.column_stack([_parse_column(path, header[j], columns[j], _floats) for j in action_cols])
+    holdings = np.column_stack([_parse_column(path, header[j], columns[j], _share_counts) for j in hold_cols])
 
     agent_label = path.stem
     meta: dict = {}

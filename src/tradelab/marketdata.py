@@ -30,7 +30,10 @@ __all__ = [
     "EmptyIntersection",
     "UnfillableLeadingGap",
     "parse_timestamp",
+    "parse_timestamps",
     "format_timestamp",
+    "format_timestamps",
+    "write_csv_columns",
     "load_bars",
     "load_series",
     "align_panel",
@@ -101,8 +104,77 @@ def parse_timestamp(text: str) -> int:
     return int(stamp.timestamp())
 
 
+# UTC epoch seconds of 1000-01-01 and 10000-01-01: numpy's four-digit years
+# match strftime only in between
+_NUMPY_YEARS = (-30_610_224_000, 253_402_300_800)
+# the one text form that parse_timestamps reads without parse_timestamp;
+# "0" marks a digit
+_UNIFORM_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_STAMP_DIGITS = _UNIFORM_STAMP == ord("0")
+
+
+def parse_timestamps(texts) -> np.ndarray:
+    """``parse_timestamp`` over a sequence of texts, as an int64 array.
+
+    A sequence that is all ``YYYY-MM-DDTHH:MM:SSZ`` (valid dates, years
+    0001-9999) is parsed in one pass over its bytes; any other sequence is
+    parsed text by text with ``parse_timestamp`` and raises as it does.
+    """
+    stamps = _parse_uniform_stamps(texts)
+    if stamps is None:
+        stamps = np.array([parse_timestamp(text) for text in texts], dtype=np.int64)
+    return stamps
+
+
+def _parse_uniform_stamps(texts) -> np.ndarray | None:
+    if len(texts) == 0 or set(map(len, texts)) != {_UNIFORM_STAMP.size}:
+        return None
+    try:
+        raw = "".join(texts).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _UNIFORM_STAMP.size)
+    digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
+    if (chars[:, ~_STAMP_DIGITS] != _UNIFORM_STAMP[~_STAMP_DIGITS]).any() or (digits < 0).any() or (digits > 9).any():
+        return None
+    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]  # century, year of century, month, day, hour, minute, second
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day = pairs[:, 2], pairs[:, 3]
+    if (year < 1).any() or (month < 1).any() or (month > 12).any() or (pairs[:, 4:] > (23, 59, 59)).any():
+        return None
+    months = (year - 1970) * 12 + (month - 1)
+    first_day, next_first_day = (m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+                                 for m in (months, months + 1))
+    if (day < 1).any() or (day > next_first_day - first_day).any():
+        return None
+    return (first_day + day - 1) * 86400 + pairs[:, 4:] @ (3600, 60, 1)
+
+
+def format_timestamps(ts) -> list[str]:
+    """``YYYY-MM-DDTHH:MM:SSZ`` text for each UTC epoch second in ``ts``.
+
+    Years 1000-9999 are formatted by numpy in one call; any other stamp goes
+    through ``datetime.strftime``, which prints such a year unpadded and
+    raises beyond years 1-9999.
+    """
+    ts = np.asarray(ts, dtype=np.int64)
+    texts = np.datetime_as_string(ts.astype("datetime64[s]"), timezone="UTC").tolist()
+    for k in np.flatnonzero((ts < _NUMPY_YEARS[0]) | (ts >= _NUMPY_YEARS[1])).tolist():
+        texts[k] = datetime.fromtimestamp(int(ts[k]), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return texts
+
+
 def format_timestamp(ts: int) -> str:
-    return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return format_timestamps([int(ts)])[0]
+
+
+def write_csv_columns(path, header: list[str], columns) -> None:
+    """Write a CSV file from its header and one iterable of cell text per
+    column, with ``csv.writer``'s ``\\r\\n`` line ends. No cell may need
+    quoting: none may hold a comma, a quote or a line break."""
+    with Path(path).open("w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(map("{}\r\n".format, map(",".join, zip(*columns))))  # streamed, one row at a time
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

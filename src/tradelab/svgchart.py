@@ -107,16 +107,12 @@ def render_line_chart(series, title: str = "") -> str:
     x0, x1 = _span(min(xs.min() for _, xs, _ in series), max(xs.max() for _, xs, _ in series))
     y0, y1 = _span(min(ys.min() for _, _, ys in series), max(ys.max() for _, _, ys in series))
 
-    def px(v):
-        return _ML + (v - x0) / (x1 - x0) * (plot_right - _ML)
-
-    def py(v):
-        return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MB - _MT)
-
     body = _axes(x0, x1, y0, y1, plot_right)
     for i, (label, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        px = _ML + (xs - x0) / (x1 - x0) * (plot_right - _ML)
+        py = _H - _MB - (ys - y0) / (y1 - y0) * (_H - _MB - _MT)
+        points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         body.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

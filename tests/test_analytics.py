@@ -1,6 +1,7 @@
 """Analytics tests: every metric against a brute-force oracle, the documented
 degenerate cases, profile comparison, and report persistence."""
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -429,6 +430,36 @@ class TestReportPersistence:
         (target / "report.json").write_text('{"format": "tradelab-report-v1"}')
         with pytest.raises(MalformedReport):
             load_report(target)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("timestamps", lambda doc: doc["timestamps"][:1]),
+            ("timestamps", lambda doc: [doc["timestamps"]]),
+            ("cumulative_reward", lambda doc: doc["cumulative_reward"][:-1]),
+            ("holdings_matrix", lambda doc: doc["holdings_matrix"][:-1]),
+            ("holdings_matrix", lambda doc: [row[:0] for row in doc["holdings_matrix"]]),
+            ("holdings_matrix", lambda doc: doc["timestamps"]),
+            ("integral_holding", lambda doc: doc["integral_holding"][:-1]),
+            ("trade_stats.trade_count", lambda doc: doc["trade_stats"]["trade_count"] + [0]),
+            ("trade_stats.max_shares_held", lambda doc: doc["trade_stats"]["max_shares_held"][:1]),
+        ],
+        ids=["one-stamp", "stamps-2d", "short-reward", "short-matrix", "no-tickers", "matrix-1d",
+             "short-integral", "long-trade-count", "short-max-held"],
+    )
+    def test_report_with_wrong_shape_is_malformed(self, tmp_path, rng, field, edit):
+        save_report(behavior_profile(synthetic_log(rng, t=12, n=3)), tmp_path / "out")
+        path = tmp_path / "out" / "report.json"
+        doc = json.loads(path.read_text())
+        value = edit(doc)
+        if field.startswith("trade_stats."):
+            doc["trade_stats"][field.split(".")[1]] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedReport) as caught:
+            load_report(tmp_path / "out")
+        assert f"report field {field} " in str(caught.value) and str(path) in str(caught.value)
 
     def test_missing_report(self, tmp_path):
         with pytest.raises(FileNotFoundError):

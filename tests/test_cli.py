@@ -269,6 +269,27 @@ class TestAnalyze:
         assert not (workspace / "out" / "comparison.csv").exists()
         assert not (workspace / "out" / "report_hold").exists()
 
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda text: text.replace(",0\r\n", ",inf\r\n", 1), ["'hold_1'", "row 2", "'inf'"]),
+            (lambda text: text.replace(",0\r\n", ",3.5\r\n", 1), ["'hold_1'", "row 2", "'3.5'"]),
+            (lambda text: text.replace("cash", "cash\udcff", 1), ["not CSV text"]),
+        ],
+        ids=["hold-inf", "hold-fraction", "not-utf8"],
+    )
+    def test_bad_log_cell_exits_one(self, workspace, capsys, edit, names):
+        hold_log, _ = self._logs(workspace)
+        path = workspace / "out" / "log_hold.csv"
+        path.write_bytes(edit(path.read_bytes().decode()).encode("utf-8", "surrogateescape"))
+        capsys.readouterr()
+        assert run(workspace, "analyze", hold_log) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "Traceback" not in err
+        for name in names:
+            assert name in err
+        assert not (workspace / "out" / "report_hold").exists()
+
     def test_missing_log_exits_one(self, workspace, capsys):
         assert run(workspace, "analyze", str(workspace / "nolog.csv")) == 1
         assert "error:" in capsys.readouterr().err
@@ -387,6 +408,19 @@ class TestMalformedInputs:
         assert err.startswith("error:") and str(path) in err
         if fault == "missing-key":
             assert key in err
+
+
+    def test_checkpoint_wider_than_panel_exits_one(self, workspace, capsys):
+        run(workspace, "ingest")
+        run(workspace, "train")
+        ckpt = workspace / "out" / "a2c.ckpt"
+        run(workspace, "ingest", "--tickers", "AA")
+        capsys.readouterr()
+        assert run(workspace, "simulate", "--agent", str(ckpt), "--tickers", "AA") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and str(ckpt) in err
+        assert "21-wide" in err and "11-wide" in err
+        assert not (workspace / "out" / "log_a2c.csv").exists()
 
 
 class TestOutFlag:

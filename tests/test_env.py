@@ -525,13 +525,16 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+GOOD_LOG = (
+    "t,timestamp,cash,portfolio_value,reward,action_0,hold_0\n"
+    "0,2022-03-04T08:00:00Z,1000.0,1000.0,-10.0,1.0,0\n"
+    "1,2022-03-04T09:00:00Z,500.0,990.0,0.0,0.0,49\n"
+)
+
+
 def test_load_external_trace_without_sidecar(tmp_path):
     path = tmp_path / "external_agent.csv"
-    path.write_text(
-        "t,timestamp,cash,portfolio_value,reward,action_0,hold_0\n"
-        "0,2022-03-04T08:00:00Z,1000.0,1000.0,-10.0,1.0,0\n"
-        "1,2022-03-04T09:00:00Z,500.0,990.0,0.0,0.0,49\n"
-    )
+    path.write_text(GOOD_LOG)
     log = load_episode_log(path)
     assert log.agent_label == "external_agent"
     assert log.holdings[1, 0] == 49
@@ -549,6 +552,47 @@ def test_load_rejects_malformed(tmp_path):
     path2.write_text("t,timestamp,cash,portfolio_value,reward,action_0,hold_0\n0,2022-03-04T08:00:00Z,1,1,0,0,0\n")
     with pytest.raises(MalformedLog):
         load_episode_log(path2)
+
+
+@pytest.mark.parametrize(
+    "old, new, names",
+    [
+        (",0.0,49\n", ",0.0,inf\n", ["'hold_0'", "row 3", "'inf'"]),
+        (",0.0,49\n", ",0.0,3.5\n", ["'hold_0'", "row 3", "'3.5'"]),
+        (",1.0,0\n", ",1.0,nan\n", ["'hold_0'", "row 2", "'nan'"]),
+        (",1.0,0\n", ",1.0,1e19\n", ["'hold_0'", "row 2", "'1e19'"]),
+        (",500.0,", ",five hundred,", ["'cash'", "row 3", "five hundred"]),
+        (",-10.0,", ",,", ["'reward'", "row 2"]),
+        ("T09:00:00Z", "T25:00:00Z", ["'timestamp'", "row 3", "T25:00:00Z"]),
+        ("0,2022-03-04T08:00:00Z", "0,99999999999999999999", ["'timestamp'", "row 2"]),
+        (",0.0,49\n", ",0.0\n", ["row 3", "has 6 cells", "needs 7"]),
+    ],
+    ids=["hold-inf", "hold-fraction", "hold-nan", "hold-beyond-int64", "cash-text", "reward-empty",
+         "hour-25", "stamp-beyond-int64", "short-row"],
+)
+def test_load_rejects_bad_cells_naming_column_and_row(tmp_path, old, new, names):
+    path = tmp_path / "external.csv"
+    assert old in GOOD_LOG
+    path.write_text(GOOD_LOG.replace(old, new))
+    with pytest.raises(MalformedLog) as caught:
+        load_episode_log(path)
+    assert str(path) in str(caught.value)
+    for name in names:
+        assert name in str(caught.value)
+
+
+def test_load_rejects_non_utf8_log(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(GOOD_LOG.replace("1000.0,1000.0", "1000.0,1000.0\xe9").encode("latin-1"))
+    with pytest.raises(MalformedLog) as caught:
+        load_episode_log(path)
+    assert str(path) in str(caught.value)
+
+
+def test_load_reads_whole_float_holdings(tmp_path):
+    path = tmp_path / "external.csv"
+    path.write_text(GOOD_LOG.replace(",0.0,49\n", ",0.0,49.0\n").replace(",1.0,0\n", ",1.0,-0.0\n"))
+    assert load_episode_log(path).holdings[:, 0].tolist() == [0, 49]
 
 
 @pytest.mark.parametrize(
