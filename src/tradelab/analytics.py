@@ -10,7 +10,6 @@ the action sign — a clipped no-op action is not a trade.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TradeLabError
-from .marketdata import format_timestamps, write_csv_columns
+from .marketdata import format_timestamps, quote_csv, write_csv_columns
 
 __all__ = [
     "TradeStats",
@@ -89,16 +88,6 @@ class TradeStats:
             "mean_holding_run": self.mean_holding_run,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TradeStats":
-        return cls(
-            trade_count=np.array(data["trade_count"], dtype=np.int64),
-            total_turnover=np.array(data["total_turnover"], dtype=np.int64),
-            max_shares_held=np.array(data["max_shares_held"], dtype=np.int64),
-            stationarity_fraction=float(data["stationarity_fraction"]),
-            mean_holding_run=float(data["mean_holding_run"]),
-        )
-
 
 @dataclass(frozen=True)
 class DiversityStats:
@@ -111,16 +100,6 @@ class DiversityStats:
 
     def to_dict(self) -> dict:
         return {"active_tickers": self.active_tickers, "hhi": self.hhi, "top1_share": self.top1_share}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiversityStats":
-        hhi = data["hhi"]
-        top1 = data["top1_share"]
-        return cls(
-            active_tickers=int(data["active_tickers"]),
-            hhi=None if hhi is None else float(hhi),
-            top1_share=None if top1 is None else float(top1),
-        )
 
 
 @dataclass(frozen=True)
@@ -241,10 +220,6 @@ class ProfileComparison:
     max_shares_held: tuple
     rankings: dict = field(default_factory=dict)
 
-    def row(self, label: str) -> dict:
-        i = self.labels.index(label)
-        return {metric: getattr(self, metric)[i] for metric in COMPARISON_METRICS}
-
 
 def compare_profiles(reports) -> ProfileComparison:
     reports = list(reports)
@@ -329,15 +304,13 @@ def save_report(report: BehaviorReport, directory) -> None:
     (directory / "report.json").write_text("{\n" + doc + "\n}\n")
 
     stamps = format_timestamps(timestamps)
-    write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"], [
-        map(str, range(1, cumulative.shape[0] + 1)), stamps[1:], map(float.__repr__, cumulative.tolist()),
-    ])
-    write_csv_columns(directory / "integral_holding.csv", ["ticker", "integral_holding"], [
-        map(str, range(held.shape[0])), map(str, held.tolist()),
-    ])
+    write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"],
+                      [np.arange(1, cumulative.shape[0] + 1), stamps[1:], cumulative])
+    write_csv_columns(directory / "integral_holding.csv", ["ticker", "integral_holding"],
+                      [np.arange(held.shape[0]), held])
     write_csv_columns(
         directory / "holdings_matrix.csv", ["t", "timestamp"] + [f"hold_{i}" for i in range(holdings.shape[1])],
-        [map(str, range(holdings.shape[0])), stamps, *(map(str, column) for column in holdings.T.tolist())],
+        [np.arange(holdings.shape[0]), stamps, *holdings.T],
     )
 
 
@@ -357,54 +330,60 @@ def load_report(directory) -> BehaviorReport:
         raise MalformedReport(f"unparsable report JSON: {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != REPORT_MAGIC:
         raise MalformedReport(f"not a behavior report: {path}")
-    try:
-        report = BehaviorReport(
-            agent_label=doc["agent_label"],
-            timestamps=np.array(doc["timestamps"], dtype=np.int64),
-            cumulative_reward=np.array(doc["cumulative_reward"], dtype=np.float64),
-            integral_holding=np.array(doc["integral_holding"], dtype=np.int64),
-            holdings_matrix=np.array(doc["holdings_matrix"], dtype=np.int64),
-            trade_stats=TradeStats.from_dict(doc["trade_stats"]),
-            diversity=DiversityStats.from_dict(doc["diversity"]),
-            trader_score=float(doc["trader_score"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedReport(f"report fields missing or malformed: {path}: {exc}") from None
 
-    def require(ok: bool, name: str, values: np.ndarray, expected: str) -> None:
+    def numbers(name: str, integer: bool, shape: tuple = ()):
+        """The field at dotted ``name``, shaped ``shape`` (None: any length):
+        JSON integers, or numbers (NaN and ±Infinity too), never coerced."""
+        value = doc
+        for key in name.split("."):
+            value = value[key]
+        cells = np.array(value, dtype=object)
+        if not set(map(type, cells.flat)) <= ({int} if integer else {int, float}):
+            kind = "integers" if integer else "numbers"
+            raise MalformedReport(f"report field {name} must hold JSON {kind} only, got {value!r:.80}", path=path)
+        if cells.ndim != len(shape) or any(size not in (None, got) for got, size in zip(cells.shape, shape)):
+            raise MalformedReport(f"report field {name} has shape {cells.shape}, expected {shape}", path=path)
+        return cells.astype(np.int64 if integer else np.float64) if shape else (int if integer else float)(value)
+
+    def require(ok: bool, name: str, what: str) -> None:
         if not ok:
-            raise MalformedReport(f"report field {name} has shape {values.shape}, expected {expected}: {path}")
+            raise MalformedReport(f"report field {name} must be {what}, got {doc[name]!r:.80}", path=path)
 
-    stamps, holdings = report.timestamps, report.holdings_matrix
-    require(stamps.ndim == 1 and stamps.shape[0] >= 2, "timestamps", stamps, "(T,) with T >= 2")
-    t = stamps.shape[0]
-    require(holdings.ndim == 2 and holdings.shape[0] == t and holdings.shape[1] >= 1,
-            "holdings_matrix", holdings, f"({t}, N) with N >= 1")
-    n = holdings.shape[1]
-    vectors = {
-        "cumulative_reward": (report.cumulative_reward, (t - 1,)),
-        "integral_holding": (report.integral_holding, (n,)),
-    }
-    for name in ("trade_count", "total_turnover", "max_shares_held"):
-        vectors[f"trade_stats.{name}"] = (getattr(report.trade_stats, name), (n,))
-    for name, (values, shape) in vectors.items():
-        require(values.shape == shape, name, values, str(shape))
-    return report
+    try:
+        require(isinstance(doc["agent_label"], str), "agent_label", "a string")
+        stamps = numbers("timestamps", True, (None,))
+        require(len(stamps) >= 2, "timestamps", "(T,) with T >= 2")
+        holdings = numbers("holdings_matrix", True, (len(stamps), None))
+        require(holdings.shape[1] >= 1, "holdings_matrix", "(T, N) with N >= 1")
+        n = holdings.shape[1]
+        return BehaviorReport(
+            agent_label=doc["agent_label"],
+            timestamps=stamps,
+            cumulative_reward=numbers("cumulative_reward", False, (len(stamps) - 1,)),
+            integral_holding=numbers("integral_holding", True, (n,)),
+            holdings_matrix=holdings,
+            trade_stats=TradeStats(
+                *(numbers(f"trade_stats.{key}", True, (n,))
+                  for key in ("trade_count", "total_turnover", "max_shares_held")),
+                *(numbers(f"trade_stats.{key}", False) for key in ("stationarity_fraction", "mean_holding_run")),
+            ),
+            diversity=DiversityStats(
+                numbers("diversity.active_tickers", True),
+                *(None if doc["diversity"][key] is None else numbers(f"diversity.{key}", False)
+                  for key in ("hhi", "top1_share")),
+            ),
+            trader_score=numbers("trader_score", False),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedReport(f"report fields missing or malformed: {path}: {exc}") from None
 
 
 def write_comparison_csv(comparison: ProfileComparison, path) -> None:
     """Flat `agent,<metrics...>` table; hhi prints empty when undefined."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["agent"] + list(COMPARISON_METRICS))
-        for label in comparison.labels:
-            row = comparison.row(label)
-            writer.writerow(
-                [label]
-                + [
-                    ""
-                    if row[metric] is None
-                    else (repr(float(row[metric])) if isinstance(row[metric], float) else row[metric])
-                    for metric in COMPARISON_METRICS
-                ]
-            )
+
+    def cell(value) -> str:
+        return "" if value is None else float.__repr__(value) if isinstance(value, float) else str(value)
+
+    write_csv_columns(path, ["agent", *COMPARISON_METRICS], [
+        map(quote_csv, comparison.labels), *(map(cell, getattr(comparison, metric)) for metric in COMPARISON_METRICS),
+    ])

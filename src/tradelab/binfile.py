@@ -21,10 +21,6 @@ __all__ = ["MalformedFile", "write_frame", "read_frame"]
 class MalformedFile(TradeLabError):
     """A framed file is foreign, truncated, over-long, or has a bad header field."""
 
-    def __init__(self, message: str, path):
-        super().__init__(f"{message} ({path})")
-        self.path = str(path)
-
 
 def write_frame(path, magic: str, header: dict, arrays) -> None:
     """Write ``header`` (plus ``format: magic``) and then each array, little-endian, in order."""

@@ -9,7 +9,6 @@ re-running over unchanged inputs reproduces outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -38,6 +37,7 @@ from .marketdata import (
     load_series,
     parse_timestamp,
     save_panel,
+    write_csv_columns,
     write_panel_csv,
 )
 from .svgchart import render_bar_chart, render_line_chart
@@ -219,17 +219,11 @@ def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
     ckpt = cfg.out_dir / "a2c.ckpt"
     save_checkpoint(policy, ckpt)
 
-    with (cfg.out_dir / "train_stats.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["update", "policy_loss", "value_loss", "entropy", "grad_norm"])
-        rows = zip(stats.policy_losses, stats.value_losses, stats.entropies, stats.grad_norms)
-        for k, (pl, vl, en, gn) in enumerate(rows):
-            writer.writerow([k, repr(pl), repr(vl), repr(en), repr(gn)])
-    with (cfg.out_dir / "episode_rewards.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["episode", "reward"])
-        for k, reward in enumerate(stats.episode_rewards):
-            writer.writerow([k, repr(reward)])
+    curves = (stats.policy_losses, stats.value_losses, stats.entropies, stats.grad_norms)
+    write_csv_columns(cfg.out_dir / "train_stats.csv", ["update", "policy_loss", "value_loss", "entropy", "grad_norm"],
+                      [np.arange(stats.updates), *map(np.array, curves)])
+    write_csv_columns(cfg.out_dir / "episode_rewards.csv", ["episode", "reward"],
+                      [np.arange(len(stats.episode_rewards)), np.array(stats.episode_rewards, dtype=np.float64)])
 
     print(
         f"trained {stats.total_timesteps} timesteps: {stats.episodes} episodes "

@@ -20,7 +20,6 @@ telescope to portfolio_value[last] - portfolio_value[first] exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -31,7 +30,14 @@ import numpy as np
 
 from .errors import TradeLabError
 from .indicators import FEATURE_NAMES, FeaturePanel
-from .marketdata import format_timestamps, parse_timestamps, write_csv_columns
+from .marketdata import (
+    format_timestamps,
+    parse_csv_columns,
+    parse_floats,
+    parse_timestamps,
+    read_csv_columns,
+    write_csv_columns,
+)
 
 __all__ = [
     "EnvConfig",
@@ -271,6 +277,8 @@ class EpisodeLog:
 
     ``rewards`` holds UNSCALED portfolio-value deltas (length T-1); the final
     ``actions`` row is zero because no step leaves the terminal state.
+    Timestamps strictly increase and holdings are never negative; a fault
+    names the column and the row it has in the saved log (t + 2).
     """
 
     timestamps: np.ndarray  # int64 (T,)
@@ -305,6 +313,13 @@ class EpisodeLog:
             raise MalformedLog("cash/portfolio_value must be length T")
         if self.rewards.shape != (t - 1,):
             raise MalformedLog(f"rewards must have length {t - 1}, got {self.rewards.shape}")
+        ok = np.append(True, self.timestamps[1:] > self.timestamps[:-1]) & (self.holdings >= 0).all(axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if (self.holdings[i] < 0).any():  # a row with both faults is reported by its holding
+                j = int(np.argmax(self.holdings[i] < 0))
+                raise MalformedLog(f"negative holding {self.holdings[i, j]}", column=f"hold_{j}", row=i + 2)
+            raise MalformedLog("timestamp not strictly increasing", column="timestamp", row=i + 2)
 
     @property
     def n_timestamps(self) -> int:
@@ -379,43 +394,24 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         + [f"hold_{i}" for i in range(n)]
     )
     write_csv_columns(path, header, [
-        map(str, range(log.n_timestamps)),
+        np.arange(log.n_timestamps),
         format_timestamps(log.timestamps),
-        map(float.__repr__, log.cash.tolist()),
-        map(float.__repr__, log.portfolio_value.tolist()),
-        map(float.__repr__, log.rewards.tolist() + [0.0]),
-        *(map(float.__repr__, column) for column in log.actions.T.tolist()),
-        *(map(str, column) for column in log.holdings.T.tolist()),
+        log.cash,
+        log.portfolio_value,
+        np.append(log.rewards, 0.0),
+        *log.actions.T,
+        *log.holdings.T,
     ])
     sidecar = {"agent_label": log.agent_label, "meta": log.meta}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
-def _floats(cells) -> np.ndarray:
-    return np.fromiter(map(float, cells), np.float64, len(cells))
-
-
 def _share_counts(cells) -> np.ndarray:
-    values = _floats(cells)
+    values = parse_floats(cells)
     whole = (np.abs(values) < 2.0**63) & (np.floor(values) == values)  # False for NaN and ±inf
     if not whole.all():
         raise ValueError(f"{cells[int(np.argmin(whole))]!r} is not a whole number of shares")
     return values.astype(np.int64)
-
-
-def _parse_column(path, name: str, cells, parse) -> np.ndarray:
-    """``parse(cells)``; a cell it rejects raises MalformedLog naming the
-    file, the column and the cell's 1-based row (the header is row 1)."""
-    try:
-        return parse(cells)
-    except (ValueError, OverflowError) as exc:
-        reason = str(exc)
-    for row, cell in enumerate(cells, start=2):
-        try:
-            parse((cell,))
-        except (ValueError, OverflowError) as exc:
-            raise MalformedLog(f"unparsable cell in {path}: column {name!r}, row {row}: {exc}") from None
-    raise MalformedLog(f"unparsable column {name!r} in {path}: {reason}")
 
 
 def load_episode_log(path) -> EpisodeLog:
@@ -428,34 +424,25 @@ def load_episode_log(path) -> EpisodeLog:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    try:
-        with path.open(newline="") as handle:
-            rows = list(csv.reader(handle))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedLog(f"log {path} is not CSV text: {exc}") from None
-    if len(rows) < 3:
-        raise MalformedLog(f"log needs a header and at least two rows: {path}")
-    header = rows[0]
     required = ["t", "timestamp", "cash", "portfolio_value", "reward"]
-    if header[: len(required)] != required:
-        raise MalformedLog(f"unexpected header {header[:5]} in {path}")
-    action_cols = [i for i, name in enumerate(header) if name.startswith("action_")]
-    hold_cols = [i for i, name in enumerate(header) if name.startswith("hold_")]
-    if not action_cols or len(action_cols) != len(hold_cols):
-        raise MalformedLog(f"action_*/hold_* columns missing or unbalanced in {path}")
-    width = max(action_cols + hold_cols) + 1
-    if min(map(len, rows)) < width:
-        row = next(k for k, cells in enumerate(rows, start=1) if len(cells) < width)
-        raise MalformedLog(f"row {row} of {path} has {len(rows[row - 1])} cells, the header needs {width}")
-    columns = list(zip(*rows[1:]))  # every row is at least `width` long, so zip drops no needed cell
-    del rows  # hold the cells once, as columns
 
-    timestamps = _parse_column(path, "timestamp", columns[1], parse_timestamps)
-    cash = _parse_column(path, "cash", columns[2], _floats)
-    values = _parse_column(path, "portfolio_value", columns[3], _floats)
-    rewards = _parse_column(path, "reward", columns[4][:-1], _floats)  # the terminal row's reward is no step
-    actions = np.column_stack([_parse_column(path, header[j], columns[j], _floats) for j in action_cols])
-    holdings = np.column_stack([_parse_column(path, header[j], columns[j], _share_counts) for j in hold_cols])
+    def pick(header: list[str]) -> list[int]:
+        if header[: len(required)] != required:
+            raise MalformedLog(f"unexpected header {header[:5]}", path=path, row=1)
+        action_cols = [i for i, name in enumerate(header) if name.startswith("action_")]
+        hold_cols = [i for i, name in enumerate(header) if name.startswith("hold_")]
+        if not action_cols or len(action_cols) != len(hold_cols):
+            raise MalformedLog("action_*/hold_* columns missing or unbalanced", path=path, row=1)
+        return [1, 2, 3, 4, *action_cols, *hold_cols]
+
+    names, cells, short = read_csv_columns(path, MalformedLog, pick)
+    n = (len(names) - 4) // 2
+    cells[3] = cells[3][:-1]  # the terminal row's reward is no step
+    parsers = [parse_timestamps] + [parse_floats] * (3 + n) + [_share_counts] * n
+    arrays, fault = parse_csv_columns(path, MalformedLog, list(zip(names, cells, parsers)), fault=short)
+    if fault is not None:
+        raise fault
+    timestamps, cash, values, rewards, *columns = arrays
 
     agent_label = path.stem
     meta: dict = {}
@@ -471,13 +458,16 @@ def load_episode_log(path) -> EpisodeLog:
                                f"and an object meta, got {data!r}")
         agent_label = data.get("agent_label", agent_label)
         meta = data.get("meta", {})
-    return EpisodeLog(
-        timestamps=timestamps,
-        actions=actions,
-        holdings=holdings,
-        cash=cash,
-        portfolio_value=values,
-        rewards=rewards,
-        agent_label=agent_label,
-        meta=meta,
-    )
+    try:
+        return EpisodeLog(
+            timestamps=timestamps,
+            actions=np.column_stack(columns[:n]),
+            holdings=np.column_stack(columns[n:]),
+            cash=cash,
+            portfolio_value=values,
+            rewards=rewards,
+            agent_label=agent_label,
+            meta=meta,
+        )
+    except MalformedLog as exc:
+        raise MalformedLog(exc.reason, path=path, row=exc.row, column=exc.column) from None

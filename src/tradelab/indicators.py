@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TradeLabError
-from .marketdata import MarketPanel, format_timestamp
+from .marketdata import MarketPanel, long_format_keys, write_csv_columns
 
 __all__ = [
     "FEATURE_NAMES",
@@ -441,16 +441,9 @@ def write_features_csv(fp: FeaturePanel, path) -> None:
     The sidecar records the indicator config, warmup index, feature order,
     and ticker order. Undefined cells serialize as `nan`.
     """
-    import csv
-
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "ticker", *FEATURE_NAMES])
-        for t in range(fp.n_timestamps):
-            stamp = format_timestamp(fp.timestamps[t])
-            for j, ticker in enumerate(fp.tickers):
-                writer.writerow([stamp, ticker, *[repr(float(v)) for v in fp.features[t, j]]])
+    write_csv_columns(path, ["timestamp", "ticker", *FEATURE_NAMES], [
+        *long_format_keys(fp.timestamps, fp.tickers), *(fp.features[:, :, k] for k in range(len(FEATURE_NAMES))),
+    ])
     sidecar = {
         "config": fp.config.to_dict(),
         "warmup": fp.warmup,

@@ -1,4 +1,5 @@
-"""Loading, validation, and alignment of hourly OHLCV bar data.
+"""Loading, validation, and alignment of hourly OHLCV bar data, and the
+package's one CSV codec.
 
 Timestamps are UTC epoch seconds internally; input parsing accepts ISO-8601
 (a trailing ``Z`` or an explicit offset; naive values are taken as UTC) as
@@ -9,8 +10,10 @@ well as raw integer seconds. Loader errors carry the file path and the
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +34,14 @@ __all__ = [
     "UnfillableLeadingGap",
     "parse_timestamp",
     "parse_timestamps",
+    "parse_floats",
     "format_timestamp",
     "format_timestamps",
+    "quote_csv",
+    "long_format_keys",
     "write_csv_columns",
+    "read_csv_columns",
+    "parse_csv_columns",
     "load_bars",
     "load_series",
     "align_panel",
@@ -47,19 +55,7 @@ OHLCV = ("open", "high", "low", "close", "volume")
 
 
 class MarketDataError(TradeLabError):
-    """Base for data errors; carries optional file path and 1-based row."""
-
-    def __init__(self, message: str, path=None, row: int | None = None):
-        context = []
-        if path is not None:
-            context.append(str(path))
-        if row is not None:
-            context.append(f"row {row}")
-        if context:
-            message = f"{message} ({', '.join(context)})"
-        super().__init__(message)
-        self.path = None if path is None else str(path)
-        self.row = row
+    """Base for data errors."""
 
 
 class SchemaMismatch(MarketDataError):
@@ -69,11 +65,9 @@ class SchemaMismatch(MarketDataError):
 class InvalidBar(MarketDataError):
     """A bar breaks an invariant or the time order; ``index`` is its position, when known."""
 
-    def __init__(self, reason: str, path=None, row: int | None = None, index: int | None = None, ticker: str = ""):
-        message = reason if index is None else f"{ticker}: {reason} at index {index}"
-        super().__init__(message, path=path, row=row)
-        self.reason = reason
-        self.index = index
+    def __init__(self, reason: str, index: int | None = None, ticker: str = "", **context):
+        super().__init__(reason if index is None else f"{ticker}: {reason} at index {index}", **context)
+        self.reason, self.index = reason, index
 
 
 class DuplicateTimestamp(MarketDataError):
@@ -168,13 +162,87 @@ def format_timestamp(ts: int) -> str:
     return format_timestamps([int(ts)])[0]
 
 
+def parse_floats(cells) -> np.ndarray:
+    """``float`` of each text, as a float64 array."""
+    return np.fromiter(map(float, cells), np.float64, len(cells))
+
+
+def quote_csv(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a cell: wrapped in quotes, inner
+    quotes doubled, when it holds a comma, a quote, a CR or a LF."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def long_format_keys(timestamps, tickers) -> list:
+    """The timestamp and ticker columns of a long-format CSV (ticker varying
+    fastest), each timestamp formatted once and each ticker quoted once."""
+    stamps, names = format_timestamps(timestamps), list(map(quote_csv, tickers))
+    return [chain.from_iterable(map(repeat, stamps, repeat(len(names)))),
+            chain.from_iterable(repeat(names, len(stamps)))]
+
+
+def _cells(column):
+    if not isinstance(column, np.ndarray):
+        return column
+    text = float.__repr__ if column.dtype.kind == "f" else str
+    return map(text, column.tolist() if column.ndim == 1 else chain.from_iterable(map(np.ndarray.tolist, column)))
+
+
 def write_csv_columns(path, header: list[str], columns) -> None:
-    """Write a CSV file from its header and one iterable of cell text per
-    column, with ``csv.writer``'s ``\\r\\n`` line ends. No cell may need
-    quoting: none may hold a comma, a quote or a line break."""
-    with Path(path).open("w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        handle.writelines(map("{}\r\n".format, map(",".join, zip(*columns))))  # streamed, one row at a time
+    """Write a CSV file, byte for byte as ``csv.writer`` writes its rows. A
+    column is a 1-D or 2-D array, written in C order a row at a time (floats
+    by ``float.__repr__``, integers by ``str``), or an iterable of cell text,
+    written as given: user text (tickers, labels) comes through ``quote_csv``.
+    Rows are written one at a time, so lazy columns stream."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(map(quote_csv, header)) + "\r\n")
+        handle.writelines(map("{}\r\n".format, map(",".join, zip(*map(_cells, columns)))))
+
+
+def read_csv_columns(path, error, pick) -> tuple[list[str], list[tuple], TradeLabError | None]:
+    """``(names, columns, short)``: the header names and cell tuples of the
+    columns ``pick(header)`` checks and selects (an empty file has header
+    ``[]``), up to the first row too short to hold them, and the ``error``
+    naming that row, or None. Text that is not UTF-8 CSV raises ``error``."""
+    try:
+        with Path(path).open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"not CSV text: {exc}", path=path) from None
+    header = rows.pop(0) if rows else []
+    indices = pick(header)
+    width, short = max(indices) + 1, None
+    if min(map(len, rows), default=width) < width:
+        k = next(k for k, cells in enumerate(rows) if len(cells) < width)
+        short = error(f"row has {len(rows[k])} cells, the header needs {width}", path=path, row=k + 2)
+        del rows[k:]
+    columns = list(zip(*rows)) or [()] * width  # every row left holds `width` cells, so zip drops no picked one
+    return [header[j] for j in indices], [columns[j] for j in indices], short
+
+
+def parse_csv_columns(path, error, columns, rows=range(2, 1 << 62), fault=None) -> tuple[list, TradeLabError | None]:
+    """Parse each ``(name, cells, parse)`` of ``columns`` at once; only a column
+    that fails is searched for its first bad cell. ``rows`` are the cells'
+    rows. Returns the arrays up to the first faulty row and the ``error``
+    naming it, or the given ``fault`` if that comes first."""
+    arrays, faults = [], [] if fault is None else [fault]
+    for name, cells, parse in columns:
+        try:
+            arrays.append(parse(cells))
+        except (ValueError, OverflowError) as reason:
+            for row, cell in zip(rows, cells):
+                try:
+                    parse((cell,))
+                except (ValueError, OverflowError) as exc:
+                    faults.append(error(f"unparsable field: {exc}", path=path, row=row, column=name))
+                    break
+            else:
+                raise error(f"unparsable column: {reason}", path=path, column=name) from None
+    if not faults:
+        return arrays, None
+    fault = min(faults, key=lambda exc: exc.row)
+    stop = bisect_left(rows, fault.row)
+    return [parse(cells[:stop]) for _, cells, parse in columns], fault
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -304,22 +372,11 @@ class ColumnSchema:
 DEFAULT_SCHEMA = ColumnSchema()
 
 
-def _open_csv(path) -> tuple[list[str], list[list[str]]]:
-    with Path(path).open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise SchemaMismatch("file is empty, expected a header row", path=path, row=1)
-    return rows[0], rows[1:]
-
-
-def _column_indices(header: list[str], wanted: dict[str, str], path) -> dict[str, int]:
-    indices = {}
-    for key, column in wanted.items():
-        try:
-            indices[key] = header.index(column)
-        except ValueError:
-            raise SchemaMismatch(f"missing column {column!r}", path=path, row=1) from None
-    return indices
+def _column_indices(header: list[str], names, path) -> list[int]:
+    for name in names:
+        if name not in header:
+            raise SchemaMismatch(f"missing column {name!r}", path=path, row=1)
+    return [header.index(name) for name in names]
 
 
 def load_bars(path, schema: ColumnSchema = DEFAULT_SCHEMA, ticker: str | None = None) -> BarSeries:
@@ -331,37 +388,31 @@ def load_bars(path, schema: ColumnSchema = DEFAULT_SCHEMA, ticker: str | None = 
     rejected with their 1-based row number.
     """
     path = Path(path)
-    header, rows = _open_csv(path)
-    wanted = {key: getattr(schema, key) for key in ("timestamp", *OHLCV)}
+    wanted = [getattr(schema, key) for key in ("timestamp", *OHLCV)]
     if schema.ticker is not None:
         if ticker is None:
             raise ValueError("long-format schema requires an explicit ticker")
-        wanted["ticker"] = schema.ticker
-    col = _column_indices(header, wanted, path)
+        wanted.append(schema.ticker)
     name = ticker if ticker is not None else path.stem
-    ticker_col, value_cols = col.get("ticker"), [col[key] for key in OHLCV]
+    names, cells, short = read_csv_columns(path, MarketDataError, lambda header: _column_indices(header, wanted, path))
+    rows = range(2, 2 + len(cells[0]))  # header is row 1
+    if schema.ticker is not None:
+        keep = [k for k, cell in enumerate(cells.pop()) if cell == name]
+        rows = [rows[k] for k in keep]
+        cells = [[column[k] for k in keep] for column in cells]
 
     # Parse up to the first unparsable row; BarSeries then checks the parsed
     # bars at once, and a bad bar before that row is the one reported.
-    records, row_nos, parse_error = [], [], None
-    for row_no, row in enumerate(rows, start=2):  # header is row 1
-        try:
-            if ticker_col is not None and row[ticker_col] != name:
-                continue
-            records.append([parse_timestamp(row[col["timestamp"]])] + [float(row[i]) for i in value_cols])
-        except (ValueError, IndexError) as exc:
-            parse_error = InvalidBar(f"unparsable field: {exc}", path=path, row=row_no)
-            break
-        row_nos.append(row_no)
-    if not records:
-        raise parse_error or InvalidBar(f"no usable rows for ticker {name!r}", path=path)
-    timestamps, *values = zip(*records)
+    parsers = [parse_timestamps] + [parse_floats] * len(OHLCV)
+    arrays, fault = parse_csv_columns(path, InvalidBar, list(zip(names, cells, parsers)), rows, short)
+    if arrays[0].size == 0:
+        raise fault or InvalidBar(f"no usable rows for ticker {name!r}", path=path)
     try:
-        series = BarSeries(name, np.array(timestamps, dtype=np.int64), *(np.array(v) for v in values))
+        series = BarSeries(name, *arrays)
     except InvalidBar as exc:
-        raise InvalidBar(exc.reason, path=path, row=row_nos[exc.index]) from None
-    if parse_error is not None:
-        raise parse_error
+        raise InvalidBar(exc.reason, path=path, row=rows[exc.index]) from None
+    if fault is not None:
+        raise fault
     return series
 
 
@@ -371,24 +422,20 @@ def load_series(path, name: str) -> AuxSeries:
     Rows are sorted by timestamp; duplicate timestamps are rejected.
     """
     path = Path(path)
-    header, rows = _open_csv(path)
-    col = _column_indices(header, {"timestamp": "timestamp", "value": "value"}, path)
-    parsed: list[tuple[int, float, int]] = []
-    for offset, row in enumerate(rows):
-        row_no = offset + 2
-        try:
-            parsed.append((parse_timestamp(row[col["timestamp"]]), float(row[col["value"]]), row_no))
-        except (ValueError, IndexError) as exc:
-            raise MarketDataError(f"unparsable field: {exc}", path=path, row=row_no) from None
-    parsed.sort(key=lambda item: item[0])
-    for prev, cur in zip(parsed, parsed[1:]):
-        if cur[0] == prev[0]:
-            raise DuplicateTimestamp(f"duplicate timestamp {format_timestamp(cur[0])}", path=path, row=cur[2])
-    return AuxSeries(
-        name=name,
-        timestamps=np.array([p[0] for p in parsed], dtype=np.int64),
-        values=np.array([p[1] for p in parsed]),
-    )
+    names, cells, short = read_csv_columns(path, MarketDataError,
+                                           lambda header: _column_indices(header, ("timestamp", "value"), path))
+    columns = list(zip(names, cells, (parse_timestamps, parse_floats)))
+    (timestamps, values), fault = parse_csv_columns(path, MarketDataError, columns, fault=short)
+    if fault is not None:
+        raise fault
+    order = np.argsort(timestamps, kind="stable")
+    timestamps = timestamps[order]
+    repeated = np.flatnonzero(timestamps[1:] == timestamps[:-1])
+    if repeated.size:
+        k = int(repeated[0]) + 1
+        raise DuplicateTimestamp(f"duplicate timestamp {format_timestamp(timestamps[k])}", path=path,
+                                 row=int(order[k]) + 2)
+    return AuxSeries(name=name, timestamps=timestamps, values=values[order])
 
 
 def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
@@ -471,18 +518,6 @@ def load_panel(path) -> MarketPanel:
 
 def write_panel_csv(panel: MarketPanel, path) -> None:
     """Long-format mirror of the cache: timestamp,ticker,open,high,low,close,volume."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "ticker", "open", "high", "low", "close", "volume"])
-        for t in range(panel.n_timestamps):
-            stamp = format_timestamp(panel.timestamps[t])
-            for j, ticker in enumerate(panel.tickers):
-                writer.writerow([
-                    stamp,
-                    ticker,
-                    repr(float(panel.open[t, j])),
-                    repr(float(panel.high[t, j])),
-                    repr(float(panel.low[t, j])),
-                    repr(float(panel.close[t, j])),
-                    repr(float(panel.volume[t, j])),
-                ])
+    write_csv_columns(path, ["timestamp", "ticker", *OHLCV], [
+        *long_format_keys(panel.timestamps, panel.tickers), *(getattr(panel, name) for name in OHLCV),
+    ])

@@ -330,9 +330,9 @@ class TestCompareProfiles:
         log = synthetic_log(rng, label="twin")
         a, b = behavior_profile(log), behavior_profile(replace(log, agent_label="twin-2"))
         table = compare_profiles([a, b])
-        assert table.row("twin") == table.row("twin-2")
         assert table.trader_score[0] == table.trader_score[1]
         assert table.final_cumulative_reward[0] == table.final_cumulative_reward[1]
+        assert table.hhi[0] == table.hhi[1] and table.max_shares_held[0] == table.max_shares_held[1]
 
     def test_constructed_ordering(self, rng):
         def with_changes(label, n_changes):
@@ -460,6 +460,56 @@ class TestReportPersistence:
         with pytest.raises(MalformedReport) as caught:
             load_report(tmp_path / "out")
         assert f"report field {field} " in str(caught.value) and str(path) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("holdings_matrix", [["-5", 2.9], ["-5", "2"]]),
+            ("holdings_matrix", [[1.0, 2], [3, 4]]),
+            ("holdings_matrix", [[1, 2], [3]]),
+            ("timestamps", [True, 3600]),
+            ("integral_holding", [2.5, 1, 0]),
+            ("cumulative_reward", ["1.5"]),
+            ("cumulative_reward", [False]),
+            ("trade_stats.trade_count", ["1", 0, 0]),
+            ("trade_stats.stationarity_fraction", "0.5"),
+            ("trade_stats.mean_holding_run", [2.0]),
+            ("diversity.active_tickers", 2.0),
+            ("diversity.hhi", True),
+            ("trader_score", "0.5"),
+            ("agent_label", 7),
+        ],
+        ids=["strings-in-matrix", "float-in-matrix", "ragged-matrix", "bool-stamp", "float-holding",
+             "string-reward", "bool-reward", "string-count", "string-fraction", "list-run", "float-active",
+             "bool-hhi", "string-score", "number-label"],
+    )
+    def test_report_values_are_never_coerced(self, tmp_path, rng, field, value):
+        save_report(behavior_profile(synthetic_log(rng, t=12, n=3)), tmp_path / "out")
+        path = tmp_path / "out" / "report.json"
+        doc = json.loads(path.read_text())
+        *parents, key = field.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedReport) as caught:
+            load_report(tmp_path / "out")
+        assert f"report field {field} " in str(caught.value) and str(path) in str(caught.value)
+
+    def test_report_floats_take_integers_and_nonfinite_numbers(self, tmp_path, rng):
+        save_report(behavior_profile(synthetic_log(rng, t=5, n=2)), tmp_path / "out")
+        path = tmp_path / "out" / "report.json"
+        doc = json.loads(path.read_text())
+        doc["cumulative_reward"] = [1, float("nan"), float("inf"), -float("inf")]
+        doc["trader_score"] = 1
+        doc["diversity"]["hhi"] = None
+        path.write_text(json.dumps(doc))
+        loaded = load_report(tmp_path / "out")
+        assert loaded.cumulative_reward.dtype == np.float64
+        assert loaded.cumulative_reward.tobytes() == np.array([1.0, np.nan, np.inf, -np.inf]).tobytes()
+        assert loaded.trader_score == 1.0 and type(loaded.trader_score) is float
+        assert loaded.diversity.hhi is None
 
     def test_missing_report(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -3,11 +3,13 @@
 Each reference below is the cell-by-cell implementation that the column-wise
 code replaced: ``csv.writer`` rows, ``json.dumps(indent=2)``, per-point
 coordinate closures, ``datetime`` formatting and per-row parsing. The package
-must reproduce its bytes, and its parsed arrays, exactly.
+must reproduce its bytes, and its parsed arrays, exactly; the bar and aux
+loaders must also raise the reference's errors.
 """
 
 import csv
 import dataclasses
+import io
 import json
 from datetime import datetime, timezone
 
@@ -15,12 +17,31 @@ import numpy as np
 import pytest
 
 from conftest import hourly_axis, make_features
-from tradelab import svgchart
-from tradelab.analytics import behavior_profile, save_report
+from tradelab import cli, svgchart
+from tradelab.agents.a2c import TrainStats
+from tradelab.analytics import ProfileComparison, behavior_profile, save_report, write_comparison_csv
 from tradelab.env import EnvConfig, EpisodeLog, MalformedLog, Window, load_episode_log, run_episode, save_episode_log
-from tradelab.marketdata import format_timestamp, format_timestamps, parse_timestamp, parse_timestamps
+from tradelab.indicators import FEATURE_NAMES, write_features_csv
+from tradelab.marketdata import (
+    BarSeries,
+    ColumnSchema,
+    DuplicateTimestamp,
+    InvalidBar,
+    MarketDataError,
+    MarketPanel,
+    format_timestamp,
+    format_timestamps,
+    load_bars,
+    load_series,
+    parse_timestamp,
+    parse_timestamps,
+    quote_csv,
+    write_panel_csv,
+)
 
 START = 1_646_380_800
+OHLCV = ("open", "high", "low", "close", "volume")
+COMPARISON_METRICS = ("final_cumulative_reward", "trader_score", "hhi", "max_shares_held")
 YEAR_1000 = -30_610_224_000  # 1000-01-01T00:00:00Z
 YEAR_10000 = 253_402_300_800  # 10000-01-01T00:00:00Z
 YEAR_1 = -62_135_596_800  # 0001-01-01T00:00:00Z
@@ -139,6 +160,119 @@ def ref_parse_log(path):
         "actions": np.array([[float(r[i]) for i in action_cols] for r in body]),
         "holdings": np.array([[int(float(r[i])) for i in hold_cols] for r in body], dtype=np.int64),
     }
+
+
+def ref_write_panel_csv(panel, path):
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["timestamp", "ticker", "open", "high", "low", "close", "volume"])
+        for t in range(panel.n_timestamps):
+            stamp = ref_format_timestamp(panel.timestamps[t])
+            for j, ticker in enumerate(panel.tickers):
+                writer.writerow([
+                    stamp,
+                    ticker,
+                    repr(float(panel.open[t, j])),
+                    repr(float(panel.high[t, j])),
+                    repr(float(panel.low[t, j])),
+                    repr(float(panel.close[t, j])),
+                    repr(float(panel.volume[t, j])),
+                ])
+
+
+def ref_write_features_csv(fp, path):
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["timestamp", "ticker", *FEATURE_NAMES])
+        for t in range(fp.n_timestamps):
+            stamp = ref_format_timestamp(fp.timestamps[t])
+            for j, ticker in enumerate(fp.tickers):
+                writer.writerow([stamp, ticker, *[repr(float(v)) for v in fp.features[t, j]]])
+
+
+def ref_write_train_csvs(stats, directory):
+    """The two CSVs of ``tradelab train``."""
+    with (directory / "train_stats.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["update", "policy_loss", "value_loss", "entropy", "grad_norm"])
+        rows = zip(stats.policy_losses, stats.value_losses, stats.entropies, stats.grad_norms)
+        for k, (pl, vl, en, gn) in enumerate(rows):
+            writer.writerow([k, repr(pl), repr(vl), repr(en), repr(gn)])
+    with (directory / "episode_rewards.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["episode", "reward"])
+        for k, reward in enumerate(stats.episode_rewards):
+            writer.writerow([k, repr(reward)])
+
+
+def ref_write_comparison_csv(comparison, path):
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["agent", *COMPARISON_METRICS])
+        for i, label in enumerate(comparison.labels):
+            row = {metric: getattr(comparison, metric)[i] for metric in COMPARISON_METRICS}
+            writer.writerow(
+                [label]
+                + [
+                    ""
+                    if row[metric] is None
+                    else (repr(float(row[metric])) if isinstance(row[metric], float) else row[metric])
+                    for metric in COMPARISON_METRICS
+                ]
+            )
+
+
+def ref_load_bars(path, schema=ColumnSchema(), ticker=None):
+    """The row-at-a-time bar reader: parse up to the first unparsable row,
+    then a bad bar before that row is the one reported."""
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    header, rows = rows[0], rows[1:]
+    wanted = {key: getattr(schema, key) for key in ("timestamp", *OHLCV)}
+    if schema.ticker is not None:
+        wanted["ticker"] = schema.ticker
+    col = {key: header.index(column) for key, column in wanted.items()}
+    name = ticker if ticker is not None else path.stem
+    ticker_col, value_cols = col.get("ticker"), [col[key] for key in OHLCV]
+    records, row_nos, parse_error = [], [], None
+    for row_no, row in enumerate(rows, start=2):
+        try:
+            if ticker_col is not None and row[ticker_col] != name:
+                continue
+            records.append([parse_timestamp(row[col["timestamp"]])] + [float(row[i]) for i in value_cols])
+        except (ValueError, IndexError) as exc:
+            parse_error = InvalidBar(f"unparsable field: {exc}", path=path, row=row_no)
+            break
+        row_nos.append(row_no)
+    if not records:
+        raise parse_error or InvalidBar(f"no usable rows for ticker {name!r}", path=path)
+    timestamps, *values = zip(*records)
+    try:
+        series = BarSeries(name, np.array(timestamps, dtype=np.int64), *(np.array(v) for v in values))
+    except InvalidBar as exc:
+        raise InvalidBar(exc.reason, path=path, row=row_nos[exc.index]) from None
+    if parse_error is not None:
+        raise parse_error
+    return series
+
+
+def ref_load_series(path, name):
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    header, rows = rows[0], rows[1:]
+    col = {key: header.index(key) for key in ("timestamp", "value")}
+    parsed = []
+    for offset, row in enumerate(rows):
+        row_no = offset + 2
+        try:
+            parsed.append((parse_timestamp(row[col["timestamp"]]), float(row[col["value"]]), row_no))
+        except (ValueError, IndexError) as exc:
+            raise MarketDataError(f"unparsable field: {exc}", path=path, row=row_no) from None
+    parsed.sort(key=lambda item: item[0])
+    for prev, cur in zip(parsed, parsed[1:]):
+        if cur[0] == prev[0]:
+            raise DuplicateTimestamp(f"duplicate timestamp {ref_format_timestamp(cur[0])}", path=path, row=cur[2])
+    return (np.array([p[0] for p in parsed], dtype=np.int64), np.array([p[1] for p in parsed]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +498,230 @@ def test_unpadded_years_fail_closed_as_before(tmp_path):
     with pytest.raises(MalformedLog) as caught:
         load_episode_log(tmp_path / "log.csv")
     assert "column 'timestamp', row 2" in str(caught.value)
+
+
+# ---------------------------------------------------------------------------
+# the other CSV writers
+# ---------------------------------------------------------------------------
+
+TICKER_CASES = {
+    "one-ticker": ["A"],
+    "comma": ["A,B", "C"],
+    "quote": ['Q"X', "plain", '"'],
+    "line-breaks": ["cr\rx", "lf\ny", "crlf\r\nz"],
+    "non-ascii": ["ünï", "∆x", "株"],
+}
+
+
+def _special_floats(rng, shape):
+    values = rng.normal(100.0, 30.0, size=shape)
+    flat = values.reshape(-1)
+    flat[: 7] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1]
+    return values
+
+
+@pytest.mark.parametrize("case", list(TICKER_CASES))
+def test_write_panel_csv_matches_csv_writer(tmp_path, case):
+    tickers = TICKER_CASES[case]
+    rng = np.random.default_rng(21)
+    shape = (40, len(tickers))
+    panel = MarketPanel(tickers, hourly_axis(START, 40), *(_special_floats(rng, shape) for _ in OHLCV))
+    write_panel_csv(panel, tmp_path / "new.csv")
+    ref_write_panel_csv(panel, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", list(TICKER_CASES))
+def test_write_features_csv_matches_csv_writer(tmp_path, case):
+    tickers = TICKER_CASES[case]
+    built = make_features([f"T{j}" for j in range(len(tickers))], 40, seed=3)
+    features = dataclasses.replace(built, tickers=tuple(tickers))  # NaN through the warmup rows
+    write_features_csv(features, tmp_path / "new.csv")
+    ref_write_features_csv(features, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert np.isnan(features.features).any()
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        TrainStats(policy_losses=[0.5, -0.0, float("nan")], value_losses=[1e300, 5e-324, 2.0],
+                   entropies=[float("inf"), -float("inf"), 0.1], grad_norms=[3.0, 0.25, 1e-7],
+                   episode_rewards=[-12.5, float("nan"), 7.0]),
+        TrainStats(),
+    ],
+    ids=["special-floats", "no-updates"],
+)
+def test_train_csvs_match_csv_writer(tmp_path, monkeypatch, stats):
+    monkeypatch.setattr(cli, "_build_features", lambda cfg: make_features(["A"], 40))
+    monkeypatch.setattr(cli, "a2c_train", lambda cfg, factory: (None, stats))
+    monkeypatch.setattr(cli, "save_checkpoint", lambda policy, path: None)
+    assert cli.cmd_train(cli.RunConfig(out=str(tmp_path / "new")), None) == 0
+    (tmp_path / "ref").mkdir()
+    ref_write_train_csvs(stats, tmp_path / "ref")
+    for name in ("train_stats.csv", "episode_rewards.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "labels, rewards, hhi",
+    [
+        (("alpha", "beta"), (1.5, -2.0), (None, 0.5)),
+        (("a,b", 'q"x', "cr\rlf\n", "ünï ∆"), (np.nan, np.inf, -np.inf, -0.0), (0.25, None, np.nan, 1.0)),
+    ],
+    ids=["hhi-none", "quoted-labels-nonfinite"],
+)
+def test_write_comparison_csv_matches_csv_writer(tmp_path, labels, rewards, hhi):
+    n = len(labels)
+    comparison = ProfileComparison(
+        labels=labels,
+        final_cumulative_reward=tuple(float(v) for v in rewards),
+        trader_score=tuple(np.linspace(0.0, 1.0, n).tolist()),
+        hhi=hhi,
+        max_shares_held=tuple(range(0, 7 * n, 7)),
+    )
+    write_comparison_csv(comparison, tmp_path / "new.csv")
+    ref_write_comparison_csv(comparison, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_quote_csv_matches_csv_writer():
+    rng = np.random.default_rng(8)
+    alphabet = list('ab ,"\r\n\t;\'ü∆') + [""]
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 8))).tolist())
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow([text, "x"])
+        assert quote_csv(text) + ",x\r\n" == buffer.getvalue(), repr(text)
+
+
+# ---------------------------------------------------------------------------
+# the bar and aux readers
+# ---------------------------------------------------------------------------
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except MarketDataError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, expected):
+    """Equal arrays, or the reference's error: its class and row, and its
+    message once the column the package names is left out. A short row is
+    reported as such, as a MarketDataError, where the reference ran out of
+    cells."""
+    if not isinstance(expected, Exception):
+        assert not isinstance(got, Exception), got
+        for ours, theirs in zip(got, expected):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        return
+    assert isinstance(got, MarketDataError), got
+    assert got.row == expected.row
+    if "list index out of range" in str(expected):
+        assert type(got) is MarketDataError and "cells, the header needs" in str(got)
+    else:
+        assert type(got) is type(expected)
+        assert str(got).replace(f"column {got.column!r}, ", "") == str(expected)
+
+
+def _bars(series):
+    return series if isinstance(series, Exception) else [series.timestamps, *(getattr(series, f) for f in OHLCV)]
+
+
+GOOD = "2022-03-04T08:00:00Z,10,11,9,10.5,100"
+GOOD_2 = "2022-03-04T09:00:00Z,10.5,12,10,11,200"
+BAD_BAR = "2022-03-04T10:00:00Z,10.5,9.5,10,10.2,200"
+BAD_CELL = "2022-03-04T10:00:00Z,ten,11,9,10.5,100"
+BAD_STAMP = "2022-03-04T25:00:00Z,10,11,9,10.5,100"
+SHORT = "2022-03-04T11:00:00Z,10,11"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["2022-03-04T08:00:00Z,1,2,1,2,3", "1646384400,1,2,1,2,3", "2022-03-04T12:00:00+02:00,1,2,1,2,3",
+         "2022-03-04 11:00:00,1,2,1,2,3", "2022-03-04T12:00:00.5Z,1,2,1,2,3", "2022-03-05,1,2,1,2,3"],
+        [GOOD + ",extra", GOOD_2],
+        [GOOD, GOOD_2, SHORT],
+        [GOOD, BAD_BAR, SHORT],
+        [GOOD, SHORT, BAD_BAR],
+        [GOOD, BAD_CELL, SHORT],
+        [GOOD, SHORT, BAD_CELL],
+        [GOOD, "", GOOD_2],
+        [BAD_STAMP, GOOD],
+        [GOOD, GOOD_2, BAD_BAR, BAD_STAMP],
+        [GOOD, "2022-03-04T10:00:00Z,ten,eleven,9,10.5,100"],
+        [],
+    ],
+    ids=["mixed-stamps", "extra-cell", "short-last", "bad-bar-then-short", "short-then-bad-bar",
+         "bad-cell-then-short", "short-then-bad-cell", "blank-line", "bad-stamp-first", "bad-bar-then-bad-stamp",
+         "two-bad-cells", "header-only"],
+)
+def test_load_bars_matches_row_reader(tmp_path, rows):
+    path = tmp_path / "AAA.csv"
+    path.write_text("\n".join(["timestamp,open,high,low,close,volume", *rows]) + "\n")
+    _assert_same_outcome(_bars(_outcome(load_bars, path)), _bars(_outcome(ref_load_bars, path)))
+
+
+LONG_MIXED = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T08:00:00Z,BBB,20,21,19,20.5,300",
+              "1646384400,BBB,20,21,19,20.5,300", "2022-03-04T11:00:00+02:00,AAA,10.5,12,10,11,200"]
+LONG_BAD = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T08:00:00Z,BBB,ten,21,19,20.5,300",
+            "2022-03-04T09:00:00Z,AAA,10.5,9.5,10,10.2,200"]
+LONG_SHORT = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T09:00:00Z,BBB,20,21,19,20.5,300",
+              "2022-03-04T09:00:00Z,AAA,10,11"]
+LONG_NO_TICKER = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T09:00:00Z",
+                  "2022-03-04T10:00:00Z,BBB,1,2,1,2,3"]
+
+
+@pytest.mark.parametrize(
+    "rows, ticker",
+    [(LONG_MIXED, "AAA"), (LONG_MIXED, "BBB"), (LONG_BAD, "AAA"), (LONG_BAD, "BBB"), (LONG_SHORT, "AAA"),
+     (LONG_NO_TICKER, "AAA"), (LONG_NO_TICKER, "BBB"), (LONG_MIXED[1:3], "AAA")],
+    ids=["mixed-stamps-AAA", "mixed-stamps-BBB", "bad-bar-AAA", "bad-cell-BBB", "short-own-row",
+         "short-before-ticker-AAA", "short-before-ticker-BBB", "no-rows-of-ticker"],
+)
+def test_load_bars_long_format_matches_row_reader(tmp_path, rows, ticker):
+    path = tmp_path / "all.csv"
+    path.write_text("\n".join(["timestamp,ticker,open,high,low,close,volume", *rows]) + "\n")
+    schema = ColumnSchema(ticker="ticker")
+    got, expected = (_outcome(load, path, schema, ticker) for load in (load_bars, ref_load_bars))
+    _assert_same_outcome(_bars(got), _bars(expected))
+
+
+def test_short_row_of_another_ticker_fails_every_load(tmp_path):
+    """The one place the column reader differs from the row reader: a short
+    row is a fault of the file, not of the ticker it names."""
+    path = tmp_path / "all.csv"
+    path.write_text("timestamp,ticker,open,high,low,close,volume\n"
+                    "2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100\n"
+                    "2022-03-04T09:00:00Z,BBB,20\n"
+                    "2022-03-04T09:00:00Z,AAA,10.5,12,10,11,200\n")
+    schema = ColumnSchema(ticker="ticker")
+    assert len(ref_load_bars(path, schema, "AAA")) == 2
+    with pytest.raises(MarketDataError) as caught:
+        load_bars(path, schema, "AAA")
+    assert caught.value.row == 3 and "has 3 cells, the header needs 7" in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["2022-03-04T10:00:00Z,3", "3600,1", "2022-03-04T09:00:00+01:00,2", "1970-01-01 00:30:00,0.5"],
+        ["2022-03-04T08:00:00Z,1", "2022-03-04T09:00:00Z,2", "1646380800,3"],
+        ["3600,1", "7200,2", "1970-01-01T02:00:00+00:00,3", "1970-01-01T01:00:00Z,4"],
+        ["3600,1", "3600,2", "3600,3"],
+        ["3600,1", "7200", "bad,3"],
+        ["3600,1", "bad,2", "10800"],
+        ["3600,1", "7200,two"],
+        [],
+    ],
+    ids=["mixed-unsorted", "duplicate-forms", "two-duplicates", "triplicate", "short-then-bad", "bad-then-short",
+         "bad-value", "header-only"],
+)
+def test_load_series_matches_row_reader(tmp_path, rows):
+    path = tmp_path / "vix.csv"
+    path.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+    got = _outcome(load_series, path, "vix")
+    got = got if isinstance(got, Exception) else [got.timestamps, got.values]
+    _assert_same_outcome(got, _outcome(ref_load_series, path, "vix"))

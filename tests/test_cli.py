@@ -74,6 +74,16 @@ class TestIngest:
         assert run(workspace, "ingest") == 1
         assert "close" in capsys.readouterr().err
 
+    def test_non_utf8_bar_file_exits_one_naming_it(self, workspace, capsys):
+        bad = workspace / "data" / "aa.csv"
+        raw = bytearray(bad.read_bytes())
+        raw[98] = 0xFF
+        bad.write_bytes(bytes(raw))
+        assert run(workspace, "ingest") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not CSV text" in err and str(bad) in err
+        assert not (workspace / "out" / "panel.bin").exists()
+
     def test_rerun_is_byte_identical(self, workspace):
         assert run(workspace, "ingest") == 0
         first_bin = (workspace / "out" / "panel.bin").read_bytes()
@@ -275,8 +285,9 @@ class TestAnalyze:
             (lambda text: text.replace(",0\r\n", ",inf\r\n", 1), ["'hold_1'", "row 2", "'inf'"]),
             (lambda text: text.replace(",0\r\n", ",3.5\r\n", 1), ["'hold_1'", "row 2", "'3.5'"]),
             (lambda text: text.replace("cash", "cash\udcff", 1), ["not CSV text"]),
+            (lambda text: text.replace(",0\r\n", ",-5\r\n", 1), ["negative holding -5", "'hold_1'", "row 2"]),
         ],
-        ids=["hold-inf", "hold-fraction", "not-utf8"],
+        ids=["hold-inf", "hold-fraction", "not-utf8", "hold-negative"],
     )
     def test_bad_log_cell_exits_one(self, workspace, capsys, edit, names):
         hold_log, _ = self._logs(workspace)

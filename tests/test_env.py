@@ -581,6 +581,53 @@ def test_load_rejects_bad_cells_naming_column_and_row(tmp_path, old, new, names)
         assert name in str(caught.value)
 
 
+@pytest.mark.parametrize(
+    "edits, names",
+    [
+        ([(",1.0,0\n", ",1.0,-5\n"), ("T09:00:00Z", "T07:00:00Z")], ["negative holding -5", "'hold_0'", "row 2"]),
+        ([(",0.0,49\n", ",0.0,-1\n")], ["negative holding -1", "'hold_0'", "row 3"]),
+        ([("T09:00:00Z", "T07:00:00Z")], ["not strictly increasing", "'timestamp'", "row 3"]),
+        ([("T09:00:00Z", "T08:00:00Z")], ["not strictly increasing", "'timestamp'", "row 3"]),
+    ],
+    ids=["both-faults", "negative-holding", "stamp-earlier", "stamp-repeated"],
+)
+def test_load_rejects_negative_holdings_and_unordered_stamps(tmp_path, edits, names):
+    text = GOOD_LOG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "external.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedLog) as caught:
+        load_episode_log(path)
+    assert str(path) in str(caught.value)
+    for name in names:
+        assert name in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "timestamps, holdings, column, row",
+    [
+        ([0, 3600, 7200], [[0, 1], [2, -1], [0, 0]], "hold_1", 3),
+        ([0, 3600, 3600], [[0, 1], [2, 1], [0, 0]], "timestamp", 4),
+        ([0, -1, 7200], [[0, 0], [0, 0], [-3, 0]], "timestamp", 3),
+    ],
+)
+def test_episode_log_rejects_negative_holdings_and_unordered_stamps(timestamps, holdings, column, row):
+    with pytest.raises(MalformedLog) as caught:
+        EpisodeLog(
+            timestamps=np.array(timestamps),
+            actions=np.zeros((3, 2)),
+            holdings=np.array(holdings),
+            cash=np.ones(3),
+            portfolio_value=np.ones(3),
+            rewards=np.zeros(2),
+            agent_label="x",
+        )
+    assert (caught.value.column, caught.value.row) == (column, row)
+    assert str(caught.value).endswith(f"(column {column!r}, row {row})")
+
+
 def test_load_rejects_non_utf8_log(tmp_path):
     path = tmp_path / "latin.csv"
     path.write_bytes(GOOD_LOG.replace("1000.0,1000.0", "1000.0,1000.0\xe9").encode("latin-1"))

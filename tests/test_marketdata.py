@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import HOUR, hourly_axis, make_walk_series, write_bars_csv
+from conftest import HOUR, hourly_axis, make_features, make_walk_series, write_bars_csv
+from tradelab.agents import RandomPolicy
+from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
+from tradelab.errors import TradeLabError
 from tradelab.marketdata import (
     AuxSeries,
     BarSeries,
@@ -13,6 +16,7 @@ from tradelab.marketdata import (
     DuplicateTimestamp,
     EmptyIntersection,
     InvalidBar,
+    MarketDataError,
     SchemaMismatch,
     align_panel,
     format_timestamp,
@@ -422,3 +426,73 @@ def test_write_panel_csv_reloads(tmp_path, rng):
         assert np.array_equal(series.timestamps, panel.timestamps)
         assert np.array_equal(series.close, panel.close[:, j])
         assert np.array_equal(series.volume, panel.volume[:, j])
+
+
+# ---------------------------------------------------------------------------
+# damaged input files
+# ---------------------------------------------------------------------------
+
+def _write_vix(path, count=30):
+    path.write_text("timestamp,value\n" + "".join(f"{format_timestamp(T0 + i * HOUR)},{15.0 + i}\n"
+                                                    for i in range(count)))
+
+
+@pytest.mark.parametrize("load", [load_bars, lambda path: load_series(path, "vix")], ids=["bars", "aux"])
+def test_non_utf8_input_fails_closed_naming_the_file(tmp_path, rng, load):
+    path = tmp_path / "AAA.csv"
+    write_bars_csv(path, make_walk_series("AAA", hourly_axis(T0, 5), rng))
+    if load is not load_bars:
+        _write_vix(path, 5)
+    raw = bytearray(path.read_bytes())
+    raw[60] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MarketDataError) as err:
+        load(path)
+    assert "not CSV text" in str(err.value) and str(path) in str(err.value)
+
+
+def test_load_bars_stamp_beyond_int64_fails_closed(tmp_path):
+    path = tmp_path / "AAA.csv"
+    path.write_text("timestamp,open,high,low,close,volume\n99999999999999999999,10,11,9,10.5,100\n")
+    with pytest.raises(InvalidBar) as err:
+        load_bars(path)
+    assert err.value.row == 2 and err.value.column == "timestamp"
+
+
+def _damaged_files(kind, tmp_path):
+    """A valid file of ``kind`` and the function that loads it."""
+    if kind == "bars":
+        path = tmp_path / "AAA.csv"
+        write_bars_csv(path, make_walk_series("AAA", hourly_axis(T0, 30), np.random.default_rng(1)))
+        return path, load_bars
+    if kind == "aux":
+        path = tmp_path / "vix.csv"
+        _write_vix(path)
+        return path, lambda p: load_series(p, "vix")
+    path = tmp_path / "log.csv"
+    save_episode_log(run_episode(RandomPolicy(), EnvConfig(hmax=5), make_features(["A", "B"], 40), Window(16, 40)), path)
+    return path, load_episode_log
+
+
+@pytest.mark.parametrize("kind", ["bars", "aux", "log"])
+def test_loaders_fail_closed_on_damaged_files(tmp_path, kind):
+    """Seeded truncations and byte flips: each load succeeds or raises a
+    TradeLabError that names the file."""
+    path, load = _damaged_files(kind, tmp_path)
+    original = path.read_bytes()
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    failures = 0
+    for trial in range(150):
+        raw = bytearray(original)
+        if trial % 3 == 0:
+            del raw[int(rng.integers(0, len(raw))):]
+        else:
+            for at in rng.integers(0, len(raw), size=int(rng.integers(1, 4))):
+                raw[at] ^= int(rng.integers(1, 256))
+        path.write_bytes(bytes(raw))
+        try:
+            load(path)
+        except TradeLabError as exc:
+            assert str(path) in str(exc), (bytes(raw), exc)
+            failures += 1
+    assert 0 < failures < 150
