@@ -20,8 +20,6 @@ __all__ = [
     "init_mlp",
     "mlp_forward",
     "mlp_backward",
-    "params_to_vector",
-    "vector_to_params",
 ]
 
 
@@ -141,12 +139,3 @@ def mlp_backward(params: MlpParams, cache: dict, d_mean, d_value, d_log_std) -> 
     g.log_std[...] = d_log_std
     return g
 
-
-def params_to_vector(params: MlpParams) -> np.ndarray:
-    """A copy of the flat parameter vector."""
-    return params.vector.copy()
-
-
-def vector_to_params(vector: np.ndarray, sizes) -> MlpParams:
-    """Parameters viewing ``vector`` (see MlpParams)."""
-    return MlpParams(vector, sizes)

@@ -59,19 +59,16 @@ class RandomPolicy:
 
 
 class BuyAndHoldPolicy:
-    """Max buy across all tickers on the first call, then hold forever."""
+    """Max buy across all tickers while the observed holdings are all zero,
+    as at the start of every episode, then hold. The decision reads only the
+    observation, so one instance serves any number of episodes."""
 
     label = "buy-and-hold"
 
-    def __init__(self):
-        self._fired = False
-
     def act(self, observation, rng) -> np.ndarray:
         n = n_tickers_of(observation)
-        if self._fired:
-            return np.zeros(n)
-        self._fired = True
-        return np.ones(n)
+        holdings = np.asarray(observation)[1 + n : 1 + 2 * n]
+        return np.zeros(n) if holdings.any() else np.ones(n)
 
 
 class MomentumPolicy:

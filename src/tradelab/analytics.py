@@ -140,20 +140,10 @@ def cumulative_reward(log) -> np.ndarray:
     return np.cumsum(np.asarray(log.rewards, dtype=np.float64))
 
 
-def integral_holding(log, prices=None) -> np.ndarray:
-    """Time-summed exposure per ticker, in share-steps: Σ_t holdings[t][i].
-
-    Pass a (T, N) ``prices`` matrix to weight each row by price instead,
-    giving currency-steps (Σ_t holdings[t][i] · prices[t][i]).
-    """
+def integral_holding(log) -> np.ndarray:
+    """Time-summed exposure per ticker, in share-steps: Σ_t holdings[t][i]."""
     _require_steps(log)
-    holdings = np.asarray(log.holdings, dtype=np.int64)
-    if prices is None:
-        return holdings.sum(axis=0)
-    prices = np.asarray(prices, dtype=np.float64)
-    if prices.shape != holdings.shape:
-        raise ValueError(f"prices must be {holdings.shape}, got {prices.shape}")
-    return (holdings * prices).sum(axis=0)
+    return np.asarray(log.holdings, dtype=np.int64).sum(axis=0)
 
 
 def trade_stats(log) -> TradeStats:

@@ -120,11 +120,16 @@ class RunConfig:
 def _load_cached_panel(cfg: RunConfig):
     if not cfg.panel_path.exists():
         raise TradeLabError(f"no cached panel at {cfg.panel_path}; run `ingest` first")
-    return load_panel(cfg.panel_path)
+    panel = load_panel(cfg.panel_path)
+    if panel.tickers != tuple(cfg.tickers):
+        raise TradeLabError(f"cached panel {cfg.panel_path} holds tickers {list(panel.tickers)}, "
+                            f"but the run asks for {list(cfg.tickers)}; rerun ingest")
+    return panel
 
 
 def _build_features(cfg: RunConfig):
-    return build_features(_load_cached_panel(cfg), cfg.indicators)
+    return build_features(_load_cached_panel(cfg), cfg.indicators,
+                          with_turbulence=cfg.env.turbulence_gate is not None)
 
 
 def _windows(cfg: RunConfig, features) -> dict:

@@ -159,11 +159,13 @@ class TradingEnv:
         self.cfg, self.features, self.window = cfg, features, window
         self.copies = None if copies is None else int(copies)
         # per timestamp: whether the turbulence gate liquidates every position
-        turb, defined = features.aux.get("turbulence"), features.aux_defined.get("turbulence")
-        if cfg.turbulence_gate is None or turb is None or defined is None:
+        if cfg.turbulence_gate is None:
             self._gate = [False] * features.n_timestamps
+        elif features.turbulence is None:
+            raise EnvError("turbulence_gate is set but the features carry no turbulence series")
         else:
-            self._gate = (np.asarray(defined, dtype=bool) & (turb > cfg.turbulence_gate)).tolist()
+            turb, defined = features.turbulence
+            self._gate = (defined & (turb > cfg.turbulence_gate)).tolist()
         self._t: int | None = None
 
     @property

@@ -68,7 +68,8 @@ class InsufficientHistory(IndicatorError):
 class IndicatorConfig:
     """Window lengths and parameters for the 8-feature block plus turbulence.
 
-    ``turb_window`` may be None to skip the turbulence series entirely.
+    ``turb_window`` is the turbulence index's trailing window. Turbulence is
+    computed only when ``env.turbulence_gate`` is set, and a gate with None is an error.
     """
 
     rsi_period: int = 30
@@ -289,6 +290,13 @@ def dx(high, low, close, n: int):
 # turbulence
 # ---------------------------------------------------------------------------
 
+def _check_turbulence_window(window: int, n_tickers: int, t_len: int) -> None:
+    if window <= n_tickers:
+        raise ValueError(f"turbulence window ({window}) must exceed the ticker count ({n_tickers})")
+    if window + 1 >= t_len:
+        raise WindowTooLarge(f"turbulence window {window} leaves no defined index in a panel of length {t_len}")
+
+
 def turbulence(panel: MarketPanel, window: int):
     """Mahalanobis distance of each return vector from its trailing window.
 
@@ -300,10 +308,7 @@ def turbulence(panel: MarketPanel, window: int):
     """
     n_tickers = panel.n_tickers
     t_len = panel.n_timestamps
-    if window <= n_tickers:
-        raise ValueError(f"turbulence window ({window}) must exceed the ticker count ({n_tickers})")
-    if window + 1 >= t_len:
-        raise WindowTooLarge(f"turbulence window {window} leaves no defined index in a panel of length {t_len}")
+    _check_turbulence_window(window, n_tickers, t_len)
 
     closes = panel.close
     returns = closes[1:] / closes[:-1] - 1.0  # returns[k] belongs to t = k+1
@@ -336,13 +341,15 @@ def turbulence(panel: MarketPanel, window: int):
 
 @dataclass(frozen=True)
 class FeaturePanel:
-    """Per-timestamp, per-ticker indicator block plus market-wide series.
+    """Per-timestamp, per-ticker indicator block, plus turbulence when asked for.
 
     ``features`` is (T, N, 8) in FEATURE_NAMES order; ``defined`` is (T, 8)
     because definedness depends only on elapsed history, not on the ticker.
     ``closes`` carries the aligned close matrix so a feature panel is a
-    self-contained input for simulation. ``warmup`` is the first index where
-    all 8 features are defined for every ticker.
+    self-contained input for simulation. ``turbulence`` is None or the
+    ``(values, defined)`` pair of ``turbulence()``, each (T,). ``warmup`` is
+    the first index where all 8 features, and turbulence when present, are
+    defined for every ticker.
     """
 
     timestamps: np.ndarray  # int64 (T,)
@@ -351,8 +358,7 @@ class FeaturePanel:
     defined: np.ndarray  # bool (T, 8)
     closes: np.ndarray  # float64 (T, N)
     warmup: int
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
-    aux_defined: dict[str, np.ndarray] = field(default_factory=dict)
+    turbulence: tuple[np.ndarray, np.ndarray] | None = None
     config: IndicatorConfig = field(default_factory=IndicatorConfig)
 
     def __post_init__(self):
@@ -371,6 +377,13 @@ class FeaturePanel:
             raise ValueError(f"closes shape {self.closes.shape}, expected {expected[:2]}")
         if self.defined.shape != (expected[0], expected[2]):
             raise ValueError(f"defined shape {self.defined.shape}, expected {(expected[0], expected[2])}")
+        if self.turbulence is not None:
+            pair = (np.array(self.turbulence[0], dtype=np.float64), np.array(self.turbulence[1], dtype=bool))
+            if pair[0].shape != expected[:1] or pair[1].shape != expected[:1]:
+                raise ValueError(f"turbulence values and mask must both have shape {expected[:1]}")
+            for arr in pair:
+                arr.setflags(write=False)
+            object.__setattr__(self, "turbulence", pair)
 
     @property
     def n_timestamps(self) -> int:
@@ -381,19 +394,22 @@ class FeaturePanel:
         return len(self.tickers)
 
 
-def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig()) -> FeaturePanel:
-    """Compute the 8-feature block for every ticker, plus aux series.
+def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
+                   with_turbulence: bool = False) -> FeaturePanel:
+    """Compute the 8-feature block for every ticker, and the turbulence
+    series when ``with_turbulence`` is set (the CLI sets it exactly when
+    ``env.turbulence_gate`` is set); ``warmup`` then covers turbulence too,
+    and ``cfg.turb_window`` None raises IndicatorError.
 
     Raises InsufficientHistory when the panel is shorter than the longest
-    configured warmup (including the turbulence window when enabled).
+    configured warmup, the turbulence window included whenever it is set.
     """
     t_len, n = panel.close.shape
     features = np.empty((t_len, n, len(FEATURE_NAMES)))
-    defined = None
-    # per-ticker 1-D calls so each column is bit-identical to the standalone op
-    for j in range(n):
-        h, l, c = panel.high[:, j], panel.low[:, j], panel.close[:, j]
-        try:
+    try:
+        # per-ticker 1-D calls so each column is bit-identical to the standalone op
+        for j in range(n):
+            h, l, c = panel.high[:, j], panel.low[:, j], panel.close[:, j]
             macd_v, d_macd = macd(c, cfg)
             ub_v, lb_v, d_boll = bollinger(c, cfg)
             rsi_v, d_rsi = rsi(c, cfg.rsi_period)
@@ -401,26 +417,23 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig())
             dx_v, d_dx = dx(h, l, c, cfg.dx_period)
             sma_s, d_s = sma(c, cfg.sma_short)
             sma_l, d_l = sma(c, cfg.sma_long)
-        except WindowTooLarge as exc:
-            raise InsufficientHistory(str(exc)) from None
-        features[:, j, :] = np.stack([macd_v, ub_v, lb_v, rsi_v, cci_v, dx_v, sma_s, sma_l], axis=1)
-        if defined is None:
-            defined = np.stack([d_macd, d_boll, d_boll, d_rsi, d_cci, d_dx, d_s, d_l], axis=1)
+            features[:, j, :] = np.stack([macd_v, ub_v, lb_v, rsi_v, cci_v, dx_v, sma_s, sma_l], axis=1)
+        if cfg.turb_window is not None:
+            _check_turbulence_window(cfg.turb_window, n, t_len)
+    except WindowTooLarge as exc:
+        raise InsufficientHistory(str(exc)) from None
 
-    all_defined = defined.all(axis=1)
-    if not all_defined.any():
+    # the masks depend only on the series length, so the last ticker's serve for all
+    defined = np.stack([d_macd, d_boll, d_boll, d_rsi, d_cci, d_dx, d_s, d_l], axis=1)
+    ready = defined.all(axis=1)
+    turb = None
+    if with_turbulence:
+        if cfg.turb_window is None:
+            raise IndicatorError("the turbulence gate needs indicators.turb_window, which is null")
+        turb = turbulence(panel, cfg.turb_window)
+        ready = ready & turb[1]
+    if not ready.any():
         raise InsufficientHistory(f"no index has all features defined (panel length {t_len})")
-    warmup = int(np.argmax(all_defined))
-
-    aux = {name: np.array(series) for name, series in panel.aux.items()}
-    aux_defined = {name: np.ones(t_len, dtype=bool) for name in aux}
-    if cfg.turb_window is not None:
-        try:
-            turb_v, turb_d = turbulence(panel, cfg.turb_window)
-        except WindowTooLarge as exc:
-            raise InsufficientHistory(str(exc)) from None
-        aux["turbulence"] = turb_v
-        aux_defined["turbulence"] = turb_d
 
     return FeaturePanel(
         timestamps=panel.timestamps,
@@ -428,9 +441,8 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig())
         features=features,
         defined=defined,
         closes=panel.close,
-        warmup=warmup,
-        aux=aux,
-        aux_defined=aux_defined,
+        warmup=int(np.argmax(ready)),
+        turbulence=turb,
         config=cfg,
     )
 

@@ -82,25 +82,33 @@ class UnfillableLeadingGap(MarketDataError):
     pass
 
 
-def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 timestamp (or integer epoch seconds) to UTC epoch seconds."""
-    raw = text.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ValueError(f"unparsable timestamp {text!r}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
-
-
+# UTC epoch seconds of 0001-01-01 and 10000-01-01: a stamp outside these
+# years cannot be formatted, so no loader accepts one
+_STAMP_YEARS = (-62_135_596_800, 253_402_300_800)
 # UTC epoch seconds of 1000-01-01 and 10000-01-01: numpy's four-digit years
 # match strftime only in between
 _NUMPY_YEARS = (-30_610_224_000, 253_402_300_800)
+
+
+def parse_timestamp(text: str) -> int:
+    """Parse an ISO-8601 timestamp (or integer epoch seconds) to UTC epoch
+    seconds; a stamp outside UTC years 1-9999 raises ValueError."""
+    raw = text.strip()
+    try:
+        seconds = int(raw)
+    except ValueError:
+        try:
+            stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise ValueError(f"unparsable timestamp {text!r}") from exc
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        seconds = int(stamp.timestamp())
+    if not _STAMP_YEARS[0] <= seconds < _STAMP_YEARS[1]:
+        raise ValueError(f"timestamp {text!r} is outside UTC years 1-9999")
+    return seconds
+
+
 # the one text form that parse_timestamps reads without parse_timestamp;
 # "0" marks a digit
 _UNIFORM_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)

@@ -110,11 +110,6 @@ def flat_features(closes, turbulence=None, start: int = 1_646_380_800) -> Featur
     """
     closes = np.asarray(closes, dtype=np.float64)
     t, n = closes.shape
-    aux = {}
-    aux_defined = {}
-    if turbulence is not None:
-        aux["turbulence"] = np.asarray(turbulence[0], dtype=np.float64)
-        aux_defined["turbulence"] = np.asarray(turbulence[1], dtype=bool)
     return FeaturePanel(
         timestamps=hourly_axis(start, t),
         tickers=tuple(f"S{j}" for j in range(n)),
@@ -122,8 +117,7 @@ def flat_features(closes, turbulence=None, start: int = 1_646_380_800) -> Featur
         defined=np.ones((t, len(FEATURE_NAMES)), dtype=bool),
         closes=closes,
         warmup=0,
-        aux=aux,
-        aux_defined=aux_defined,
+        turbulence=turbulence,
         config=SMALL_INDICATORS,
     )
 

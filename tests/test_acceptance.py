@@ -18,13 +18,12 @@ from tradelab.agents import (
     A2CConfig,
     BuyAndHoldPolicy,
     HoldPolicy,
+    MlpParams,
     RandomPolicy,
     a2c_loss_and_grad,
     a2c_train,
     init_mlp,
     mlp_forward,
-    params_to_vector,
-    vector_to_params,
 )
 from tradelab.agents.a2c import RolloutBatch, gaussian_entropy, gaussian_log_density
 from tradelab.analytics import behavior_profile, compare_profiles, diversity_stats, trade_stats
@@ -331,14 +330,14 @@ def test_criterion_06_gradients_match_finite_differences():
         _, _, _, analytic = a2c_loss_and_grad(params, batch, cfg)
 
         def loss_at(vec):
-            p = vector_to_params(vec, sizes)
+            p = MlpParams(vec, sizes)
             m, s, v, _ = mlp_forward(p, obs)
             logp = gaussian_log_density(actions, m, s)
             policy = -(advantages * logp).mean()
             value = ((returns - v) ** 2).mean()
             return policy + cfg.value_coef * value - cfg.entropy_coef * gaussian_entropy(s)
 
-        base = params_to_vector(params)
+        base = params.vector.copy()
         eps = 1e-5
         fd = np.empty_like(base)
         for i in range(base.size):

@@ -11,6 +11,7 @@ from tradelab.agents import (
     BASELINE_POLICIES,
     BuyAndHoldPolicy,
     HoldPolicy,
+    MlpParams,
     MlpPolicy,
     MomentumPolicy,
     NonFiniteLoss,
@@ -27,9 +28,7 @@ from tradelab.agents import (
     make_baseline,
     mlp_backward,
     mlp_forward,
-    params_to_vector,
     save_checkpoint,
-    vector_to_params,
 )
 from tradelab.agents.a2c import gaussian_entropy, gaussian_log_density
 from tradelab.agents.policies import n_tickers_of
@@ -77,13 +76,23 @@ class TestBaselinePolicies:
         assert abs(draws.mean()) < 0.02
 
     def test_buy_and_hold_fires_once(self, rng):
+        # buys while the observed holdings are all zero, holds once any shows
         policy = BuyAndHoldPolicy()
         obs = obs_of(3)
         assert np.array_equal(policy.act(obs, rng), np.ones(3))
-        assert np.array_equal(policy.act(obs, rng), np.zeros(3))
-        assert np.array_equal(policy.act(obs, rng), np.zeros(3))
-        # a fresh instance fires again
-        assert np.array_equal(BuyAndHoldPolicy().act(obs, rng), np.ones(3))
+        held = obs.copy()
+        held[1 + 3 + 2] = 7  # shares of the last ticker
+        assert np.array_equal(policy.act(held, rng), np.zeros(3))
+        assert np.array_equal(policy.act(held, rng), np.zeros(3))
+        assert np.array_equal(policy.act(obs, rng), np.ones(3))
+
+    def test_buy_and_hold_instance_reused_across_episodes(self):
+        features = make_features(["A", "B", "C"], 60, seed=4)
+        policy = BuyAndHoldPolicy()
+        first, second = (run_episode(policy, EnvConfig(), features, Window(16, 60), seed=0) for _ in range(2))
+        assert first.holdings[1].all()
+        for name in ("actions", "holdings", "cash", "portfolio_value", "rewards"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
     def test_momentum_reads_crossover(self, rng):
         n = 3
@@ -123,8 +132,8 @@ class TestBaselinePolicies:
 class TestMlpForward:
     def test_zero_params_zero_outputs(self):
         sizes = (4, 8, 8, 2)
-        total = params_to_vector(init_mlp(sizes, np.random.default_rng(0))).size
-        params = vector_to_params(np.zeros(total), sizes)
+        total = init_mlp(sizes, np.random.default_rng(0)).vector.size
+        params = MlpParams(np.zeros(total), sizes)
         mean, log_std, value, _ = mlp_forward(params, np.ones(4))
         assert np.array_equal(mean, np.zeros(2))
         assert np.array_equal(log_std, np.zeros(2))
@@ -181,15 +190,15 @@ class TestMlpForward:
     def test_init_deterministic(self):
         a = init_mlp((6, 8, 8, 2), np.random.default_rng(42))
         b = init_mlp((6, 8, 8, 2), np.random.default_rng(42))
-        assert np.array_equal(params_to_vector(a), params_to_vector(b))
+        assert np.array_equal(a.vector, b.vector)
 
     def test_vector_roundtrip(self, rng):
         params = init_mlp((6, 8, 8, 2), rng)
-        vec = params_to_vector(params)
-        back = vector_to_params(vec, params.sizes)
-        assert np.array_equal(params_to_vector(back), vec)
+        vec = params.vector.copy()
+        back = MlpParams(vec, params.sizes)
+        assert np.array_equal(back.vector, vec)
         with pytest.raises(ShapeMismatch):
-            vector_to_params(vec[:-1], params.sizes)
+            MlpParams(vec[:-1], params.sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +209,10 @@ def fd_gradient(params, x, c_mean, c_value, c_log_std, eps=1e-5):
     """Central finite differences of L = sum(c_m*mean) + sum(c_v*value)
     + sum(c_s*log_std) with respect to the flat parameter vector."""
     sizes = params.sizes
-    base = params_to_vector(params)
+    base = params.vector.copy()
 
     def loss(vec):
-        m, s, v, _ = mlp_forward(vector_to_params(vec, sizes), x)
+        m, s, v, _ = mlp_forward(MlpParams(vec, sizes), x)
         return float(np.sum(c_mean * m) + np.sum(c_value * v) + np.sum(c_log_std * s))
 
     grad = np.empty_like(base)
@@ -217,7 +226,7 @@ def fd_gradient(params, x, c_mean, c_value, c_log_std, eps=1e-5):
 
 def analytic_gradient(params, x, c_mean, c_value, c_log_std):
     _, _, _, cache = mlp_forward(params, x)
-    return params_to_vector(mlp_backward(params, cache, c_mean, c_value, c_log_std))
+    return mlp_backward(params, cache, c_mean, c_value, c_log_std).vector
 
 
 class TestMlpBackward:
@@ -226,7 +235,7 @@ class TestMlpBackward:
         x = rng.standard_normal((3, 4))
         _, _, _, cache = mlp_forward(params, x)
         grads = mlp_backward(params, cache, np.zeros((3, 2)), np.zeros(3), np.zeros(2))
-        assert np.array_equal(params_to_vector(grads), np.zeros(params_to_vector(params).size))
+        assert np.array_equal(grads.vector, np.zeros(params.vector.size))
 
     def test_matches_finite_differences(self):
         # acceptance runs the 20-network version of this check
@@ -347,7 +356,7 @@ def random_batch(rng, params, b=6):
 
 def detached_loss(vec, sizes, batch, cfg, advantages):
     """The objective the update differentiates: advantages held constant."""
-    params = vector_to_params(vec, sizes)
+    params = MlpParams(vec, sizes)
     mean, log_std, values, _ = mlp_forward(params, batch.observations)
     logp = gaussian_log_density(batch.actions, mean, log_std)
     policy = -(advantages * logp).mean()
@@ -380,7 +389,7 @@ class TestA2CUpdate:
             params = init_mlp((4, 8, 8, 2), rng)
             batch = random_batch(rng, params)
             sizes = params.sizes
-            base = params_to_vector(params)
+            base = params.vector.copy()
 
             _, _, values, _ = mlp_forward(params, batch.observations)
             advantages = batch.returns - values
@@ -399,7 +408,7 @@ class TestA2CUpdate:
             # recover the analytic gradient from the first RMSProp step:
             # s = (1-decay) g^2, delta = -lr g / (sqrt(s) + eps_rms)
             new_params, _, stats = a2c_update(params, batch, cfg)
-            delta = params_to_vector(new_params) - base
+            delta = new_params.vector - base
             scale = np.sqrt((1.0 - cfg.rms_decay) * g_fd**2) + cfg.rms_eps
             predicted = -cfg.lr * g_fd / scale
             rel = np.abs(delta - predicted) / np.maximum(1.0, np.maximum(np.abs(delta), np.abs(predicted)))
@@ -417,7 +426,7 @@ class TestA2CUpdate:
         batch_b = RolloutBatch(obs, rng.standard_normal((5, 2)), values.copy())
         out_a, _, stats_a = a2c_update(params, batch_a, cfg)
         out_b, _, stats_b = a2c_update(params, batch_b, cfg)
-        assert np.array_equal(params_to_vector(out_a), params_to_vector(out_b))
+        assert np.array_equal(out_a.vector, out_b.vector)
         assert stats_a.policy_loss == 0.0
         assert stats_a.value_loss == 0.0
 
@@ -426,10 +435,10 @@ class TestA2CUpdate:
         cfg = A2CConfig(max_grad_norm=1e9)
         params = init_mlp((4, 6, 6, 2), rng)
         batch = random_batch(rng, params)
-        p0 = params_to_vector(params)
+        p0 = params.vector.copy()
         new1, opt1, _ = a2c_update(params, batch, cfg)
         # recover g from the first step and check the accumulator matches
-        delta = params_to_vector(new1) - p0
+        delta = new1.vector - p0
         g = -delta * (np.sqrt(opt1) + cfg.rms_eps) / cfg.lr
         np.testing.assert_allclose(opt1, (1 - cfg.rms_decay) * g**2, rtol=1e-9, atol=1e-300)
 
@@ -450,9 +459,9 @@ class TestA2CUpdate:
 
     def test_input_params_untouched(self, rng):
         params = init_mlp((4, 6, 6, 2), rng)
-        before = params_to_vector(params).copy()
+        before = params.vector.copy()
         a2c_update(params, random_batch(rng, params), A2CConfig())
-        assert np.array_equal(params_to_vector(params), before)
+        assert np.array_equal(params.vector, before)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +482,7 @@ class TestTraining:
         cfg, factory, _ = small_setup()
         policy_a, stats_a = a2c_train(cfg, factory)
         policy_b, stats_b = a2c_train(cfg, factory)
-        assert np.array_equal(params_to_vector(policy_a.params), params_to_vector(policy_b.params))
+        assert np.array_equal(policy_a.params.vector, policy_b.params.vector)
         assert stats_a.policy_losses == stats_b.policy_losses
         assert stats_a.value_losses == stats_b.value_losses
         assert stats_a.entropies == stats_b.entropies
@@ -486,7 +495,7 @@ class TestTraining:
         cfg2, _, _ = small_setup(seed=6)
         policy_a, _ = a2c_train(cfg, factory)
         policy_b, _ = a2c_train(cfg2, factory)
-        assert not np.array_equal(params_to_vector(policy_a.params), params_to_vector(policy_b.params))
+        assert not np.array_equal(policy_a.params.vector, policy_b.params.vector)
 
     def test_episode_accounting(self):
         cfg, factory, window = small_setup(total_timesteps=400, n_envs=2)
@@ -540,7 +549,7 @@ class TestCheckpoint:
         path = tmp_path / "policy.ckpt"
         save_checkpoint(policy, path)
         loaded = load_checkpoint(path)
-        assert np.array_equal(params_to_vector(loaded.params), params_to_vector(policy.params))
+        assert np.array_equal(loaded.params.vector, policy.params.vector)
         assert np.array_equal(loaded.normalizer.mean, policy.normalizer.mean)
         assert np.array_equal(loaded.normalizer.m2, policy.normalizer.m2)
         assert loaded.normalizer.count == policy.normalizer.count
@@ -573,9 +582,9 @@ class TestCheckpoint:
 
     def test_rejects_nonfinite_params(self, tmp_path, rng):
         params = init_mlp((4, 6, 6, 2), rng)
-        vec = params_to_vector(params)
+        vec = params.vector.copy()
         vec[3] = np.nan
-        bad = MlpPolicy(vector_to_params(vec, params.sizes), ObsNormalizer(4))
+        bad = MlpPolicy(MlpParams(vec, params.sizes), ObsNormalizer(4))
         path = tmp_path / "bad.ckpt"
         save_checkpoint(bad, path)
         with pytest.raises(TradeLabError, match="non-finite"):

@@ -165,14 +165,6 @@ class TestIntegralHolding:
         swapped = synthetic_log(rng, holdings=log.holdings[:, perm])
         assert np.array_equal(integral_holding(swapped), integral_holding(log)[perm])
 
-    def test_price_weighted_variant(self, rng):
-        holdings = np.array([[2, 0], [2, 1], [0, 1]], dtype=np.int64)
-        prices = np.array([[10.0, 5.0], [20.0, 5.0], [30.0, 4.0]])
-        log = synthetic_log(rng, holdings=holdings)
-        assert np.array_equal(integral_holding(log, prices), [60.0, 9.0])
-        with pytest.raises(ValueError):
-            integral_holding(log, prices[:2])
-
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
             integral_holding(tiny_stub())

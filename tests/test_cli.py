@@ -56,6 +56,12 @@ def run(workspace, *argv):
     return main([argv[0], "--config", str(workspace / "config.json"), *argv[1:]])
 
 
+def edit_config(workspace, section, **fields):
+    config = json.loads((workspace / "config.json").read_text())
+    config[section].update(fields)
+    (workspace / "config.json").write_text(json.dumps(config))
+
+
 class TestIngest:
     def test_creates_panel_cache(self, workspace, capsys):
         assert run(workspace, "ingest") == 0
@@ -92,6 +98,18 @@ class TestIngest:
         assert (workspace / "out" / "panel.bin").read_bytes() == first_bin
         assert (workspace / "out" / "panel.csv").read_bytes() == first_csv
 
+    def test_stamp_past_year_9999_exits_one_before_writing(self, workspace, capsys):
+        bad = workspace / "data" / "aa.csv"
+        lines = bad.read_text().splitlines()
+        lines[-1] = "253402300800" + lines[-1][lines[-1].index(","):]
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(workspace, "ingest") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "years 1-9999" in err and str(bad) in err
+        assert "'timestamp'" in err and f"row {BARS + 1}" in err
+        assert not (workspace / "out" / "panel.bin").exists()
+        assert not (workspace / "out" / "panel.csv").exists()
+
     def test_ticker_subset_flag(self, workspace, capsys):
         assert run(workspace, "ingest", "--tickers", "AA") == 0
         assert "rows x 1 tickers" in capsys.readouterr().out
@@ -126,6 +144,13 @@ class TestFeatures:
         run(workspace, "ingest")
         assert run(workspace, "features") == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_stale_panel_of_other_tickers_exits_one(self, workspace, capsys):
+        run(workspace, "ingest")
+        assert run(workspace, "features", "--tickers", "AA") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rerun ingest" in err and "['AA', 'BB']" in err
+        assert not (workspace / "out" / "features.csv").exists()
 
     def test_rerun_identical(self, workspace):
         run(workspace, "ingest")
@@ -180,6 +205,40 @@ class TestSimulate:
         run(workspace, "ingest")
         assert run(workspace, "simulate", "--agent", "hold", "--window", "train") == 1
         assert "unavailable" in capsys.readouterr().err
+
+
+class TestTurbulenceGate:
+    def test_no_gate_never_computes_turbulence(self, workspace, monkeypatch):
+        import tradelab.indicators
+
+        def boom(*args):
+            raise AssertionError("turbulence computed without a gate")
+
+        monkeypatch.setattr(tradelab.indicators, "turbulence", boom)
+        edit_config(workspace, "indicators", turb_window=30)
+        for argv in (["ingest"], ["features"], ["simulate", "--agent", "hold"], ["train"]):
+            assert run(workspace, *argv) == 0, argv
+
+    def test_gate_starts_windows_where_turbulence_is_defined(self, workspace):
+        edit_config(workspace, "indicators", turb_window=30)
+        edit_config(workspace, "env", turbulence_gate=0.0)  # every defined index is turbulent
+        run(workspace, "ingest")
+        assert run(workspace, "features") == 0
+        sidecar = json.loads((workspace / "out" / "features.csv.json").read_text())
+        assert sidecar["warmup"] == 31
+        assert run(workspace, "simulate", "--agent", "buy-and-hold") == 0
+        log = load_episode_log(workspace / "out" / "log_buy-and-hold.csv")
+        assert log.meta["window"] == [31, BARS]
+        assert log.timestamps[0] == START + 31 * 3600
+        assert not log.holdings.any()  # the gate acted on every step, the first one included
+
+    def test_gate_without_turb_window_exits_one(self, workspace, capsys):
+        edit_config(workspace, "env", turbulence_gate=5.0)
+        assert run(workspace, "ingest") == 0
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "turbulence gate needs indicators.turb_window, which is null" in err
+        assert "Traceback" not in err
 
 
 class TestTrain:

@@ -406,6 +406,13 @@ def test_gate_off_by_default():
     assert env.state.shares.sum() > 0
 
 
+def test_gate_without_turbulence_is_refused():
+    closes = np.array([[10.0, 20.0]] * 3)
+    cfg = EnvConfig(initial_capital=1000.0, hmax=10, cost_rate=0.0, turbulence_gate=25.0)
+    with pytest.raises(EnvError, match="no turbulence"):
+        TradingEnv(cfg, flat_features(closes), Window(0, 3))
+
+
 # ---------------------------------------------------------------------------
 # cost identities
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from tradelab.indicators import (
     FEATURE_NAMES,
     FeaturePanel,
     IndicatorConfig,
+    IndicatorError,
     InsufficientHistory,
     SingularCovariance,
     WindowTooLarge,
@@ -555,14 +556,30 @@ def test_build_features_warmup(rng):
     assert np.isfinite(fp.features[fp.warmup :]).all()
 
 
-def test_build_features_aux(rng):
+def test_build_features_turbulence_on_request(rng):
     panel = make_panel(["AAA", "BBB"], 60, seed=3, with_vix=True)
-    fp = build_features(panel, SMALL_CFG)
-    assert set(fp.aux) == {"vix", "turbulence"}
-    assert fp.aux_defined["vix"].all()
-    assert not fp.aux_defined["turbulence"][: SMALL_CFG.turb_window + 1].any()
-    assert fp.aux_defined["turbulence"][SMALL_CFG.turb_window + 1 :].all()
-    assert np.all(fp.aux["turbulence"][fp.aux_defined["turbulence"]] >= 0)
+    cfg = replace_turb(SMALL_CFG, 30)  # defined from 31, after the features' 16
+    fp = build_features(panel, cfg, with_turbulence=True)
+    want_values, want_defined = turbulence(panel, 30)
+    assert np.array_equal(fp.turbulence[0], want_values, equal_nan=True)
+    assert np.array_equal(fp.turbulence[1], want_defined)
+    assert fp.warmup == 31
+    plain = build_features(panel, cfg)
+    assert plain.turbulence is None and plain.warmup == 16
+    assert np.array_equal(plain.features, fp.features, equal_nan=True)
+
+
+def test_build_features_skips_turbulence_unless_asked(rng, monkeypatch):
+    import tradelab.indicators
+
+    def boom(*args):
+        raise AssertionError("turbulence computed without a request")
+
+    monkeypatch.setattr(tradelab.indicators, "turbulence", boom)
+    assert build_features(make_panel(["AAA", "BBB"], 60, seed=3), SMALL_CFG).turbulence is None
+    # the window's length check still runs: 30 bars leave no turbulence index for a 40-bar window
+    with pytest.raises(InsufficientHistory):
+        build_features(make_panel(["AAA", "BBB"], 30, seed=3), replace_turb(SMALL_CFG, 40))
 
 
 def test_build_features_insufficient_history(rng):
@@ -575,8 +592,10 @@ def test_build_features_turbulence_optional(rng):
     from dataclasses import replace
 
     panel = make_panel(["AAA", "BBB"], 25, seed=3)
-    fp = build_features(panel, replace(SMALL_CFG, turb_window=None))
-    assert "turbulence" not in fp.aux
+    cfg = replace(SMALL_CFG, turb_window=None)
+    assert build_features(panel, cfg).turbulence is None
+    with pytest.raises(IndicatorError, match="turb_window"):
+        build_features(panel, cfg, with_turbulence=True)
 
 
 def test_write_features_csv_round_trip(tmp_path, rng):

@@ -24,6 +24,7 @@ from tradelab.marketdata import (
     load_panel,
     load_series,
     parse_timestamp,
+    parse_timestamps,
     save_panel,
     write_panel_csv,
 )
@@ -51,6 +52,20 @@ def test_format_round_trip():
 def test_parse_timestamp_garbage():
     with pytest.raises(ValueError):
         parse_timestamp("not-a-time")
+
+
+@pytest.mark.parametrize("text", ["253402300800", "-62135596801", "9999-12-31T23:00:00-02:00",
+                                  "0001-01-01T00:00:00+01:00"])
+def test_parse_timestamp_outside_years_1_to_9999(text):
+    with pytest.raises(ValueError, match="years 1-9999"):
+        parse_timestamp(text)
+    with pytest.raises(ValueError, match="years 1-9999"):
+        parse_timestamps([text])
+
+
+def test_parse_timestamp_accepts_the_ends_of_years_1_to_9999():
+    assert parse_timestamp("253402300799") == parse_timestamp("9999-12-31T23:59:59Z")
+    assert parse_timestamp("-62135596800") == parse_timestamp("0001-01-01T00:00:00Z")
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +472,23 @@ def test_load_bars_stamp_beyond_int64_fails_closed(tmp_path):
     with pytest.raises(InvalidBar) as err:
         load_bars(path)
     assert err.value.row == 2 and err.value.column == "timestamp"
+
+
+@pytest.mark.parametrize("stamp", ["253402300800", "-62135596801"])
+def test_load_bars_stamp_outside_years_fails_closed(tmp_path, stamp):
+    path = tmp_path / "AAA.csv"
+    path.write_text(f"timestamp,open,high,low,close,volume\n{T0},10,11,9,10.5,100\n{stamp},10,11,9,10.5,100\n")
+    with pytest.raises(InvalidBar, match="years 1-9999") as err:
+        load_bars(path)
+    assert err.value.path == str(path) and err.value.row == 3 and err.value.column == "timestamp"
+
+
+def test_load_series_stamp_outside_years_fails_closed(tmp_path):
+    path = tmp_path / "vix.csv"
+    path.write_text("timestamp,value\n253402300800,15\n253402300800,16\n")
+    with pytest.raises(MarketDataError, match="years 1-9999") as err:
+        load_series(path, "vix")
+    assert err.value.path == str(path) and err.value.row == 2 and err.value.column == "timestamp"
 
 
 def _damaged_files(kind, tmp_path):
