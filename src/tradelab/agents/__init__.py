@@ -27,8 +27,6 @@ from .policies import (
     HoldPolicy,
     MomentumPolicy,
     RandomPolicy,
-    act_hold,
-    act_random,
     make_baseline,
 )
 
@@ -55,7 +53,5 @@ __all__ = [
     "HoldPolicy",
     "MomentumPolicy",
     "RandomPolicy",
-    "act_hold",
-    "act_random",
     "make_baseline",
 ]

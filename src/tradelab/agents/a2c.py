@@ -244,24 +244,20 @@ def a2c_update(
 
 
 class MlpPolicy:
-    """Trained policy: frozen normalizer + parameters, deterministic by default."""
+    """Trained policy: frozen normalizer + parameters. It acts with the
+    policy mean, so the rng goes unused."""
 
     def __init__(self, params: MlpParams, normalizer: ObsNormalizer, label: str = "a2c",
-                 config: A2CConfig | None = None, steps_trained: int = 0, deterministic: bool = True):
+                 config: A2CConfig | None = None, steps_trained: int = 0):
         self.params = params
         self.normalizer = normalizer
         self.label = label
         self.config = config
         self.steps_trained = steps_trained
-        self.deterministic = deterministic
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
-        z = self.normalizer.normalize(np.asarray(observation, dtype=np.float64))
-        mean, log_std, _, _ = mlp_forward(self.params, z)
-        if self.deterministic:
-            return mean
-        sample = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
-        return np.clip(sample, -1.0, 1.0)
+        mean, _, _, _ = mlp_forward(self.params, self.normalizer.normalize(observation))
+        return mean
 
 
 def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
@@ -308,7 +304,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
 
             obs_buf[k] = norm_obs
             act_buf[k] = raw_actions
-            outcome = env.step(np.clip(raw_actions, -1.0, 1.0))
+            outcome = env.step(raw_actions)  # the env clamps each component to [-1, 1]
             rew_buf[k] = outcome.reward
             done_buf[k] = float(outcome.done)
             episode_return += outcome.reward
@@ -373,13 +369,13 @@ def load_checkpoint(path) -> MlpPolicy:
         normalizer.m2 = take("<f8", normalizer.dim).copy()
         normalizer.count = operator.index(header["normalizer_count"])
         normalizer.freeze()
-        config = header.get("config")
+        config = header["config"]
         return MlpPolicy(
             params,
             normalizer,
-            label=header.get("label", "a2c"),
+            label=header["label"],
             config=None if config is None else decode_config(A2CConfig, config, "checkpoint a2c"),
-            steps_trained=operator.index(header.get("steps_trained", 0)),
+            steps_trained=operator.index(header["steps_trained"]),
         )
 
     return read_frame(path, CHECKPOINT_MAGIC, decode)

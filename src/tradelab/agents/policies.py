@@ -13,8 +13,6 @@ import numpy as np
 from ..indicators import FEATURE_NAMES
 
 __all__ = [
-    "act_random",
-    "act_hold",
     "HoldPolicy",
     "RandomPolicy",
     "BuyAndHoldPolicy",
@@ -34,28 +32,22 @@ def n_tickers_of(observation) -> int:
     return n
 
 
-def act_random(observation, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. uniform action components in [-1, 1]."""
-    return rng.uniform(-1.0, 1.0, size=n_tickers_of(observation))
-
-
-def act_hold(observation) -> np.ndarray:
-    """The all-zero action: trade nothing."""
-    return np.zeros(n_tickers_of(observation))
-
-
 class HoldPolicy:
+    """The all-zero action: trade nothing."""
+
     label = "hold"
 
     def act(self, observation, rng) -> np.ndarray:
-        return act_hold(observation)
+        return np.zeros(n_tickers_of(observation))
 
 
 class RandomPolicy:
+    """I.i.d. uniform action components in [-1, 1]."""
+
     label = "random"
 
-    def act(self, observation, rng) -> np.ndarray:
-        return act_random(observation, rng)
+    def act(self, observation, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-1.0, 1.0, size=n_tickers_of(observation))
 
 
 class BuyAndHoldPolicy:

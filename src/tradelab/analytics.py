@@ -1,11 +1,12 @@
 """Behavioral analytics over episode logs.
 
-Everything here is a pure function of an EpisodeLog: cumulative reward
-(prefix sums of the logged value deltas, so the series is in account
-currency), integral holding (time-summed share exposure), trade statistics
-over position changes, purchase-diversity concentration, and a continuous
-holder-vs-trader score. Trades are detected as holding changes, never from
-the action sign — a clipped no-op action is not a trade.
+Everything here is a pure function of an EpisodeLog, whose arrays are
+read-only int64/float64 and at least two rows long: cumulative reward (prefix
+sums of the logged value deltas, so the series is in account currency),
+integral holding (time-summed share exposure), trade statistics over position
+changes, purchase-diversity concentration, and a continuous holder-vs-trader
+score. Trades are detected as holding changes, never from the action sign —
+a clipped no-op action is not a trade.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .env import EpisodeLog
 from .errors import TradeLabError
 from .marketdata import format_timestamps, quote_csv, write_csv_columns
 
@@ -24,8 +26,6 @@ __all__ = [
     "DiversityStats",
     "BehaviorReport",
     "ProfileComparison",
-    "EmptyLog",
-    "LogTooShort",
     "WindowMismatch",
     "DuplicateLabel",
     "MalformedReport",
@@ -47,14 +47,6 @@ TRADER_THRESHOLD = 0.5
 COMPARISON_METRICS = ("final_cumulative_reward", "trader_score", "hhi", "max_shares_held")
 
 REPORT_MAGIC = "tradelab-report-v1"
-
-
-class EmptyLog(TradeLabError):
-    pass
-
-
-class LogTooShort(TradeLabError):
-    pass
 
 
 class WindowMismatch(TradeLabError):
@@ -124,33 +116,21 @@ class BehaviorReport:
         return self.trader_score > TRADER_THRESHOLD
 
 
-def _require_steps(log) -> int:
-    t = int(np.shape(log.timestamps)[0])
-    if t < 2:
-        raise EmptyLog("log records no steps")
-    return t
-
-
-def cumulative_reward(log) -> np.ndarray:
+def cumulative_reward(log: EpisodeLog) -> np.ndarray:
     """Running total of the logged per-step value deltas (Σ_{k<=t} r_k).
 
     The deltas telescope, so the last element is exactly V_T - V_0.
     """
-    _require_steps(log)
-    return np.cumsum(np.asarray(log.rewards, dtype=np.float64))
+    return np.cumsum(log.rewards)
 
 
-def integral_holding(log) -> np.ndarray:
+def integral_holding(log: EpisodeLog) -> np.ndarray:
     """Time-summed exposure per ticker, in share-steps: Σ_t holdings[t][i]."""
-    _require_steps(log)
-    return np.asarray(log.holdings, dtype=np.int64).sum(axis=0)
+    return log.holdings.sum(axis=0)
 
 
-def trade_stats(log) -> TradeStats:
-    t = int(np.shape(log.timestamps)[0])
-    if t < 2:
-        raise LogTooShort("trade statistics need at least two rows")
-    holdings = np.asarray(log.holdings, dtype=np.int64)
+def trade_stats(log: EpisodeLog) -> TradeStats:
+    holdings = log.holdings
     deltas = np.diff(holdings, axis=0)
     changed = deltas != 0
     trade_count = changed.sum(axis=0).astype(np.int64)
@@ -159,14 +139,14 @@ def trade_stats(log) -> TradeStats:
     n_runs = int(trade_count.sum()) + holdings.shape[1]
     return TradeStats(
         trade_count=trade_count,
-        total_turnover=np.abs(deltas).sum(axis=0).astype(np.int64),
-        max_shares_held=holdings.max(axis=0).astype(np.int64),
+        total_turnover=np.abs(deltas).sum(axis=0),
+        max_shares_held=holdings.max(axis=0),
         stationarity_fraction=float((~changed).mean()),
         mean_holding_run=holdings.size / n_runs,
     )
 
 
-def diversity_stats(log) -> DiversityStats:
+def diversity_stats(log: EpisodeLog) -> DiversityStats:
     held = integral_holding(log)
     total = int(held.sum())
     active = int(np.count_nonzero(held))
@@ -180,15 +160,16 @@ def diversity_stats(log) -> DiversityStats:
     )
 
 
-def behavior_profile(log) -> BehaviorReport:
-    """Assemble every analytic for one log."""
+def behavior_profile(log: EpisodeLog) -> BehaviorReport:
+    """Assemble every analytic for one log; the report shares the log's
+    read-only timestamp and holdings arrays."""
     stats = trade_stats(log)
     return BehaviorReport(
         agent_label=log.agent_label,
-        timestamps=np.asarray(log.timestamps, dtype=np.int64).copy(),
+        timestamps=log.timestamps,
         cumulative_reward=cumulative_reward(log),
         integral_holding=integral_holding(log),
-        holdings_matrix=np.asarray(log.holdings, dtype=np.int64).copy(),
+        holdings_matrix=log.holdings,
         trade_stats=stats,
         diversity=diversity_stats(log),
         trader_score=1.0 - stats.stationarity_fraction,

@@ -31,6 +31,7 @@ from .env import EnvConfig, TradingEnv, Window, load_episode_log, observation_si
 from .errors import TradeLabError
 from .indicators import IndicatorConfig, build_features, write_features_csv
 from .marketdata import (
+    ALIGN_MODES,
     align_panel,
     load_bars,
     load_panel,
@@ -44,7 +45,6 @@ from .svgchart import render_bar_chart, render_line_chart
 
 __all__ = ["RunConfig", "UnknownAgent", "main", "entrypoint"]
 
-ALIGN_MODES = ("intersect", "forward-fill")
 SECTIONS = {"indicators": IndicatorConfig, "env": EnvConfig, "a2c": A2CConfig}
 
 

@@ -10,7 +10,6 @@ well as raw integer seconds. Loader errors carry the file path and the
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, repeat
@@ -25,7 +24,7 @@ __all__ = [
     "BarSeries",
     "AuxSeries",
     "MarketPanel",
-    "ColumnSchema",
+    "ALIGN_MODES",
     "MarketDataError",
     "SchemaMismatch",
     "InvalidBar",
@@ -52,6 +51,7 @@ __all__ = [
 
 PANEL_MAGIC = "tradelab-panel-v1"
 OHLCV = ("open", "high", "low", "close", "volume")
+ALIGN_MODES = ("intersect", "forward-fill")
 
 
 class MarketDataError(TradeLabError):
@@ -85,9 +85,6 @@ class UnfillableLeadingGap(MarketDataError):
 # UTC epoch seconds of 0001-01-01 and 10000-01-01: a stamp outside these
 # years cannot be formatted, so no loader accepts one
 _STAMP_YEARS = (-62_135_596_800, 253_402_300_800)
-# UTC epoch seconds of 1000-01-01 and 10000-01-01: numpy's four-digit years
-# match strftime only in between
-_NUMPY_YEARS = (-30_610_224_000, 253_402_300_800)
 
 
 def parse_timestamp(text: str) -> int:
@@ -153,17 +150,16 @@ def _parse_uniform_stamps(texts) -> np.ndarray | None:
 
 
 def format_timestamps(ts) -> list[str]:
-    """``YYYY-MM-DDTHH:MM:SSZ`` text for each UTC epoch second in ``ts``.
-
-    Years 1000-9999 are formatted by numpy in one call; any other stamp goes
-    through ``datetime.strftime``, which prints such a year unpadded and
-    raises beyond years 1-9999.
-    """
+    """``YYYY-MM-DDTHH:MM:SSZ`` text for each UTC epoch second in ``ts``, the
+    year zero-padded to four digits, so ``parse_timestamps`` reads it back.
+    The first stamp outside UTC years 1-9999 raises ValueError."""
     ts = np.asarray(ts, dtype=np.int64)
-    texts = np.datetime_as_string(ts.astype("datetime64[s]"), timezone="UTC").tolist()
-    for k in np.flatnonzero((ts < _NUMPY_YEARS[0]) | (ts >= _NUMPY_YEARS[1])).tolist():
-        texts[k] = datetime.fromtimestamp(int(ts[k]), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return texts
+    stamps = ts.astype("datetime64[s]")
+    outside = (ts < _STAMP_YEARS[0]) | (ts >= _STAMP_YEARS[1])
+    if outside.any():
+        year = int(stamps[outside][0].astype("datetime64[Y]").astype(np.int64)) + 1970
+        raise ValueError(f"year {year} is out of range")
+    return np.datetime_as_string(stamps, timezone="UTC").tolist()
 
 
 def format_timestamp(ts: int) -> str:
@@ -228,17 +224,17 @@ def read_csv_columns(path, error, pick) -> tuple[list[str], list[tuple], TradeLa
     return [header[j] for j in indices], [columns[j] for j in indices], short
 
 
-def parse_csv_columns(path, error, columns, rows=range(2, 1 << 62), fault=None) -> tuple[list, TradeLabError | None]:
+def parse_csv_columns(path, error, columns, fault=None) -> tuple[list, TradeLabError | None]:
     """Parse each ``(name, cells, parse)`` of ``columns`` at once; only a column
-    that fails is searched for its first bad cell. ``rows`` are the cells'
-    rows. Returns the arrays up to the first faulty row and the ``error``
-    naming it, or the given ``fault`` if that comes first."""
+    that fails is searched for its first bad cell. The cells are the data rows
+    2, 3, ... of the file. Returns the arrays up to the first faulty row and
+    the ``error`` naming it, or the given ``fault`` if that comes first."""
     arrays, faults = [], [] if fault is None else [fault]
     for name, cells, parse in columns:
         try:
             arrays.append(parse(cells))
         except (ValueError, OverflowError) as reason:
-            for row, cell in zip(rows, cells):
+            for row, cell in enumerate(cells, start=2):
                 try:
                     parse((cell,))
                 except (ValueError, OverflowError) as exc:
@@ -249,8 +245,7 @@ def parse_csv_columns(path, error, columns, rows=range(2, 1 << 62), fault=None) 
     if not faults:
         return arrays, None
     fault = min(faults, key=lambda exc: exc.row)
-    stop = bisect_left(rows, fault.row)
-    return [parse(cells[:stop]) for _, cells, parse in columns], fault
+    return [parse(cells[: fault.row - 2]) for _, cells, parse in columns], fault
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -341,6 +336,8 @@ class MarketPanel:
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        if not self.tickers:
+            raise ValueError("a panel needs at least one ticker")
         object.__setattr__(self, "timestamps", _readonly(np.asarray(self.timestamps, dtype=np.int64)))
         shape = (self.timestamps.shape[0], len(self.tickers))
         for name in OHLCV:
@@ -364,21 +361,6 @@ class MarketPanel:
     def n_tickers(self) -> int:
         return len(self.tickers)
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column mapping for bar CSVs; ``ticker`` selects long-format files."""
-
-    timestamp: str = "timestamp"
-    open: str = "open"
-    high: str = "high"
-    low: str = "low"
-    close: str = "close"
-    volume: str = "volume"
-    ticker: str | None = None
-
-
-DEFAULT_SCHEMA = ColumnSchema()
-
 
 def _column_indices(header: list[str], names, path) -> list[int]:
     for name in names:
@@ -387,38 +369,27 @@ def _column_indices(header: list[str], names, path) -> list[int]:
     return [header.index(name) for name in names]
 
 
-def load_bars(path, schema: ColumnSchema = DEFAULT_SCHEMA, ticker: str | None = None) -> BarSeries:
-    """Load one ticker's bars from a CSV file.
-
-    With ``schema.ticker`` set the file is long-format and ``ticker`` selects
-    the rows to keep; otherwise the whole file is one ticker and ``ticker``
-    defaults to the file stem. Rows violating bar invariants or ordering are
-    rejected with their 1-based row number.
+def load_bars(path, ticker: str | None = None) -> BarSeries:
+    """Load one ticker's bars from its ``timestamp,open,high,low,close,volume``
+    CSV file; ``ticker`` names the series and defaults to the file stem.
+    Rows violating bar invariants or ordering are rejected with their 1-based
+    row number.
     """
     path = Path(path)
-    wanted = [getattr(schema, key) for key in ("timestamp", *OHLCV)]
-    if schema.ticker is not None:
-        if ticker is None:
-            raise ValueError("long-format schema requires an explicit ticker")
-        wanted.append(schema.ticker)
     name = ticker if ticker is not None else path.stem
-    names, cells, short = read_csv_columns(path, MarketDataError, lambda header: _column_indices(header, wanted, path))
-    rows = range(2, 2 + len(cells[0]))  # header is row 1
-    if schema.ticker is not None:
-        keep = [k for k, cell in enumerate(cells.pop()) if cell == name]
-        rows = [rows[k] for k in keep]
-        cells = [[column[k] for k in keep] for column in cells]
+    names, cells, short = read_csv_columns(path, MarketDataError,
+                                           lambda header: _column_indices(header, ("timestamp", *OHLCV), path))
 
     # Parse up to the first unparsable row; BarSeries then checks the parsed
     # bars at once, and a bad bar before that row is the one reported.
     parsers = [parse_timestamps] + [parse_floats] * len(OHLCV)
-    arrays, fault = parse_csv_columns(path, InvalidBar, list(zip(names, cells, parsers)), rows, short)
+    arrays, fault = parse_csv_columns(path, InvalidBar, list(zip(names, cells, parsers)), short)
     if arrays[0].size == 0:
         raise fault or InvalidBar(f"no usable rows for ticker {name!r}", path=path)
     try:
         series = BarSeries(name, *arrays)
     except InvalidBar as exc:
-        raise InvalidBar(exc.reason, path=path, row=rows[exc.index]) from None
+        raise InvalidBar(exc.reason, path=path, row=exc.index + 2) from None  # header is row 1
     if fault is not None:
         raise fault
     return series
@@ -459,7 +430,7 @@ def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
     aux = list(aux)
     if not series:
         raise ValueError("align_panel requires at least one BarSeries")
-    if fill not in ("intersect", "forward-fill"):
+    if fill not in ALIGN_MODES:
         raise ValueError(f"unknown fill policy {fill!r}")
     tickers = [s.ticker for s in series]
     if len(set(tickers)) != len(tickers):

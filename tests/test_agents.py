@@ -2,6 +2,8 @@
 differences, the actor-critic update rule, observation normalization,
 training determinism, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,6 @@ from tradelab.agents import (
     ShapeMismatch,
     a2c_train,
     a2c_update,
-    act_hold,
-    act_random,
     init_mlp,
     load_checkpoint,
     make_baseline,
@@ -30,8 +30,9 @@ from tradelab.agents import (
     mlp_forward,
     save_checkpoint,
 )
-from tradelab.agents.a2c import gaussian_entropy, gaussian_log_density
+from tradelab.agents.a2c import CHECKPOINT_MAGIC, gaussian_entropy, gaussian_log_density
 from tradelab.agents.policies import n_tickers_of
+from tradelab.binfile import MalformedFile, write_frame
 from tradelab.env import EnvConfig, TradingEnv, Window, run_episode
 from tradelab.errors import TradeLabError
 
@@ -62,7 +63,7 @@ class TestBaselinePolicies:
             n_tickers_of(np.zeros(12))
 
     def test_hold_is_all_zeros(self):
-        a = act_hold(obs_of(5))
+        a = HoldPolicy().act(obs_of(5), np.random.default_rng(0))
         assert a.shape == (5,)
         assert np.array_equal(a, np.zeros(5))
 
@@ -70,7 +71,8 @@ class TestBaselinePolicies:
         # 100k draws: the sample mean of U(-1,1) has sd ~ 0.0009 here, so
         # |mean| < 0.02 is a 20-sigma bound
         obs = obs_of(4)
-        draws = np.concatenate([act_random(obs, rng) for _ in range(25_000)])
+        policy = RandomPolicy()
+        draws = np.concatenate([policy.act(obs, rng) for _ in range(25_000)])
         assert draws.size == 100_000
         assert np.all(draws >= -1.0) and np.all(draws <= 1.0)
         assert abs(draws.mean()) < 0.02
@@ -519,16 +521,6 @@ class TestTraining:
         assert np.array_equal(a1, a2)  # deterministic head ignores the rng
         assert np.all(np.abs(a1) <= 1.0)
 
-    def test_stochastic_act_clamps_and_varies(self):
-        cfg, factory, _ = small_setup()
-        policy, _ = a2c_train(cfg, factory)
-        policy.deterministic = False
-        obs = factory().reset()
-        a1 = policy.act(obs, np.random.default_rng(1))
-        a2 = policy.act(obs, np.random.default_rng(2))
-        assert not np.array_equal(a1, a2)
-        assert np.all(np.abs(a1) <= 1.0)
-
     def test_runs_episodes_in_env(self, rng):
         cfg, factory, window = small_setup()
         policy, _ = a2c_train(cfg, factory)
@@ -579,6 +571,19 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    @pytest.mark.parametrize("key", ["label", "steps_trained", "config"])
+    def test_header_without_a_saved_field_fails_closed(self, tmp_path, rng, key):
+        policy = MlpPolicy(init_mlp((4, 6, 6, 2), rng), ObsNormalizer(4), config=A2CConfig(), steps_trained=20)
+        path = tmp_path / "policy.ckpt"
+        save_checkpoint(policy, path)
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        del header["format"], header[key]
+        write_frame(path, CHECKPOINT_MAGIC, header,
+                    [policy.params.vector, policy.normalizer.mean, policy.normalizer.m2])
+        with pytest.raises(MalformedFile, match=f"header lacks field '{key}'") as caught:
+            load_checkpoint(path)
+        assert str(path) in str(caught.value)
 
     def test_rejects_nonfinite_params(self, tmp_path, rng):
         params = init_mlp((4, 6, 6, 2), rng)

@@ -3,7 +3,6 @@ degenerate cases, profile comparison, and report persistence."""
 
 import json
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from tradelab.analytics import (
     BehaviorReport,
     DiversityStats,
     DuplicateLabel,
-    EmptyLog,
-    LogTooShort,
     MalformedReport,
     WindowMismatch,
     behavior_profile,
@@ -28,7 +25,7 @@ from tradelab.analytics import (
     trade_stats,
     write_comparison_csv,
 )
-from tradelab.env import EnvConfig, EpisodeLog, Window, run_episode
+from tradelab.env import EnvConfig, EpisodeLog, MalformedLog, Window, run_episode
 
 START = 1_646_380_800
 
@@ -51,16 +48,6 @@ def synthetic_log(rng, t=40, n=4, label="synthetic", holdings=None):
         portfolio_value=rng.uniform(1e5, 2e6, size=t),
         rewards=rng.standard_normal(t - 1) * 100.0,
         agent_label=label,
-    )
-
-
-def tiny_stub(rows=1):
-    """Duck-typed log with too few rows (EpisodeLog itself refuses them)."""
-    return SimpleNamespace(
-        timestamps=np.arange(rows, dtype=np.int64),
-        holdings=np.zeros((rows, 3), dtype=np.int64),
-        rewards=np.zeros(max(rows - 1, 0)),
-        agent_label="stub",
     )
 
 
@@ -100,6 +87,20 @@ def scan_trade_stats(holdings):
     )
 
 
+def test_episode_log_refuses_a_one_row_log():
+    """Every analytic needs a step; EpisodeLog guarantees one."""
+    with pytest.raises(MalformedLog, match="at least two rows"):
+        EpisodeLog(
+            timestamps=hourly_axis(START, 1),
+            actions=np.zeros((1, 3)),
+            holdings=np.zeros((1, 3), dtype=np.int64),
+            cash=np.ones(1),
+            portfolio_value=np.ones(1),
+            rewards=np.zeros(0),
+            agent_label="one-row",
+        )
+
+
 class TestCumulativeReward:
     def test_prefix_sums(self, rng):
         log = synthetic_log(rng, t=4, n=2)
@@ -133,10 +134,6 @@ class TestCumulativeReward:
         )
         assert np.array_equal(cumulative_reward(log), cumulative_reward(swapped))
 
-    def test_empty_log(self):
-        with pytest.raises(EmptyLog):
-            cumulative_reward(tiny_stub())
-
 
 class TestIntegralHolding:
     def test_constant_holding(self, rng):
@@ -164,10 +161,6 @@ class TestIntegralHolding:
         perm = rng.permutation(5)
         swapped = synthetic_log(rng, holdings=log.holdings[:, perm])
         assert np.array_equal(integral_holding(swapped), integral_holding(log)[perm])
-
-    def test_empty_log(self):
-        with pytest.raises(EmptyLog):
-            integral_holding(tiny_stub())
 
 
 class TestTradeStats:
@@ -208,10 +201,6 @@ class TestTradeStats:
         stats = trade_stats(log)
         assert np.all(stats.max_shares_held <= cfg.hmax * (log.n_timestamps - 1))
         assert np.all(np.abs(np.diff(np.asarray(log.holdings), axis=0)) <= cfg.hmax)
-
-    def test_log_too_short(self):
-        with pytest.raises(LogTooShort):
-            trade_stats(tiny_stub())
 
 
 class TestDiversityStats:

@@ -20,11 +20,10 @@ from conftest import hourly_axis, make_features
 from tradelab import cli, svgchart
 from tradelab.agents.a2c import TrainStats
 from tradelab.analytics import ProfileComparison, behavior_profile, save_report, write_comparison_csv
-from tradelab.env import EnvConfig, EpisodeLog, MalformedLog, Window, load_episode_log, run_episode, save_episode_log
+from tradelab.env import EnvConfig, EpisodeLog, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.indicators import FEATURE_NAMES, write_features_csv
 from tradelab.marketdata import (
     BarSeries,
-    ColumnSchema,
     DuplicateTimestamp,
     InvalidBar,
     MarketDataError,
@@ -52,7 +51,8 @@ YEAR_1 = -62_135_596_800  # 0001-01-01T00:00:00Z
 # ---------------------------------------------------------------------------
 
 def ref_format_timestamp(ts):
-    return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    stamp = datetime.fromtimestamp(int(ts), tz=timezone.utc)
+    return f"{stamp.year:04d}" + stamp.strftime("-%m-%dT%H:%M:%SZ")
 
 
 def ref_save_episode_log(log, path):
@@ -222,23 +222,18 @@ def ref_write_comparison_csv(comparison, path):
             )
 
 
-def ref_load_bars(path, schema=ColumnSchema(), ticker=None):
+def ref_load_bars(path, ticker=None):
     """The row-at-a-time bar reader: parse up to the first unparsable row,
     then a bad bar before that row is the one reported."""
     with path.open(newline="") as handle:
         rows = list(csv.reader(handle))
     header, rows = rows[0], rows[1:]
-    wanted = {key: getattr(schema, key) for key in ("timestamp", *OHLCV)}
-    if schema.ticker is not None:
-        wanted["ticker"] = schema.ticker
-    col = {key: header.index(column) for key, column in wanted.items()}
+    col = {key: header.index(key) for key in ("timestamp", *OHLCV)}
     name = ticker if ticker is not None else path.stem
-    ticker_col, value_cols = col.get("ticker"), [col[key] for key in OHLCV]
+    value_cols = [col[key] for key in OHLCV]
     records, row_nos, parse_error = [], [], None
     for row_no, row in enumerate(rows, start=2):
         try:
-            if ticker_col is not None and row[ticker_col] != name:
-                continue
             records.append([parse_timestamp(row[col["timestamp"]])] + [float(row[i]) for i in value_cols])
         except (ValueError, IndexError) as exc:
             parse_error = InvalidBar(f"unparsable field: {exc}", path=path, row=row_no)
@@ -482,7 +477,7 @@ def test_load_episode_log_matches_row_parser(tmp_path, stamps, hold):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
-@pytest.mark.parametrize("case", LOG_CASES[:-1])  # years below 1000 print unpadded, which no parser reads
+@pytest.mark.parametrize("case", LOG_CASES)
 def test_written_logs_read_back_like_the_row_parser(tmp_path, case):
     log = _logs(tmp_path)[case]
     save_episode_log(log, tmp_path / "log.csv")
@@ -491,13 +486,12 @@ def test_written_logs_read_back_like_the_row_parser(tmp_path, case):
         assert getattr(back, name).tobytes() == expected.tobytes(), name
 
 
-def test_unpadded_years_fail_closed_as_before(tmp_path):
-    save_episode_log(_logs(tmp_path)["years-1-to-9999"], tmp_path / "log.csv")
-    with pytest.raises(ValueError):
-        ref_parse_log(tmp_path / "log.csv")
-    with pytest.raises(MalformedLog) as caught:
-        load_episode_log(tmp_path / "log.csv")
-    assert "column 'timestamp', row 2" in str(caught.value)
+def test_years_below_1000_round_trip(tmp_path):
+    log = _logs(tmp_path)["years-1-to-9999"]
+    save_episode_log(log, tmp_path / "log.csv")
+    stamps = [line.split(",")[1] for line in (tmp_path / "log.csv").read_text().splitlines()[1:]]
+    assert stamps == ["0001-01-01T00:00:00Z", "0999-12-31T23:59:59Z", "1000-01-01T00:00:00Z", "9999-12-31T23:59:59Z"]
+    assert np.array_equal(load_episode_log(tmp_path / "log.csv").timestamps, log.timestamps)
 
 
 # ---------------------------------------------------------------------------
@@ -662,46 +656,6 @@ def test_load_bars_matches_row_reader(tmp_path, rows):
     path = tmp_path / "AAA.csv"
     path.write_text("\n".join(["timestamp,open,high,low,close,volume", *rows]) + "\n")
     _assert_same_outcome(_bars(_outcome(load_bars, path)), _bars(_outcome(ref_load_bars, path)))
-
-
-LONG_MIXED = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T08:00:00Z,BBB,20,21,19,20.5,300",
-              "1646384400,BBB,20,21,19,20.5,300", "2022-03-04T11:00:00+02:00,AAA,10.5,12,10,11,200"]
-LONG_BAD = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T08:00:00Z,BBB,ten,21,19,20.5,300",
-            "2022-03-04T09:00:00Z,AAA,10.5,9.5,10,10.2,200"]
-LONG_SHORT = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T09:00:00Z,BBB,20,21,19,20.5,300",
-              "2022-03-04T09:00:00Z,AAA,10,11"]
-LONG_NO_TICKER = ["2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100", "2022-03-04T09:00:00Z",
-                  "2022-03-04T10:00:00Z,BBB,1,2,1,2,3"]
-
-
-@pytest.mark.parametrize(
-    "rows, ticker",
-    [(LONG_MIXED, "AAA"), (LONG_MIXED, "BBB"), (LONG_BAD, "AAA"), (LONG_BAD, "BBB"), (LONG_SHORT, "AAA"),
-     (LONG_NO_TICKER, "AAA"), (LONG_NO_TICKER, "BBB"), (LONG_MIXED[1:3], "AAA")],
-    ids=["mixed-stamps-AAA", "mixed-stamps-BBB", "bad-bar-AAA", "bad-cell-BBB", "short-own-row",
-         "short-before-ticker-AAA", "short-before-ticker-BBB", "no-rows-of-ticker"],
-)
-def test_load_bars_long_format_matches_row_reader(tmp_path, rows, ticker):
-    path = tmp_path / "all.csv"
-    path.write_text("\n".join(["timestamp,ticker,open,high,low,close,volume", *rows]) + "\n")
-    schema = ColumnSchema(ticker="ticker")
-    got, expected = (_outcome(load, path, schema, ticker) for load in (load_bars, ref_load_bars))
-    _assert_same_outcome(_bars(got), _bars(expected))
-
-
-def test_short_row_of_another_ticker_fails_every_load(tmp_path):
-    """The one place the column reader differs from the row reader: a short
-    row is a fault of the file, not of the ticker it names."""
-    path = tmp_path / "all.csv"
-    path.write_text("timestamp,ticker,open,high,low,close,volume\n"
-                    "2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100\n"
-                    "2022-03-04T09:00:00Z,BBB,20\n"
-                    "2022-03-04T09:00:00Z,AAA,10.5,12,10,11,200\n")
-    schema = ColumnSchema(ticker="ticker")
-    assert len(ref_load_bars(path, schema, "AAA")) == 2
-    with pytest.raises(MarketDataError) as caught:
-        load_bars(path, schema, "AAA")
-    assert caught.value.row == 3 and "has 3 cells, the header needs 7" in str(caught.value)
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,10 @@ import pytest
 
 from conftest import hourly_axis, make_walk_series, write_bars_csv
 from tradelab.analytics import behavior_profile, load_report
+from tradelab.binfile import write_frame
 from tradelab.cli import main
 from tradelab.env import load_episode_log
-from tradelab.marketdata import format_timestamp
+from tradelab.marketdata import OHLCV, PANEL_MAGIC, format_timestamp, parse_timestamp
 
 START = 1_646_380_800
 BARS = 140
@@ -109,6 +110,17 @@ class TestIngest:
         assert "'timestamp'" in err and f"row {BARS + 1}" in err
         assert not (workspace / "out" / "panel.bin").exists()
         assert not (workspace / "out" / "panel.csv").exists()
+
+    def test_bars_before_year_1000_run_through_analyze(self, workspace):
+        timestamps = hourly_axis(parse_timestamp("0999-03-01T00:00:00Z"), BARS)
+        for i, ticker in enumerate(("AA", "BB")):
+            series = make_walk_series(ticker, timestamps, np.random.default_rng(40 + i), start_price=80.0)
+            write_bars_csv(workspace / "data" / f"{ticker.lower()}.csv", series)
+        assert run(workspace, "ingest") == 0
+        assert b"\r\n0999-03-01T00:00:00Z,AA," in (workspace / "out" / "panel.csv").read_bytes()
+        assert run(workspace, "features") == 0
+        assert run(workspace, "simulate", "--agent", "hold") == 0
+        assert run(workspace, "analyze", str(workspace / "out" / "log_hold.csv")) == 0
 
     def test_ticker_subset_flag(self, workspace, capsys):
         assert run(workspace, "ingest", "--tickers", "AA") == 0
@@ -478,6 +490,15 @@ class TestMalformedInputs:
         assert err.startswith("error:") and str(path) in err
         if fault == "missing-key":
             assert key in err
+
+    def test_panel_without_tickers_exits_one(self, workspace, capsys):
+        path = workspace / "out" / "panel.bin"
+        path.parent.mkdir()
+        write_frame(path, PANEL_MAGIC, {"tickers": [], "aux": [], "n_timestamps": 400},
+                    [hourly_axis(START, 400), *(np.zeros((400, 0)) for _ in OHLCV)])
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least one ticker" in err and str(path) in err
 
 
     def test_checkpoint_wider_than_panel_exits_one(self, workspace, capsys):

@@ -7,24 +7,29 @@ import pytest
 
 from conftest import HOUR, hourly_axis, make_features, make_walk_series, write_bars_csv
 from tradelab.agents import RandomPolicy
+from tradelab.binfile import MalformedFile, write_frame
 from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.errors import TradeLabError
 from tradelab.marketdata import (
+    OHLCV,
+    PANEL_MAGIC,
     AuxSeries,
     BarSeries,
-    ColumnSchema,
     DuplicateTimestamp,
     EmptyIntersection,
     InvalidBar,
     MarketDataError,
+    MarketPanel,
     SchemaMismatch,
     align_panel,
     format_timestamp,
     load_bars,
     load_panel,
     load_series,
+    parse_floats,
     parse_timestamp,
     parse_timestamps,
+    read_csv_columns,
     save_panel,
     write_panel_csv,
 )
@@ -148,23 +153,6 @@ def test_load_bars_non_monotonic(tmp_path):
     assert err.value.row == 3
 
 
-def test_load_bars_long_format(tmp_path):
-    path = tmp_path / "all.csv"
-    path.write_text(
-        "timestamp,ticker,open,high,low,close,volume\n"
-        "2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100\n"
-        "2022-03-04T08:00:00Z,BBB,20,21,19,20.5,300\n"
-        "2022-03-04T09:00:00Z,AAA,10.5,12,10,11,200\n"
-    )
-    schema = ColumnSchema(ticker="ticker")
-    a = load_bars(path, schema=schema, ticker="AAA")
-    b = load_bars(path, schema=schema, ticker="BBB")
-    assert len(a) == 2 and len(b) == 1
-    assert b.close[0] == 20.5
-    with pytest.raises(ValueError):
-        load_bars(path, schema=schema)  # ticker required for long format
-
-
 GOOD_ROW = "2022-03-04T08:00:00Z,10,11,9,10.5,100"
 HIGH_BELOW_LOW_ROW = "2022-03-04T09:00:00Z,10.5,9.5,10,10.2,200"
 UNPARSABLE_ROW = "2022-03-04T10:00:00Z,ten,11,9,10.5,100"
@@ -188,23 +176,6 @@ def test_load_bars_reports_first_bad_row(tmp_path, rows, reason):
     assert err.value.row == 3
     assert str(err.value).startswith(reason)
     assert "bad.csv" in str(err.value)
-
-
-def test_load_bars_long_format_reports_physical_row(tmp_path):
-    path = tmp_path / "all.csv"
-    path.write_text(
-        "timestamp,ticker,open,high,low,close,volume\n"
-        "2022-03-04T08:00:00Z,AAA,10,11,9,10.5,100\n"
-        "2022-03-04T08:00:00Z,BBB,20,21,19,20.5,300\n"
-        "2022-03-04T09:00:00Z,BBB,20,21,19,20.5,300\n"
-        "2022-03-04T09:00:00Z,AAA,10.5,9.5,10,10.2,200\n"
-        "2022-03-04T10:00:00Z,BBB,20,21,19,20.5,300\n"
-    )
-    schema = ColumnSchema(ticker="ticker")
-    with pytest.raises(InvalidBar) as err:
-        load_bars(path, schema=schema, ticker="AAA")
-    assert err.value.row == 5
-    assert len(load_bars(path, schema=schema, ticker="BBB")) == 3
 
 
 @pytest.mark.parametrize(
@@ -435,12 +406,28 @@ def test_write_panel_csv_reloads(tmp_path, rng):
     panel = _panel_of(rng, 25)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
-    schema = ColumnSchema(ticker="ticker")
+    names = ["timestamp", "ticker", *OHLCV]
+    _, (stamps, tickers, *values), short = read_csv_columns(path, MarketDataError,
+                                                            lambda header: [header.index(n) for n in names])
+    assert short is None
     for j, ticker in enumerate(panel.tickers):
-        series = load_bars(path, schema=schema, ticker=ticker)
+        rows = [k for k, cell in enumerate(tickers) if cell == ticker]
+        series = BarSeries(ticker, parse_timestamps([stamps[k] for k in rows]),
+                           *(parse_floats([column[k] for k in rows]) for column in values))
         assert np.array_equal(series.timestamps, panel.timestamps)
         assert np.array_equal(series.close, panel.close[:, j])
         assert np.array_equal(series.volume, panel.volume[:, j])
+
+
+def test_panel_without_tickers_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="at least one ticker"):
+        MarketPanel((), hourly_axis(T0, 400), *(np.zeros((400, 0)) for _ in OHLCV))
+    path = tmp_path / "panel.bin"
+    write_frame(path, PANEL_MAGIC, {"tickers": [], "aux": [], "n_timestamps": 400},
+                [hourly_axis(T0, 400), *(np.zeros((400, 0)) for _ in OHLCV)])
+    with pytest.raises(MalformedFile, match="at least one ticker") as caught:
+        load_panel(path)
+    assert str(path) in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
