@@ -12,7 +12,7 @@ trajectory bit for bit.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -21,7 +21,7 @@ from ..binfile import read_frame, write_frame
 from ..config import decode_config
 from ..env import TradingEnv
 from ..errors import TradeLabError
-from .mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
+from .mlp import MlpParams, ShapeMismatch, init_mlp, mlp_backward, mlp_forward
 
 __all__ = [
     "A2CConfig",
@@ -84,37 +84,40 @@ class ObsNormalizer:
     """Running per-feature standardization (Welford), freezable for eval.
 
     The map is purely affine, x -> (x - mean) / sd; no clipping is applied.
+    ``sd`` is derived when the statistics change; inputs not ``dim`` wide raise ShapeMismatch.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
         self.frozen = False
+        self._set_stats(np.zeros(dim), np.zeros(dim), 0)
+
+    def _set_stats(self, mean: np.ndarray, m2: np.ndarray, count: int) -> None:
+        """The one way the statistics change; it derives ``sd`` from them."""
+        self.mean, self.m2, self.count = mean, m2, count
+        self.sd = np.ones(self.dim) if count < 2 else np.sqrt(m2 / count + 1e-8)
 
     def update(self, batch: np.ndarray) -> None:
         if self.frozen:
             raise TradeLabError("normalizer is frozen; no further updates allowed")
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        if batch.shape[1:] != (self.dim,):
+            raise ShapeMismatch(f"batch shape {batch.shape} does not match normalizer width {self.dim}")
         nb = batch.shape[0]
         if nb == 0:
             return
-        b_mean = batch.mean(axis=0)
-        b_m2 = ((batch - b_mean) ** 2).sum(axis=0)
+        b_mean = np.add.reduce(batch, axis=0) / nb  # what batch.mean(axis=0) computes
+        b_m2 = np.add.reduce((batch - b_mean) ** 2, axis=0)
         delta = b_mean - self.mean
         total = self.count + nb
-        self.mean = self.mean + delta * (nb / total)
-        self.m2 = self.m2 + b_m2 + delta**2 * (self.count * nb / total)
-        self.count = total
-
-    def _sd(self) -> np.ndarray:
-        if self.count < 2:
-            return np.ones(self.dim)
-        return np.sqrt(self.m2 / self.count + 1e-8)
+        self._set_stats(self.mean + delta * (nb / total),
+                        self.m2 + b_m2 + delta**2 * (self.count * nb / total), total)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self._sd()
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1:] != (self.dim,):
+            raise ShapeMismatch(f"observation shape {x.shape} does not match normalizer width {self.dim}")
+        return (x - self.mean) / self.sd
 
     def freeze(self) -> None:
         self.frozen = True
@@ -168,12 +171,12 @@ class TrainStats:
 def gaussian_log_density(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Per-sample log pi(a | s) of the diagonal Gaussian, closed form."""
     z = (actions - mean) / np.exp(log_std)
-    return -0.5 * np.sum(z**2 + LOG_2PI, axis=1) - np.sum(log_std)
+    return -0.5 * np.add.reduce(z**2 + LOG_2PI, axis=1) - np.add.reduce(log_std)
 
 
 def gaussian_entropy(log_std: np.ndarray) -> float:
     """H = sum_i (0.5 ln(2 pi e) + log_std_i), exact."""
-    return float(np.sum(0.5 * (LOG_2PI + 1.0) + log_std))
+    return float(np.add.reduce(0.5 * (LOG_2PI + 1.0) + log_std))
 
 
 def a2c_loss_and_grad(
@@ -200,23 +203,25 @@ def a2c_loss_and_grad(
 
     log_probs = gaussian_log_density(actions, mean, log_std)
     entropy = gaussian_entropy(log_std)
-    policy_loss = float(-(advantages * log_probs).mean())
-    value_loss = float(((returns - values) ** 2).mean())
+    # np.add.reduce(x) / b is what x.mean() computes, without its wrapper
+    policy_loss = float(-(np.add.reduce(advantages * log_probs) / b))
+    value_loss = float(np.add.reduce(advantages**2) / b)
     loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NonFiniteLoss(
             f"update {update_index}: non-finite loss (policy={policy_loss!r}, "
             f"value={value_loss!r}, entropy={entropy!r})"
         )
 
     # closed-form head gradients; advantage weights are constants here
-    d_mean = -(advantages[:, None] * (actions - mean) / sigma2) / b
+    diff = actions - mean
+    d_mean = -(advantages[:, None] * diff / sigma2) / b
     d_value = 2.0 * cfg.value_coef * (values - returns) / b
-    z2 = ((actions - mean) ** 2) / sigma2
-    d_log_std = -(advantages[:, None] * (z2 - 1.0)).sum(axis=0) / b - cfg.entropy_coef
+    z2 = (diff**2) / sigma2
+    d_log_std = -np.add.reduce(advantages[:, None] * (z2 - 1.0), axis=0) / b - cfg.entropy_coef
 
     g = mlp_backward(params, cache, d_mean, d_value, d_log_std).vector
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise NonFiniteLoss(f"update {update_index}: non-finite gradient")
     return policy_loss, value_loss, entropy, g
 
@@ -231,16 +236,24 @@ def a2c_update(
     """One clipped RMSProp step on the actor-critic loss. Returns the new
     parameters, the optimizer accumulator, and the update statistics."""
     policy_loss, value_loss, entropy, g = a2c_loss_and_grad(params, batch, cfg, update_index)
-    grad_norm = float(np.linalg.norm(g))
+    grad_norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a vector
+    # the fresh g is scaled in place; acc = decay * opt_state + (1 - decay) * g**2 (nothing to add
+    # on a first update) and (lr * g) / (sqrt(acc) + eps) take two new arrays, the second then the new vector
     if grad_norm > cfg.max_grad_norm:
-        g = g * (cfg.max_grad_norm / grad_norm)
-
+        g *= cfg.max_grad_norm / grad_norm
+    acc = np.square(g)
+    acc *= 1.0 - cfg.rms_decay
     if opt_state is None:
-        opt_state = np.zeros_like(g)
-    opt_state = cfg.rms_decay * opt_state + (1.0 - cfg.rms_decay) * g**2
-    new_params = MlpParams(params.vector - cfg.lr * g / (np.sqrt(opt_state) + cfg.rms_eps), params.sizes)
+        step = np.sqrt(acc)
+    else:
+        step = np.multiply(opt_state, cfg.rms_decay)
+        acc += step
+        np.sqrt(acc, out=step)
+    step += cfg.rms_eps
+    g *= cfg.lr
+    g /= step
     stats = UpdateStats(policy_loss=policy_loss, value_loss=value_loss, entropy=entropy, grad_norm=grad_norm)
-    return new_params, opt_state, stats
+    return MlpParams(np.subtract(params.vector, g, out=step), params.sizes), acc, stats
 
 
 class MlpPolicy:
@@ -288,25 +301,26 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
     raw_obs = env.reset()
     normalizer.update(raw_obs)
     episode_return = np.zeros(cfg.n_envs)
+    # one set of rollout buffers, refilled by every rollout; batch views them
+    obs_buf = np.empty((cfg.n_steps, cfg.n_envs, obs_dim))
+    act_buf = np.empty((cfg.n_steps, cfg.n_envs, n_actions))
+    rew_buf = np.empty((cfg.n_steps, cfg.n_envs))
+    not_done = [1.0] * cfg.n_steps
+    returns = np.empty((cfg.n_steps, cfg.n_envs))
+    batch = RolloutBatch(obs_buf.reshape(-1, obs_dim), act_buf.reshape(-1, n_actions), returns.reshape(-1))
 
     steps_done = 0
     update_index = 0
     while steps_done < cfg.total_timesteps:
-        obs_buf = np.empty((cfg.n_steps, cfg.n_envs, obs_dim))
-        act_buf = np.empty((cfg.n_steps, cfg.n_envs, n_actions))
-        rew_buf = np.empty((cfg.n_steps, cfg.n_envs))
-        done_buf = np.empty((cfg.n_steps, cfg.n_envs))
-
+        rng.standard_normal(out=act_buf)  # one draw per rollout gives the same stream as one per step
+        act_buf *= np.exp(params.log_std)  # log_std changes only in the update
         for k in range(cfg.n_steps):
-            norm_obs = normalizer.normalize(raw_obs)
-            mean, log_std, _, _ = mlp_forward(params, norm_obs)
-            raw_actions = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
-
-            obs_buf[k] = norm_obs
-            act_buf[k] = raw_actions
-            outcome = env.step(raw_actions)  # the env clamps each component to [-1, 1]
+            obs_buf[k] = normalizer.normalize(raw_obs)
+            mean, _, _, _ = mlp_forward(params, obs_buf[k])
+            act_buf[k] += mean  # the pre-clamp sample mean + std * noise
+            outcome = env.step(act_buf[k])  # the env clamps each component to [-1, 1]
             rew_buf[k] = outcome.reward
-            done_buf[k] = float(outcome.done)
+            not_done[k] = 1.0 - float(outcome.done)
             episode_return += outcome.reward
             raw_obs = outcome.observation
             if outcome.done:  # the copies share one clock, so they finish together
@@ -317,17 +331,11 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
             steps_done += cfg.n_envs
 
         _, _, bootstrap, _ = mlp_forward(params, normalizer.normalize(raw_obs))
-        returns = np.empty((cfg.n_steps, cfg.n_envs))
         running = bootstrap
         for k in reversed(range(cfg.n_steps)):
-            running = rew_buf[k] + cfg.gamma * running * (1.0 - done_buf[k])
+            running = rew_buf[k] + cfg.gamma * running * not_done[k]
             returns[k] = running
 
-        batch = RolloutBatch(
-            observations=obs_buf.reshape(-1, obs_dim),
-            actions=act_buf.reshape(-1, n_actions),
-            returns=returns.reshape(-1),
-        )
         params, opt_state, ustats = a2c_update(params, batch, cfg, opt_state, update_index)
         stats.policy_losses.append(ustats.policy_loss)
         stats.value_losses.append(ustats.value_loss)
@@ -361,13 +369,24 @@ def save_checkpoint(policy: MlpPolicy, path) -> None:
 
 def load_checkpoint(path) -> MlpPolicy:
     def decode(header, take):
-        params = MlpParams(take("<f8", header["param_count"]).copy(), header["sizes"])
+        def count(name):  # a JSON integer >= 0; true and false are not counts
+            if type(header[name]) is not int or header[name] < 0:
+                raise ValueError(f"field {name!r} must be an integer >= 0, got {header[name]!r}")
+            return header[name]
+
+        sizes = header["sizes"]
+        if not (isinstance(sizes, list) and len(sizes) == 4 and all(type(s) is int and s >= 1 for s in sizes)):
+            raise ValueError(f"field 'sizes' must list four integers >= 1, got {sizes!r}")
+        params = MlpParams(take("<f8", count("param_count")).copy(), sizes)
         if not params.all_finite():
             raise TradeLabError("checkpoint contains non-finite parameters")
+        if count("obs_dim") != params.sizes[0]:
+            raise ValueError(f"field 'obs_dim' is {header['obs_dim']}, but field 'sizes' starts with {params.sizes[0]}")
+        if not isinstance(header["label"], str):
+            raise ValueError(f"field 'label' must be a string, got {header['label']!r}")
         normalizer = ObsNormalizer(header["obs_dim"])
-        normalizer.mean = take("<f8", normalizer.dim).copy()
-        normalizer.m2 = take("<f8", normalizer.dim).copy()
-        normalizer.count = operator.index(header["normalizer_count"])
+        normalizer._set_stats(take("<f8", normalizer.dim).copy(), take("<f8", normalizer.dim).copy(),
+                              count("normalizer_count"))
         normalizer.freeze()
         config = header["config"]
         return MlpPolicy(
@@ -375,7 +394,7 @@ def load_checkpoint(path) -> MlpPolicy:
             normalizer,
             label=header["label"],
             config=None if config is None else decode_config(A2CConfig, config, "checkpoint a2c"),
-            steps_trained=operator.index(header["steps_trained"]),
+            steps_trained=count("steps_trained"),
         )
 
     return read_frame(path, CHECKPOINT_MAGIC, decode)

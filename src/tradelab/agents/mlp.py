@@ -123,19 +123,19 @@ def mlp_backward(params: MlpParams, cache: dict, d_mean, d_value, d_log_std) -> 
     g = MlpParams(np.empty_like(params.vector), params.sizes)
     dz_mean = d_mean * (1.0 - mean**2)  # back through the tanh squash
     np.matmul(h2.T, dz_mean, out=g.w_mean)
-    np.sum(dz_mean, axis=0, out=g.b_mean)
+    np.add.reduce(dz_mean, axis=0, out=g.b_mean)
     np.matmul(h2.T, d_value, out=g.w_value)
-    np.sum(d_value, axis=0, out=g.b_value)
+    np.add.reduce(d_value, axis=0, out=g.b_value)
 
     d_h2 = dz_mean @ params.w_mean.T + d_value @ params.w_value.T
     dz2 = d_h2 * (1.0 - h2**2)
     np.matmul(h1.T, dz2, out=g.w2)
-    np.sum(dz2, axis=0, out=g.b2)
+    np.add.reduce(dz2, axis=0, out=g.b2)
 
     d_h1 = dz2 @ params.w2.T
     dz1 = d_h1 * (1.0 - h1**2)
     np.matmul(x.T, dz1, out=g.w1)
-    np.sum(dz1, axis=0, out=g.b1)
+    np.add.reduce(dz1, axis=0, out=g.b1)
     g.log_std[...] = d_log_std
     return g
 

@@ -158,6 +158,8 @@ class TradingEnv:
             raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
         self.cfg, self.features, self.window = cfg, features, window
         self.copies = None if copies is None else int(copies)
+        self.n_tickers = features.n_tickers
+        self.observation_size = observation_size(self.n_tickers)
         # per timestamp: whether the turbulence gate liquidates every position
         if cfg.turbulence_gate is None:
             self._gate = [False] * features.n_timestamps
@@ -167,14 +169,6 @@ class TradingEnv:
             turb, defined = features.turbulence
             self._gate = (defined & (turb > cfg.turbulence_gate)).tolist()
         self._t: int | None = None
-
-    @property
-    def n_tickers(self) -> int:
-        return self.features.n_tickers
-
-    @property
-    def observation_size(self) -> int:
-        return observation_size(self.n_tickers)
 
     @property
     def state(self) -> EnvState:
@@ -203,7 +197,7 @@ class TradingEnv:
         expected = shares.shape if self.copies is not None else shares.shape[1:]
         if a.shape != expected:
             raise ValueError(f"action shape {a.shape}, expected {expected}")
-        if not np.isfinite(a).all():
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
             raise ValueError("action contains non-finite components")
         gated = self._gate[t]
         if gated:
@@ -216,20 +210,20 @@ class TradingEnv:
         prices = self.features.closes[t]
         sold = np.minimum(-np.minimum(desired, 0), shares)
         proceeds = sold * prices
-        cash = self._cash + proceeds.sum(axis=1) * (1.0 - cfg.cost_rate)
+        cash = self._cash + np.add.reduce(proceeds, axis=1) * (1.0 - cfg.cost_rate)
         fees = proceeds * cfg.cost_rate
         shares = shares - sold
 
         # buys in ascending ticker index per copy, clipped to remaining cash;
         # Python floats do the same IEEE operations, in the same order, as numpy scalars
         bought = np.zeros(shares.shape, dtype=np.int64)
-        copy_ids, tickers = np.nonzero(desired > 0)
+        copy_ids, tickers = (desired > 0).nonzero()
         if copy_ids.size:
             left = cash.tolist()
-            units = (prices * (1.0 + cfg.cost_rate)).tolist()
+            units = (prices * (1.0 + cfg.cost_rate))[tickers].tolist()  # each buy's unit cost
             fills = desired[copy_ids, tickers].tolist()
-            for k, (e, i) in enumerate(zip(copy_ids.tolist(), tickers.tolist())):
-                unit, have = units[i], left[e]
+            for k, e in enumerate(copy_ids.tolist()):
+                unit, have = units[k], left[e]
                 qty = math.floor(have / unit)
                 if qty >= fills[k]:
                     qty = fills[k]

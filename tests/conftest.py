@@ -122,6 +122,15 @@ def flat_features(closes, turbulence=None, start: int = 1_646_380_800) -> Featur
     )
 
 
+def turbulent_features(seed: int) -> FeaturePanel:
+    """Five tickers over 90 bars with a seeded turbulence series that is
+    undefined on every seventh index, for gate tests."""
+    features = make_features(["A", "B", "C", "D", "E"], 90, seed=seed, vol=0.02)
+    turb = np.abs(np.random.default_rng(seed).normal(0.0, 10.0, features.n_timestamps))
+    defined = np.arange(features.n_timestamps) % 7 != 0
+    return flat_features(features.closes, turbulence=(turb, defined))
+
+
 def write_bars_csv(path: Path, series: BarSeries) -> None:
     from tradelab.marketdata import format_timestamp
 

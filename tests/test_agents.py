@@ -3,6 +3,7 @@ differences, the actor-critic update rule, observation normalization,
 training determinism, and checkpoint round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,31 @@ class TestObsNormalizer:
         # normalize still works after freezing
         norm.normalize(np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "shape, shown", [((3, 1), (3, 1)), ((3, 6), (3, 6)), ((4,), (1, 4)), ((2, 2, 5), (2, 2, 5))]
+    )
+    def test_update_rejects_a_wrong_width(self, rng, shape, shown):
+        norm = ObsNormalizer(5)
+        norm.update(rng.standard_normal((4, 5)))
+        mean, m2 = norm.mean.copy(), norm.m2.copy()
+        with pytest.raises(ShapeMismatch, match=rf"{re.escape(str(shown))}.* width 5"):
+            norm.update(np.ones(shape))
+        assert norm.count == 4 and np.array_equal(norm.mean, mean) and np.array_equal(norm.m2, m2)
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1), (6,), ()])
+    def test_normalize_rejects_a_wrong_width(self, shape):
+        with pytest.raises(ShapeMismatch, match=rf"{re.escape(str(shape))}.* width 5"):
+            ObsNormalizer(5).normalize(np.full(shape, 2.0))
+
+    def test_scale_is_fixed_between_updates(self, rng):
+        norm = ObsNormalizer(3)
+        norm.update(rng.standard_normal((6, 3)))
+        sd = norm.sd
+        norm.normalize(rng.standard_normal((2, 3)))
+        assert norm.sd is sd
+        norm.update(rng.standard_normal((2, 3)))
+        assert norm.sd is not sd and np.array_equal(norm.sd, np.sqrt(norm.m2 / norm.count + 1e-8))
+
     def test_single_row_updates_stream(self, rng):
         a, b = ObsNormalizer(3), ObsNormalizer(3)
         rows = rng.standard_normal((25, 3))
@@ -584,6 +610,42 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile, match=f"header lacks field '{key}'") as caught:
             load_checkpoint(path)
         assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "key, value, names",
+        [
+            ("label", 5, ["'label'", "string", "5"]),
+            ("label", None, ["'label'", "string", "None"]),
+            ("steps_trained", -1, ["'steps_trained'", "-1"]),
+            ("normalizer_count", -3, ["'normalizer_count'", "-3"]),
+            ("normalizer_count", True, ["'normalizer_count'", "True"]),
+            ("steps_trained", 20.0, ["'steps_trained'", "20.0"]),
+            ("param_count", True, ["'param_count'", "True"]),
+            ("obs_dim", 5, ["'obs_dim'", "5", "'sizes'", "4"]),
+            ("sizes", [4.9, 6, 6, 2], ["'sizes'", "4.9"]),
+            ("sizes", ["4", "6", "6", "2"], ["'sizes'", "'4'"]),
+            ("sizes", [0, 6, 6, 2], ["'sizes'", "[0, 6, 6, 2]"]),
+            ("sizes", [4, 6, 6], ["'sizes'", "four", "[4, 6, 6]"]),
+            ("sizes", 4, ["'sizes'", "four"]),
+        ],
+        ids=["label-int", "label-null", "steps-negative", "count-negative", "count-true", "steps-float",
+             "param-count-true", "obs-dim-vs-sizes", "sizes-float", "sizes-text", "sizes-zero", "sizes-three",
+             "sizes-number"],
+    )
+    def test_bad_header_field_fails_closed(self, tmp_path, rng, key, value, names):
+        policy = MlpPolicy(init_mlp((4, 6, 6, 2), rng), ObsNormalizer(4), config=A2CConfig(), steps_trained=20)
+        path = tmp_path / "policy.ckpt"
+        save_checkpoint(policy, path)
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        del header["format"]
+        header[key] = value
+        write_frame(path, CHECKPOINT_MAGIC, header,
+                    [policy.params.vector, policy.normalizer.mean, policy.normalizer.m2])
+        with pytest.raises(MalformedFile) as caught:
+            load_checkpoint(path)
+        assert str(path) in str(caught.value)
+        for name in names:
+            assert name in str(caught.value)
 
     def test_rejects_nonfinite_params(self, tmp_path, rng):
         params = init_mlp((4, 6, 6, 2), rng)

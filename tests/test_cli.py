@@ -491,6 +491,25 @@ class TestMalformedInputs:
         if fault == "missing-key":
             assert key in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("label", 5), ("steps_trained", -1), ("normalizer_count", True), ("obs_dim", 11)],
+        ids=["label-int", "steps-negative", "count-true", "obs-dim-vs-sizes"],
+    )
+    def test_bad_checkpoint_header_value_exits_one(self, workspace, capsys, key, value):
+        run(workspace, "ingest")
+        run(workspace, "train")
+        path = workspace / "out" / "a2c.ckpt"
+        head, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header[key] = value
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        capsys.readouterr()
+        assert run(workspace, "simulate", "--agent", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and f"'{key}'" in err
+        assert not (workspace / "out" / "log_5.csv").exists() and not (workspace / "out" / "log_a2c.csv").exists()
+
     def test_panel_without_tickers_exits_one(self, workspace, capsys):
         path = workspace / "out" / "panel.bin"
         path.parent.mkdir()

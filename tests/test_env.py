@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import flat_features, make_features
+from conftest import flat_features, make_features, turbulent_features
 from tradelab.env import (
     EnvConfig,
     EnvError,
@@ -248,20 +248,13 @@ def test_accounting_identity_fuzz():
 # batched core: E lockstep copies
 # ---------------------------------------------------------------------------
 
-def _turbulent_features(seed):
-    features = make_features(["A", "B", "C", "D", "E"], 90, seed=seed, vol=0.02)
-    turb = np.abs(np.random.default_rng(seed).normal(0.0, 10.0, features.n_timestamps))
-    defined = np.arange(features.n_timestamps) % 7 != 0
-    return flat_features(features.closes, turbulence=(turb, defined))
-
-
 @pytest.mark.parametrize(
     "capital, gate",
     [(1_000_000.0, None), (50_000.0, None), (50_000.0, 12.0)],
     ids=["1m", "50k-cash-binds", "50k-gated"],
 )
 def test_batched_env_equals_single_envs_bit_for_bit(capital, gate):
-    features = _turbulent_features(21)
+    features = turbulent_features(21)
     window = Window(16, 60)
     cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001, reward_scale=1e-3, turbulence_gate=gate)
     batched = TradingEnv(cfg, features, window, copies=4)

@@ -1,0 +1,411 @@
+"""Bit pins for the A2C training hot path.
+
+Each reference below is the arithmetic the training step used before its
+numpy calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
+``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
+and backward passes, the batched ``TradingEnv.step`` and the ``a2c_train``
+loop. The package must reproduce each of them exactly (``np.array_equal`` and
+``==``, never a tolerance). Both sides run on the same numpy and BLAS, so
+these pins hold on any machine, unlike artifact digests.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import make_features, turbulent_features
+from tradelab.agents.a2c import (
+    A2CConfig,
+    ObsNormalizer,
+    RolloutBatch,
+    a2c_train,
+    a2c_update,
+    gaussian_entropy,
+    gaussian_log_density,
+    load_checkpoint,
+    save_checkpoint,
+)
+from tradelab.agents.mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
+from tradelab.env import EnvConfig, TradingEnv, Window
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+class RefObsNormalizer:
+    def __init__(self, dim):
+        self.dim = dim
+        self.count = 0
+        self.mean = np.zeros(dim)
+        self.m2 = np.zeros(dim)
+
+    def update(self, batch):
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        nb = batch.shape[0]
+        if nb == 0:
+            return
+        b_mean = batch.mean(axis=0)
+        b_m2 = ((batch - b_mean) ** 2).sum(axis=0)
+        delta = b_mean - self.mean
+        total = self.count + nb
+        self.mean = self.mean + delta * (nb / total)
+        self.m2 = self.m2 + b_m2 + delta**2 * (self.count * nb / total)
+        self.count = total
+
+    def _sd(self):
+        if self.count < 2:
+            return np.ones(self.dim)
+        return np.sqrt(self.m2 / self.count + 1e-8)
+
+    def normalize(self, x):
+        return (np.asarray(x, dtype=np.float64) - self.mean) / self._sd()
+
+
+def ref_gaussian_log_density(actions, mean, log_std):
+    z = (actions - mean) / np.exp(log_std)
+    return -0.5 * np.sum(z**2 + LOG_2PI, axis=1) - np.sum(log_std)
+
+
+def ref_gaussian_entropy(log_std):
+    return float(np.sum(0.5 * (LOG_2PI + 1.0) + log_std))
+
+
+def ref_mlp_forward(params, observation):
+    x = np.asarray(observation, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    h1 = np.tanh(x @ params.w1 + params.b1)
+    h2 = np.tanh(h1 @ params.w2 + params.b2)
+    mean = np.tanh(h2 @ params.w_mean + params.b_mean)
+    value = (h2 @ params.w_value + params.b_value)[:, 0]
+    cache = {"x": x, "h1": h1, "h2": h2, "mean": mean}
+    if single:
+        return mean[0], params.log_std.copy(), float(value[0]), cache
+    return mean, params.log_std.copy(), value, cache
+
+
+def ref_mlp_backward(params, cache, d_mean, d_value, d_log_std):
+    x, h1, h2, mean = cache["x"], cache["h1"], cache["h2"], cache["mean"]
+    d_value = np.asarray(d_value, dtype=np.float64).reshape(-1, 1)
+    g = MlpParams(np.empty_like(params.vector), params.sizes)
+    dz_mean = d_mean * (1.0 - mean**2)
+    np.matmul(h2.T, dz_mean, out=g.w_mean)
+    np.sum(dz_mean, axis=0, out=g.b_mean)
+    np.matmul(h2.T, d_value, out=g.w_value)
+    np.sum(d_value, axis=0, out=g.b_value)
+    d_h2 = dz_mean @ params.w_mean.T + d_value @ params.w_value.T
+    dz2 = d_h2 * (1.0 - h2**2)
+    np.matmul(h1.T, dz2, out=g.w2)
+    np.sum(dz2, axis=0, out=g.b2)
+    d_h1 = dz2 @ params.w2.T
+    dz1 = d_h1 * (1.0 - h1**2)
+    np.matmul(x.T, dz1, out=g.w1)
+    np.sum(dz1, axis=0, out=g.b1)
+    g.log_std[...] = d_log_std
+    return g
+
+
+def ref_loss_and_grad(params, batch, cfg):
+    obs, actions, returns = batch.observations, batch.actions, batch.returns
+    b = obs.shape[0]
+    mean, log_std, values, cache = ref_mlp_forward(params, obs)
+    sigma2 = np.exp(2.0 * log_std)
+    advantages = returns - values
+    log_probs = ref_gaussian_log_density(actions, mean, log_std)
+    entropy = ref_gaussian_entropy(log_std)
+    policy_loss = float(-(advantages * log_probs).mean())
+    value_loss = float(((returns - values) ** 2).mean())
+    d_mean = -(advantages[:, None] * (actions - mean) / sigma2) / b
+    d_value = 2.0 * cfg.value_coef * (values - returns) / b
+    z2 = ((actions - mean) ** 2) / sigma2
+    d_log_std = -(advantages[:, None] * (z2 - 1.0)).sum(axis=0) / b - cfg.entropy_coef
+    g = ref_mlp_backward(params, cache, d_mean, d_value, d_log_std).vector
+    return policy_loss, value_loss, entropy, g
+
+
+def ref_rmsprop_tail(params, g, cfg, opt_state):
+    grad_norm = float(np.linalg.norm(g))
+    if grad_norm > cfg.max_grad_norm:
+        g = g * (cfg.max_grad_norm / grad_norm)
+    if opt_state is None:
+        opt_state = np.zeros_like(g)
+    opt_state = cfg.rms_decay * opt_state + (1.0 - cfg.rms_decay) * g**2
+    vector = params.vector - cfg.lr * g / (np.sqrt(opt_state) + cfg.rms_eps)
+    return MlpParams(vector, params.sizes), opt_state, grad_norm
+
+
+def ref_a2c_update(params, batch, cfg, opt_state):
+    policy_loss, value_loss, entropy, g = ref_loss_and_grad(params, batch, cfg)
+    new_params, opt_state, grad_norm = ref_rmsprop_tail(params, g, cfg, opt_state)
+    return new_params, opt_state, (policy_loss, value_loss, entropy, grad_norm)
+
+
+class RefTradingEnv(TradingEnv):
+    """TradingEnv whose step, settle and observe are the reference bodies."""
+
+    def step(self, action):
+        t = self._t
+        cfg, shares = self.cfg, self._shares
+        a = np.asarray(action, dtype=np.float64)
+        gated = self._gate[t]
+        if gated:
+            desired = -shares
+        else:
+            clipped = np.minimum(np.maximum(a, -1.0), 1.0)
+            desired = np.rint(clipped * cfg.hmax).astype(np.int64).reshape(shares.shape)
+        prices = self.features.closes[t]
+        sold = np.minimum(-np.minimum(desired, 0), shares)
+        proceeds = sold * prices
+        cash = self._cash + proceeds.sum(axis=1) * (1.0 - cfg.cost_rate)
+        fees = proceeds * cfg.cost_rate
+        shares = shares - sold
+        bought = np.zeros(shares.shape, dtype=np.int64)
+        copy_ids, tickers = np.nonzero(desired > 0)
+        if copy_ids.size:
+            left = cash.tolist()
+            units = (prices * (1.0 + cfg.cost_rate)).tolist()
+            fills = desired[copy_ids, tickers].tolist()
+            for k, (e, i) in enumerate(zip(copy_ids.tolist(), tickers.tolist())):
+                unit, have = units[i], left[e]
+                qty = math.floor(have / unit)
+                if qty >= fills[k]:
+                    qty = fills[k]
+                while qty > 0 and qty * unit > have:
+                    qty -= 1
+                left[e] = have - qty * unit
+                fills[k] = qty
+            bought[copy_ids, tickers] = fills
+            cash = np.array(left)
+            shares += bought
+            fees += bought * prices * cfg.cost_rate
+        value_before = self._values
+        self._t = t + 1
+        self._settle(cash, shares)
+        reward = cfg.reward_scale * (self._values - value_before)
+        done = self._t == self.window.stop - 1
+        observation = self._observe()
+        traded = bought - sold
+        if self.copies is None:
+            reward, traded, fees = float(reward[0]), traded[0], fees[0]
+        return observation, reward, done, {"traded": traded, "fees": fees, "gated": gated}
+
+    def _settle(self, cash, shares):
+        prices = self.features.closes[self._t]
+        values = cash + (shares[:, None, :] @ prices[:, None])[:, 0, 0]
+        self._cash, self._shares, self._values = cash, shares, values
+
+    def _observe(self):
+        n, t = self.features.n_tickers, self._t
+        obs = np.empty((self._shares.shape[0], 1 + 10 * n))
+        obs[:, 0] = self._cash
+        obs[:, 1 : 1 + n] = self.features.closes[t]
+        obs[:, 1 + n : 1 + 2 * n] = self._shares
+        obs[:, 1 + 2 * n :] = self.features.features[t].reshape(-1)
+        return obs if self.copies is not None else obs[0]
+
+
+def ref_a2c_train(cfg, features, env_cfg, window):
+    rng = np.random.default_rng(cfg.seed)
+    env = RefTradingEnv(env_cfg, features, window, copies=cfg.n_envs)
+    obs_dim, n_actions = 1 + 10 * features.n_tickers, features.n_tickers
+    params = init_mlp((obs_dim, *cfg.hidden_sizes, n_actions), rng)
+    normalizer = RefObsNormalizer(obs_dim)
+    opt_state = None
+    curves, episode_rewards = [], []
+    raw_obs = env.reset()
+    normalizer.update(raw_obs)
+    episode_return = np.zeros(cfg.n_envs)
+    steps_done = 0
+    while steps_done < cfg.total_timesteps:
+        obs_buf = np.empty((cfg.n_steps, cfg.n_envs, obs_dim))
+        act_buf = np.empty((cfg.n_steps, cfg.n_envs, n_actions))
+        rew_buf = np.empty((cfg.n_steps, cfg.n_envs))
+        done_buf = np.empty((cfg.n_steps, cfg.n_envs))
+        for k in range(cfg.n_steps):
+            norm_obs = normalizer.normalize(raw_obs)
+            mean, log_std, _, _ = ref_mlp_forward(params, norm_obs)
+            raw_actions = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+            obs_buf[k] = norm_obs
+            act_buf[k] = raw_actions
+            raw_obs, reward, done, _ = env.step(raw_actions)
+            rew_buf[k] = reward
+            done_buf[k] = float(done)
+            episode_return += reward
+            if done:
+                episode_rewards.extend(episode_return.tolist())
+                episode_return[:] = 0.0
+                raw_obs = env.reset()
+            normalizer.update(raw_obs)
+            steps_done += cfg.n_envs
+        _, _, bootstrap, _ = ref_mlp_forward(params, normalizer.normalize(raw_obs))
+        returns = np.empty((cfg.n_steps, cfg.n_envs))
+        running = bootstrap
+        for k in reversed(range(cfg.n_steps)):
+            running = rew_buf[k] + cfg.gamma * running * (1.0 - done_buf[k])
+            returns[k] = running
+        batch = RolloutBatch(obs_buf.reshape(-1, obs_dim), act_buf.reshape(-1, n_actions), returns.reshape(-1))
+        params, opt_state, curve = ref_a2c_update(params, batch, cfg, opt_state)
+        curves.append(curve)
+    return params, [list(c) for c in zip(*curves)], episode_rewards, normalizer
+
+
+# ---------------------------------------------------------------------------
+# the update rule
+# ---------------------------------------------------------------------------
+
+def seeded_batch(seed, sizes=(12, 16, 16, 3), b=20, scale=1.0):
+    rng = np.random.default_rng(seed)
+    params = init_mlp(sizes, rng)
+    obs = rng.standard_normal((b, sizes[0]))
+    mean, log_std, _, _ = mlp_forward(params, obs)
+    actions = mean + np.exp(log_std) * rng.standard_normal((b, sizes[-1]))
+    return params, RolloutBatch(obs, actions, scale * rng.standard_normal(b))
+
+
+def assert_update_matches(params, batch, cfg, opt_state):
+    before = params.vector.copy()
+    state_before = None if opt_state is None else opt_state.copy()
+    new, acc, stats = a2c_update(params, batch, cfg, opt_state)
+    ref_new, ref_acc, ref_stats = ref_a2c_update(params, batch, cfg, opt_state)
+    assert np.array_equal(new.vector, ref_new.vector)
+    assert np.array_equal(acc, ref_acc)
+    assert (stats.policy_loss, stats.value_loss, stats.entropy, stats.grad_norm) == ref_stats
+    assert np.array_equal(params.vector, before)  # the inputs stay as they were
+    assert state_before is None or np.array_equal(opt_state, state_before)
+    return new, acc, stats
+
+
+@pytest.mark.parametrize("clipped", [True, False], ids=["clipped", "unclipped"])
+def test_first_and_second_update_match_reference(clipped):
+    cfg = A2CConfig(max_grad_norm=0.5 if clipped else 1e9)
+    params, batch = seeded_batch(1, scale=50.0)
+    new, acc, stats = assert_update_matches(params, batch, cfg, None)
+    assert (stats.grad_norm > cfg.max_grad_norm) == clipped
+    _, batch2 = seeded_batch(2, scale=50.0)
+    _, acc2, _ = assert_update_matches(new, batch2, cfg, acc)  # folds the first accumulator in
+    assert not np.array_equal(acc2, acc)
+
+
+def test_gaussian_helpers_match_reference():
+    rng = np.random.default_rng(3)
+    mean = rng.standard_normal((7, 4))
+    log_std = rng.standard_normal(4) * 0.4
+    actions = mean + rng.standard_normal((7, 4))
+    assert np.array_equal(gaussian_log_density(actions, mean, log_std),
+                          ref_gaussian_log_density(actions, mean, log_std))
+    assert gaussian_entropy(log_std) == ref_gaussian_entropy(log_std)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 4, 20])
+def test_mlp_passes_match_reference(rows):
+    rng = np.random.default_rng(4)
+    params = init_mlp((11, 8, 6, 3), rng)
+    params.b1[...] = rng.standard_normal(8)  # init leaves the biases at zero
+    params.b_mean[...] = rng.standard_normal(3)
+    obs = rng.standard_normal(11 if rows is None else (rows, 11))
+    mean, log_std, value, cache = mlp_forward(params, obs)
+    ref_mean, ref_log_std, ref_value, ref_cache = ref_mlp_forward(params, obs)
+    assert np.array_equal(mean, ref_mean) and np.array_equal(log_std, ref_log_std)
+    assert np.array_equal(value, ref_value)
+    b = 1 if rows is None else rows
+    d_mean, d_value, d_log_std = rng.standard_normal((b, 3)), rng.standard_normal(b), rng.standard_normal(3)
+    g = mlp_backward(params, cache, d_mean, d_value, d_log_std)
+    assert np.array_equal(g.vector, ref_mlp_backward(params, ref_cache, d_mean, d_value, d_log_std).vector)
+
+
+# ---------------------------------------------------------------------------
+# observation normalizer
+# ---------------------------------------------------------------------------
+
+def test_normalizer_matches_reference_across_batches():
+    rng = np.random.default_rng(5)
+    live, ref = ObsNormalizer(6), RefObsNormalizer(6)
+    probe = rng.standard_normal((4, 6)) * 30.0
+    assert np.array_equal(live.normalize(probe), ref.normalize(probe))  # count 0: unit scale
+    for batch in [rng.standard_normal(6) * 9.0 + 3.0,  # one row: count 1, still unit scale
+                  rng.standard_normal((4, 6)) * 50.0,
+                  rng.standard_normal((1, 6)),
+                  rng.standard_normal((3, 6)) * 4.0 + 1.0,  # 1/3 is inexact, unlike 1/4
+                  rng.standard_normal((0, 6)),
+                  rng.standard_normal((4, 6)) * 1e-3 - 7.0]:
+        live.update(batch)
+        ref.update(batch)
+        assert live.count == ref.count
+        assert np.array_equal(live.mean, ref.mean) and np.array_equal(live.m2, ref.m2)
+        assert np.array_equal(live.normalize(probe), ref.normalize(probe))
+        assert np.array_equal(live.normalize(probe[0]), ref.normalize(probe[0]))
+
+
+def test_restored_normalizer_normalizes_like_the_live_one(tmp_path):
+    cfg = A2CConfig(total_timesteps=200, n_envs=2, n_steps=5, seed=3, hidden_sizes=(8, 8))
+    features = make_features(["AA", "BB"], 120, seed=9)
+    policy, _ = a2c_train(cfg, lambda: TradingEnv(EnvConfig(), features, Window(features.warmup, 60)))
+    save_checkpoint(policy, tmp_path / "a2c.ckpt")
+    restored = load_checkpoint(tmp_path / "a2c.ckpt").normalizer
+    probe = TradingEnv(EnvConfig(), features, Window(features.warmup, 60), copies=3).reset()
+    assert np.array_equal(restored.normalize(probe), policy.normalizer.normalize(probe))
+    ref = RefObsNormalizer(restored.dim)
+    ref.mean, ref.m2, ref.count = restored.mean, restored.m2, restored.count
+    assert np.array_equal(restored.normalize(probe), ref.normalize(probe))
+
+
+# ---------------------------------------------------------------------------
+# environment step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("copies", [None, 4])
+@pytest.mark.parametrize(
+    "capital, gate",
+    [(1_000_000.0, None), (50_000.0, None), (50_000.0, 12.0)],
+    ids=["1m", "50k-cash-binds", "50k-gated"],
+)
+def test_env_step_matches_reference(capital, gate, copies):
+    features = turbulent_features(23)
+    window = Window(16, 60)
+    cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001, reward_scale=1e-3, turbulence_gate=gate)
+    live, ref = TradingEnv(cfg, features, window, copies=copies), RefTradingEnv(cfg, features, window, copies=copies)
+    rng = np.random.default_rng(8)
+    assert np.array_equal(live.reset(), ref.reset())
+    shape = (5,) if copies is None else (copies, 5)
+    gated_steps = clipped_buys = 0
+    for _ in range(2 * window.steps + 5):  # through done, a reset and part of a second episode
+        actions = rng.uniform(-1.2, 1.2, size=shape)
+        outcome = live.step(actions)
+        observation, reward, done, info = ref.step(actions)
+        assert np.array_equal(outcome.observation, observation)
+        assert np.array_equal(outcome.reward, reward) and outcome.done == done
+        assert outcome.info["gated"] == info["gated"]
+        assert np.array_equal(outcome.info["traded"], info["traded"])
+        assert np.array_equal(outcome.info["fees"], info["fees"])
+        assert np.array_equal(live._cash, ref._cash) and np.array_equal(live._values, ref._values)
+        gated_steps += info["gated"]
+        desired = np.rint(np.clip(actions, -1.0, 1.0) * cfg.hmax)
+        clipped_buys += np.sum((desired > 0) & (info["traded"] < desired))
+        if done:
+            assert np.array_equal(live.reset(), ref.reset())
+    assert (gated_steps > 0) == (gate is not None)
+    assert (clipped_buys > 0) == (capital == 50_000.0)
+
+
+# ---------------------------------------------------------------------------
+# the training loop
+# ---------------------------------------------------------------------------
+
+def test_a2c_train_matches_reference_loop():
+    features = make_features(["AA", "BB", "CC"], 160, seed=7)
+    window = Window(features.warmup, 60)  # 43 steps, so each worker finishes several episodes
+    env_cfg = EnvConfig(initial_capital=50_000.0)
+    cfg = A2CConfig(total_timesteps=600, n_envs=3, n_steps=5, seed=11, hidden_sizes=(16, 16))
+    policy, stats = a2c_train(cfg, lambda: TradingEnv(env_cfg, features, window))
+    params, curves, episode_rewards, normalizer = ref_a2c_train(cfg, features, env_cfg, window)
+    assert np.array_equal(policy.params.vector, params.vector)
+    assert [stats.policy_losses, stats.value_losses, stats.entropies, stats.grad_norms] == curves
+    assert stats.episode_rewards == episode_rewards and len(episode_rewards) == 3 * (200 // window.steps)
+    assert np.array_equal(policy.normalizer.mean, normalizer.mean)
+    assert np.array_equal(policy.normalizer.m2, normalizer.m2)
+    assert policy.normalizer.count == normalizer.count
