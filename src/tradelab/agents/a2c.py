@@ -72,6 +72,10 @@ class A2CConfig:
             raise ValueError("loss coefficients must be non-negative")
         if self.max_grad_norm <= 0:
             raise ValueError("max_grad_norm must be positive")
+        if not (0.0 <= self.rms_decay < 1.0):
+            raise ValueError("rms_decay must lie in [0, 1)")
+        if not self.rms_eps > 0:
+            raise ValueError("rms_eps must be positive")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if len(self.hidden_sizes) != 2:
             raise ValueError(f"hidden_sizes must hold two layer widths, got {list(self.hidden_sizes)}")
@@ -84,7 +88,9 @@ class ObsNormalizer:
     """Running per-feature standardization (Welford), freezable for eval.
 
     The map is purely affine, x -> (x - mean) / sd; no clipping is applied.
-    ``sd`` is derived when the statistics change; inputs not ``dim`` wide raise ShapeMismatch.
+    ``sd`` is derived when the statistics change; ``update`` takes a (B, dim)
+    batch, ``normalize`` any array whose last axis is ``dim`` wide, and other
+    shapes raise ShapeMismatch.
     """
 
     def __init__(self, dim: int):
@@ -100,7 +106,7 @@ class ObsNormalizer:
     def update(self, batch: np.ndarray) -> None:
         if self.frozen:
             raise TradeLabError("normalizer is frozen; no further updates allowed")
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        batch = np.asarray(batch, dtype=np.float64)
         if batch.shape[1:] != (self.dim,):
             raise ShapeMismatch(f"batch shape {batch.shape} does not match normalizer width {self.dim}")
         nb = batch.shape[0]
@@ -269,8 +275,9 @@ class MlpPolicy:
         self.steps_trained = steps_trained
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
-        mean, _, _, _ = mlp_forward(self.params, self.normalizer.normalize(observation))
-        return mean
+        """The (N,) policy mean for one (D,) observation, run as a batch of one."""
+        mean, _, _, _ = mlp_forward(self.params, self.normalizer.normalize(observation)[None])
+        return mean[0]
 
 
 def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
@@ -385,8 +392,10 @@ def load_checkpoint(path) -> MlpPolicy:
         if not isinstance(header["label"], str):
             raise ValueError(f"field 'label' must be a string, got {header['label']!r}")
         normalizer = ObsNormalizer(header["obs_dim"])
-        normalizer._set_stats(take("<f8", normalizer.dim).copy(), take("<f8", normalizer.dim).copy(),
-                              count("normalizer_count"))
+        mean, m2 = take("<f8", normalizer.dim).copy(), take("<f8", normalizer.dim).copy()
+        if not (np.isfinite(mean).all() and np.isfinite(m2).all() and (m2 >= 0.0).all()):
+            raise TradeLabError("checkpoint normalizer statistics must be finite, with m2 >= 0")
+        normalizer._set_stats(mean, m2, count("normalizer_count"))
         normalizer.freeze()
         config = header["config"]
         return MlpPolicy(

@@ -2,8 +2,10 @@
 
 The policy mean passes through tanh so it always lies in (-1, 1); the
 per-action log standard deviation is a free parameter vector independent of
-the state; the value head is linear. Forward returns a cache of layer
-activations which backward consumes, so gradients are exact reverse-mode.
+the state; the value head is linear. Both passes take a (B, D) batch of
+observations; a single observation is a batch of one. Forward returns a cache
+of layer activations which backward consumes, so gradients are exact
+reverse-mode.
 """
 
 from __future__ import annotations
@@ -81,15 +83,12 @@ def init_mlp(sizes, rng: np.random.Generator) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, observation):
-    """Returns (mean, log_std, value, cache) for a (D,) or (B, D) input.
+    """Returns (mean (B, N), log_std (N,), value (B,), cache) for a (B, D) batch.
 
     mean is tanh-squashed; value is the raw linear head output. The cache
     holds the activations backward needs.
     """
     x = np.asarray(observation, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise ShapeMismatch(f"observation shape {np.shape(observation)} does not match input size {params.w1.shape[0]}")
     h1 = np.tanh(x @ params.w1 + params.b1)
@@ -97,8 +96,6 @@ def mlp_forward(params: MlpParams, observation):
     mean = np.tanh(h2 @ params.w_mean + params.b_mean)
     value = (h2 @ params.w_value + params.b_value)[:, 0]
     cache = {"x": x, "h1": h1, "h2": h2, "mean": mean}
-    if single:
-        return mean[0], params.log_std.copy(), float(value[0]), cache
     return mean, params.log_std.copy(), value, cache
 
 
@@ -112,10 +109,7 @@ def mlp_backward(params: MlpParams, cache: dict, d_mean, d_value, d_log_std) -> 
     """
     x, h1, h2, mean = cache["x"], cache["h1"], cache["h2"], cache["mean"]
     d_mean = np.asarray(d_mean, dtype=np.float64)
-    d_value = np.asarray(d_value, dtype=np.float64)
-    if d_mean.ndim == 1:
-        d_mean = d_mean[None, :]
-    d_value = d_value.reshape(-1, 1)
+    d_value = np.asarray(d_value, dtype=np.float64).reshape(-1, 1)
     d_log_std = np.asarray(d_log_std, dtype=np.float64)
     if d_mean.shape != mean.shape or d_value.shape[0] != h2.shape[0] or d_log_std.shape != params.log_std.shape:
         raise ShapeMismatch("upstream gradient shapes do not match the cached forward pass")

@@ -12,7 +12,7 @@ a clipped no-op action is not a trade.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -178,18 +178,14 @@ def behavior_profile(log: EpisodeLog) -> BehaviorReport:
 
 @dataclass(frozen=True)
 class ProfileComparison:
-    """Side-by-side metric table over reports that share a window.
-
-    ``rankings`` maps each metric to labels ordered best (largest) first;
-    reports without a defined hhi rank last there.
-    """
+    """Side-by-side metric table over reports that share a window; one
+    entry per report in each column, and None for an hhi that is not defined."""
 
     labels: tuple
     final_cumulative_reward: tuple
     trader_score: tuple
     hhi: tuple
     max_shares_held: tuple
-    rankings: dict = field(default_factory=dict)
 
 
 def compare_profiles(reports) -> ProfileComparison:
@@ -208,20 +204,13 @@ def compare_profiles(reports) -> ProfileComparison:
         raise DuplicateLabel(
             f"reports share the agent label {repeated[0]!r}; each row of a comparison needs its own label"
         )
-    table = {
-        "final_cumulative_reward": tuple(r.final_cumulative_reward for r in reports),
-        "trader_score": tuple(r.trader_score for r in reports),
-        "hhi": tuple(r.diversity.hhi for r in reports),
-        "max_shares_held": tuple(int(r.trade_stats.max_shares_held.max()) for r in reports),
-    }
-    rankings = {}
-    for metric, values in table.items():
-        order = sorted(
-            range(len(reports)),
-            key=lambda i: (values[i] is None, -(values[i] if values[i] is not None else 0.0), i),
-        )
-        rankings[metric] = [labels[i] for i in order]
-    return ProfileComparison(labels=labels, rankings=rankings, **table)
+    return ProfileComparison(
+        labels=labels,
+        final_cumulative_reward=tuple(r.final_cumulative_reward for r in reports),
+        trader_score=tuple(r.trader_score for r in reports),
+        hhi=tuple(r.diversity.hhi for r in reports),
+        max_shares_held=tuple(int(r.trade_stats.max_shares_held.max()) for r in reports),
+    )
 
 
 # ---------------------------------------------------------------------------

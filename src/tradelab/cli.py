@@ -174,6 +174,14 @@ def cmd_features(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_label(label: str, source) -> None:
+    """An agent label becomes part of a file name under out/, so it must not
+    hold a path separator or NUL; ``source`` is the file the label came from."""
+    if any(c in label for c in "/\\\0"):
+        raise TradeLabError(f"agent label {label!r} from {source} contains '/', '\\' or NUL, "
+                            "so it cannot name a file under the output directory")
+
+
 def _resolve_agent(name: str, n_tickers: int):
     if name in BASELINE_POLICIES:
         return make_baseline(name)
@@ -201,6 +209,7 @@ def cmd_simulate(cfg: RunConfig, agent: str, window_name: str | None) -> int:
     if window_name not in windows:
         raise TradeLabError(f"window {window_name!r} unavailable; choose from {sorted(windows)}")
     policy = _resolve_agent(agent, features.n_tickers)
+    _check_label(policy.label, agent)
     log = run_episode(policy, cfg.env, features, windows[window_name], seed=cfg.seed)
     out = cfg.out_dir / f"log_{log.agent_label}.csv"
     save_episode_log(log, out)
@@ -239,6 +248,9 @@ def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
 
 def cmd_analyze(cfg: RunConfig, log_paths: list) -> int:
     logs = [load_episode_log(path) for path in log_paths]
+    for path, log in zip(log_paths, logs):
+        sidecar = Path(str(path) + ".json")
+        _check_label(log.agent_label, sidecar if sidecar.exists() else path)
     reports = [behavior_profile(log) for log in logs]
     table = compare_profiles(reports) if len(reports) >= 2 else None  # fails before anything is written
     for report in reports:

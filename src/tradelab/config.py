@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 import types
 import typing
 
@@ -30,21 +32,27 @@ def _is_json_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # one evaluation of the annotations per class
+
+
 def decode_config(cls, data, section: str | None):
     """Build ``cls`` from the JSON object ``data``; unknown fields, values of the
-    wrong JSON type and out-of-range values raise a ConfigError naming
-    ``section`` (None for the top level) and the field."""
+    wrong JSON type, NaN and infinities (which ``json.loads`` accepts) and
+    out-of-range values raise a ConfigError naming ``section`` (None for the
+    top level) and the field."""
     where = "config" if section is None else f"config section {section!r}"
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object, got {data!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for key, value in data.items():
         if key not in hints:
             raise ConfigError(f"{where} has unknown field {key!r}")
+        name = key if section is None else f"{section}.{key}"
         if not _is_json_type(value, hints[key]):
             expected = hints[key] if typing.get_origin(hints[key]) else hints[key].__name__
-            name = key if section is None else f"{section}.{key}"
             raise ConfigError(f"config field {name} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config field {name} must be a finite number, got {value!r}")
     try:
         return cls(**data)
     except ValueError as exc:

@@ -4,13 +4,14 @@ The observation is ``[cash] ++ prices (N) ++ shares (N) ++ features (8N,
 ticker-major)``, length 1 + 2N + 8N (301 in the 30-ticker reference
 configuration). One episode is one full pass over a window of the panel.
 
-``TradingEnv`` is one core over E lockstep copies of an episode: cash (E,),
-integer shares (E, N) and one time index, so every copy sees the same prices,
-features and turbulence gate. Sells settle vectorized over (E, N); buys fill
-in ascending ticker order within each copy, clipped to that copy's cash.
-``copies=None`` (the default) is the single env of ``run_episode`` and the
-CLI, with unbatched observation, reward and state; ``a2c_train`` steps its
-workers as ``copies=n_envs``, one ``step`` call per rollout step.
+``TradingEnv`` is one core over E >= 1 lockstep copies of an episode: cash
+(E,), integer shares (E, N) and one time index, so every copy sees the same
+prices, features and turbulence gate. Sells settle vectorized over (E, N);
+buys fill in ascending ticker order within each copy, clipped to that copy's
+cash. Observations are (E, D), actions (E, N) and rewards (E,) for every E:
+``run_episode`` rolls one policy as ``copies=1`` (the default) and
+``a2c_train`` steps its workers as ``copies=n_envs``, one ``step`` call per
+rollout step.
 
 Logs follow a pre-trade convention: row t records the state an agent saw at
 timestamp t, so the holdings bought at step t appear first in row t+1, the
@@ -117,23 +118,22 @@ class Window:
 
 
 class EnvState(NamedTuple):
-    """The state after the last reset or step. A batched env gives cash and
-    portfolio_value as (E,) and shares as (E, N); a single env gives floats
-    and (N,). The arrays are read-only and never change after they are returned."""
+    """The state after the last reset or step: cash and portfolio_value (E,),
+    shares (E, N). The arrays are read-only and never change after they are returned."""
 
     t: int
-    cash: float | np.ndarray
+    cash: np.ndarray
     shares: np.ndarray
-    portfolio_value: float | np.ndarray
+    portfolio_value: np.ndarray
 
 
 class StepOutcome(NamedTuple):
-    """``info`` holds ``traded`` (signed share counts), ``fees`` and ``gated``."""
+    """The (E, D) observations after a step, the (E,) scaled rewards, and
+    whether the episode is over (the copies share one clock)."""
 
     observation: np.ndarray
-    reward: float | np.ndarray
+    reward: np.ndarray
     done: bool
-    info: dict
 
 
 def observation_size(n_tickers: int) -> int:
@@ -149,15 +149,15 @@ class TradingEnv:
     by reward_scale.
     """
 
-    def __init__(self, cfg: EnvConfig, features: FeaturePanel, window: Window, copies: int | None = None):
+    def __init__(self, cfg: EnvConfig, features: FeaturePanel, window: Window, copies: int = 1):
         if window.start < features.warmup:
             raise WindowBeforeWarmup(f"window starts at {window.start} but features are defined from {features.warmup}")
         if window.stop > features.n_timestamps:
             raise ValueError(f"window stops at {window.stop} beyond panel length {features.n_timestamps}")
-        if copies is not None and (int(copies) != copies or copies < 1):
+        if int(copies) != copies or copies < 1:
             raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
         self.cfg, self.features, self.window = cfg, features, window
-        self.copies = None if copies is None else int(copies)
+        self.copies = int(copies)
         self.n_tickers = features.n_tickers
         self.observation_size = observation_size(self.n_tickers)
         # per timestamp: whether the turbulence gate liquidates every position
@@ -174,19 +174,17 @@ class TradingEnv:
     def state(self) -> EnvState:
         if self._t is None:
             raise EnvError("environment not reset yet")
-        if self.copies is None:
-            return EnvState(self._t, float(self._cash[0]), self._shares[0], float(self._values[0]))
         return EnvState(self._t, self._cash, self._shares, self._values)
 
     def reset(self) -> np.ndarray:
         """Fresh copies at the window start: full cash, zero shares."""
-        e = 1 if self.copies is None else self.copies
         self._t = self.window.start
-        self._settle(np.full(e, float(self.cfg.initial_capital)), np.zeros((e, self.n_tickers), dtype=np.int64))
+        self._settle(np.full(self.copies, float(self.cfg.initial_capital)),
+                     np.zeros((self.copies, self.n_tickers), dtype=np.int64))
         return self._observe()
 
     def step(self, action) -> StepOutcome:
-        """``action`` is (N,) for a single env and (E, N) for a batched one."""
+        """``action`` is (E, N), one row per copy."""
         t = self._t
         if t is None:
             raise EnvError("environment not reset yet")
@@ -194,29 +192,25 @@ class TradingEnv:
             raise StepAfterDone(f"episode already finished at index {t}")
         cfg, shares = self.cfg, self._shares
         a = np.asarray(action, dtype=np.float64)
-        expected = shares.shape if self.copies is not None else shares.shape[1:]
-        if a.shape != expected:
-            raise ValueError(f"action shape {a.shape}, expected {expected}")
+        if a.shape != shares.shape:
+            raise ValueError(f"action shape {a.shape}, expected {shares.shape}")
         if not np.logical_and.reduce(np.isfinite(a), axis=None):
             raise ValueError("action contains non-finite components")
-        gated = self._gate[t]
-        if gated:
+        if self._gate[t]:
             desired = -shares  # liquidate everything, buy nothing
         else:
             clipped = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, at less call overhead
-            desired = np.rint(clipped * cfg.hmax).astype(np.int64).reshape(shares.shape)
+            desired = np.rint(clipped * cfg.hmax).astype(np.int64)
 
         # sells first, each clipped to current holdings
         prices = self.features.closes[t]
         sold = np.minimum(-np.minimum(desired, 0), shares)
         proceeds = sold * prices
         cash = self._cash + np.add.reduce(proceeds, axis=1) * (1.0 - cfg.cost_rate)
-        fees = proceeds * cfg.cost_rate
         shares = shares - sold
 
         # buys in ascending ticker index per copy, clipped to remaining cash;
         # Python floats do the same IEEE operations, in the same order, as numpy scalars
-        bought = np.zeros(shares.shape, dtype=np.int64)
         copy_ids, tickers = (desired > 0).nonzero()
         if copy_ids.size:
             left = cash.tolist()
@@ -231,21 +225,14 @@ class TradingEnv:
                     qty -= 1
                 left[e] = have - qty * unit  # exact when qty is 0
                 fills[k] = qty
-            bought[copy_ids, tickers] = fills
             cash = np.array(left)
-            shares += bought
-            fees += bought * prices * cfg.cost_rate
+            shares[copy_ids, tickers] += fills  # each (copy, ticker) pair appears once
 
         value_before = self._values
         self._t = t + 1
         self._settle(cash, shares)
         reward = cfg.reward_scale * (self._values - value_before)
-        done = self._t == self.window.stop - 1
-        observation = self._observe()
-        traded = bought - sold
-        if self.copies is None:
-            reward, traded, fees = float(reward[0]), traded[0], fees[0]
-        return StepOutcome(observation, reward, done, {"traded": traded, "fees": fees, "gated": gated})
+        return StepOutcome(self._observe(), reward, self._t == self.window.stop - 1)
 
     def _settle(self, cash: np.ndarray, shares: np.ndarray) -> None:
         """Store the state at the current index and value it. The stacked
@@ -264,7 +251,7 @@ class TradingEnv:
         obs[:, 1 : 1 + n] = self.features.closes[t]
         obs[:, 1 + n : 1 + 2 * n] = self._shares
         obs[:, 1 + 2 * n :] = self.features.features[t].reshape(-1)
-        return obs if self.copies is not None else obs[0]
+        return obs
 
 
 @dataclass(frozen=True)
@@ -329,13 +316,13 @@ class EpisodeLog:
 def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, seed: int = 0) -> EpisodeLog:
     """Roll one policy over the whole window and log every timestamp.
 
-    The policy contract is ``act(observation, rng) -> action`` plus a
-    ``label`` attribute; the rng is seeded here so identical inputs give a
-    bit-identical log.
+    The policy contract is ``act(observation (D,), rng) -> action (N,)`` plus
+    a ``label`` attribute; the rng is seeded here so identical inputs give a
+    bit-identical log. The env is one copy, so row 0 of its batch is the episode.
     """
     rng = np.random.default_rng(seed)
     env = TradingEnv(cfg, features, window)
-    observation = env.reset()
+    observation = env.reset()[0]
     n = env.n_tickers
     length = len(window)
 
@@ -344,13 +331,14 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
     cash = np.zeros(length)
     values = np.zeros(length)
     for k in range(length):
-        _, cash[k], holdings[k], values[k] = env.state
+        state = env.state
+        cash[k], holdings[k], values[k] = state.cash[0], state.shares[0], state.portfolio_value[0]
         if k == length - 1:
             break
         # np.clip, at less call overhead
         actions[k] = np.minimum(np.maximum(np.asarray(policy.act(observation, rng), dtype=np.float64), -1.0), 1.0)
-        outcome = env.step(actions[k])
-        observation = outcome.observation
+        outcome = env.step(actions[k : k + 1])
+        observation = outcome.observation[0]
     if not outcome.done:
         raise EnvError("window walk ended before the done flag")
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TradeLabError
-from .marketdata import MarketPanel, long_format_keys, write_csv_columns
+from .marketdata import MarketPanel, _readonly, long_format_keys, write_csv_columns
 
 __all__ = [
     "FEATURE_NAMES",
@@ -362,14 +362,10 @@ class FeaturePanel:
     config: IndicatorConfig = field(default_factory=IndicatorConfig)
 
     def __post_init__(self):
-        t = np.asarray(self.timestamps, dtype=np.int64)
-        t.setflags(write=False)
-        object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        for name, dtype in (("features", np.float64), ("closes", np.float64), ("defined", bool)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, dtype in (("timestamps", np.int64), ("features", np.float64), ("closes", np.float64),
+                            ("defined", bool)):
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
         expected = (len(self.timestamps), len(self.tickers), len(FEATURE_NAMES))
         if self.features.shape != expected:
             raise ValueError(f"features shape {self.features.shape}, expected {expected}")
@@ -378,11 +374,9 @@ class FeaturePanel:
         if self.defined.shape != (expected[0], expected[2]):
             raise ValueError(f"defined shape {self.defined.shape}, expected {(expected[0], expected[2])}")
         if self.turbulence is not None:
-            pair = (np.array(self.turbulence[0], dtype=np.float64), np.array(self.turbulence[1], dtype=bool))
+            pair = (_readonly(self.turbulence[0], np.float64), _readonly(self.turbulence[1], bool))
             if pair[0].shape != expected[:1] or pair[1].shape != expected[:1]:
                 raise ValueError(f"turbulence values and mask must both have shape {expected[:1]}")
-            for arr in pair:
-                arr.setflags(write=False)
             object.__setattr__(self, "turbulence", pair)
 
     @property

@@ -248,8 +248,9 @@ def parse_csv_columns(path, error, columns, fault=None) -> tuple[list, TradeLabE
     return [parse(cells[: fault.row - 2]) for _, cells, parse in columns], fault
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
+def _readonly(arr, dtype) -> np.ndarray:
+    """A read-only copy, so freezing it leaves the caller's array writable."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -267,9 +268,9 @@ class BarSeries:
     volume: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", _readonly(np.asarray(self.timestamps, dtype=np.int64)))
+        object.__setattr__(self, "timestamps", _readonly(self.timestamps, np.int64))
         for name in OHLCV:
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=np.float64)))
+            object.__setattr__(self, name, _readonly(getattr(self, name), np.float64))
             if getattr(self, name).shape != self.timestamps.shape:
                 raise ValueError(f"{self.ticker}: field {name} length mismatch")
         if len(self) == 0:
@@ -307,8 +308,8 @@ class AuxSeries:
     values: np.ndarray  # float64 (T,)
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", _readonly(np.asarray(self.timestamps, dtype=np.int64)))
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=np.float64)))
+        object.__setattr__(self, "timestamps", _readonly(self.timestamps, np.int64))
+        object.__setattr__(self, "values", _readonly(self.values, np.float64))
         if self.timestamps.shape != self.values.shape:
             raise ValueError(f"{self.name}: timestamp/value length mismatch")
 
@@ -338,16 +339,16 @@ class MarketPanel:
         object.__setattr__(self, "tickers", tuple(self.tickers))
         if not self.tickers:
             raise ValueError("a panel needs at least one ticker")
-        object.__setattr__(self, "timestamps", _readonly(np.asarray(self.timestamps, dtype=np.int64)))
+        object.__setattr__(self, "timestamps", _readonly(self.timestamps, np.int64))
         shape = (self.timestamps.shape[0], len(self.tickers))
         for name in OHLCV:
-            arr = _readonly(np.asarray(getattr(self, name), dtype=np.float64))
+            arr = _readonly(getattr(self, name), np.float64)
             if arr.shape != shape:
                 raise ValueError(f"panel field {name} has shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
         aux = {}
         for name, values in self.aux.items():
-            arr = _readonly(np.asarray(values, dtype=np.float64))
+            arr = _readonly(values, np.float64)
             if arr.shape != (shape[0],):
                 raise ValueError(f"aux series {name!r} has shape {arr.shape}, expected ({shape[0]},)")
             aux[name] = arr

@@ -47,10 +47,11 @@ def test_criterion_01_state_vector_is_301():
     tickers = [f"T{i:02d}" for i in range(30)]
     feats = make_features(tickers, 40, seed=11)
     env = TradingEnv(EnvConfig(), feats, Window(feats.warmup, 40))
-    obs = env.reset()
+    batch = env.reset()
 
     assert observation_size(30) == 1 + 30 + 30 + 240 == 301
-    assert obs.shape == (301,)
+    assert batch.shape == (1, 301)  # one copy, one row
+    obs = batch[0]
     # decomposition: [cash][30 prices][30 holdings][30*8 features]
     assert obs[0] == 1_000_000.0
     assert np.array_equal(obs[1:31], feats.closes[feats.warmup])
@@ -72,7 +73,7 @@ def test_criterion_02_100k_steps_make_33_episodes():
 
     env = TradingEnv(EnvConfig(), feats, window)
     env.reset()
-    hold = np.zeros(30)
+    hold = np.zeros((1, 30))
     completed = 0
     for _ in range(100_000):
         outcome = env.step(hold)
@@ -94,10 +95,10 @@ def test_criterion_03_reset_capital_and_shares():
     env = TradingEnv(EnvConfig(), feats, Window(feats.warmup, 60))
     obs = env.reset()
     state = env.state
-    assert state.cash == 1_000_000.0
-    assert np.array_equal(state.shares, np.zeros(3, dtype=np.int64))
-    assert state.portfolio_value == 1_000_000.0
-    assert obs[0] == 1_000_000.0
+    assert np.array_equal(state.cash, [1_000_000.0])
+    assert np.array_equal(state.shares, np.zeros((1, 3), dtype=np.int64))
+    assert np.array_equal(state.portfolio_value, [1_000_000.0])
+    assert obs[0, 0] == 1_000_000.0
     _verdict(3, started, 10.0, "reset holds exactly 1,000,000 cash and zero shares")
 
 
@@ -278,26 +279,26 @@ def test_criterion_05_accounting_invariants():
     while steps_checked < 10_000:
         env = TradingEnv(cfg, feats, window)
         env.reset()
-        value_start = env.state.portfolio_value
+        value_start = env.state.portfolio_value[0]
         reward_sum = 0.0
         done = False
         while not done and steps_checked < 10_000:
-            before = env.state.shares.copy()
-            value_before = env.state.portfolio_value
-            outcome = env.step(rng.uniform(-1.0, 1.0, size=5))
-            state = env.state
+            before = env.state.shares[0]
+            value_before = env.state.portfolio_value[0]
+            outcome = env.step(rng.uniform(-1.0, 1.0, size=(1, 5)))
+            t, (cash,), (shares,), (value,) = env.state  # the one copy's row
             done = outcome.done
             steps_checked += 1
-            reward_sum += outcome.reward
+            reward_sum += outcome.reward[0]
 
-            assert state.cash >= 0.0
-            assert np.all(state.shares >= 0)
-            assert np.all(np.abs(state.shares - before) <= cfg.hmax)
-            recomputed = state.cash + float(state.shares @ feats.closes[state.t])
-            assert recomputed == pytest.approx(state.portfolio_value, rel=1e-6)
-            assert outcome.reward == pytest.approx(state.portfolio_value - value_before, rel=1e-6, abs=1e-6)
+            assert cash >= 0.0
+            assert np.all(shares >= 0)
+            assert np.all(np.abs(shares - before) <= cfg.hmax)
+            recomputed = cash + float(shares @ feats.closes[t])
+            assert recomputed == pytest.approx(value, rel=1e-6)
+            assert outcome.reward[0] == pytest.approx(value - value_before, rel=1e-6, abs=1e-6)
         if done:
-            assert reward_sum == pytest.approx(env.state.portfolio_value - value_start, rel=1e-6, abs=1e-3)
+            assert reward_sum == pytest.approx(env.state.portfolio_value[0] - value_start, rel=1e-6, abs=1e-3)
         episode += 1
     assert steps_checked == 10_000
     _verdict(5, started, 60.0, f"cash/shares/value invariants held across 10,000 random-action steps ({episode} episodes)")
@@ -515,7 +516,7 @@ def test_criterion_09_holder_vs_trader_echo():
         f"mean run {bnh.trade_stats.mean_holding_run:.1f} vs zigzag "
         f"trader_score={zig.trader_score:.4f}, mean run {zig.trade_stats.mean_holding_run:.1f} - {echo}"
     )
-    assert table.rankings["trader_score"]  # table built without error
+    assert table.labels == (bnh.agent_label, zig.agent_label)  # table built without error
     _verdict(9, started, 60.0, f"holder-vs-trader comparison computed ({echo})")
 
 

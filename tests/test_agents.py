@@ -137,10 +137,10 @@ class TestMlpForward:
         sizes = (4, 8, 8, 2)
         total = init_mlp(sizes, np.random.default_rng(0)).vector.size
         params = MlpParams(np.zeros(total), sizes)
-        mean, log_std, value, _ = mlp_forward(params, np.ones(4))
-        assert np.array_equal(mean, np.zeros(2))
+        mean, log_std, value, _ = mlp_forward(params, np.ones((1, 4)))
+        assert np.array_equal(mean, np.zeros((1, 2)))
         assert np.array_equal(log_std, np.zeros(2))
-        assert value == 0.0
+        assert np.array_equal(value, [0.0])
 
     def test_forward_recomputation(self, rng):
         params = init_mlp((5, 7, 6, 3), rng)
@@ -156,26 +156,28 @@ class TestMlpForward:
         params = init_mlp((5, 7, 6, 3), rng)
         x = rng.standard_normal((4, 5))
         mean_b, _, value_b, _ = mlp_forward(params, x)
-        for i in range(4):
-            mean_s, _, value_s, _ = mlp_forward(params, x[i])
-            np.testing.assert_allclose(mean_s, mean_b[i], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(value_s, value_b[i], rtol=0, atol=1e-12)
+        for i in range(4):  # a batch of one row, as MlpPolicy.act runs it
+            mean_s, _, value_s, _ = mlp_forward(params, x[i : i + 1])
+            np.testing.assert_allclose(mean_s[0], mean_b[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(value_s[0], value_b[i], rtol=0, atol=1e-12)
 
     def test_mean_is_squashed(self, rng):
         params = init_mlp((5, 7, 6, 3), rng)
-        mean, _, _, _ = mlp_forward(params, 1e6 * np.ones(5))
+        mean, _, _, _ = mlp_forward(params, 1e6 * np.ones((1, 5)))
         assert np.all(np.abs(mean) <= 1.0)
 
     def test_shape_mismatch(self, rng):
         params = init_mlp((5, 7, 6, 3), rng)
         with pytest.raises(ShapeMismatch):
-            mlp_forward(params, np.zeros(4))
+            mlp_forward(params, np.zeros((1, 4)))
         with pytest.raises(ShapeMismatch):
             mlp_forward(params, np.zeros((2, 2, 5)))
+        with pytest.raises(ShapeMismatch):  # one observation is a batch of one, never (D,)
+            mlp_forward(params, np.zeros(5))
 
     def test_log_std_is_a_copy(self, rng):
         params = init_mlp((5, 7, 6, 3), rng)
-        _, log_std, _, _ = mlp_forward(params, np.zeros(5))
+        _, log_std, _, _ = mlp_forward(params, np.zeros((1, 5)))
         log_std[:] = 99.0
         assert np.array_equal(params.log_std, np.zeros(3))
 
@@ -334,7 +336,7 @@ class TestObsNormalizer:
         norm.normalize(np.zeros(3))
 
     @pytest.mark.parametrize(
-        "shape, shown", [((3, 1), (3, 1)), ((3, 6), (3, 6)), ((4,), (1, 4)), ((2, 2, 5), (2, 2, 5))]
+        "shape, shown", [((3, 1), (3, 1)), ((3, 6), (3, 6)), ((4,), (4,)), ((5,), (5,)), ((2, 2, 5), (2, 2, 5))]
     )
     def test_update_rejects_a_wrong_width(self, rng, shape, shown):
         norm = ObsNormalizer(5)
@@ -361,8 +363,8 @@ class TestObsNormalizer:
     def test_single_row_updates_stream(self, rng):
         a, b = ObsNormalizer(3), ObsNormalizer(3)
         rows = rng.standard_normal((25, 3))
-        for row in rows:
-            a.update(row)
+        for i in range(len(rows)):
+            a.update(rows[i : i + 1])
         b.update(rows)
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
         np.testing.assert_allclose(a.m2, b.m2, rtol=1e-9)
@@ -541,7 +543,7 @@ class TestTraining:
         assert policy.label == "a2c"
         assert policy.normalizer.frozen
         assert policy.steps_trained == cfg.total_timesteps
-        obs = factory().reset()
+        obs = factory().reset()[0]
         a1 = policy.act(obs, np.random.default_rng(0))
         a2 = policy.act(obs, np.random.default_rng(99))
         assert np.array_equal(a1, a2)  # deterministic head ignores the rng
@@ -575,7 +577,7 @@ class TestCheckpoint:
         assert loaded.label == policy.label
         assert loaded.steps_trained == policy.steps_trained
         assert loaded.config == policy.config
-        obs = factory().reset()
+        obs = factory().reset()[0]
         assert np.array_equal(
             loaded.act(obs, np.random.default_rng(0)), policy.act(obs, np.random.default_rng(0))
         )
@@ -656,3 +658,14 @@ class TestCheckpoint:
         save_checkpoint(bad, path)
         with pytest.raises(TradeLabError, match="non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("which, value", [("mean", np.nan), ("m2", np.inf), ("m2", -1.0)])
+    def test_rejects_bad_normalizer_statistics(self, tmp_path, rng, which, value):
+        normalizer = ObsNormalizer(4)
+        normalizer.update(rng.standard_normal((3, 4)))
+        getattr(normalizer, which)[2] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(MlpPolicy(init_mlp((4, 6, 6, 2), rng), normalizer), path)
+        with pytest.raises(MalformedFile, match="normalizer statistics") as caught:
+            load_checkpoint(path)
+        assert str(path) in str(caught.value)

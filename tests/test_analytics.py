@@ -298,14 +298,8 @@ class TestCompareProfiles:
     def test_random_outranks_hold_on_trading(self, rng):
         hold, rand = self._pair(rng)
         table = compare_profiles([hold, rand])
-        assert table.rankings["trader_score"][0] == "random"
-        assert table.rankings["trader_score"][-1] == "hold"
-        assert set(table.rankings) == {
-            "final_cumulative_reward",
-            "trader_score",
-            "hhi",
-            "max_shares_held",
-        }
+        assert table.labels == ("hold", "random")
+        assert table.trader_score[1] > table.trader_score[0]
 
     def test_identical_logs_identical_rows(self, rng):
         log = synthetic_log(rng, label="twin")
@@ -323,7 +317,8 @@ class TestCompareProfiles:
             return behavior_profile(synthetic_log(rng, holdings=holdings, label=label))
 
         table = compare_profiles([with_changes("low", 2), with_changes("mid", 6), with_changes("high", 12)])
-        assert table.rankings["trader_score"] == ["high", "mid", "low"]
+        assert table.labels == ("low", "mid", "high")
+        assert table.trader_score[0] < table.trader_score[1] < table.trader_score[2]
 
     def test_window_mismatch(self, rng):
         a = behavior_profile(synthetic_log(rng, t=30))
@@ -343,14 +338,13 @@ class TestCompareProfiles:
         with pytest.raises(ValueError):
             compare_profiles([behavior_profile(synthetic_log(rng))])
 
-    def test_absent_hhi_ranks_last(self, rng):
+    def test_absent_hhi_is_none(self, rng):
         zero = behavior_profile(synthetic_log(rng, holdings=np.zeros((15, 2), dtype=np.int64), label="idle"))
         busy = behavior_profile(
             synthetic_log(rng, holdings=np.ones((15, 2), dtype=np.int64), label="busy")
         )
         table = compare_profiles([zero, busy])
-        assert table.rankings["hhi"][-1] == "idle"
-        assert table.hhi[0] is None
+        assert table.hhi[0] is None and table.hhi[1] is not None
 
 
 class TestReportPersistence:

@@ -350,6 +350,19 @@ class TestAnalyze:
         assert not (workspace / "out" / "comparison.csv").exists()
         assert not (workspace / "out" / "report_hold").exists()
 
+    @pytest.mark.parametrize("label", ["../../../escaped", "..\\..\\escaped", "nul\0byte"])
+    def test_label_that_is_not_a_file_name_exits_one(self, workspace, capsys, label):
+        hold_log, _ = self._logs(workspace)
+        sidecar = workspace / "out" / "log_hold.csv.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "agent_label": label}))
+        capsys.readouterr()
+        assert run(workspace, "analyze", hold_log) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent label") and str(sidecar) in err
+        assert sorted(p.name for p in (workspace / "out").iterdir() if not p.name.startswith("log_")) == \
+            ["panel.bin", "panel.csv"]  # no report was written
+        assert not (workspace / "escaped").exists() and not (workspace.parent / "escaped").exists()
+
     @pytest.mark.parametrize(
         "edit, names",
         [
@@ -426,6 +439,14 @@ class TestMalformedInputs:
             ("indicators", {"rsi_period": 8.5}, ["indicators.rsi_period"]),
             ("a2c", {"hidden_sizes": [16]}, ["'a2c'", "hidden_sizes"]),
             ("a2c", [16, 16], ["'a2c'", "JSON object"]),
+            ("env", {"initial_capital": float("inf")}, ["env.initial_capital", "finite", "inf"]),
+            ("env", {"initial_capital": float("nan")}, ["env.initial_capital", "finite", "nan"]),
+            ("env", {"turbulence_gate": float("nan")}, ["env.turbulence_gate", "finite"]),
+            ("indicators", {"boll_k": float("-inf")}, ["indicators.boll_k", "finite"]),
+            ("a2c", {"lr": float("inf")}, ["a2c.lr", "finite"]),
+            ("a2c", {"rms_decay": 1.0}, ["'a2c'", "rms_decay"]),
+            ("a2c", {"rms_decay": -0.5}, ["'a2c'", "rms_decay"]),
+            ("a2c", {"rms_eps": 0.0}, ["'a2c'", "rms_eps"]),
         ],
     )
     def test_bad_config_section_exits_one(self, workspace, capsys, section, value, names):
@@ -509,6 +530,19 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and f"'{key}'" in err
         assert not (workspace / "out" / "log_5.csv").exists() and not (workspace / "out" / "log_a2c.csv").exists()
+
+    def test_checkpoint_label_that_is_not_a_file_name_exits_one(self, workspace, capsys):
+        run(workspace, "ingest")
+        run(workspace, "train")
+        path = workspace / "out" / "a2c.ckpt"
+        head, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(json.dumps({**json.loads(head), "label": "../escaped"}, sort_keys=True).encode()
+                         + b"\n" + payload)
+        capsys.readouterr()
+        assert run(workspace, "simulate", "--agent", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent label '../escaped'") and str(path) in err
+        assert not list((workspace / "out").glob("log_*")) and not list(workspace.glob("escaped*"))
 
     def test_panel_without_tickers_exits_one(self, workspace, capsys):
         path = workspace / "out" / "panel.bin"

@@ -62,7 +62,7 @@ def test_observation_is_301_dimensional_for_30_tickers():
     features = make_features([f"T{i:02d}" for i in range(30)], 40, seed=2)
     observation = TradingEnv(EnvConfig(), features, Window(16, 40)).reset()
     assert observation_size(30) == 301
-    assert observation.shape == (301,)
+    assert observation.shape == (1, 301)  # one copy by default
 
 
 def test_reset_initial_state():
@@ -71,9 +71,9 @@ def test_reset_initial_state():
     env = TradingEnv(cfg, features, Window(16, 30))
     observation = env.reset()
     state = env.state
-    assert state.cash == 1_000_000.0
-    assert np.all(state.shares == 0)
-    assert observation[0] == 1_000_000.0
+    assert np.array_equal(state.cash, [1_000_000.0]) and np.array_equal(state.portfolio_value, [1_000_000.0])
+    assert np.array_equal(state.shares, np.zeros((1, 2), dtype=np.int64))
+    assert observation[0, 0] == 1_000_000.0
     assert state.t == 16
 
 
@@ -98,7 +98,7 @@ def test_window_needs_two_rows():
 def test_encode_layout_small():
     features = flat_features(np.array([[10.0, 20.0], [11.0, 19.0]]))
     cfg = EnvConfig(initial_capital=500.0)
-    observation = TradingEnv(cfg, features, Window(0, 2)).reset()
+    (observation,) = TradingEnv(cfg, features, Window(0, 2)).reset()
     assert observation.shape == (21,)  # 1 + 2*2 + 8*2
     assert observation[0] == 500.0
     assert list(observation[1:3]) == [10.0, 20.0]
@@ -113,10 +113,10 @@ def test_encode_shares_slice_tracks_state():
     rng = np.random.default_rng(0)
     n = 3
     for _ in range(10):
-        outcome = env.step(rng.uniform(-1, 1, size=n))
+        outcome = env.step(rng.uniform(-1, 1, size=(1, n)))
         observation = outcome.observation
-        assert np.array_equal(observation[1 + n : 1 + 2 * n], env.state.shares.astype(float))
-        assert observation[0] == env.state.cash
+        assert np.array_equal(observation[:, 1 + n : 1 + 2 * n], env.state.shares.astype(float))
+        assert np.array_equal(observation[:, 0], env.state.cash)
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +125,18 @@ def test_encode_shares_slice_tracks_state():
 
 def test_hand_accounting_oracle():
     # prices (10, 20) -> (11, 19), buy 10 shares of each at 0.1% cost:
-    #   spend 10*10*1.001 + 10*20*1.001 = 300.3, fees 0.1 and 0.2
+    #   spend 10*10*1.001 + 10*20*1.001 = 300.3, fees 0.1 + 0.2 = 0.3
     #   V_old = 1000, V_new = 699.7 + 10*11 + 10*19 = 999.7, reward = -0.3
     features = flat_features(np.array([[10.0, 20.0], [11.0, 19.0]]))
     cfg = EnvConfig(initial_capital=1000.0, hmax=10, cost_rate=0.001)
     env = TradingEnv(cfg, features, Window(0, 2))
     env.reset()
-    outcome = env.step(np.array([1.0, 1.0]))
+    outcome = env.step(np.array([[1.0, 1.0]]))
     state = env.state
-    assert np.array_equal(state.shares, [10, 10])
-    assert abs(state.cash - 699.7) <= 1e-12
-    assert abs(outcome.reward - (-0.3)) <= 1e-12
-    assert np.array_equal(outcome.info["traded"], [10, 10])
-    assert np.allclose(outcome.info["fees"], [0.1, 0.2], atol=1e-12)
+    assert np.array_equal(state.shares, [[10, 10]])
+    assert abs(state.cash[0] - 699.7) <= 1e-12
+    assert abs((1000.0 - state.cash[0]) - (10 * 10.0 + 10 * 20.0) - 0.3) <= 1e-12  # the fees
+    assert outcome.reward.shape == (1,) and abs(outcome.reward[0] - (-0.3)) <= 1e-12
     assert outcome.done
 
 
@@ -146,12 +145,12 @@ def test_hold_action_keeps_cash_and_pays_nothing():
     cfg = EnvConfig(initial_capital=1000.0, hmax=10)
     env = TradingEnv(cfg, features, Window(0, 3))
     env.reset()
-    env.step(np.array([1.0, 0.0]))  # 10 shares of ticker 0 at price 10
+    env.step(np.array([[1.0, 0.0]]))  # 10 shares of ticker 0 at price 10
     cash_before = env.state.cash
-    outcome = env.step(np.zeros(2))
-    assert env.state.cash == cash_before
+    outcome = env.step(np.zeros((1, 2)))
+    assert np.array_equal(env.state.cash, cash_before)
     # reward = shares . delta-price = 10 * (12 - 11)
-    assert abs(outcome.reward - 10.0) <= 1e-9
+    assert abs(outcome.reward[0] - 10.0) <= 1e-9
 
 
 def test_sell_clips_to_holdings():
@@ -159,10 +158,11 @@ def test_sell_clips_to_holdings():
     cfg = EnvConfig(initial_capital=1000.0, hmax=50, cost_rate=0.0)
     env = TradingEnv(cfg, features, Window(0, 3))
     env.reset()
-    env.step(np.array([0.1, 0.0]))  # buy 5 of ticker 0
-    outcome = env.step(np.array([-1.0, -1.0]))  # try to sell 50 of each
-    assert np.array_equal(env.state.shares, [0, 0])
-    assert np.array_equal(outcome.info["traded"], [-5, 0])
+    env.step(np.array([[0.1, 0.0]]))  # buy 5 of ticker 0
+    assert np.array_equal(env.state.shares, [[5, 0]])
+    env.step(np.array([[-1.0, -1.0]]))  # try to sell 50 of each
+    assert np.array_equal(env.state.shares, [[0, 0]])
+    assert np.array_equal(env.state.cash, [1005.0])  # 1000 - 5 * 10 + 5 * 11: the 5 held, no more
 
 
 def test_buy_clips_to_cash():
@@ -170,10 +170,10 @@ def test_buy_clips_to_cash():
     cfg = EnvConfig(initial_capital=550.0, hmax=100, cost_rate=0.0)
     env = TradingEnv(cfg, features, Window(0, 2))
     env.reset()
-    env.step(np.array([1.0]))
+    env.step(np.array([[1.0]]))
     state = env.state
-    assert state.shares[0] == 5  # floor(550 / 100)
-    assert abs(state.cash - 50.0) <= 1e-12
+    assert np.array_equal(state.shares, [[5]])  # floor(550 / 100)
+    assert abs(state.cash[0] - 50.0) <= 1e-12
 
 
 def test_buys_fill_in_ascending_ticker_order():
@@ -181,10 +181,10 @@ def test_buys_fill_in_ascending_ticker_order():
     cfg = EnvConfig(initial_capital=350.0, hmax=3, cost_rate=0.0)
     env = TradingEnv(cfg, features, Window(0, 2))
     env.reset()
-    env.step(np.array([1.0, 1.0]))
+    env.step(np.array([[1.0, 1.0]]))
     state = env.state
-    assert list(state.shares) == [3, 0]  # ticker 0 exhausts the cash first
-    assert abs(state.cash - 50.0) <= 1e-12
+    assert state.shares.tolist() == [[3, 0]]  # ticker 0 exhausts the cash first
+    assert abs(state.cash[0] - 50.0) <= 1e-12
 
 
 def test_step_after_done():
@@ -192,9 +192,9 @@ def test_step_after_done():
     cfg = EnvConfig()
     env = TradingEnv(cfg, features, Window(0, 2))
     env.reset()
-    env.step(np.zeros(1))
+    env.step(np.zeros((1, 1)))
     with pytest.raises(StepAfterDone):
-        env.step(np.zeros(1))
+        env.step(np.zeros((1, 1)))
 
 
 def test_invalid_actions_rejected():
@@ -203,9 +203,11 @@ def test_invalid_actions_rejected():
     env = TradingEnv(cfg, features, Window(0, 2))
     env.reset()
     with pytest.raises(ValueError):
-        env.step(np.array([np.nan, 0.0]))
+        env.step(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
-        env.step(np.zeros(3))
+        env.step(np.zeros((1, 3)))
+    with pytest.raises(ValueError):  # one copy still takes an (E, N) action
+        env.step(np.zeros(2))
 
 
 def test_action_components_clamped():
@@ -213,9 +215,9 @@ def test_action_components_clamped():
     cfg = EnvConfig(initial_capital=10_000.0, hmax=10, cost_rate=0.0)
     env = TradingEnv(cfg, features, Window(0, 2))
     env.reset()
-    env.step(np.array([25.0]))
+    env.step(np.array([[25.0]]))
     state = env.state
-    assert state.shares[0] == 10  # clamped to +1 before scaling by hmax
+    assert np.array_equal(state.shares, [[10]])  # clamped to +1 before scaling by hmax
 
 
 def test_accounting_identity_fuzz():
@@ -230,16 +232,16 @@ def test_accounting_identity_fuzz():
         env = TradingEnv(cfg, features, window)
         env.reset()
         rng = np.random.default_rng(master.integers(1 << 60))
-        prev_shares = env.state.shares.copy()
+        prev_shares = env.state.shares[0]
         for _ in range(window.steps):
-            outcome = env.step(rng.uniform(-1, 1, size=5))
-            state = env.state
-            assert state.cash >= 0.0
-            assert np.all(state.shares >= 0)
-            assert np.all(np.abs(state.shares - prev_shares) <= cfg.hmax)
-            recomputed = state.cash + float(state.shares @ features.closes[state.t])
-            assert abs(recomputed - state.portfolio_value) <= 1e-6 * max(1.0, abs(recomputed))
-            prev_shares = state.shares.copy()
+            env.step(rng.uniform(-1, 1, size=(1, 5)))
+            t, (cash,), (shares,), (value,) = env.state  # the one copy's row
+            assert cash >= 0.0
+            assert np.all(shares >= 0)
+            assert np.all(np.abs(shares - prev_shares) <= cfg.hmax)
+            recomputed = cash + float(shares @ features.closes[t])
+            assert abs(recomputed - value) <= 1e-6 * max(1.0, abs(recomputed))
+            prev_shares = shares
             total_steps += 1
     assert total_steps == 10_000
 
@@ -258,36 +260,37 @@ def test_batched_env_equals_single_envs_bit_for_bit(capital, gate):
     window = Window(16, 60)
     cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001, reward_scale=1e-3, turbulence_gate=gate)
     batched = TradingEnv(cfg, features, window, copies=4)
-    singles = [TradingEnv(cfg, features, window) for _ in range(4)]
+    singles = [TradingEnv(cfg, features, window) for _ in range(4)]  # one copy each
+    turb, defined = features.turbulence
     rng = np.random.default_rng(7)
     observations = batched.reset()
     assert observations.shape == (4, observation_size(5))
     for e, env in enumerate(singles):
-        assert np.array_equal(observations[e], env.reset())
+        assert np.array_equal(observations[e : e + 1], env.reset())
     gated_steps = clipped_buys = 0
     for _ in range(2 * window.steps + 5):  # through done, a reset and part of a second episode
         actions = rng.uniform(-1.2, 1.2, size=(4, 5))
+        before = batched.state
         outcome = batched.step(actions)
         state = batched.state
-        assert outcome.reward.shape == (4,) and outcome.info["traded"].shape == (4, 5)
-        gated_steps += outcome.info["gated"]
+        assert outcome.reward.shape == (4,) and outcome.observation.shape == (4, observation_size(5))
+        if gate is not None and defined[before.t] and turb[before.t] > gate:  # the gate liquidates
+            gated_steps += 1
+            assert not state.shares.any()
         desired = np.rint(np.clip(actions, -1.0, 1.0) * cfg.hmax)
-        clipped_buys += np.sum((desired > 0) & (outcome.info["traded"] < desired))
+        clipped_buys += np.sum((desired > 0) & (state.shares - before.shares < desired))
         for e, env in enumerate(singles):
-            single = env.step(actions[e])
-            assert np.array_equal(outcome.observation[e], single.observation)
-            assert outcome.reward[e] == single.reward
+            single = env.step(actions[e : e + 1])
+            assert np.array_equal(outcome.observation[e : e + 1], single.observation)
+            assert np.array_equal(outcome.reward[e : e + 1], single.reward)
             assert outcome.done == single.done
-            assert outcome.info["gated"] == single.info["gated"]
-            assert np.array_equal(outcome.info["traded"][e], single.info["traded"])
-            assert np.array_equal(outcome.info["fees"][e], single.info["fees"])
-            assert state.cash[e] == env.state.cash
-            assert np.array_equal(state.shares[e], env.state.shares)
-            assert state.portfolio_value[e] == env.state.portfolio_value
+            assert np.array_equal(state.cash[e : e + 1], env.state.cash)
+            assert np.array_equal(state.shares[e : e + 1], env.state.shares)
+            assert np.array_equal(state.portfolio_value[e : e + 1], env.state.portfolio_value)
         if outcome.done:
             observations = batched.reset()
             for e, env in enumerate(singles):
-                assert np.array_equal(observations[e], env.reset())
+                assert np.array_equal(observations[e : e + 1], env.reset())
     assert (gated_steps > 0) == (gate is not None)
     assert clipped_buys > 0 or capital == 1_000_000.0
 
@@ -312,7 +315,6 @@ def test_batched_accounting_fuzz():
             assert np.all(state.cash >= 0.0)
             assert np.all(state.shares >= 0)
             assert np.all(np.abs(state.shares - before) <= cfg.hmax)
-            assert np.array_equal(state.shares - before, outcome.info["traded"])
             rewards.append(outcome.reward)
         assert outcome.done
         totals = np.array([math.fsum(column) for column in np.array(rewards).T])
@@ -365,13 +367,13 @@ def test_turbulence_gate_liquidates():
     cfg = EnvConfig(initial_capital=1000.0, hmax=10, cost_rate=0.0, turbulence_gate=25.0)
     env = TradingEnv(cfg, features, Window(0, 4))
     env.reset()
-    env.step(np.array([1.0, 1.0]))  # accumulate at calm t=0
-    held = env.state.shares.copy()
+    env.step(np.array([[1.0, 1.0]]))  # accumulate at calm t=0
+    held = env.state.shares
     assert held.sum() > 0
-    outcome = env.step(np.array([1.0, 1.0]))  # t=1 is turbulent: sell all
-    assert outcome.info["gated"]
+    cash = env.state.cash[0]
+    env.step(np.array([[1.0, 1.0]]))  # t=1 is turbulent: sell all, buy nothing
     assert np.all(env.state.shares == 0)
-    assert np.array_equal(outcome.info["traded"], -held)
+    assert env.state.cash[0] == cash + float(held[0] @ features.closes[1])  # cost_rate 0
 
 
 def test_turbulence_gate_respects_threshold_and_mask():
@@ -380,12 +382,10 @@ def test_turbulence_gate_respects_threshold_and_mask():
     cfg = EnvConfig(initial_capital=1000.0, hmax=5, cost_rate=0.0, turbulence_gate=10.0)
     env = TradingEnv(cfg, undefined, Window(0, 3))
     env.reset()
-    outcome = env.step(np.array([1.0]))  # undefined turbulence: trade normally
-    assert not outcome.info["gated"]
-    assert env.state.shares[0] == 5
-    outcome = env.step(np.array([1.0]))  # defined but below threshold
-    assert not outcome.info["gated"]
-    assert env.state.shares[0] == 10
+    env.step(np.array([[1.0]]))  # undefined turbulence: trade normally
+    assert np.array_equal(env.state.shares, [[5]])
+    env.step(np.array([[1.0]]))  # defined but below threshold
+    assert np.array_equal(env.state.shares, [[10]])
 
 
 def test_gate_off_by_default():
@@ -393,10 +393,10 @@ def test_gate_off_by_default():
     cfg = EnvConfig(initial_capital=1000.0, hmax=10, cost_rate=0.0)
     env = TradingEnv(cfg, features, Window(0, 4))
     env.reset()
-    env.step(np.array([1.0, 1.0]))
-    outcome = env.step(np.array([0.0, 0.0]))
-    assert not outcome.info["gated"]
-    assert env.state.shares.sum() > 0
+    env.step(np.array([[1.0, 1.0]]))
+    held = env.state.shares
+    env.step(np.array([[0.0, 0.0]]))  # t=1 would be gated: nothing is sold
+    assert held.sum() > 0 and np.array_equal(env.state.shares, held)
 
 
 def test_gate_without_turbulence_is_refused():
@@ -417,10 +417,10 @@ def test_round_trip_free_of_cost_is_neutral():
     env = TradingEnv(cfg, features, Window(0, 3))
     env.reset()
     v0 = env.state.portfolio_value
-    env.step(np.array([1.0, 1.0]))
-    env.step(np.array([-1.0, -1.0]))
-    assert env.state.portfolio_value == v0
-    assert env.state.cash == 1000.0
+    env.step(np.array([[1.0, 1.0]]))
+    env.step(np.array([[-1.0, -1.0]]))
+    assert np.array_equal(env.state.portfolio_value, v0)
+    assert np.array_equal(env.state.cash, [1000.0])
 
 
 def test_round_trip_cost_is_two_sided():
@@ -430,12 +430,12 @@ def test_round_trip_cost_is_two_sided():
     cfg = EnvConfig(initial_capital=10_000.0, hmax=10, cost_rate=rate)
     env = TradingEnv(cfg, features, Window(0, 3))
     env.reset()
-    v0 = env.state.portfolio_value
-    env.step(np.array([1.0, 1.0]))
-    qty = env.state.shares.copy()
-    env.step(np.array([-1.0, -1.0]))
+    v0 = env.state.portfolio_value[0]
+    env.step(np.array([[1.0, 1.0]]))
+    qty = env.state.shares[0]
+    env.step(np.array([[-1.0, -1.0]]))
     expected_loss = float(2 * rate * (qty @ closes[0]))
-    assert abs((v0 - env.state.portfolio_value) - expected_loss) <= 1e-9
+    assert abs((v0 - env.state.portfolio_value[0]) - expected_loss) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,114 @@
+"""Seeded fuzz of the files a run reads back: the binary frames (``panel.bin``,
+``a2c.ckpt``) and the JSON config.
+
+Every mutated file either loads or raises a TradeLabError whose message names
+the file; nothing leaks a bare traceback. A config never loads a NaN or an
+infinity into a numeric field.
+"""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import make_panel
+from tradelab.agents.a2c import A2CConfig, MlpPolicy, ObsNormalizer, load_checkpoint, save_checkpoint
+from tradelab.agents.mlp import init_mlp
+from tradelab.cli import SECTIONS, RunConfig
+from tradelab.errors import TradeLabError
+from tradelab.marketdata import load_panel, save_panel
+
+WRONG_VALUES = [None, True, -1, 1.5, "x", []]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _fails_closed(load, path, data: bytes):
+    """Write ``data`` to ``path`` and load it: the result, or None after a
+    TradeLabError that names the file."""
+    path.write_bytes(data)
+    try:
+        return load(path)
+    except TradeLabError as exc:
+        assert str(path) in str(exc), exc
+        return None
+
+
+def _frame(tmp_path, name):
+    path = tmp_path / name
+    if name == "panel.bin":
+        save_panel(make_panel(["AA", "BB"], 12, seed=1), path)
+        return path, load_panel
+    rng = np.random.default_rng(2)
+    normalizer = ObsNormalizer(21)
+    normalizer.update(rng.standard_normal((3, 21)))
+    save_checkpoint(MlpPolicy(init_mlp((21, 4, 4, 2), rng), normalizer, config=A2CConfig(), steps_trained=20), path)
+    return path, load_checkpoint
+
+
+def _header_swaps(raw: bytes):
+    """The frame with one header value, or one value nested one level down,
+    replaced by each of WRONG_VALUES and each non-finite number."""
+    head, _, payload = raw.partition(b"\n")
+    header = json.loads(head)
+    for key, value in header.items():
+        spots = [(key, None)] + [(key, inner) for inner in (value if isinstance(value, dict) else range(
+            len(value) if isinstance(value, list) else 0))]
+        for outer, inner in spots:
+            for wrong in [*WRONG_VALUES, *NON_FINITE]:
+                edited = json.loads(head)
+                if inner is None:
+                    edited[outer] = wrong
+                else:
+                    edited[outer][inner] = wrong
+                yield json.dumps(edited, sort_keys=True).encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize("name", ["panel.bin", "a2c.ckpt"])
+def test_mutated_frames_load_or_fail_closed(tmp_path, name):
+    path, load = _frame(tmp_path, name)
+    raw = path.read_bytes()
+    head_len = raw.index(b"\n") + 1
+    assert _fails_closed(load, path, raw) is not None  # the unmutated frame loads
+    rng = np.random.default_rng(61)
+    cuts = sorted({*range(0, head_len + 2), *rng.integers(0, len(raw), 150).tolist()})
+    for data in [raw[:cut] for cut in cuts] + [raw + extra for extra in (b"\x00", b"\n", b"x" * 9)]:
+        assert _fails_closed(load, path, data) is None  # a frame of the wrong length never loads
+    mutants = list(_header_swaps(raw))
+    for k in range(300):  # single bit flips, half of them in the header
+        at = int(rng.integers(0, head_len)) if k % 2 else int(rng.integers(0, len(raw)))
+        flipped = bytearray(raw)
+        flipped[at] ^= 1 << int(rng.integers(0, 8))
+        mutants.append(bytes(flipped))
+    for data in mutants:
+        _fails_closed(load, path, data)
+
+
+def _config_cases():
+    """(section or None, field, value): every field of every config section,
+    and of the top level, given each wrong value and each non-finite number."""
+    for section, cls in [(None, RunConfig), *SECTIONS.items()]:
+        for f in dataclasses.fields(cls):
+            if section is None and f.name in SECTIONS:
+                continue
+            for value in [*WRONG_VALUES, {}, *NON_FINITE]:
+                yield section, f.name, value
+
+
+def test_mutated_configs_load_or_fail_closed(tmp_path):
+    path = tmp_path / "config.json"
+    base = {"data": {"AA": "aa.csv"}, "indicators": {}, "env": {}, "a2c": {}}
+    loaded = 0
+    for section, name, value in _config_cases():
+        config = json.loads(json.dumps(base))
+        (config if section is None else config[section])[name] = value
+        cfg = _fails_closed(lambda p: RunConfig.load(p, {}), path, json.dumps(config).encode())
+        if cfg is None:
+            continue
+        loaded += 1
+        for part in [cfg, *(getattr(cfg, s) for s in SECTIONS)]:
+            for f in dataclasses.fields(part):
+                got = getattr(part, f.name)
+                assert not (isinstance(got, float) and not math.isfinite(got)), (section, name, value)
+    assert loaded > 0  # some wrong values are right for their field (-1 for a seed, None for a gate)

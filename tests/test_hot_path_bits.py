@@ -209,6 +209,21 @@ class RefTradingEnv(TradingEnv):
         return obs if self.copies is not None else obs[0]
 
 
+class RefSingleEnv(RefTradingEnv):
+    """``RefTradingEnv(copies=None)``: the single env as it was, one row of state
+    with an unbatched observation and a float reward. The live env spells it
+    ``copies=1`` and no longer takes ``copies=None``, so this keeps the old reset."""
+
+    def __init__(self, cfg, features, window):
+        super().__init__(cfg, features, window, copies=1)
+        self.copies = None
+
+    def reset(self):
+        self._t = self.window.start
+        self._settle(np.full(1, float(self.cfg.initial_capital)), np.zeros((1, self.n_tickers), dtype=np.int64))
+        return self._observe()
+
+
 def ref_a2c_train(cfg, features, env_cfg, window):
     rng = np.random.default_rng(cfg.seed)
     env = RefTradingEnv(env_cfg, features, window, copies=cfg.n_envs)
@@ -308,8 +323,11 @@ def test_mlp_passes_match_reference(rows):
     params.b1[...] = rng.standard_normal(8)  # init leaves the biases at zero
     params.b_mean[...] = rng.standard_normal(3)
     obs = rng.standard_normal(11 if rows is None else (rows, 11))
-    mean, log_std, value, cache = mlp_forward(params, obs)
+    # None: the reference's single (D,) path against the live batch of one, as MlpPolicy.act runs it
+    mean, log_std, value, cache = mlp_forward(params, obs[None] if rows is None else obs)
     ref_mean, ref_log_std, ref_value, ref_cache = ref_mlp_forward(params, obs)
+    if rows is None:
+        mean, value = mean[0], float(value[0])
     assert np.array_equal(mean, ref_mean) and np.array_equal(log_std, ref_log_std)
     assert np.array_equal(value, ref_value)
     b = 1 if rows is None else rows
@@ -327,7 +345,7 @@ def test_normalizer_matches_reference_across_batches():
     live, ref = ObsNormalizer(6), RefObsNormalizer(6)
     probe = rng.standard_normal((4, 6)) * 30.0
     assert np.array_equal(live.normalize(probe), ref.normalize(probe))  # count 0: unit scale
-    for batch in [rng.standard_normal(6) * 9.0 + 3.0,  # one row: count 1, still unit scale
+    for batch in [(rng.standard_normal(6) * 9.0 + 3.0)[None],  # one row: count 1, still unit scale
                   rng.standard_normal((4, 6)) * 50.0,
                   rng.standard_normal((1, 6)),
                   rng.standard_normal((3, 6)) * 4.0 + 1.0,  # 1/3 is inexact, unlike 1/4
@@ -358,7 +376,7 @@ def test_restored_normalizer_normalizes_like_the_live_one(tmp_path):
 # environment step
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("copies", [None, 4])
+@pytest.mark.parametrize("copies", [None, 4])  # None: the reference single env against the live copies=1
 @pytest.mark.parametrize(
     "capital, gate",
     [(1_000_000.0, None), (50_000.0, None), (50_000.0, 12.0)],
@@ -368,26 +386,30 @@ def test_env_step_matches_reference(capital, gate, copies):
     features = turbulent_features(23)
     window = Window(16, 60)
     cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001, reward_scale=1e-3, turbulence_gate=gate)
-    live, ref = TradingEnv(cfg, features, window, copies=copies), RefTradingEnv(cfg, features, window, copies=copies)
+    if copies is None:
+        live, ref, rows = TradingEnv(cfg, features, window, copies=1), RefSingleEnv(cfg, features, window), 0
+    else:
+        live, ref, rows = TradingEnv(cfg, features, window, copies=copies), \
+            RefTradingEnv(cfg, features, window, copies=copies), slice(None)
     rng = np.random.default_rng(8)
-    assert np.array_equal(live.reset(), ref.reset())
+    assert np.array_equal(live.reset()[rows], ref.reset())
     shape = (5,) if copies is None else (copies, 5)
     gated_steps = clipped_buys = 0
     for _ in range(2 * window.steps + 5):  # through done, a reset and part of a second episode
         actions = rng.uniform(-1.2, 1.2, size=shape)
-        outcome = live.step(actions)
+        before = live.state.shares
+        outcome = live.step(actions.reshape(-1, 5))
         observation, reward, done, info = ref.step(actions)
-        assert np.array_equal(outcome.observation, observation)
-        assert np.array_equal(outcome.reward, reward) and outcome.done == done
-        assert outcome.info["gated"] == info["gated"]
-        assert np.array_equal(outcome.info["traded"], info["traded"])
-        assert np.array_equal(outcome.info["fees"], info["fees"])
+        assert outcome._fields == ("observation", "reward", "done")
+        assert np.array_equal(outcome.observation[rows], observation)
+        assert np.array_equal(outcome.reward[rows], reward) and outcome.done == done
+        assert np.array_equal((live.state.shares - before)[rows], info["traded"])
         assert np.array_equal(live._cash, ref._cash) and np.array_equal(live._values, ref._values)
         gated_steps += info["gated"]
         desired = np.rint(np.clip(actions, -1.0, 1.0) * cfg.hmax)
         clipped_buys += np.sum((desired > 0) & (info["traded"] < desired))
         if done:
-            assert np.array_equal(live.reset(), ref.reset())
+            assert np.array_equal(live.reset()[rows], ref.reset())
     assert (gated_steps > 0) == (gate is not None)
     assert (clipped_buys > 0) == (capital == 50_000.0)
 

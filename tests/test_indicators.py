@@ -626,3 +626,21 @@ def replace_turb(cfg, window):
     from dataclasses import replace
 
     return replace(cfg, turb_window=window)
+
+
+def test_feature_panel_leaves_the_callers_arrays_writable():
+    t, n = 6, 2
+    given = {
+        "timestamps": hourly_axis(T0, t),
+        "features": np.zeros((t, n, len(FEATURE_NAMES))),
+        "defined": np.ones((t, len(FEATURE_NAMES)), dtype=bool),
+        "closes": np.full((t, n), 10.0),
+    }
+    turb = (np.zeros(t), np.ones(t, dtype=bool))
+    fp = FeaturePanel(tickers=("AAA", "BBB"), warmup=0, turbulence=turb, **given)
+    for name, arr in [*given.items(), ("turbulence values", turb[0]), ("turbulence mask", turb[1])]:
+        assert arr.flags.writeable, name
+    for arr in (fp.timestamps, fp.features, fp.defined, fp.closes, *fp.turbulence):
+        assert not arr.flags.writeable
+    given["timestamps"][0] += 1  # the panel holds its own copy
+    assert fp.timestamps[0] == T0
