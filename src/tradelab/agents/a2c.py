@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..binfile import read_frame, write_frame
-from ..config import decode_config
+from ..config import check_fields, decode_config
 from ..env import TradingEnv
 from ..errors import TradeLabError
 from .mlp import MlpParams, ShapeMismatch, init_mlp, mlp_backward, mlp_forward
@@ -62,6 +62,7 @@ class A2CConfig:
     rms_eps: float = 1e-5
 
     def __post_init__(self):
+        check_fields(self)
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must lie in [0, 1]")
         if self.lr <= 0:
@@ -76,7 +77,7 @@ class A2CConfig:
             raise ValueError("rms_decay must lie in [0, 1)")
         if not self.rms_eps > 0:
             raise ValueError("rms_eps must be positive")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if len(self.hidden_sizes) != 2:
             raise ValueError(f"hidden_sizes must hold two layer widths, got {list(self.hidden_sizes)}")
 

@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest -> features -> simulate/train -> analyze -> report.
 
 One JSON config file describes a run (data files, tickers, split, indicator/
-environment/trainer settings, output directory, seed); command-line flags
-override individual fields. Every command writes deterministic artifacts, so
-re-running over unchanged inputs reproduces outputs byte for byte.
+environment/trainer settings, output directory, seed); each command takes
+flags only for the fields it reads (--out everywhere, --tickers where the
+panel is read, --seed and --split where episodes run). Every command writes
+deterministic artifacts, so re-running over unchanged inputs reproduces
+outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -300,35 +302,42 @@ def cmd_report(cfg: RunConfig, report_dir: str) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+# the run-config fields a flag can override, beside --out, and the commands that read them
+RUN_FLAGS = {
+    "tickers": (dict(type=lambda text: text.split(","), help="comma-separated ticker subset (overrides config)"),
+                ("ingest", "features", "simulate", "train")),
+    "seed": (dict(type=int, help="run seed (overrides config)"), ("simulate", "train")),
+    "split": (dict(help="ISO date train/test boundary (overrides config)"), ("simulate", "train")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tradelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON run-config path")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="run seed (overrides config)")
-        p.add_argument("--tickers", help="comma-separated ticker subset (overrides config)")
-        p.add_argument("--split", help="ISO date train/test boundary (overrides config)")
+        for flag, (options, commands) in RUN_FLAGS.items():
+            if name in commands:
+                p.add_argument(f"--{flag}", **options)
+        return p
 
-    common(sub.add_parser("ingest", help="validate and align raw OHLCV files into a panel cache"))
-    common(sub.add_parser("features", help="compute indicator features over the cached panel"))
+    command("ingest", "validate and align raw OHLCV files into a panel cache")
+    command("features", "compute indicator features over the cached panel")
 
-    p = sub.add_parser("simulate", help="roll one agent over a window and write its episode log")
-    common(p)
+    p = command("simulate", "roll one agent over a window and write its episode log")
     p.add_argument("--agent", required=True, help="baseline name or checkpoint path")
     p.add_argument("--window", choices=["full", "train", "test"], help="which window to simulate")
 
-    p = sub.add_parser("train", help="train the actor-critic agent and write a checkpoint")
-    common(p)
+    p = command("train", "train the actor-critic agent and write a checkpoint")
     p.add_argument("--timesteps", type=int, help="override total training timesteps")
 
-    p = sub.add_parser("analyze", help="compute behavior reports for one or more logs")
-    common(p)
+    p = command("analyze", "compute behavior reports for one or more logs")
     p.add_argument("logs", nargs="+", help="episode-log CSV paths")
 
-    p = sub.add_parser("report", help="render SVG charts from a saved behavior report")
-    common(p)
+    p = command("report", "render SVG charts from a saved behavior report")
     p.add_argument("report_dir", help="directory holding report.json")
     return parser
 
@@ -336,13 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {
-            "out": args.out,
-            "seed": args.seed,
-            "split": args.split,
-            "tickers": None if args.tickers is None else args.tickers.split(","),
-        }
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(args.config, {key: getattr(args, key, None) for key in ("out", *RUN_FLAGS)})
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "features":

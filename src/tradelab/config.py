@@ -1,4 +1,5 @@
-"""Decoding of JSON config sections into the frozen config dataclasses."""
+"""Decoding of JSON config sections into the frozen config dataclasses, and
+the one per-field rule that both JSON configs and Python callers meet."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import typing
 
 from .errors import TradeLabError
 
-__all__ = ["ConfigError", "decode_config"]
+__all__ = ["ConfigError", "field_fault", "check_fields", "decode_config"]
 
 
 class ConfigError(TradeLabError):
@@ -35,9 +36,30 @@ def _is_json_type(value, hint) -> bool:
 _type_hints = functools.cache(typing.get_type_hints)  # one evaluation of the annotations per class
 
 
+def field_fault(value, hint) -> str | None:
+    """Why ``value`` cannot fill a config field annotated ``hint``, or None:
+    a value of another type (nothing is coerced, and a bool is not a number),
+    NaN or an infinity."""
+    if not _is_json_type(value, hint):
+        return f"must be {hint if typing.get_origin(hint) else hint.__name__}, got {value!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be a finite number, got {value!r}"
+    return None
+
+
+def check_fields(record) -> None:
+    """Raise ValueError for the first field of the config dataclass ``record``
+    that ``field_fault`` refuses, so a config built in Python meets the rule
+    that ``decode_config`` applies to JSON."""
+    for name, hint in _type_hints(type(record)).items():
+        fault = field_fault(getattr(record, name), hint)
+        if fault is not None:
+            raise ValueError(f"{name} {fault}")
+
+
 def decode_config(cls, data, section: str | None):
-    """Build ``cls`` from the JSON object ``data``; unknown fields, values of the
-    wrong JSON type, NaN and infinities (which ``json.loads`` accepts) and
+    """Build ``cls`` from the JSON object ``data``; unknown fields, values that
+    ``field_fault`` refuses (``json.loads`` accepts NaN and infinities) and
     out-of-range values raise a ConfigError naming ``section`` (None for the
     top level) and the field."""
     where = "config" if section is None else f"config section {section!r}"
@@ -47,12 +69,9 @@ def decode_config(cls, data, section: str | None):
     for key, value in data.items():
         if key not in hints:
             raise ConfigError(f"{where} has unknown field {key!r}")
-        name = key if section is None else f"{section}.{key}"
-        if not _is_json_type(value, hints[key]):
-            expected = hints[key] if typing.get_origin(hints[key]) else hints[key].__name__
-            raise ConfigError(f"config field {name} must be {expected}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"config field {name} must be a finite number, got {value!r}")
+        fault = field_fault(value, hints[key])
+        if fault is not None:
+            raise ConfigError(f"config field {key if section is None else f'{section}.{key}'} {fault}")
     try:
         return cls(**data)
     except ValueError as exc:

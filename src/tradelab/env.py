@@ -29,9 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_fields
 from .errors import TradeLabError
 from .indicators import FEATURE_NAMES, FeaturePanel
 from .marketdata import (
+    _freeze,
     format_timestamps,
     parse_csv_columns,
     parse_floats,
@@ -85,10 +87,11 @@ class EnvConfig:
     turbulence_gate: float | None = None  # off by default
 
     def __post_init__(self):
+        check_fields(self)
         if self.initial_capital <= 0:
             raise ValueError("initial_capital must be positive")
-        if self.hmax < 1 or int(self.hmax) != self.hmax:
-            raise ValueError("hmax must be an integer >= 1")
+        if self.hmax < 1:
+            raise ValueError("hmax must be >= 1")
         if not (0.0 <= self.cost_rate <= 0.1):
             raise ValueError("cost_rate must lie in [0, 0.1]")
         if self.reward_scale <= 0:
@@ -274,18 +277,8 @@ class EpisodeLog:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        casts = {
-            "timestamps": np.int64,
-            "actions": np.float64,
-            "holdings": np.int64,
-            "cash": np.float64,
-            "portfolio_value": np.float64,
-            "rewards": np.float64,
-        }
-        for name, dtype in casts.items():
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, np.int64, None, "timestamps", "holdings")
+        _freeze(self, np.float64, None, "actions", "cash", "portfolio_value", "rewards")
         t = self.timestamps.shape[0]
         if t < 2:
             raise MalformedLog("a log needs at least two rows")

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import check_fields
 from .errors import TradeLabError
-from .marketdata import MarketPanel, _readonly, long_format_keys, write_csv_columns
+from .marketdata import MarketPanel, _freeze, long_format_keys, write_csv_columns
 
 __all__ = [
     "FEATURE_NAMES",
@@ -85,20 +86,11 @@ class IndicatorConfig:
     turb_window: int | None = 252
 
     def __post_init__(self):
-        periods = {
-            "rsi_period": self.rsi_period,
-            "cci_period": self.cci_period,
-            "dx_period": self.dx_period,
-            "sma_short": self.sma_short,
-            "sma_long": self.sma_long,
-            "macd_fast": self.macd_fast,
-            "macd_slow": self.macd_slow,
-            "macd_signal": self.macd_signal,
-            "boll_period": self.boll_period,
-        }
-        for name, value in periods.items():
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_fields(self)
+        for name in ("rsi_period", "cci_period", "dx_period", "sma_short", "sma_long", "macd_fast", "macd_slow",
+                     "macd_signal", "boll_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.macd_fast >= self.macd_slow:
             raise ValueError("macd_fast must be smaller than macd_slow")
         if self.boll_k < 0:
@@ -363,21 +355,16 @@ class FeaturePanel:
 
     def __post_init__(self):
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        for name, dtype in (("timestamps", np.int64), ("features", np.float64), ("closes", np.float64),
-                            ("defined", bool)):
-            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
-        expected = (len(self.timestamps), len(self.tickers), len(FEATURE_NAMES))
-        if self.features.shape != expected:
-            raise ValueError(f"features shape {self.features.shape}, expected {expected}")
-        if self.closes.shape != expected[:2]:
-            raise ValueError(f"closes shape {self.closes.shape}, expected {expected[:2]}")
-        if self.defined.shape != (expected[0], expected[2]):
-            raise ValueError(f"defined shape {self.defined.shape}, expected {(expected[0], expected[2])}")
+        _freeze(self, np.int64, (np.size(self.timestamps),), "timestamps")
+        t, n = self.n_timestamps, self.n_tickers
+        _freeze(self, np.float64, (t, n, len(FEATURE_NAMES)), "features")
+        _freeze(self, np.float64, (t, n), "closes")
+        _freeze(self, bool, (t, len(FEATURE_NAMES)), "defined")
         if self.turbulence is not None:
-            pair = (_readonly(self.turbulence[0], np.float64), _readonly(self.turbulence[1], bool))
-            if pair[0].shape != expected[:1] or pair[1].shape != expected[:1]:
-                raise ValueError(f"turbulence values and mask must both have shape {expected[:1]}")
-            object.__setattr__(self, "turbulence", pair)
+            turbulence = dict(zip(("turbulence", "turbulence_defined"), self.turbulence))
+            _freeze(turbulence, np.float64, (t,), "turbulence")
+            _freeze(turbulence, bool, (t,), "turbulence_defined")
+            object.__setattr__(self, "turbulence", tuple(turbulence.values()))
 
     @property
     def n_timestamps(self) -> int:

@@ -10,6 +10,7 @@ well as raw integer seconds. Loader errors carry the file path and the
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, repeat
@@ -30,7 +31,6 @@ __all__ = [
     "InvalidBar",
     "DuplicateTimestamp",
     "EmptyIntersection",
-    "UnfillableLeadingGap",
     "parse_timestamp",
     "parse_timestamps",
     "parse_floats",
@@ -75,10 +75,6 @@ class DuplicateTimestamp(MarketDataError):
 
 
 class EmptyIntersection(MarketDataError):
-    pass
-
-
-class UnfillableLeadingGap(MarketDataError):
     pass
 
 
@@ -248,16 +244,32 @@ def parse_csv_columns(path, error, columns, fault=None) -> tuple[list, TradeLabE
     return [parse(cells[: fault.row - 2]) for _, cells, parse in columns], fault
 
 
-def _readonly(arr, dtype) -> np.ndarray:
-    """A read-only copy, so freezing it leaves the caller's array writable."""
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
+def _freeze(record, dtype, shape, *names) -> None:
+    """Replace each named field of ``record`` (a frozen dataclass, or a dict
+    by key) with a read-only ``dtype`` copy, so the caller's array stays
+    writable. A copy whose shape is not ``shape`` raises ValueError naming
+    the field; ``shape`` None checks nothing."""
+    for name in names:
+        arr = np.array(record[name] if isinstance(record, dict) else getattr(record, name), dtype=dtype)
+        if shape is not None and arr.shape != shape:
+            raise ValueError(f"field {name!r} has shape {arr.shape}, expected {shape}")
+        arr.setflags(write=False)
+        if isinstance(record, dict):
+            record[name] = arr
+        else:
+            object.__setattr__(record, name, arr)
+
+
+def _first_not_increasing(timestamps) -> int | None:
+    """The first index whose stamp is not above the one before it, or None."""
+    repeated = np.flatnonzero(timestamps[1:] <= timestamps[:-1])
+    return int(repeated[0]) + 1 if repeated.size else None
 
 
 @dataclass(frozen=True)
 class BarSeries:
-    """Validated per-ticker bar history with strictly increasing timestamps."""
+    """Validated per-ticker bar history: at least one bar, and strictly
+    increasing timestamps."""
 
     ticker: str
     timestamps: np.ndarray  # int64 (T,)
@@ -268,11 +280,8 @@ class BarSeries:
     volume: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", _readonly(self.timestamps, np.int64))
-        for name in OHLCV:
-            object.__setattr__(self, name, _readonly(getattr(self, name), np.float64))
-            if getattr(self, name).shape != self.timestamps.shape:
-                raise ValueError(f"{self.ticker}: field {name} length mismatch")
+        _freeze(self, np.int64, (np.size(self.timestamps),), "timestamps")  # one axis, of any length
+        _freeze(self, np.float64, self.timestamps.shape, *OHLCV)
         if len(self) == 0:
             raise InvalidBar("series contains no bars")
         ts, o, h, l, c, v = self.timestamps, self.open, self.high, self.low, self.close, self.volume
@@ -301,17 +310,21 @@ class BarSeries:
 
 @dataclass(frozen=True)
 class AuxSeries:
-    """Market-wide scalar series (e.g. VIX) on its own timestamp axis."""
+    """Market-wide scalar series (e.g. VIX) on its own timestamp axis, which
+    holds the ``BarSeries`` axis rules: not empty, strictly increasing."""
 
     name: str
     timestamps: np.ndarray  # int64 (T,)
     values: np.ndarray  # float64 (T,)
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", _readonly(self.timestamps, np.int64))
-        object.__setattr__(self, "values", _readonly(self.values, np.float64))
-        if self.timestamps.shape != self.values.shape:
-            raise ValueError(f"{self.name}: timestamp/value length mismatch")
+        _freeze(self, np.int64, (np.size(self.timestamps),), "timestamps")
+        _freeze(self, np.float64, self.timestamps.shape, "values")
+        if len(self) == 0:
+            raise MarketDataError(f"aux series {self.name!r} has no observations")
+        k = _first_not_increasing(self.timestamps)
+        if k is not None:
+            raise MarketDataError(f"aux series {self.name!r}: timestamp not strictly increasing at index {k}")
 
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
@@ -322,8 +335,8 @@ class MarketPanel:
     """Time-aligned OHLCV matrices over a fixed ticker order, plus aux series.
 
     Every matrix is (T, N); ticker order is fixed and used by all downstream
-    consumers. Arrays are read-only, so a panel is safe to share across
-    concurrent readers.
+    consumers, and tickers are distinct, non-empty strings. Arrays are
+    read-only, so a panel is safe to share across concurrent readers.
     """
 
     tickers: tuple[str, ...]
@@ -336,22 +349,17 @@ class MarketPanel:
     aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.tickers, str):  # tuple() would split it into characters
+            raise ValueError(f"tickers must be a sequence of names, got the string {self.tickers!r}")
         object.__setattr__(self, "tickers", tuple(self.tickers))
         if not self.tickers:
             raise ValueError("a panel needs at least one ticker")
-        object.__setattr__(self, "timestamps", _readonly(self.timestamps, np.int64))
-        shape = (self.timestamps.shape[0], len(self.tickers))
-        for name in OHLCV:
-            arr = _readonly(getattr(self, name), np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"panel field {name} has shape {arr.shape}, expected {shape}")
-            object.__setattr__(self, name, arr)
-        aux = {}
-        for name, values in self.aux.items():
-            arr = _readonly(values, np.float64)
-            if arr.shape != (shape[0],):
-                raise ValueError(f"aux series {name!r} has shape {arr.shape}, expected ({shape[0]},)")
-            aux[name] = arr
+        if not all(isinstance(t, str) and t for t in self.tickers) or len(set(self.tickers)) != len(self.tickers):
+            raise ValueError(f"tickers must be distinct, non-empty strings, got {list(self.tickers)}")
+        _freeze(self, np.int64, (np.size(self.timestamps),), "timestamps")
+        _freeze(self, np.float64, (self.n_timestamps, self.n_tickers), *OHLCV)
+        aux = dict(self.aux)
+        _freeze(aux, np.float64, (self.n_timestamps,), *aux)
         object.__setattr__(self, "aux", aux)
 
     @property
@@ -399,7 +407,8 @@ def load_bars(path, ticker: str | None = None) -> BarSeries:
 def load_series(path, name: str) -> AuxSeries:
     """Load a two-column (timestamp, value) market-wide series, e.g. VIX.
 
-    Rows are sorted by timestamp; duplicate timestamps are rejected.
+    Rows are sorted by timestamp; a file without rows and duplicate
+    timestamps are rejected.
     """
     path = Path(path)
     names, cells, short = read_csv_columns(path, MarketDataError,
@@ -408,11 +417,12 @@ def load_series(path, name: str) -> AuxSeries:
     (timestamps, values), fault = parse_csv_columns(path, MarketDataError, columns, fault=short)
     if fault is not None:
         raise fault
+    if timestamps.size == 0:
+        raise MarketDataError(f"no rows for series {name!r}", path=path)
     order = np.argsort(timestamps, kind="stable")
     timestamps = timestamps[order]
-    repeated = np.flatnonzero(timestamps[1:] == timestamps[:-1])
-    if repeated.size:
-        k = int(repeated[0]) + 1
+    k = _first_not_increasing(timestamps)  # sorted, so a repeat
+    if k is not None:
         raise DuplicateTimestamp(f"duplicate timestamp {format_timestamp(timestamps[k])}", path=path,
                                  row=int(order[k]) + 2)
     return AuxSeries(name=name, timestamps=timestamps, values=values[order])
@@ -422,60 +432,39 @@ def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
     """Align bar series (and aux series) onto one shared timestamp axis.
 
     ``intersect`` keeps only timestamps present in every input. ``forward-fill``
-    takes the union, starts the panel at the latest first-observation among
-    inputs (dropping unfillable leading gaps), and fills interior/trailing gaps
-    with a flat bar at the most recent prior close (volume 0); aux gaps carry
-    the prior value forward.
+    keeps every input's timestamps from the latest first timestamp among the
+    inputs on (so leading gaps drop), and fills interior/trailing gaps with a
+    flat bar at the most recent prior close (volume 0); aux gaps carry the
+    prior value forward. Every input axis is non-empty and strictly
+    increasing, so each panel timestamp has an observation at or before it
+    in every input.
     """
-    series = list(series)
-    aux = list(aux)
+    series, aux = list(series), list(aux)
     if not series:
         raise ValueError("align_panel requires at least one BarSeries")
     if fill not in ALIGN_MODES:
         raise ValueError(f"unknown fill policy {fill!r}")
-    tickers = [s.ticker for s in series]
-    if len(set(tickers)) != len(tickers):
-        raise ValueError("duplicate tickers in input series")
-
     axes = [s.timestamps for s in series] + [a.timestamps for a in aux]
     if fill == "intersect":
-        timestamps = axes[0]
-        for axis in axes[1:]:
-            timestamps = np.intersect1d(timestamps, axis, assume_unique=True)
+        timestamps = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), axes)
         if timestamps.size == 0:
             raise EmptyIntersection("no timestamp is common to all inputs")
     else:
-        timestamps = axes[0]
-        for axis in axes[1:]:
-            timestamps = np.union1d(timestamps, axis)
-        start = max(int(axis[0]) for axis in axes)
-        timestamps = timestamps[timestamps >= start]
-        if timestamps.size == 0:
-            raise EmptyIntersection("no timestamps remain after dropping leading gaps")
+        timestamps = functools.reduce(np.union1d, axes)
+        timestamps = timestamps[timestamps >= max(axis[0] for axis in axes)]
 
-    matrices = {name: np.empty((timestamps.size, len(series))) for name in OHLCV}
-    for j, s in enumerate(series):
-        idx = np.searchsorted(s.timestamps, timestamps, side="right") - 1
-        if np.any(idx < 0):
-            raise UnfillableLeadingGap(f"{s.ticker}: no observation at or before panel start")
-        exact = s.timestamps[idx] == timestamps
-        if fill == "intersect" and not exact.all():
-            raise UnfillableLeadingGap(f"{s.ticker}: intersection produced a missing cell")
-        last_close = s.close[idx]
-        matrices["open"][:, j] = np.where(exact, s.open[idx], last_close)
-        matrices["high"][:, j] = np.where(exact, s.high[idx], last_close)
-        matrices["low"][:, j] = np.where(exact, s.low[idx], last_close)
-        matrices["close"][:, j] = np.where(exact, s.close[idx], last_close)
-        matrices["volume"][:, j] = np.where(exact, s.volume[idx], 0.0)
-
-    aux_columns = {}
-    for a in aux:
-        idx = np.searchsorted(a.timestamps, timestamps, side="right") - 1
-        if np.any(idx < 0):
-            raise UnfillableLeadingGap(f"aux {a.name!r}: no observation at or before panel start")
-        aux_columns[a.name] = a.values[idx]
-
-    return MarketPanel(tickers=tuple(tickers), timestamps=timestamps, aux=aux_columns, **matrices)
+    # each input's last observation at or before each panel stamp; a gap
+    # (never in intersect mode) is a flat bar at that close, volume 0
+    picks = [np.searchsorted(axis, timestamps, side="right") - 1 for axis in axes]
+    gaps = [s.timestamps[idx] != timestamps for s, idx in zip(series, picks)]
+    matrices = {
+        name: np.column_stack([np.where(gap, 0.0 if name == "volume" else s.close[idx], getattr(s, name)[idx])
+                               for s, idx, gap in zip(series, picks, gaps)])
+        for name in OHLCV
+    }
+    aux_columns = {a.name: a.values[idx] for a, idx in zip(aux, picks[len(series):])}
+    del picks, gaps  # freed before MarketPanel copies the matrices, so that copy is the peak
+    return MarketPanel(tickers=[s.ticker for s in series], timestamps=timestamps, aux=aux_columns, **matrices)
 
 
 def save_panel(panel: MarketPanel, path) -> None:
@@ -487,7 +476,9 @@ def save_panel(panel: MarketPanel, path) -> None:
 
 def load_panel(path) -> MarketPanel:
     def decode(header, take):
-        t, tickers = header["n_timestamps"], tuple(header["tickers"])
+        t, tickers = header["n_timestamps"], header["tickers"]
+        if not isinstance(tickers, list):
+            raise ValueError(f"tickers must be a JSON list, got {tickers!r}")
         timestamps = take("<i8", t)
         matrices = {name: take("<f8", t * len(tickers)).reshape(t, len(tickers)) for name in OHLCV}
         aux = {name: take("<f8", t) for name in header["aux"]}

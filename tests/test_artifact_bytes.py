@@ -1,10 +1,13 @@
-"""Byte pins for the column-at-a-time artifact writers and readers.
+"""Byte pins for the column-at-a-time artifact writers and readers, and for
+the panel alignment.
 
 Each reference below is the cell-by-cell implementation that the column-wise
 code replaced: ``csv.writer`` rows, ``json.dumps(indent=2)``, per-point
 coordinate closures, ``datetime`` formatting and per-row parsing. The package
 must reproduce its bytes, and its parsed arrays, exactly; the bar and aux
-loaders must also raise the reference's errors.
+loaders must also raise the reference's errors. ``ref_align_panel`` is the
+per-ticker alignment loop with the guards that series which check their own
+axes made unreachable; ``align_panel`` must build the same panel bit for bit.
 """
 
 import csv
@@ -16,18 +19,21 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import hourly_axis, make_features
+from conftest import hourly_axis, make_features, make_walk_series
 from tradelab import cli, svgchart
 from tradelab.agents.a2c import TrainStats
 from tradelab.analytics import ProfileComparison, behavior_profile, save_report, write_comparison_csv
 from tradelab.env import EnvConfig, EpisodeLog, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.indicators import FEATURE_NAMES, write_features_csv
 from tradelab.marketdata import (
+    AuxSeries,
     BarSeries,
     DuplicateTimestamp,
+    EmptyIntersection,
     InvalidBar,
     MarketDataError,
     MarketPanel,
+    align_panel,
     format_timestamp,
     format_timestamps,
     load_bars,
@@ -268,6 +274,63 @@ def ref_load_series(path, name):
         if cur[0] == prev[0]:
             raise DuplicateTimestamp(f"duplicate timestamp {ref_format_timestamp(cur[0])}", path=path, row=cur[2])
     return (np.array([p[0] for p in parsed], dtype=np.int64), np.array([p[1] for p in parsed]))
+
+
+class UnfillableLeadingGap(MarketDataError):
+    """The reference alignment's error for a series with no bar at or before
+    a panel stamp."""
+
+
+def ref_align_panel(series, aux=(), fill="forward-fill"):
+    series = list(series)
+    aux = list(aux)
+    if not series:
+        raise ValueError("align_panel requires at least one BarSeries")
+    if fill not in ("intersect", "forward-fill"):
+        raise ValueError(f"unknown fill policy {fill!r}")
+    tickers = [s.ticker for s in series]
+    if len(set(tickers)) != len(tickers):
+        raise ValueError("duplicate tickers in input series")
+
+    axes = [s.timestamps for s in series] + [a.timestamps for a in aux]
+    if fill == "intersect":
+        timestamps = axes[0]
+        for axis in axes[1:]:
+            timestamps = np.intersect1d(timestamps, axis, assume_unique=True)
+        if timestamps.size == 0:
+            raise EmptyIntersection("no timestamp is common to all inputs")
+    else:
+        timestamps = axes[0]
+        for axis in axes[1:]:
+            timestamps = np.union1d(timestamps, axis)
+        start = max(int(axis[0]) for axis in axes)
+        timestamps = timestamps[timestamps >= start]
+        if timestamps.size == 0:
+            raise EmptyIntersection("no timestamps remain after dropping leading gaps")
+
+    matrices = {name: np.empty((timestamps.size, len(series))) for name in OHLCV}
+    for j, s in enumerate(series):
+        idx = np.searchsorted(s.timestamps, timestamps, side="right") - 1
+        if np.any(idx < 0):
+            raise UnfillableLeadingGap(f"{s.ticker}: no observation at or before panel start")
+        exact = s.timestamps[idx] == timestamps
+        if fill == "intersect" and not exact.all():
+            raise UnfillableLeadingGap(f"{s.ticker}: intersection produced a missing cell")
+        last_close = s.close[idx]
+        matrices["open"][:, j] = np.where(exact, s.open[idx], last_close)
+        matrices["high"][:, j] = np.where(exact, s.high[idx], last_close)
+        matrices["low"][:, j] = np.where(exact, s.low[idx], last_close)
+        matrices["close"][:, j] = np.where(exact, s.close[idx], last_close)
+        matrices["volume"][:, j] = np.where(exact, s.volume[idx], 0.0)
+
+    aux_columns = {}
+    for a in aux:
+        idx = np.searchsorted(a.timestamps, timestamps, side="right") - 1
+        if np.any(idx < 0):
+            raise UnfillableLeadingGap(f"aux {a.name!r}: no observation at or before panel start")
+        aux_columns[a.name] = a.values[idx]
+
+    return MarketPanel(tickers=tuple(tickers), timestamps=timestamps, aux=aux_columns, **matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +731,9 @@ def test_load_bars_matches_row_reader(tmp_path, rows):
         ["3600,1", "7200", "bad,3"],
         ["3600,1", "bad,2", "10800"],
         ["3600,1", "7200,two"],
-        [],
     ],
     ids=["mixed-unsorted", "duplicate-forms", "two-duplicates", "triplicate", "short-then-bad", "bad-then-short",
-         "bad-value", "header-only"],
+         "bad-value"],
 )
 def test_load_series_matches_row_reader(tmp_path, rows):
     path = tmp_path / "vix.csv"
@@ -679,3 +741,64 @@ def test_load_series_matches_row_reader(tmp_path, rows):
     got = _outcome(load_series, path, "vix")
     got = got if isinstance(got, Exception) else [got.timestamps, got.values]
     _assert_same_outcome(got, _outcome(ref_load_series, path, "vix"))
+
+
+def test_load_series_refuses_a_header_only_file(tmp_path):
+    """The row reader read a header-only file as an empty series, which no
+    alignment can use; the loader refuses it and names the file."""
+    path = tmp_path / "vix.csv"
+    path.write_text("timestamp,value\n")
+    assert all(column.size == 0 for column in ref_load_series(path, "vix"))
+    with pytest.raises(MarketDataError, match="no rows for series 'vix'") as caught:
+        load_series(path, "vix")
+    assert caught.value.path == str(path)
+
+
+# ---------------------------------------------------------------------------
+# alignment
+# ---------------------------------------------------------------------------
+
+def _alignment_inputs(seed):
+    """Seeded bar and aux series over one hourly base axis: each input keeps a
+    random subset of it (dropped bars), some start late or end early (leading
+    and trailing gaps), and a few volumes are -0.0."""
+    rng = np.random.default_rng(seed)
+    base = hourly_axis(START, int(rng.integers(3, 60)))
+
+    def subset():
+        keep = rng.random(base.size) > rng.uniform(0.0, 0.5)
+        keep[: int(rng.integers(0, base.size // 3 + 1))] = False
+        keep[base.size - int(rng.integers(0, base.size // 3 + 1)):] = False
+        keep[int(rng.integers(0, base.size))] = True
+        return base[keep]
+
+    series = []
+    for j in range(int(rng.integers(1, 6))):
+        bars = make_walk_series(f"S{j}", subset(), rng)
+        volume = np.where(rng.random(len(bars)) < 0.1, -0.0, bars.volume)
+        series.append(dataclasses.replace(bars, volume=volume))
+    aux = []
+    for k in range(int(rng.integers(0, 3))):
+        stamps = subset()
+        aux.append(AuxSeries(f"aux{k}", stamps, rng.normal(18.0, 2.0, size=stamps.size)))
+    return series, aux
+
+
+@pytest.mark.parametrize("fill", ["intersect", "forward-fill"])
+def test_align_panel_matches_the_reference_loop(fill):
+    aligned = 0
+    for seed in range(120):
+        series, aux = _alignment_inputs(seed)
+        got, expected = (_outcome(align, series, aux, fill) for align in (align_panel, ref_align_panel))
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) is EmptyIntersection, (seed, got, expected)
+            continue
+        aligned += 1
+        assert got.tickers == expected.tickers
+        for name in ("timestamps", *OHLCV):
+            ours, theirs = getattr(got, name), getattr(expected, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, (seed, name)
+            assert ours.tobytes() == theirs.tobytes(), (seed, name)
+        assert list(got.aux) == list(expected.aux)
+        assert all(got.aux[key].tobytes() == expected.aux[key].tobytes() for key in got.aux), seed
+    assert aligned >= 60  # most seeds share stamps, so both paths build a panel

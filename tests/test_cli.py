@@ -10,7 +10,7 @@ import pytest
 from conftest import hourly_axis, make_walk_series, write_bars_csv
 from tradelab.analytics import behavior_profile, load_report
 from tradelab.binfile import write_frame
-from tradelab.cli import main
+from tradelab.cli import build_parser, main
 from tradelab.env import load_episode_log
 from tradelab.marketdata import OHLCV, PANEL_MAGIC, format_timestamp, parse_timestamp
 
@@ -121,6 +121,17 @@ class TestIngest:
         assert run(workspace, "features") == 0
         assert run(workspace, "simulate", "--agent", "hold") == 0
         assert run(workspace, "analyze", str(workspace / "out" / "log_hold.csv")) == 0
+
+    @pytest.mark.parametrize("align", ["intersect", "forward-fill"])
+    def test_header_only_aux_file_exits_one_naming_it(self, workspace, capsys, align):
+        vix = workspace / "data" / "vix.csv"
+        vix.write_text("timestamp,value\n")
+        config = json.loads((workspace / "config.json").read_text())
+        (workspace / "config.json").write_text(json.dumps({**config, "aux": {"vix": "data/vix.csv"}, "align": align}))
+        assert run(workspace, "ingest") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no rows for series 'vix'") and str(vix) in err
+        assert not (workspace / "out" / "panel.bin").exists()
 
     def test_ticker_subset_flag(self, workspace, capsys):
         assert run(workspace, "ingest", "--tickers", "AA") == 0
@@ -554,6 +565,17 @@ class TestMalformedInputs:
         assert err.startswith("error:") and "at least one ticker" in err and str(path) in err
 
 
+    @pytest.mark.parametrize("tickers", [None, 1.5, ["AA", "AA"], "AB", "", [None, "BB"], ["", "BB"]],
+                             ids=["null", "number", "duplicate", "string", "empty-string", "null-name", "empty-name"])
+    def test_panel_with_bad_tickers_exits_one(self, workspace, capsys, tickers):
+        path = workspace / "out" / "panel.bin"
+        path.parent.mkdir()
+        write_frame(path, PANEL_MAGIC, {"tickers": tickers, "aux": [], "n_timestamps": 40},
+                    [hourly_axis(START, 40), *(np.ones((40, 2)) for _ in OHLCV)])
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
     def test_checkpoint_wider_than_panel_exits_one(self, workspace, capsys):
         run(workspace, "ingest")
         run(workspace, "train")
@@ -565,6 +587,28 @@ class TestMalformedInputs:
         assert err.startswith("error: checkpoint") and str(ckpt) in err
         assert "21-wide" in err and "11-wide" in err
         assert not (workspace / "out" / "log_a2c.csv").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--seed", "1"], ["ingest", "--split", "2022-03-06"],
+        ["features", "--seed", "1"], ["features", "--split", "2022-03-06"],
+        ["analyze", "--seed", "1", "log.csv"], ["analyze", "--tickers", "AA", "log.csv"],
+        ["analyze", "--split", "2022-03-06", "log.csv"], ["report", "--seed", "1", "dir"],
+        ["report", "--tickers", "AA", "dir"], ["report", "--split", "2022-03-06", "dir"],
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}")
+    def test_a_flag_the_command_does_not_read_exits_two(self, workspace, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            run(workspace, *argv)
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["ingest"], ["features"], ["simulate", "--agent", "hold"], ["train"],
+                                      ["analyze", "log.csv"], ["report", "dir"]], ids=lambda argv: argv[0])
+    def test_every_command_takes_config_and_out(self, argv):
+        args = build_parser().parse_args([*argv, "--config", "run.json", "--out", "o"])
+        assert (args.config, args.out) == ("run.json", "o")
 
 
 class TestOutFlag:

@@ -1,0 +1,33 @@
+"""numpy stays the only runtime dependency: every module under ``src/``
+imports only the package itself, numpy and the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ALLOWED = {"tradelab", "numpy", *sys.stdlib_module_names}
+
+
+def _top_level_imports(path: Path):
+    """(line, top-level package) of each absolute import in the module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.partition(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # a relative import stays in the package
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    foreign = [f"{path.relative_to(SRC)}:{line} imports {name}"
+               for path in modules for line, name in _top_level_imports(path) if name not in ALLOWED]
+    assert not foreign, foreign
+
+
+def test_the_walk_sees_a_foreign_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os.path\nfrom . import sibling\nfrom numpy import array\n"
+                      "def f():\n    import pandas.api\n")
+    assert [name for _, name in _top_level_imports(module) if name not in ALLOWED] == ["pandas"]

@@ -3,7 +3,8 @@
 
 Every mutated file either loads or raises a TradeLabError whose message names
 the file; nothing leaks a bare traceback. A config never loads a NaN or an
-infinity into a numeric field.
+infinity into a numeric field, and a config class built in Python refuses
+exactly the values its JSON section refuses.
 """
 
 import dataclasses
@@ -17,7 +18,10 @@ from conftest import make_panel
 from tradelab.agents.a2c import A2CConfig, MlpPolicy, ObsNormalizer, load_checkpoint, save_checkpoint
 from tradelab.agents.mlp import init_mlp
 from tradelab.cli import SECTIONS, RunConfig
+from tradelab.config import ConfigError, decode_config
+from tradelab.env import EnvConfig
 from tradelab.errors import TradeLabError
+from tradelab.indicators import IndicatorConfig
 from tradelab.marketdata import load_panel, save_panel
 
 WRONG_VALUES = [None, True, -1, 1.5, "x", []]
@@ -112,3 +116,38 @@ def test_mutated_configs_load_or_fail_closed(tmp_path):
                 got = getattr(part, f.name)
                 assert not (isinstance(got, float) and not math.isfinite(got)), (section, name, value)
     assert loaded > 0  # some wrong values are right for their field (-1 for a seed, None for a gate)
+
+
+def _refused(build):
+    try:
+        build()
+    except (ValueError, ConfigError):  # the class raises ValueError, decode_config a ConfigError
+        return True
+    return False
+
+
+def test_config_classes_refuse_from_python_what_json_refuses():
+    refused = 0
+    for section, name, value in _config_cases():
+        if section is None:
+            continue
+        cls = SECTIONS[section]
+        from_json = _refused(lambda: decode_config(cls, {name: value}, section))
+        assert _refused(lambda: cls(**{name: value})) == from_json, (section, name, value)
+        refused += from_json
+    assert refused > 0
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    *[(EnvConfig, name, value) for name in ("initial_capital", "reward_scale", "turbulence_gate")
+      for value in NON_FINITE],
+    *[(A2CConfig, name, value) for name in ("lr", "max_grad_norm", "value_coef", "entropy_coef", "rms_eps")
+      for value in NON_FINITE],
+    (A2CConfig, "n_steps", 2.5),
+    (A2CConfig, "hidden_sizes", (64.5, 64)),
+    *[(IndicatorConfig, "boll_k", value) for value in NON_FINITE],
+    (IndicatorConfig, "rsi_period", float("inf")),
+])
+def test_config_class_refuses_a_value_json_refuses(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})

@@ -430,6 +430,52 @@ def test_panel_without_tickers_is_refused(tmp_path):
     assert str(path) in str(caught.value)
 
 
+BAD_TICKERS = {
+    "null": None,
+    "number": 1.5,
+    "duplicate": ["A", "A"],
+    "string": "AB",  # tuple() would split it into two one-letter tickers
+    "empty-string": "",
+    "null-name": [None, "B"],
+    "number-name": [1.5, "B"],
+    "empty-name": ["", "B"],
+}
+
+
+@pytest.mark.parametrize("tickers", list(BAD_TICKERS.values()), ids=list(BAD_TICKERS))
+def test_market_panel_refuses_bad_tickers(tickers):
+    with pytest.raises((ValueError, TypeError)):
+        MarketPanel(tickers, hourly_axis(T0, 4), *(np.ones((4, 2)) for _ in OHLCV))
+
+
+@pytest.mark.parametrize("tickers", list(BAD_TICKERS.values()), ids=list(BAD_TICKERS))
+def test_load_panel_refuses_bad_tickers_naming_the_file(tmp_path, tickers):
+    path = tmp_path / "panel.bin"
+    write_frame(path, PANEL_MAGIC, {"tickers": tickers, "aux": [], "n_timestamps": 4},
+                [hourly_axis(T0, 4), *(np.ones((4, 2)) for _ in OHLCV)])
+    with pytest.raises(MalformedFile) as caught:
+        load_panel(path)
+    assert str(path) in str(caught.value)
+
+
+def test_align_panel_refuses_duplicate_tickers(rng):
+    series = [make_walk_series("AAA", hourly_axis(T0, 5), rng) for _ in range(2)]
+    with pytest.raises(ValueError, match="distinct"):
+        align_panel(series, fill="intersect")
+
+
+@pytest.mark.parametrize("stamps", [[T0 + HOUR, T0], [T0, T0 + HOUR, T0 + HOUR], []],
+                         ids=["unsorted", "duplicate", "empty"])
+def test_aux_series_refuses_an_axis_that_does_not_strictly_increase(stamps):
+    with pytest.raises(MarketDataError, match="'vix'"):
+        AuxSeries("vix", np.array(stamps, dtype=np.int64), np.ones(len(stamps)))
+
+
+def test_aux_series_refuses_values_off_its_axis():
+    with pytest.raises(ValueError, match="'values' has shape"):
+        AuxSeries("vix", hourly_axis(T0, 3), np.ones(4))
+
+
 # ---------------------------------------------------------------------------
 # damaged input files
 # ---------------------------------------------------------------------------
