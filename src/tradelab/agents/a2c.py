@@ -244,18 +244,15 @@ def a2c_update(
     parameters, the optimizer accumulator, and the update statistics."""
     policy_loss, value_loss, entropy, g = a2c_loss_and_grad(params, batch, cfg, update_index)
     grad_norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a vector
-    # the fresh g is scaled in place; acc = decay * opt_state + (1 - decay) * g**2 (nothing to add
-    # on a first update) and (lr * g) / (sqrt(acc) + eps) take two new arrays, the second then the new vector
+    # the fresh g is scaled in place; acc = decay * opt_state + (1 - decay) * g**2 (opt_state None is
+    # zero, and acc + 0.0 is acc) and (lr * g) / (sqrt(acc) + eps) take new arrays, the last the new vector
     if grad_norm > cfg.max_grad_norm:
         g *= cfg.max_grad_norm / grad_norm
     acc = np.square(g)
     acc *= 1.0 - cfg.rms_decay
-    if opt_state is None:
-        step = np.sqrt(acc)
-    else:
-        step = np.multiply(opt_state, cfg.rms_decay)
-        acc += step
-        np.sqrt(acc, out=step)
+    step = np.multiply(np.zeros_like(g) if opt_state is None else opt_state, cfg.rms_decay)
+    acc += step
+    np.sqrt(acc, out=step)
     step += cfg.rms_eps
     g *= cfg.lr
     g /= step

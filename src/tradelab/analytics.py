@@ -282,8 +282,6 @@ def load_report(directory) -> BehaviorReport:
     N >= 1, and integral_holding and the trade-stat vectors (N,).
     """
     path = Path(directory) / "report.json"
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     try:
         doc = json.loads(path.read_text())
     except ValueError as exc:  # bad JSON or bad UTF-8

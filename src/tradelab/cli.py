@@ -90,8 +90,6 @@ class RunConfig:
 
     @classmethod
     def _read(cls, path: Path) -> "RunConfig":
-        if not path.exists():
-            raise FileNotFoundError(str(path))
         try:
             raw = json.loads(path.read_text())
             if not isinstance(raw, dict):

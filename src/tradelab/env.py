@@ -147,9 +147,11 @@ class TradingEnv:
     """E lockstep copies of one episode over a window of the feature panel.
 
     ``step`` executes one trading step in every copy: sells, then cash-clipped
-    buys, then advance. The reward compares the new portfolio value (new
-    prices, fees paid) against the pre-trade value at the old prices, scaled
-    by reward_scale.
+    buys, then advance; each trades at most ``hmax`` shares per ticker. The
+    one exception is a step gated by turbulence, which sells every position
+    whole and buys nothing, as FinRL's environment does. The reward compares
+    the new portfolio value (new prices, fees paid) against the pre-trade
+    value at the old prices, scaled by reward_scale.
     """
 
     def __init__(self, cfg: EnvConfig, features: FeaturePanel, window: Window, copies: int = 1):
@@ -399,8 +401,6 @@ def load_episode_log(path) -> EpisodeLog:
     must be whole numbers of shares ("3.0" reads as 3).
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     required = ["t", "timestamp", "cash", "portfolio_value", "reward"]
 
     def pick(header: list[str]) -> list[int]:

@@ -9,7 +9,9 @@ Window conventions differ by indicator and are part of the contract:
 index), while Bollinger and CCI windows include the current bar.
 
 Operations accept a 1-D series ``(T,)`` or a 2-D batch ``(T, M)`` of
-independent columns; the mask depends only on T, never on the data.
+independent columns; the mask depends only on T, never on the data. A series
+too short for a window to define any index raises InsufficientHistory, from
+an operation and from ``build_features`` alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "IndicatorConfig",
     "FeaturePanel",
     "IndicatorError",
-    "WindowTooLarge",
     "SingularCovariance",
     "InsufficientHistory",
     "sma",
@@ -53,16 +54,12 @@ class IndicatorError(TradeLabError):
     pass
 
 
-class WindowTooLarge(IndicatorError):
-    pass
-
-
 class SingularCovariance(IndicatorError):
     pass
 
 
 class InsufficientHistory(IndicatorError):
-    pass
+    """The series is too short for a window to define any index."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def _check_window(n: int, t: int, first_defined: int, name: str) -> None:
     if n < 1:
         raise ValueError(f"{name} window must be >= 1, got {n}")
     if first_defined >= t:
-        raise WindowTooLarge(f"{name} window {n} leaves no defined index in a series of length {t}")
+        raise InsufficientHistory(f"{name} window {n} leaves no defined index in a series of length {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,7 @@ def _check_turbulence_window(window: int, n_tickers: int, t_len: int) -> None:
     if window <= n_tickers:
         raise ValueError(f"turbulence window ({window}) must exceed the ticker count ({n_tickers})")
     if window + 1 >= t_len:
-        raise WindowTooLarge(f"turbulence window {window} leaves no defined index in a panel of length {t_len}")
+        raise InsufficientHistory(f"turbulence window {window} leaves no defined index in a panel of length {t_len}")
 
 
 def turbulence(panel: MarketPanel, window: int):
@@ -335,19 +332,17 @@ def turbulence(panel: MarketPanel, window: int):
 class FeaturePanel:
     """Per-timestamp, per-ticker indicator block, plus turbulence when asked for.
 
-    ``features`` is (T, N, 8) in FEATURE_NAMES order; ``defined`` is (T, 8)
-    because definedness depends only on elapsed history, not on the ticker.
-    ``closes`` carries the aligned close matrix so a feature panel is a
-    self-contained input for simulation. ``turbulence`` is None or the
-    ``(values, defined)`` pair of ``turbulence()``, each (T,). ``warmup`` is
-    the first index where all 8 features, and turbulence when present, are
-    defined for every ticker.
+    ``features`` is (T, N, 8) in FEATURE_NAMES order, NaN where an indicator
+    is not yet defined. ``closes`` carries the aligned close matrix so a
+    feature panel is a self-contained input for simulation. ``turbulence`` is
+    None or the ``(values, defined)`` pair of ``turbulence()``, each (T,).
+    ``warmup`` is the first index where all 8 features, and turbulence when
+    present, are defined for every ticker.
     """
 
     timestamps: np.ndarray  # int64 (T,)
     tickers: tuple[str, ...]
     features: np.ndarray  # float64 (T, N, 8)
-    defined: np.ndarray  # bool (T, 8)
     closes: np.ndarray  # float64 (T, N)
     warmup: int
     turbulence: tuple[np.ndarray, np.ndarray] | None = None
@@ -359,7 +354,6 @@ class FeaturePanel:
         t, n = self.n_timestamps, self.n_tickers
         _freeze(self, np.float64, (t, n, len(FEATURE_NAMES)), "features")
         _freeze(self, np.float64, (t, n), "closes")
-        _freeze(self, bool, (t, len(FEATURE_NAMES)), "defined")
         if self.turbulence is not None:
             turbulence = dict(zip(("turbulence", "turbulence_defined"), self.turbulence))
             _freeze(turbulence, np.float64, (t,), "turbulence")
@@ -387,26 +381,22 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
     """
     t_len, n = panel.close.shape
     features = np.empty((t_len, n, len(FEATURE_NAMES)))
-    try:
-        # per-ticker 1-D calls so each column is bit-identical to the standalone op
-        for j in range(n):
-            h, l, c = panel.high[:, j], panel.low[:, j], panel.close[:, j]
-            macd_v, d_macd = macd(c, cfg)
-            ub_v, lb_v, d_boll = bollinger(c, cfg)
-            rsi_v, d_rsi = rsi(c, cfg.rsi_period)
-            cci_v, d_cci = cci(h, l, c, cfg.cci_period)
-            dx_v, d_dx = dx(h, l, c, cfg.dx_period)
-            sma_s, d_s = sma(c, cfg.sma_short)
-            sma_l, d_l = sma(c, cfg.sma_long)
-            features[:, j, :] = np.stack([macd_v, ub_v, lb_v, rsi_v, cci_v, dx_v, sma_s, sma_l], axis=1)
-        if cfg.turb_window is not None:
-            _check_turbulence_window(cfg.turb_window, n, t_len)
-    except WindowTooLarge as exc:
-        raise InsufficientHistory(str(exc)) from None
+    # per-ticker 1-D calls so each column is bit-identical to the standalone op
+    for j in range(n):
+        h, l, c = panel.high[:, j], panel.low[:, j], panel.close[:, j]
+        macd_v, d_macd = macd(c, cfg)
+        ub_v, lb_v, d_boll = bollinger(c, cfg)
+        rsi_v, d_rsi = rsi(c, cfg.rsi_period)
+        cci_v, d_cci = cci(h, l, c, cfg.cci_period)
+        dx_v, d_dx = dx(h, l, c, cfg.dx_period)
+        sma_s, d_s = sma(c, cfg.sma_short)
+        sma_l, d_l = sma(c, cfg.sma_long)
+        features[:, j, :] = np.stack([macd_v, ub_v, lb_v, rsi_v, cci_v, dx_v, sma_s, sma_l], axis=1)
+    if cfg.turb_window is not None:
+        _check_turbulence_window(cfg.turb_window, n, t_len)
 
     # the masks depend only on the series length, so the last ticker's serve for all
-    defined = np.stack([d_macd, d_boll, d_boll, d_rsi, d_cci, d_dx, d_s, d_l], axis=1)
-    ready = defined.all(axis=1)
+    ready = d_macd & d_boll & d_rsi & d_cci & d_dx & d_s & d_l
     turb = None
     if with_turbulence:
         if cfg.turb_window is None:
@@ -420,7 +410,6 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
         timestamps=panel.timestamps,
         tickers=panel.tickers,
         features=features,
-        defined=defined,
         closes=panel.close,
         warmup=int(np.argmax(ready)),
         turbulence=turb,

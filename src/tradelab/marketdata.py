@@ -112,7 +112,7 @@ def parse_timestamps(texts) -> np.ndarray:
     """``parse_timestamp`` over a sequence of texts, as an int64 array.
 
     A sequence that is all ``YYYY-MM-DDTHH:MM:SSZ`` (valid dates, years
-    0001-9999) is parsed in one pass over its bytes; any other sequence is
+    0001-9999) is parsed in one numpy call; any other sequence is
     parsed text by text with ``parse_timestamp`` and raises as it does.
     """
     stamps = _parse_uniform_stamps(texts)
@@ -132,17 +132,11 @@ def _parse_uniform_stamps(texts) -> np.ndarray | None:
     digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     if (chars[:, ~_STAMP_DIGITS] != _UNIFORM_STAMP[~_STAMP_DIGITS]).any() or (digits < 0).any() or (digits > 9).any():
         return None
-    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]  # century, year of century, month, day, hour, minute, second
-    year = pairs[:, 0] * 100 + pairs[:, 1]
-    month, day = pairs[:, 2], pairs[:, 3]
-    if (year < 1).any() or (month < 1).any() or (month > 12).any() or (pairs[:, 4:] > (23, 59, 59)).any():
+    try:  # numpy checks the month, the day of the month, the hour, the minute and the second
+        stamps = np.frombuffer(raw, dtype="S20").astype("S19").astype("datetime64[s]").astype(np.int64)
+    except ValueError:
         return None
-    months = (year - 1970) * 12 + (month - 1)
-    first_day, next_first_day = (m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-                                 for m in (months, months + 1))
-    if (day < 1).any() or (day > next_first_day - first_day).any():
-        return None
-    return (first_day + day - 1) * 86400 + pairs[:, 4:] @ (3600, 60, 1)
+    return None if (stamps < _STAMP_YEARS[0]).any() else stamps  # year 0000
 
 
 def format_timestamps(ts) -> list[str]:
@@ -334,9 +328,10 @@ class AuxSeries:
 class MarketPanel:
     """Time-aligned OHLCV matrices over a fixed ticker order, plus aux series.
 
-    Every matrix is (T, N); ticker order is fixed and used by all downstream
-    consumers, and tickers are distinct, non-empty strings. Arrays are
-    read-only, so a panel is safe to share across concurrent readers.
+    Every matrix is (T, N) over a strictly increasing axis; ticker order is
+    fixed and used by all downstream consumers, and tickers and aux names are
+    distinct, non-empty strings. Arrays are read-only, so a panel is safe to
+    share across concurrent readers.
     """
 
     tickers: tuple[str, ...]
@@ -357,8 +352,13 @@ class MarketPanel:
         if not all(isinstance(t, str) and t for t in self.tickers) or len(set(self.tickers)) != len(self.tickers):
             raise ValueError(f"tickers must be distinct, non-empty strings, got {list(self.tickers)}")
         _freeze(self, np.int64, (np.size(self.timestamps),), "timestamps")
+        k = _first_not_increasing(self.timestamps)
+        if k is not None:
+            raise MarketDataError(f"panel timestamp not strictly increasing at index {k}")
         _freeze(self, np.float64, (self.n_timestamps, self.n_tickers), *OHLCV)
         aux = dict(self.aux)
+        if not all(isinstance(name, str) and name for name in aux):
+            raise ValueError(f"aux names must be non-empty strings, got {list(aux)}")
         _freeze(aux, np.float64, (self.n_timestamps,), *aux)
         object.__setattr__(self, "aux", aux)
 
@@ -476,12 +476,15 @@ def save_panel(panel: MarketPanel, path) -> None:
 
 def load_panel(path) -> MarketPanel:
     def decode(header, take):
-        t, tickers = header["n_timestamps"], header["tickers"]
-        if not isinstance(tickers, list):
-            raise ValueError(f"tickers must be a JSON list, got {tickers!r}")
+        t, tickers, aux_names = header["n_timestamps"], header["tickers"], header["aux"]
+        for key, names in (("tickers", tickers), ("aux", aux_names)):
+            if not isinstance(names, list):
+                raise ValueError(f"{key} must be a JSON list, got {names!r}")
         timestamps = take("<i8", t)
         matrices = {name: take("<f8", t * len(tickers)).reshape(t, len(tickers)) for name in OHLCV}
-        aux = {name: take("<f8", t) for name in header["aux"]}
+        aux = {name: take("<f8", t) for name in aux_names}
+        if len(aux) != len(aux_names):
+            raise ValueError(f"aux names must be distinct, got {aux_names!r}")
         return MarketPanel(tickers=tickers, timestamps=timestamps, aux=aux, **matrices)
 
     return read_frame(path, PANEL_MAGIC, decode)

@@ -114,7 +114,6 @@ def flat_features(closes, turbulence=None, start: int = 1_646_380_800) -> Featur
         timestamps=hourly_axis(start, t),
         tickers=tuple(f"S{j}" for j in range(n)),
         features=np.zeros((t, n, len(FEATURE_NAMES))),
-        defined=np.ones((t, len(FEATURE_NAMES)), dtype=bool),
         closes=closes,
         warmup=0,
         turbulence=turbulence,

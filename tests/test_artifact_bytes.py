@@ -456,6 +456,30 @@ def test_parse_timestamps_rejects_what_parse_timestamp_rejects(bad):
     assert str(caught.value) == str(expected.value)
 
 
+def test_parse_timestamps_agrees_with_parse_timestamp_on_random_digits():
+    rng = np.random.default_rng(12)
+    # half with every digit random, so most dates are impossible; half with each field drawn
+    # one past its range on both sides (month 0-13, day 0-32, ...), so most are possible
+    digits = rng.integers(0, 10, size=(1000, 14)).tolist()
+    fields = np.column_stack([rng.integers(0, 3, size=1000) * rng.integers(0, 10_000, size=1000),  # some year 0000
+                              *(rng.integers(0, top + 1, size=1000) for top in (13, 32, 24, 60, 60))]).tolist()
+    texts = ["{}{}{}{}-{}{}-{}{}T{}{}:{}{}:{}{}Z".format(*d) for d in digits]
+    texts += ["{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*f) for f in fields]
+    outcomes = set()
+    for text in texts:
+        try:
+            expected = [parse_timestamp(text)]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                parse_timestamps([text])
+            assert str(caught.value) == str(exc), text
+            outcomes.add("rejected")
+        else:
+            assert parse_timestamps([text]).tolist() == expected, text
+            outcomes.add("parsed")
+    assert outcomes == {"rejected", "parsed"}
+
+
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------

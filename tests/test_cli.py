@@ -523,6 +523,20 @@ class TestMalformedInputs:
         if fault == "missing-key":
             assert key in err
 
+    def test_panel_with_swapped_stamps_exits_one(self, workspace, capsys):
+        run(workspace, "ingest")
+        path = workspace / "out" / "panel.bin"
+        head, _, payload = path.read_bytes().partition(b"\n")
+        stamps = np.frombuffer(payload, dtype="<i8", count=json.loads(head)["n_timestamps"]).copy()
+        stamps[[10, 11]] = stamps[[11, 10]]
+        path.write_bytes(head + b"\n" + stamps.tobytes() + payload[stamps.nbytes:])
+        (workspace / "out" / "features.csv").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: panel timestamp not strictly increasing at index 11") and str(path) in err
+        assert not (workspace / "out" / "features.csv").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("label", 5), ("steps_trained", -1), ("normalizer_count", True), ("obs_dim", 11)],

@@ -295,30 +295,54 @@ def test_batched_env_equals_single_envs_bit_for_bit(capital, gate):
     assert clipped_buys > 0 or capital == 1_000_000.0
 
 
-def test_batched_accounting_fuzz():
-    # cash and shares stay non-negative, at most hmax shares move per ticker
-    # per step, and every copy's rewards telescope to V_T - V_0
-    features = make_features(["A", "B", "C", "D", "E"], 120, seed=11, vol=0.02)
-    cfg = EnvConfig(initial_capital=50_000.0, hmax=20, cost_rate=0.001)
-    window = Window(16, 117)
+def _accounting_fuzz(features, cfg: EnvConfig, window: Window) -> list[int]:
+    """25 episodes of random actions over 4 copies: cash and shares stay
+    non-negative, a step the turbulence gate liquidates ends with no shares,
+    every other step moves at most hmax shares per ticker, and every copy's
+    rewards telescope to V_T - V_0. Returns the largest one-ticker sale of
+    each gated step."""
     env = TradingEnv(cfg, features, window, copies=4)
+    gated = np.zeros(features.n_timestamps, dtype=bool)
+    if cfg.turbulence_gate is not None:
+        turb, defined = features.turbulence
+        gated = defined & (turb > cfg.turbulence_gate)
     master = np.random.default_rng(98)
+    gated_sales = []
     for episode in range(25):
         env.reset()
         v0 = env.state.portfolio_value
         rng = np.random.default_rng(master.integers(1 << 60))
         rewards = []
         for _ in range(window.steps):
-            before = env.state.shares
-            outcome = env.step(rng.uniform(-1, 1, size=(4, 5)))
+            t, before = env.state.t, env.state.shares
+            outcome = env.step(rng.uniform(-1, 1, size=(4, features.n_tickers)))
             state = env.state
             assert np.all(state.cash >= 0.0)
             assert np.all(state.shares >= 0)
-            assert np.all(np.abs(state.shares - before) <= cfg.hmax)
+            if gated[t]:
+                assert not state.shares.any()
+                gated_sales.append(int(before.max()))
+            else:
+                assert np.all(np.abs(state.shares - before) <= cfg.hmax)
             rewards.append(outcome.reward)
         assert outcome.done
         totals = np.array([math.fsum(column) for column in np.array(rewards).T])
         assert np.allclose(totals, state.portfolio_value - v0, rtol=0.0, atol=1e-9 * cfg.initial_capital)
+    return gated_sales
+
+
+def test_batched_accounting_fuzz():
+    features = make_features(["A", "B", "C", "D", "E"], 120, seed=11, vol=0.02)
+    cfg = EnvConfig(initial_capital=50_000.0, hmax=20, cost_rate=0.001)
+    assert _accounting_fuzz(features, cfg, Window(16, 117)) == []
+
+
+def test_gated_accounting_fuzz():
+    # the gate liquidates whole positions, the one exception to the hmax bound
+    features = turbulent_features(11)
+    cfg = EnvConfig(initial_capital=50_000.0, hmax=20, cost_rate=0.001, turbulence_gate=12.0)
+    gated_sales = _accounting_fuzz(features, cfg, Window(16, 87))
+    assert len(gated_sales) > 100 and max(gated_sales) > cfg.hmax
 
 
 def test_state_arrays_are_never_mutated_by_later_steps():

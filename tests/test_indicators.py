@@ -21,7 +21,6 @@ from tradelab.indicators import (
     IndicatorError,
     InsufficientHistory,
     SingularCovariance,
-    WindowTooLarge,
     bollinger,
     build_features,
     cci,
@@ -70,7 +69,7 @@ def test_sma_oracle(rng):
 
 
 def test_sma_window_too_large():
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(InsufficientHistory):
         sma(np.ones(5), 5)
 
 
@@ -482,7 +481,7 @@ def test_turbulence_window_validation(rng):
     panel = make_panel(["A", "B"], 30, seed=1, with_vix=False)
     with pytest.raises(ValueError):
         turbulence(panel, 2)  # must exceed ticker count
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(InsufficientHistory):
         turbulence(panel, 29)
 
 
@@ -508,7 +507,6 @@ def test_build_features_shape(rng):
     panel = make_panel(["AAA", "BBB"], 60, seed=3)
     fp = build_features(panel, SMALL_CFG)
     assert fp.features.shape == (60, 2, 8)
-    assert fp.defined.shape == (60, 8)
     assert fp.closes.shape == (60, 2)
     assert fp.tickers == ("AAA", "BBB")
 
@@ -551,8 +549,7 @@ def test_build_features_warmup(rng):
     panel = make_panel(["AAA", "BBB"], 60, seed=3)
     fp = build_features(panel, SMALL_CFG)
     assert fp.warmup == 16  # sma_long dominates
-    assert fp.defined[fp.warmup :].all()
-    assert not fp.defined[: fp.warmup].all(axis=1).any()
+    assert np.isnan(fp.features[: fp.warmup]).any(axis=(1, 2)).all()
     assert np.isfinite(fp.features[fp.warmup :]).all()
 
 
@@ -633,14 +630,13 @@ def test_feature_panel_leaves_the_callers_arrays_writable():
     given = {
         "timestamps": hourly_axis(T0, t),
         "features": np.zeros((t, n, len(FEATURE_NAMES))),
-        "defined": np.ones((t, len(FEATURE_NAMES)), dtype=bool),
         "closes": np.full((t, n), 10.0),
     }
     turb = (np.zeros(t), np.ones(t, dtype=bool))
     fp = FeaturePanel(tickers=("AAA", "BBB"), warmup=0, turbulence=turb, **given)
     for name, arr in [*given.items(), ("turbulence values", turb[0]), ("turbulence mask", turb[1])]:
         assert arr.flags.writeable, name
-    for arr in (fp.timestamps, fp.features, fp.defined, fp.closes, *fp.turbulence):
+    for arr in (fp.timestamps, fp.features, fp.closes, *fp.turbulence):
         assert not arr.flags.writeable
     given["timestamps"][0] += 1  # the panel holds its own copy
     assert fp.timestamps[0] == T0

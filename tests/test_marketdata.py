@@ -476,6 +476,52 @@ def test_aux_series_refuses_values_off_its_axis():
         AuxSeries("vix", hourly_axis(T0, 3), np.ones(4))
 
 
+def _swapped_axis(count=12):
+    stamps = hourly_axis(T0, count)
+    stamps[[10, 11]] = stamps[[11, 10]]
+    return stamps
+
+
+@pytest.mark.parametrize("stamps", [_swapped_axis(), hourly_axis(T0, 3)[[0, 1, 1]]], ids=["swapped", "duplicate"])
+def test_market_panel_refuses_an_axis_that_does_not_strictly_increase(stamps):
+    with pytest.raises(MarketDataError, match="not strictly increasing at index"):
+        MarketPanel(("A", "B"), stamps, *(np.ones((stamps.size, 2)) for _ in OHLCV))
+
+
+def test_load_panel_refuses_a_swapped_axis_naming_the_file(tmp_path):
+    stamps = _swapped_axis()
+    path = tmp_path / "panel.bin"
+    write_frame(path, PANEL_MAGIC, {"tickers": ["A", "B"], "aux": [], "n_timestamps": stamps.size},
+                [stamps, *(np.ones((stamps.size, 2)) for _ in OHLCV)])
+    with pytest.raises(MalformedFile, match="not strictly increasing at index 11") as caught:
+        load_panel(path)
+    assert str(path) in str(caught.value)
+
+
+BAD_AUX = {
+    "duplicate": ["a", "a"],
+    "string": "ab",  # iterating it would give two aux series, a and b
+    "number-name": ["a", 5],
+    "empty-name": [""],
+}
+
+
+@pytest.mark.parametrize("aux", list(BAD_AUX.values()), ids=list(BAD_AUX))
+def test_load_panel_refuses_bad_aux_names_naming_the_file(tmp_path, aux):
+    path = tmp_path / "panel.bin"
+    write_frame(path, PANEL_MAGIC, {"tickers": ["A"], "aux": aux, "n_timestamps": 4},
+                [hourly_axis(T0, 4), *(np.ones((4, 1)) for _ in OHLCV), *(np.full(4, k) for k in range(len(aux)))])
+    with pytest.raises(MalformedFile, match="aux") as caught:
+        load_panel(path)
+    assert str(path) in str(caught.value)
+
+
+@pytest.mark.parametrize("name", [5, "", None])
+def test_market_panel_refuses_aux_names_that_are_not_non_empty_strings(name):
+    with pytest.raises(ValueError, match="aux names"):
+        MarketPanel(("A",), hourly_axis(T0, 4), *(np.ones((4, 1)) for _ in OHLCV), aux={name: np.ones(4)})
+
+
 # ---------------------------------------------------------------------------
 # damaged input files
 # ---------------------------------------------------------------------------
