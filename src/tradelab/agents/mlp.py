@@ -10,6 +10,7 @@ reverse-mode.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,10 +33,18 @@ class ShapeMismatch(TradeLabError):
 _NAMES = ("w1", "b1", "w2", "b2", "w_mean", "b_mean", "w_value", "b_value", "log_std")
 
 
-def _shapes(sizes) -> list:
-    """The shape of each parameter, in _NAMES order."""
+@functools.lru_cache(maxsize=16)
+def _layout(sizes: tuple) -> tuple:
+    """(total length, (name, start, stop, shape) per parameter in _NAMES order)
+    for a tuple of int sizes, computed once per distinct sizes."""
     d, h1, h2, n = sizes
-    return [(d, h1), (h1,), (h1, h2), (h2,), (h2, n), (n,), (h2, 1), (1,), (n,)]
+    shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, n), (n,), (h2, 1), (1,), (n,)]
+    entries, offset = [], 0
+    for name, shape in zip(_NAMES, shapes):
+        stop = offset + math.prod(shape)
+        entries.append((name, offset, stop, shape))
+        offset = stop
+    return offset, tuple(entries)
 
 
 class MlpParams:
@@ -48,22 +57,18 @@ class MlpParams:
     """
 
     def __init__(self, vector, sizes):
-        self.sizes = tuple(int(s) for s in sizes)
-        shapes = _shapes(self.sizes)
+        self.sizes = tuple(map(int, sizes))
+        total, entries = _layout(self.sizes)
         vector = np.ascontiguousarray(vector, dtype=np.float64)
-        total = sum(math.prod(shape) for shape in shapes)
         if vector.shape != (total,):
             raise ShapeMismatch(f"flat vector has length {vector.shape}, expected ({total},)")
         self.vector = vector
-        offset = 0
-        for name, shape in zip(_NAMES, shapes):
-            size = math.prod(shape)
-            setattr(self, name, vector[offset : offset + size].reshape(shape))
-            offset += size
+        for name, start, stop, shape in entries:
+            setattr(self, name, vector[start:stop].reshape(shape))
 
     @classmethod
     def zeros(cls, sizes) -> "MlpParams":
-        return cls(np.zeros(sum(math.prod(shape) for shape in _shapes(sizes))), sizes)
+        return cls(np.zeros(_layout(tuple(map(int, sizes)))[0]), sizes)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.vector).all())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,6 +121,11 @@ class RunConfig:
 def _load_cached_panel(cfg: RunConfig):
     if not cfg.panel_path.exists():
         raise TradeLabError(f"no cached panel at {cfg.panel_path}; run `ingest` first")
+    built = cfg.panel_path.stat().st_mtime_ns
+    for source in [*(cfg.data[ticker] for ticker in cfg.tickers), *cfg.aux.values()]:
+        if os.stat(source).st_mtime_ns > built:
+            raise TradeLabError(f"input {source} changed after the cached panel {cfg.panel_path} "
+                                f"was written; rerun ingest")
     panel = load_panel(cfg.panel_path)
     if panel.tickers != tuple(cfg.tickers):
         raise TradeLabError(f"cached panel {cfg.panel_path} holds tickers {list(panel.tickers)}, "
@@ -157,6 +163,7 @@ def _windows(cfg: RunConfig, features) -> dict:
 def cmd_ingest(cfg: RunConfig) -> int:
     if not cfg.data:
         raise TradeLabError("no data files configured; supply --config with a data map")
+    cfg.panel_path.unlink(missing_ok=True)  # a failed ingest leaves no panel for later commands
     series = [load_bars(cfg.data[ticker], ticker=ticker) for ticker in cfg.tickers]
     aux_series = [load_series(path, name) for name, path in sorted(cfg.aux.items())]
     panel = align_panel(series, aux=aux_series, fill=cfg.align)

@@ -149,7 +149,9 @@ class TradingEnv:
     ``step`` executes one trading step in every copy: sells, then cash-clipped
     buys, then advance; each trades at most ``hmax`` shares per ticker. The
     one exception is a step gated by turbulence, which sells every position
-    whole and buys nothing, as FinRL's environment does. The reward compares
+    whole and buys nothing, as FinRL's environment does. Buys fill row by row,
+    in ascending ticker order within each copy, and a ticker whose unit cost
+    is above the copy's remaining cash buys 0. The reward compares
     the new portfolio value (new prices, fees paid) against the pre-trade
     value at the old prices, scaled by reward_scale.
     """
@@ -214,24 +216,31 @@ class TradingEnv:
         cash = self._cash + np.add.reduce(proceeds, axis=1) * (1.0 - cfg.cost_rate)
         shares = shares - sold
 
-        # buys in ascending ticker index per copy, clipped to remaining cash;
-        # Python floats do the same IEEE operations, in the same order, as numpy scalars
-        copy_ids, tickers = (desired > 0).nonzero()
-        if copy_ids.size:
-            left = cash.tolist()
-            units = (prices * (1.0 + cfg.cost_rate))[tickers].tolist()  # each buy's unit cost
-            fills = desired[copy_ids, tickers].tolist()
-            for k, e in enumerate(copy_ids.tolist()):
-                unit, have = units[k], left[e]
+        # buys row by row, in ascending ticker order, each clipped to the copy's
+        # remaining cash; Python floats do the same IEEE operations, in the same
+        # order, as numpy scalars. A ticker dearer than the cash left buys 0 and
+        # leaves the cash as it is, exactly as floor(have / unit) would: for
+        # 0 < have < unit the quotient rounds below 1.0.
+        units = (prices * (1.0 + cfg.cost_rate)).tolist()  # each ticker's unit cost
+        left = cash.tolist()
+        bought = desired.tolist()  # overwritten with the fills
+        for e, row in enumerate(bought):
+            have = left[e]
+            for i, unit in enumerate(units):
+                want = row[i]
+                if want <= 0 or unit > have:
+                    row[i] = 0
+                    continue
                 qty = math.floor(have / unit)
-                if qty >= fills[k]:
-                    qty = fills[k]
+                if qty >= want:
+                    qty = want
                 while qty > 0 and qty * unit > have:  # guard against float overdraw
                     qty -= 1
-                left[e] = have - qty * unit  # exact when qty is 0
-                fills[k] = qty
-            cash = np.array(left)
-            shares[copy_ids, tickers] += fills  # each (copy, ticker) pair appears once
+                have = have - qty * unit
+                row[i] = qty
+            left[e] = have
+        cash = np.array(left)
+        shares += bought
 
         value_before = self._values
         self._t = t + 1
@@ -330,8 +339,9 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
         cash[k], holdings[k], values[k] = state.cash[0], state.shares[0], state.portfolio_value[0]
         if k == length - 1:
             break
-        # np.clip, at less call overhead
-        actions[k] = np.minimum(np.maximum(np.asarray(policy.act(observation, rng), dtype=np.float64), -1.0), 1.0)
+        row = actions[k]
+        row[...] = policy.act(observation, rng)
+        np.minimum(np.maximum(row, -1.0, out=row), 1.0, out=row)  # np.clip in place, at less call overhead
         outcome = env.step(actions[k : k + 1])
         observation = outcome.observation[0]
     if not outcome.done:

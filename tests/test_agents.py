@@ -205,6 +205,23 @@ class TestMlpForward:
         with pytest.raises(ShapeMismatch):
             MlpParams(vec[:-1], params.sizes)
 
+    def test_list_sizes_and_views_alias_the_vector(self, rng):
+        vec = init_mlp((6, 8, 8, 2), rng).vector.copy()
+        params = MlpParams(vec, [6, 8, 8, 2])  # a checkpoint header holds a JSON list
+        assert params.sizes == (6, 8, 8, 2) and all(type(s) is int for s in params.sizes)
+        assert params.vector is vec
+        names = ("w1", "b1", "w2", "b2", "w_mean", "b_mean", "w_value", "b_value", "log_std")
+        views = [getattr(params, name) for name in names]
+        assert [v.shape for v in views] == [(6, 8), (8,), (8, 8), (8,), (8, 2), (2,), (8, 1), (1,), (2,)]
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), vec)
+        params.w2[1, 3] = 7.5  # writing a view writes the vector, and back
+        assert vec[6 * 8 + 8 + 1 * 8 + 3] == 7.5
+        vec[-1] = -2.0
+        assert params.log_std[-1] == -2.0
+        with pytest.raises(ShapeMismatch):
+            MlpParams(np.zeros(vec.size + 1), [6, 8, 8, 2])
+        assert np.array_equal(MlpParams.zeros([6, 8, 8, 2]).vector, np.zeros(vec.size))
+
 
 # ---------------------------------------------------------------------------
 # MLP backward

@@ -2,6 +2,7 @@
 paths, flag overrides, and byte-identical re-runs."""
 
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -174,6 +175,27 @@ class TestFeatures:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rerun ingest" in err and "['AA', 'BB']" in err
         assert not (workspace / "out" / "features.csv").exists()
+
+    def test_panel_older_than_a_bar_file_exits_one(self, workspace, capsys):
+        run(workspace, "ingest")
+        bars, panel = workspace / "data" / "aa.csv", workspace / "out" / "panel.bin"
+        bars.write_bytes(b"".join(bars.read_bytes().splitlines(keepends=True)[:-50]))
+        later = panel.stat().st_mtime_ns + 1_000_000_000  # a coarse file clock may not move by itself
+        os.utime(bars, ns=(later, later))
+        capsys.readouterr()
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bars) in err and str(panel) in err and "rerun ingest" in err
+        assert not (workspace / "out" / "features.csv").exists()
+
+    def test_failed_reingest_leaves_no_panel(self, workspace, capsys):
+        run(workspace, "ingest")
+        (workspace / "data" / "bb.csv").write_text("timestamp,open\n")
+        assert run(workspace, "ingest") == 1
+        assert not (workspace / "out" / "panel.bin").exists()
+        capsys.readouterr()
+        assert run(workspace, "features") == 1
+        assert "run `ingest` first" in capsys.readouterr().err
 
     def test_rerun_identical(self, workspace):
         run(workspace, "ingest")

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_features, turbulent_features
+from conftest import flat_features, make_features, turbulent_features
 from tradelab.agents.a2c import (
     A2CConfig,
     ObsNormalizer,
@@ -412,6 +412,46 @@ def test_env_step_matches_reference(capital, gate, copies):
             assert np.array_equal(live.reset()[rows], ref.reset())
     assert (gated_steps > 0) == (gate is not None)
     assert (clipped_buys > 0) == (capital == 50_000.0)
+
+
+def overdraw_case(seed=0):
+    """A seeded (close, cash) pair, at the default cost rate, where
+    floor(cash / unit) * unit > cash, so the overdraw guard takes a share back."""
+    rng = np.random.default_rng(seed)
+    while True:
+        close = float(rng.uniform(5.0, 500.0))
+        unit = close * (1.0 + 0.001)
+        have = float(np.nextafter(int(rng.integers(2, 150)) * unit, 0.0))
+        if math.floor(have / unit) * unit > have:
+            return close, have
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+@pytest.mark.parametrize("case", ["exact-multiple", "just-short", "overdraw"])
+def test_buy_fill_at_cash_boundaries_matches_reference(case, copies):
+    close, capital = overdraw_case() if case == "overdraw" else (123.45, None)
+    unit = close * (1.0 + 0.001)
+    if case == "exact-multiple":
+        capital = 7 * unit
+    elif case == "just-short":
+        capital = float(np.nextafter(unit, 0.0))
+    closes = np.full((3, 3), 50.0)
+    closes[0, 0] = close
+    cfg = EnvConfig(initial_capital=capital, hmax=200)
+    live, ref = (cls(cfg, flat_features(closes), Window(0, 3), copies=copies) for cls in (TradingEnv, RefTradingEnv))
+    live.reset()
+    ref.reset()
+    action = np.zeros((copies, 3))
+    action[:, 0] = 1.0  # ticker 0 at hmax, which cash caps below 200
+    live.step(action)
+    ref.step(action)
+    assert np.array_equal(live._cash, ref._cash) and np.array_equal(live._shares, ref._shares)
+    assert np.array_equal(live._values, ref._values)
+    bought, cash = live.state.shares[:, 0], live.state.cash
+    expected = {"exact-multiple": 7, "just-short": 0, "overdraw": math.floor(capital / unit) - 1}[case]
+    assert (bought == expected).all() and (cash >= 0.0).all()
+    if case == "just-short":
+        assert (cash == capital).all()
 
 
 # ---------------------------------------------------------------------------
