@@ -78,8 +78,8 @@ class A2CConfig:
         if not self.rms_eps > 0:
             raise ValueError("rms_eps must be positive")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        if len(self.hidden_sizes) != 2:
-            raise ValueError(f"hidden_sizes must hold two layer widths, got {list(self.hidden_sizes)}")
+        if len(self.hidden_sizes) != 2 or min(self.hidden_sizes) < 1:
+            raise ValueError(f"hidden_sizes must hold two layer widths >= 1, got {list(self.hidden_sizes)}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,12 +1,12 @@
 """Behavioral analytics over episode logs.
 
 Everything here is a pure function of an EpisodeLog, whose arrays are
-read-only int64/float64 and at least two rows long: cumulative reward (prefix
-sums of the logged value deltas, so the series is in account currency),
-integral holding (time-summed share exposure), trade statistics over position
-changes, purchase-diversity concentration, and a continuous holder-vs-trader
-score. Trades are detected as holding changes, never from the action sign —
-a clipped no-op action is not a trade.
+read-only int64/float64, at least two rows long and one ticker wide:
+cumulative reward (prefix sums of the logged value deltas, so the series is
+in account currency), integral holding (time-summed share exposure), trade
+statistics over position changes, purchase-diversity concentration, and a
+continuous holder-vs-trader score. Trades are detected as holding changes,
+never from the action sign — a clipped no-op action is not a trade.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from .marketdata import (
     load_series,
     parse_timestamp,
     save_panel,
+    sidecar_path,
     write_csv_columns,
     write_panel_csv,
 )
@@ -256,7 +257,7 @@ def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
 def cmd_analyze(cfg: RunConfig, log_paths: list) -> int:
     logs = [load_episode_log(path) for path in log_paths]
     for path, log in zip(log_paths, logs):
-        sidecar = Path(str(path) + ".json")
+        sidecar = sidecar_path(path)
         _check_label(log.agent_label, sidecar if sidecar.exists() else path)
     reports = [behavior_profile(log) for log in logs]
     table = compare_profiles(reports) if len(reports) >= 2 else None  # fails before anything is written

@@ -34,11 +34,13 @@ from .errors import TradeLabError
 from .indicators import FEATURE_NAMES, FeaturePanel
 from .marketdata import (
     _freeze,
+    _increasing,
     format_timestamps,
     parse_csv_columns,
     parse_floats,
     parse_timestamps,
     read_csv_columns,
+    sidecar_path,
     write_csv_columns,
 )
 
@@ -175,29 +177,27 @@ class TradingEnv:
         else:
             turb, defined = features.turbulence
             self._gate = (defined & (turb > cfg.turbulence_gate)).tolist()
-        self._t: int | None = None
+        self._state: EnvState | None = None
 
     @property
     def state(self) -> EnvState:
-        if self._t is None:
+        if self._state is None:
             raise EnvError("environment not reset yet")
-        return EnvState(self._t, self._cash, self._shares, self._values)
+        return self._state
 
     def reset(self) -> np.ndarray:
         """Fresh copies at the window start: full cash, zero shares."""
-        self._t = self.window.start
-        self._settle(np.full(self.copies, float(self.cfg.initial_capital)),
+        self._settle(self.window.start, np.full(self.copies, float(self.cfg.initial_capital)),
                      np.zeros((self.copies, self.n_tickers), dtype=np.int64))
         return self._observe()
 
     def step(self, action) -> StepOutcome:
         """``action`` is (E, N), one row per copy."""
-        t = self._t
-        if t is None:
-            raise EnvError("environment not reset yet")
+        before = self.state
+        t = before.t
         if t >= self.window.stop - 1:
             raise StepAfterDone(f"episode already finished at index {t}")
-        cfg, shares = self.cfg, self._shares
+        cfg, shares = self.cfg, before.shares
         a = np.asarray(action, dtype=np.float64)
         if a.shape != shares.shape:
             raise ValueError(f"action shape {a.shape}, expected {shares.shape}")
@@ -213,7 +213,7 @@ class TradingEnv:
         prices = self.features.closes[t]
         sold = np.minimum(-np.minimum(desired, 0), shares)
         proceeds = sold * prices
-        cash = self._cash + np.add.reduce(proceeds, axis=1) * (1.0 - cfg.cost_rate)
+        cash = before.cash + np.add.reduce(proceeds, axis=1) * (1.0 - cfg.cost_rate)
         shares = shares - sold
 
         # buys row by row, in ascending ticker order, each clipped to the copy's
@@ -242,28 +242,28 @@ class TradingEnv:
         cash = np.array(left)
         shares += bought
 
-        value_before = self._values
-        self._t = t + 1
-        self._settle(cash, shares)
-        reward = cfg.reward_scale * (self._values - value_before)
-        return StepOutcome(self._observe(), reward, self._t == self.window.stop - 1)
+        values = self._settle(t + 1, cash, shares)
+        reward = cfg.reward_scale * (values - before.portfolio_value)
+        return StepOutcome(self._observe(), reward, t + 1 == self.window.stop - 1)
 
-    def _settle(self, cash: np.ndarray, shares: np.ndarray) -> None:
-        """Store the state at the current index and value it. The stacked
-        (E, 1, N) @ (N, 1) product is one dot product per copy, so each value
-        is bit-equal to ``cash[e] + shares[e] @ prices``."""
-        prices = self.features.closes[self._t]
+    def _settle(self, t: int, cash: np.ndarray, shares: np.ndarray) -> np.ndarray:
+        """Make the state at index ``t`` the current one and return its values.
+        The stacked (E, 1, N) @ (N, 1) product is one dot product per copy, so
+        each value is bit-equal to ``cash[e] + shares[e] @ prices``."""
+        prices = self.features.closes[t]
         values = cash + (shares[:, None, :] @ prices[:, None])[:, 0, 0]
         for arr in (cash, shares, values):
             arr.setflags(write=False)
-        self._cash, self._shares, self._values = cash, shares, values
+        self._state = EnvState(t, cash, shares, values)
+        return values
 
     def _observe(self) -> np.ndarray:
-        n, t = self.n_tickers, self._t
-        obs = np.empty((self._shares.shape[0], self.observation_size))
-        obs[:, 0] = self._cash
+        n = self.n_tickers
+        t, cash, shares, _ = self._state
+        obs = np.empty((shares.shape[0], self.observation_size))
+        obs[:, 0] = cash
         obs[:, 1 : 1 + n] = self.features.closes[t]
-        obs[:, 1 + n : 1 + 2 * n] = self._shares
+        obs[:, 1 + n : 1 + 2 * n] = shares
         obs[:, 1 + 2 * n :] = self.features.features[t].reshape(-1)
         return obs
 
@@ -294,13 +294,13 @@ class EpisodeLog:
         if t < 2:
             raise MalformedLog("a log needs at least two rows")
         n = self.actions.shape[1] if self.actions.ndim == 2 else -1
-        if self.actions.shape != (t, n) or self.holdings.shape != (t, n):
-            raise MalformedLog("actions/holdings must both be (T, N)")
+        if n < 1 or self.actions.shape != (t, n) or self.holdings.shape != (t, n):
+            raise MalformedLog("actions/holdings must both be (T, N), with at least one ticker")
         if self.cash.shape != (t,) or self.portfolio_value.shape != (t,):
             raise MalformedLog("cash/portfolio_value must be length T")
         if self.rewards.shape != (t - 1,):
             raise MalformedLog(f"rewards must have length {t - 1}, got {self.rewards.shape}")
-        ok = np.append(True, self.timestamps[1:] > self.timestamps[:-1]) & (self.holdings >= 0).all(axis=1)
+        ok = _increasing(self.timestamps) & (self.holdings >= 0).all(axis=1)
         if not ok.all():
             i = int(np.argmin(ok))
             if (self.holdings[i] < 0).any():  # a row with both faults is reported by its holding
@@ -342,10 +342,7 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
         row = actions[k]
         row[...] = policy.act(observation, rng)
         np.minimum(np.maximum(row, -1.0, out=row), 1.0, out=row)  # np.clip in place, at less call overhead
-        outcome = env.step(actions[k : k + 1])
-        observation = outcome.observation[0]
-    if not outcome.done:
-        raise EnvError("window walk ended before the done flag")
+        observation = env.step(actions[k : k + 1]).observation[0]
 
     return EpisodeLog(
         timestamps=features.timestamps[window.start : window.stop],
@@ -392,7 +389,7 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         *log.holdings.T,
     ])
     sidecar = {"agent_label": log.agent_label, "meta": log.meta}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def _share_counts(cells) -> np.ndarray:
@@ -433,7 +430,7 @@ def load_episode_log(path) -> EpisodeLog:
 
     agent_label = path.stem
     meta: dict = {}
-    sidecar = Path(str(path) + ".json")
+    sidecar = sidecar_path(path)
     if sidecar.exists():
         try:
             data = json.loads(sidecar.read_text())

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import check_fields
 from .errors import TradeLabError
-from .marketdata import MarketPanel, _freeze, long_format_keys, write_csv_columns
+from .marketdata import MarketPanel, _freeze, _frozen, long_format_keys, sidecar_path, write_csv_columns
 
 __all__ = [
     "FEATURE_NAMES",
@@ -120,11 +119,13 @@ def _blank(shape) -> np.ndarray:
     return np.full(shape, np.nan)
 
 
-def _check_window(n: int, t: int, first_defined: int, name: str) -> None:
+def _check_window(n: int, t: int, first_defined: int, name: str) -> np.ndarray:
+    """The ``defined`` mask of a length-``t`` series, True from ``first_defined`` on."""
     if n < 1:
         raise ValueError(f"{name} window must be >= 1, got {n}")
     if first_defined >= t:
         raise InsufficientHistory(f"{name} window {n} leaves no defined index in a series of length {t}")
+    return np.arange(t) >= first_defined
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +136,10 @@ def sma(closes, n: int):
     """Strictly trailing n-bar mean: out[i] = mean(closes[i-n .. i-1]), i >= n."""
     x, squeeze = _as_columns(closes)
     t = x.shape[0]
-    _check_window(n, t, n, "sma")
+    defined = _check_window(n, t, n, "sma")
     out = _blank(x.shape)
     windows = sliding_window_view(x, n, axis=0)  # window s covers s .. s+n-1
     out[n:] = windows[: t - n].mean(axis=-1)
-    defined = np.arange(t) >= n
     return _restore(out, squeeze), defined
 
 
@@ -147,13 +147,12 @@ def ema(closes, n: int):
     """SMA-seeded exponential mean, alpha = 2/(n+1), defined from index n-1."""
     x, squeeze = _as_columns(closes)
     t = x.shape[0]
-    _check_window(n, t, n - 1, "ema")
+    defined = _check_window(n, t, n - 1, "ema")
     out = _blank(x.shape)
     alpha = 2.0 / (n + 1)
     out[n - 1] = x[:n].mean(axis=0)
     for i in range(n, t):
         out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
-    defined = np.arange(t) >= n - 1
     return _restore(out, squeeze), defined
 
 
@@ -172,7 +171,7 @@ def bollinger(closes, cfg: IndicatorConfig = IndicatorConfig()):
     x, squeeze = _as_columns(closes)
     t = x.shape[0]
     n = cfg.boll_period
-    _check_window(n, t, n - 1, "bollinger")
+    defined = _check_window(n, t, n - 1, "bollinger")
     windows = sliding_window_view(x, n, axis=0)  # ends at index s+n-1
     mid = windows.mean(axis=-1)
     # two-pass variance; a cumsum-of-squares shortcut cancels catastrophically
@@ -181,7 +180,6 @@ def bollinger(closes, cfg: IndicatorConfig = IndicatorConfig()):
     lb = _blank(x.shape)
     ub[n - 1 :] = mid + cfg.boll_k * sigma
     lb[n - 1 :] = mid - cfg.boll_k * sigma
-    defined = np.arange(t) >= n - 1
     return _restore(ub, squeeze), _restore(lb, squeeze), defined
 
 
@@ -197,7 +195,7 @@ def rsi(closes, n: int):
     """
     x, squeeze = _as_columns(closes)
     t = x.shape[0]
-    _check_window(n, t, n, "rsi")
+    defined = _check_window(n, t, n, "rsi")
     diffs = np.diff(x, axis=0)
     gains = np.where(diffs > 0, diffs, 0.0)
     losses = np.where(diffs < 0, -diffs, 0.0)
@@ -208,7 +206,6 @@ def rsi(closes, n: int):
         ratio = np.where(denom > 0, avg_gain / np.where(denom > 0, denom, 1.0), 0.5)
     out = _blank(x.shape)
     out[n:] = 100.0 * ratio
-    defined = np.arange(t) >= n
     return _restore(out, squeeze), defined
 
 
@@ -221,7 +218,7 @@ def cci(high, low, close, n: int):
     l, _ = _as_columns(low)
     c, _ = _as_columns(close)
     t = h.shape[0]
-    _check_window(n, t, n - 1, "cci")
+    defined = _check_window(n, t, n - 1, "cci")
     tp = (h + l + c) / 3.0
     windows = sliding_window_view(tp, n, axis=0)
     mean_tp = windows.mean(axis=-1)
@@ -231,7 +228,6 @@ def cci(high, low, close, n: int):
         raw = (current - mean_tp) / (0.015 * mean_dev)
     out = _blank(h.shape)
     out[n - 1 :] = np.where(mean_dev > 0, raw, 0.0)
-    defined = np.arange(t) >= n - 1
     return _restore(out, squeeze), defined
 
 
@@ -245,7 +241,7 @@ def dx(high, low, close, n: int):
     l, _ = _as_columns(low)
     c, _ = _as_columns(close)
     t = h.shape[0]
-    _check_window(n, t, n, "dx")
+    defined = _check_window(n, t, n, "dx")
 
     up = h[1:] - h[:-1]
     down = l[:-1] - l[1:]
@@ -271,7 +267,6 @@ def dx(high, low, close, n: int):
         # ratio first: |a-b|/(a+b) <= 1 exactly, so DX stays within [0, 100]
         ratio = np.abs(di_plus - di_minus) / np.where(total > 0, total, 1.0)
         out[k + 1] = np.where(total > 0, 100.0 * ratio, 0.0)
-    defined = np.arange(t) >= n
     return _restore(out, squeeze), defined
 
 
@@ -279,11 +274,10 @@ def dx(high, low, close, n: int):
 # turbulence
 # ---------------------------------------------------------------------------
 
-def _check_turbulence_window(window: int, n_tickers: int, t_len: int) -> None:
+def _check_turbulence_window(window: int, n_tickers: int, t_len: int) -> np.ndarray:
     if window <= n_tickers:
         raise ValueError(f"turbulence window ({window}) must exceed the ticker count ({n_tickers})")
-    if window + 1 >= t_len:
-        raise InsufficientHistory(f"turbulence window {window} leaves no defined index in a panel of length {t_len}")
+    return _check_window(window, t_len, window + 1, "turbulence")
 
 
 def turbulence(panel: MarketPanel, window: int):
@@ -297,7 +291,7 @@ def turbulence(panel: MarketPanel, window: int):
     """
     n_tickers = panel.n_tickers
     t_len = panel.n_timestamps
-    _check_turbulence_window(window, n_tickers, t_len)
+    defined = _check_turbulence_window(window, n_tickers, t_len)
 
     closes = panel.close
     returns = closes[1:] / closes[:-1] - 1.0  # returns[k] belongs to t = k+1
@@ -320,7 +314,6 @@ def turbulence(panel: MarketPanel, window: int):
             raise SingularCovariance(f"return covariance is singular at index {t} even after regularization")
         z = np.linalg.solve(chol, dev)
         values[t] = float(z @ z)
-    defined = np.arange(t_len) >= window + 1
     return values, defined
 
 
@@ -355,10 +348,9 @@ class FeaturePanel:
         _freeze(self, np.float64, (t, n, len(FEATURE_NAMES)), "features")
         _freeze(self, np.float64, (t, n), "closes")
         if self.turbulence is not None:
-            turbulence = dict(zip(("turbulence", "turbulence_defined"), self.turbulence))
-            _freeze(turbulence, np.float64, (t,), "turbulence")
-            _freeze(turbulence, bool, (t,), "turbulence_defined")
-            object.__setattr__(self, "turbulence", tuple(turbulence.values()))
+            values, defined = self.turbulence
+            object.__setattr__(self, "turbulence", (_frozen(values, np.float64, (t,), "turbulence"),
+                                                    _frozen(defined, bool, (t,), "turbulence_defined")))
 
     @property
     def n_timestamps(self) -> int:
@@ -403,8 +395,6 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
             raise IndicatorError("the turbulence gate needs indicators.turb_window, which is null")
         turb = turbulence(panel, cfg.turb_window)
         ready = ready & turb[1]
-    if not ready.any():
-        raise InsufficientHistory(f"no index has all features defined (panel length {t_len})")
 
     return FeaturePanel(
         timestamps=panel.timestamps,
@@ -432,4 +422,4 @@ def write_features_csv(fp: FeaturePanel, path) -> None:
         "feature_names": list(FEATURE_NAMES),
         "tickers": list(fp.tickers),
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")

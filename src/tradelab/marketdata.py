@@ -47,6 +47,7 @@ __all__ = [
     "save_panel",
     "load_panel",
     "write_panel_csv",
+    "sidecar_path",
 ]
 
 PANEL_MAGIC = "tradelab-panel-v1"
@@ -238,32 +239,58 @@ def parse_csv_columns(path, error, columns, fault=None) -> tuple[list, TradeLabE
     return [parse(cells[: fault.row - 2]) for _, cells, parse in columns], fault
 
 
+def _frozen(value, dtype, shape, name: str) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``value``, so the caller's array stays writable; a copy
+    whose shape is not ``shape`` (None: any) raises ValueError naming the field ``name``."""
+    arr = np.array(value, dtype=dtype)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"field {name!r} has shape {arr.shape}, expected {shape}")
+    arr.setflags(write=False)
+    return arr
+
+
 def _freeze(record, dtype, shape, *names) -> None:
-    """Replace each named field of ``record`` (a frozen dataclass, or a dict
-    by key) with a read-only ``dtype`` copy, so the caller's array stays
-    writable. A copy whose shape is not ``shape`` raises ValueError naming
-    the field; ``shape`` None checks nothing."""
+    """Replace each named field of the frozen dataclass ``record`` with its ``_frozen`` copy."""
     for name in names:
-        arr = np.array(record[name] if isinstance(record, dict) else getattr(record, name), dtype=dtype)
-        if shape is not None and arr.shape != shape:
-            raise ValueError(f"field {name!r} has shape {arr.shape}, expected {shape}")
-        arr.setflags(write=False)
-        if isinstance(record, dict):
-            record[name] = arr
-        else:
-            object.__setattr__(record, name, arr)
+        object.__setattr__(record, name, _frozen(getattr(record, name), dtype, shape, name))
 
 
-def _first_not_increasing(timestamps) -> int | None:
-    """The first index whose stamp is not above the one before it, or None."""
-    repeated = np.flatnonzero(timestamps[1:] <= timestamps[:-1])
-    return int(repeated[0]) + 1 if repeated.size else None
+def sidecar_path(path) -> Path:
+    """The ``<path>.json`` file that carries an artifact's metadata."""
+    return Path(f"{path}.json")
+
+
+def _increasing(ts) -> np.ndarray:
+    """Whether each stamp of ``ts`` is above the one before it; the first always is."""
+    mask = np.ones(ts.shape, dtype=bool)
+    mask[1:] = ts[1:] > ts[:-1]
+    return mask
+
+
+def _check_bars(tickers, timestamps, o, h, l, c, v) -> None:
+    """The bar rule over (T, K) OHLCV columns of ``tickers`` and their (T,) axis. The first faulty
+    bar (earliest index, then leftmost column) raises InvalidBar with the first check it fails."""
+    checks = (
+        (np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v), "non-finite field"),
+        ((o > 0) & (h > 0) & (l > 0) & (c > 0), "non-positive price"),
+        (v >= 0, "negative volume"),
+        (l <= h, "low {l} above high {h}"),
+        ((l <= o) & (o <= h), "open {o} outside [low, high]"),
+        ((l <= c) & (c <= h), "close {c} outside [low, high]"),
+        (np.broadcast_to(_increasing(timestamps)[:, None], o.shape), "timestamp not strictly increasing"),
+    )
+    ok = np.logical_and.reduce([passed for passed, _ in checks])
+    if not ok.all():
+        i, j = np.unravel_index(np.argmin(ok), ok.shape)
+        reason = next(why for passed, why in checks if not passed[i, j])
+        reason = reason.format(o=float(o[i, j]), h=float(h[i, j]), l=float(l[i, j]), c=float(c[i, j]))
+        raise InvalidBar(reason, index=int(i), ticker=tickers[j])
 
 
 @dataclass(frozen=True)
 class BarSeries:
-    """Validated per-ticker bar history: at least one bar, and strictly
-    increasing timestamps."""
+    """Validated per-ticker bar history: at least one bar, each holding the
+    bar rule of ``_check_bars``."""
 
     ticker: str
     timestamps: np.ndarray  # int64 (T,)
@@ -278,25 +305,7 @@ class BarSeries:
         _freeze(self, np.float64, self.timestamps.shape, *OHLCV)
         if len(self) == 0:
             raise InvalidBar("series contains no bars")
-        ts, o, h, l, c, v = self.timestamps, self.open, self.high, self.low, self.close, self.volume
-        ordered = np.ones(ts.shape, dtype=bool)
-        ordered[1:] = ts[1:] > ts[:-1]
-        # a bar with several faults is reported by the first check it fails
-        checks = (
-            (np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v), "non-finite field"),
-            ((o > 0) & (h > 0) & (l > 0) & (c > 0), "non-positive price"),
-            (v >= 0, "negative volume"),
-            (l <= h, "low {l} above high {h}"),
-            ((l <= o) & (o <= h), "open {o} outside [low, high]"),
-            ((l <= c) & (c <= h), "close {c} outside [low, high]"),
-            (ordered, "timestamp not strictly increasing"),
-        )
-        ok = np.logical_and.reduce([passed for passed, _ in checks])
-        if not ok.all():
-            i = int(np.argmin(ok))
-            reason = next(why for passed, why in checks if not passed[i])
-            reason = reason.format(o=float(o[i]), h=float(h[i]), l=float(l[i]), c=float(c[i]))
-            raise InvalidBar(reason, index=i, ticker=self.ticker)
+        _check_bars((self.ticker,), self.timestamps, *(getattr(self, name)[:, None] for name in OHLCV))
 
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
@@ -316,8 +325,9 @@ class AuxSeries:
         _freeze(self, np.float64, self.timestamps.shape, "values")
         if len(self) == 0:
             raise MarketDataError(f"aux series {self.name!r} has no observations")
-        k = _first_not_increasing(self.timestamps)
-        if k is not None:
+        ordered = _increasing(self.timestamps)
+        if not ordered.all():
+            k = np.argmin(ordered)
             raise MarketDataError(f"aux series {self.name!r}: timestamp not strictly increasing at index {k}")
 
     def __len__(self) -> int:
@@ -328,7 +338,8 @@ class AuxSeries:
 class MarketPanel:
     """Time-aligned OHLCV matrices over a fixed ticker order, plus aux series.
 
-    Every matrix is (T, N) over a strictly increasing axis; ticker order is
+    Every matrix is (T, N) over a strictly increasing axis, and every bar
+    holds the ``BarSeries`` bar rule (``_check_bars``); ticker order is
     fixed and used by all downstream consumers, and tickers and aux names are
     distinct, non-empty strings. Arrays are read-only, so a panel is safe to
     share across concurrent readers.
@@ -352,15 +363,12 @@ class MarketPanel:
         if not all(isinstance(t, str) and t for t in self.tickers) or len(set(self.tickers)) != len(self.tickers):
             raise ValueError(f"tickers must be distinct, non-empty strings, got {list(self.tickers)}")
         _freeze(self, np.int64, (np.size(self.timestamps),), "timestamps")
-        k = _first_not_increasing(self.timestamps)
-        if k is not None:
-            raise MarketDataError(f"panel timestamp not strictly increasing at index {k}")
         _freeze(self, np.float64, (self.n_timestamps, self.n_tickers), *OHLCV)
-        aux = dict(self.aux)
-        if not all(isinstance(name, str) and name for name in aux):
-            raise ValueError(f"aux names must be non-empty strings, got {list(aux)}")
-        _freeze(aux, np.float64, (self.n_timestamps,), *aux)
-        object.__setattr__(self, "aux", aux)
+        _check_bars(self.tickers, self.timestamps, *(getattr(self, name) for name in OHLCV))
+        if not all(isinstance(name, str) and name for name in self.aux):
+            raise ValueError(f"aux names must be non-empty strings, got {list(self.aux)}")
+        object.__setattr__(self, "aux", {name: _frozen(values, np.float64, (self.n_timestamps,), name)
+                                         for name, values in self.aux.items()})
 
     @property
     def n_timestamps(self) -> int:
@@ -421,8 +429,9 @@ def load_series(path, name: str) -> AuxSeries:
         raise MarketDataError(f"no rows for series {name!r}", path=path)
     order = np.argsort(timestamps, kind="stable")
     timestamps = timestamps[order]
-    k = _first_not_increasing(timestamps)  # sorted, so a repeat
-    if k is not None:
+    ordered = _increasing(timestamps)
+    if not ordered.all():  # sorted, so a repeat
+        k = int(np.argmin(ordered))
         raise DuplicateTimestamp(f"duplicate timestamp {format_timestamp(timestamps[k])}", path=path,
                                  row=int(order[k]) + 2)
     return AuxSeries(name=name, timestamps=timestamps, values=values[order])

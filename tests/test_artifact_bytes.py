@@ -594,11 +594,14 @@ TICKER_CASES = {
 }
 
 
-def _special_floats(rng, shape):
-    values = rng.normal(100.0, 30.0, size=shape)
-    flat = values.reshape(-1)
-    flat[: 7] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1]
-    return values
+def _special_bars(rng, shape):
+    """OHLCV matrices that hold the bar rule, with closes that include a
+    subnormal, 1e300, 0.1 and 1e22, and volumes that include -0.0."""
+    close = rng.normal(100.0, 30.0, size=shape) ** 2 + 1.0
+    close.reshape(-1)[:4] = [5e-324, 1e300, 0.1, 1e22]
+    volume = rng.integers(0, 1000, size=shape).astype(np.float64)
+    volume.reshape(-1)[:2] = [-0.0, 0.0]
+    return close * 0.95, close * 1.1, close * 0.9, close, volume
 
 
 @pytest.mark.parametrize("case", list(TICKER_CASES))
@@ -606,7 +609,7 @@ def test_write_panel_csv_matches_csv_writer(tmp_path, case):
     tickers = TICKER_CASES[case]
     rng = np.random.default_rng(21)
     shape = (40, len(tickers))
-    panel = MarketPanel(tickers, hourly_axis(START, 40), *(_special_floats(rng, shape) for _ in OHLCV))
+    panel = MarketPanel(tickers, hourly_axis(START, 40), *_special_bars(rng, shape))
     write_panel_csv(panel, tmp_path / "new.csv")
     ref_write_panel_csv(panel, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

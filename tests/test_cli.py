@@ -13,7 +13,7 @@ from tradelab.analytics import behavior_profile, load_report
 from tradelab.binfile import write_frame
 from tradelab.cli import build_parser, main
 from tradelab.env import load_episode_log
-from tradelab.marketdata import OHLCV, PANEL_MAGIC, format_timestamp, parse_timestamp
+from tradelab.marketdata import OHLCV, PANEL_MAGIC, format_timestamp, load_panel, parse_timestamp
 
 START = 1_646_380_800
 BARS = 140
@@ -480,6 +480,7 @@ class TestMalformedInputs:
             ("a2c", {"rms_decay": 1.0}, ["'a2c'", "rms_decay"]),
             ("a2c", {"rms_decay": -0.5}, ["'a2c'", "rms_decay"]),
             ("a2c", {"rms_eps": 0.0}, ["'a2c'", "rms_eps"]),
+            ("a2c", {"hidden_sizes": [0, 64]}, ["'a2c'", "hidden_sizes"]),
         ],
     )
     def test_bad_config_section_exits_one(self, workspace, capsys, section, value, names):
@@ -556,7 +557,23 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run(workspace, "features") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: panel timestamp not strictly increasing at index 11") and str(path) in err
+        assert err.startswith("error: AA: timestamp not strictly increasing at index 11") and str(path) in err
+        assert not (workspace / "out" / "features.csv").exists()
+
+    def test_panel_with_a_nan_close_and_a_negative_low_exits_one(self, workspace, capsys):
+        run(workspace, "ingest")
+        path = workspace / "out" / "panel.bin"
+        panel = load_panel(path)
+        matrices = {name: getattr(panel, name).copy() for name in OHLCV}
+        matrices["close"][30, 0] = np.nan
+        matrices["low"][50, 1] = -1.0
+        write_frame(path, PANEL_MAGIC, {"tickers": list(panel.tickers), "aux": [], "n_timestamps": panel.n_timestamps},
+                    [panel.timestamps, *matrices.values()])
+        (workspace / "out" / "features.csv").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert run(workspace, "features") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: AA: non-finite field at index 30") and str(path) in err
         assert not (workspace / "out" / "features.csv").exists()
 
     @pytest.mark.parametrize(

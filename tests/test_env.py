@@ -702,3 +702,16 @@ def test_episode_log_validates_shapes():
             rewards=np.zeros(2),  # must be T-1 = 1
             agent_label="x",
         )
+
+
+def test_episode_log_refuses_zero_tickers():
+    with pytest.raises(MalformedLog, match="at least one ticker"):
+        EpisodeLog(
+            timestamps=np.array([0, 3600]),
+            actions=np.zeros((2, 0)),
+            holdings=np.zeros((2, 0), dtype=np.int64),
+            cash=np.array([1.0, 1.0]),
+            portfolio_value=np.array([1.0, 1.0]),
+            rewards=np.zeros(1),
+            agent_label="x",
+        )

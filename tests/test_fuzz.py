@@ -147,6 +147,8 @@ def test_config_classes_refuse_from_python_what_json_refuses():
     (A2CConfig, "hidden_sizes", (64.5, 64)),
     *[(IndicatorConfig, "boll_k", value) for value in NON_FINITE],
     (IndicatorConfig, "rsi_period", float("inf")),
+    (A2CConfig, "hidden_sizes", (0, 64)),
+    (A2CConfig, "hidden_sizes", (-1, 64)),
 ])
 def test_config_class_refuses_a_value_json_refuses(cls, name, value):
     with pytest.raises(ValueError, match=name):

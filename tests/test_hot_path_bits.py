@@ -146,7 +146,15 @@ def ref_a2c_update(params, batch, cfg, opt_state):
 
 
 class RefTradingEnv(TradingEnv):
-    """TradingEnv whose step, settle and observe are the reference bodies."""
+    """TradingEnv whose reset, step, settle and observe are the reference
+    bodies, over their own state fields."""
+
+    def reset(self):
+        self._t = self.window.start
+        copies = 1 if self.copies is None else self.copies
+        self._settle(np.full(copies, float(self.cfg.initial_capital)),
+                     np.zeros((copies, self.n_tickers), dtype=np.int64))
+        return self._observe()
 
     def step(self, action):
         t = self._t
@@ -212,16 +220,11 @@ class RefTradingEnv(TradingEnv):
 class RefSingleEnv(RefTradingEnv):
     """``RefTradingEnv(copies=None)``: the single env as it was, one row of state
     with an unbatched observation and a float reward. The live env spells it
-    ``copies=1`` and no longer takes ``copies=None``, so this keeps the old reset."""
+    ``copies=1`` and no longer takes ``copies=None``."""
 
     def __init__(self, cfg, features, window):
         super().__init__(cfg, features, window, copies=1)
         self.copies = None
-
-    def reset(self):
-        self._t = self.window.start
-        self._settle(np.full(1, float(self.cfg.initial_capital)), np.zeros((1, self.n_tickers), dtype=np.int64))
-        return self._observe()
 
 
 def ref_a2c_train(cfg, features, env_cfg, window):
@@ -404,7 +407,7 @@ def test_env_step_matches_reference(capital, gate, copies):
         assert np.array_equal(outcome.observation[rows], observation)
         assert np.array_equal(outcome.reward[rows], reward) and outcome.done == done
         assert np.array_equal((live.state.shares - before)[rows], info["traded"])
-        assert np.array_equal(live._cash, ref._cash) and np.array_equal(live._values, ref._values)
+        assert np.array_equal(live.state.cash, ref._cash) and np.array_equal(live.state.portfolio_value, ref._values)
         gated_steps += info["gated"]
         desired = np.rint(np.clip(actions, -1.0, 1.0) * cfg.hmax)
         clipped_buys += np.sum((desired > 0) & (info["traded"] < desired))
@@ -445,8 +448,8 @@ def test_buy_fill_at_cash_boundaries_matches_reference(case, copies):
     action[:, 0] = 1.0  # ticker 0 at hmax, which cash caps below 200
     live.step(action)
     ref.step(action)
-    assert np.array_equal(live._cash, ref._cash) and np.array_equal(live._shares, ref._shares)
-    assert np.array_equal(live._values, ref._values)
+    assert np.array_equal(live.state.cash, ref._cash) and np.array_equal(live.state.shares, ref._shares)
+    assert np.array_equal(live.state.portfolio_value, ref._values)
     bought, cash = live.state.shares[:, 0], live.state.cash
     expected = {"exact-multiple": 7, "just-short": 0, "overdraw": math.floor(capital / unit) - 1}[case]
     assert (bought == expected).all() and (cash >= 0.0).all()

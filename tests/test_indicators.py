@@ -545,6 +545,30 @@ def test_build_features_matches_standalone_ops(rng):
             assert np.isnan(got[~mask]).all(), name
 
 
+
+BLOCK_OPS = {
+    "sma": lambda h, l, c, cfg: sma(c, cfg.sma_long)[0],
+    "ema": lambda h, l, c, cfg: ema(c, cfg.macd_slow)[0],
+    "macd": lambda h, l, c, cfg: macd(c, cfg)[0],
+    "bollinger": lambda h, l, c, cfg: np.stack(bollinger(c, cfg)[:2]),
+    "rsi": lambda h, l, c, cfg: rsi(c, cfg.rsi_period)[0],
+    "cci": lambda h, l, c, cfg: cci(h, l, c, cfg.cci_period)[0],
+    "dx": lambda h, l, c, cfg: dx(h, l, c, cfg.dx_period)[0],
+}
+
+
+@pytest.mark.parametrize("op", list(BLOCK_OPS))
+def test_ticker_major_block_matches_per_ticker_calls(op):
+    """An op over a ticker-major (T, M) block, each ticker's column
+    contiguous, gives each column bit for bit what build_features' per-ticker
+    1-D call gives, NaN warmup included; a C-order block does not for most ops."""
+    panel = make_panel([f"T{j:02d}" for j in range(12)], 600, seed=5)
+    fn, cfg = BLOCK_OPS[op], IndicatorConfig()
+    block = fn(*(np.ascontiguousarray(getattr(panel, name).T).T for name in ("high", "low", "close")), cfg)
+    for j in range(panel.n_tickers):
+        single = fn(panel.high[:, j], panel.low[:, j], panel.close[:, j], cfg)
+        assert np.array_equal(block[..., j], single, equal_nan=True), (op, panel.tickers[j])
+
 def test_build_features_warmup(rng):
     panel = make_panel(["AAA", "BBB"], 60, seed=3)
     fp = build_features(panel, SMALL_CFG)

@@ -488,6 +488,43 @@ def test_market_panel_refuses_an_axis_that_does_not_strictly_increase(stamps):
         MarketPanel(("A", "B"), stamps, *(np.ones((stamps.size, 2)) for _ in OHLCV))
 
 
+def _bar_matrices(shape):
+    """OHLCV matrices of one valid bar repeated."""
+    bar = {"open": 10.0, "high": 11.0, "low": 9.0, "close": 10.5, "volume": 100.0}
+    return {name: np.full(shape, bar[name]) for name in OHLCV}
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("close", np.nan, "non-finite field"),
+        ("low", -1.0, "non-positive price"),
+        ("volume", -1.0, "negative volume"),
+        ("high", 8.0, "low 9.0 above high 8.0"),
+        ("open", 11.5, "open 11.5 outside [low, high]"),
+        ("close", 8.5, "close 8.5 outside [low, high]"),
+    ],
+)
+def test_market_panel_holds_the_bar_rule(field, value, reason):
+    matrices = _bar_matrices((4, 3))
+    matrices[field][2, 1] = value
+    matrices["volume"][3, 0] = -1.0  # a later index, so not the one reported
+    with pytest.raises(InvalidBar) as caught:
+        MarketPanel(("A", "B", "C"), hourly_axis(T0, 4), **matrices)
+    assert str(caught.value) == f"B: {reason} at index 2"
+
+
+def test_load_panel_refuses_a_bar_that_breaks_the_bar_rule_naming_the_file(tmp_path):
+    matrices = _bar_matrices((6, 2))
+    matrices["close"][4, 0] = np.nan
+    matrices["low"][3, 1] = -1.0
+    path = tmp_path / "panel.bin"
+    write_frame(path, PANEL_MAGIC, {"tickers": ["A", "B"], "aux": [], "n_timestamps": 6},
+                [hourly_axis(T0, 6), *matrices.values()])
+    with pytest.raises(MalformedFile, match="B: non-positive price at index 3") as caught:
+        load_panel(path)
+    assert str(path) in str(caught.value)
+
 def test_load_panel_refuses_a_swapped_axis_naming_the_file(tmp_path):
     stamps = _swapped_axis()
     path = tmp_path / "panel.bin"
