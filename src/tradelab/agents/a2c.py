@@ -81,9 +81,6 @@ class A2CConfig:
         if len(self.hidden_sizes) != 2 or min(self.hidden_sizes) < 1:
             raise ValueError(f"hidden_sizes must hold two layer widths >= 1, got {list(self.hidden_sizes)}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class ObsNormalizer:
     """Running per-feature standardization (Welford), freezable for eval.
@@ -367,7 +364,7 @@ def save_checkpoint(policy: MlpPolicy, path) -> None:
         "obs_dim": int(policy.normalizer.dim),
         "label": policy.label,
         "steps_trained": int(policy.steps_trained),
-        "config": None if policy.config is None else policy.config.to_dict(),
+        "config": None if policy.config is None else asdict(policy.config),
     }
     write_frame(path, CHECKPOINT_MAGIC, header, [params_vec, policy.normalizer.mean, policy.normalizer.m2])
 

@@ -1,15 +1,15 @@
 """Deterministic baseline policies over the shared observation layout.
 
 A policy is anything with ``act(observation, rng) -> action`` returning
-components in [-1, 1] plus a ``label`` string. The observation layout is
-``[cash] ++ prices(N) ++ shares(N) ++ features(8N)``, so N recovers as
-``(len(observation) - 1) // 10``.
+components in [-1, 1] plus a ``label`` string. Each policy reads the
+observation through ``env.split_observation``, which owns its layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..env import split_observation
 from ..indicators import FEATURE_NAMES
 
 __all__ = [
@@ -25,20 +25,13 @@ _SMA_SHORT = FEATURE_NAMES.index("sma_short")
 _SMA_LONG = FEATURE_NAMES.index("sma_long")
 
 
-def n_tickers_of(observation) -> int:
-    n, rem = divmod(len(observation) - 1, 2 + len(FEATURE_NAMES))
-    if rem != 0 or n < 1:
-        raise ValueError(f"observation length {len(observation)} does not match the layout")
-    return n
-
-
 class HoldPolicy:
     """The all-zero action: trade nothing."""
 
     label = "hold"
 
     def act(self, observation, rng) -> np.ndarray:
-        return np.zeros(n_tickers_of(observation))
+        return np.zeros(split_observation(observation)[1].size)
 
 
 class RandomPolicy:
@@ -47,7 +40,7 @@ class RandomPolicy:
     label = "random"
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=n_tickers_of(observation))
+        return rng.uniform(-1.0, 1.0, size=split_observation(observation)[1].size)
 
 
 class BuyAndHoldPolicy:
@@ -58,9 +51,8 @@ class BuyAndHoldPolicy:
     label = "buy-and-hold"
 
     def act(self, observation, rng) -> np.ndarray:
-        n = n_tickers_of(observation)
-        holdings = np.asarray(observation)[1 + n : 1 + 2 * n]
-        return np.zeros(n) if holdings.any() else np.ones(n)
+        _, _, holdings, _ = split_observation(observation)
+        return np.zeros(holdings.size) if holdings.any() else np.ones(holdings.size)
 
 
 class MomentumPolicy:
@@ -73,8 +65,7 @@ class MomentumPolicy:
     label = "momentum"
 
     def act(self, observation, rng) -> np.ndarray:
-        n = n_tickers_of(observation)
-        block = np.asarray(observation)[1 + 2 * n :].reshape(n, len(FEATURE_NAMES))
+        _, _, _, block = split_observation(observation)
         return np.sign(block[:, _SMA_SHORT] - block[:, _SMA_LONG])
 
 

@@ -28,7 +28,8 @@ from .agents import (
     make_baseline,
     save_checkpoint,
 )
-from .analytics import behavior_profile, compare_profiles, load_report, save_report, write_comparison_csv
+from .analytics import (TRADER_THRESHOLD, behavior_profile, compare_profiles, load_report, save_report,
+                        write_comparison_csv)
 from .config import ConfigError, decode_config
 from .env import EnvConfig, TradingEnv, Window, load_episode_log, observation_size, run_episode, save_episode_log
 from .errors import TradeLabError
@@ -191,6 +192,8 @@ def _check_label(label: str, source) -> None:
 
 
 def _resolve_agent(name: str, n_tickers: int):
+    """The policy ``name`` stands for: a baseline, or a checkpoint whose
+    observation width fits ``n_tickers``."""
     if name in BASELINE_POLICIES:
         return make_baseline(name)
     candidate = Path(name)
@@ -200,7 +203,7 @@ def _resolve_agent(name: str, n_tickers: int):
         if policy.normalizer.dim != width:
             raise TradeLabError(
                 f"checkpoint {candidate} takes {policy.normalizer.dim}-wide observations, "
-                f"but the panel's {n_tickers} tickers give {width}-wide ones"
+                f"but the run's {n_tickers} tickers give {width}-wide ones"
             )
         return policy
     raise UnknownAgent(
@@ -210,14 +213,15 @@ def _resolve_agent(name: str, n_tickers: int):
 
 
 def cmd_simulate(cfg: RunConfig, agent: str, window_name: str | None) -> int:
+    # the agent first: the cached panel holds exactly cfg.tickers, and the features take longest
+    policy = _resolve_agent(agent, len(cfg.tickers))
+    _check_label(policy.label, agent)
     features = _build_features(cfg)
     windows = _windows(cfg, features)
     if window_name is None:
         window_name = "test" if "test" in windows else "full"
     if window_name not in windows:
         raise TradeLabError(f"window {window_name!r} unavailable; choose from {sorted(windows)}")
-    policy = _resolve_agent(agent, features.n_tickers)
-    _check_label(policy.label, agent)
     log = run_episode(policy, cfg.env, features, windows[window_name], seed=cfg.seed)
     out = cfg.out_dir / f"log_{log.agent_label}.csv"
     save_episode_log(log, out)
@@ -229,13 +233,11 @@ def cmd_simulate(cfg: RunConfig, agent: str, window_name: str | None) -> int:
 
 
 def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
+    a2c_cfg = dataclasses.replace(cfg.a2c, seed=cfg.seed,
+                                  total_timesteps=cfg.a2c.total_timesteps if timesteps is None else timesteps)
     features = _build_features(cfg)
     windows = _windows(cfg, features)
     window = windows.get("train", windows["full"])
-    overrides = {"seed": cfg.seed}
-    if timesteps is not None:
-        overrides["total_timesteps"] = timesteps
-    a2c_cfg = decode_config(A2CConfig, {**cfg.a2c.to_dict(), **overrides}, "a2c")
 
     policy, stats = a2c_train(a2c_cfg, lambda: TradingEnv(cfg.env, features, window))
     ckpt = cfg.out_dir / "a2c.ckpt"
@@ -267,7 +269,7 @@ def cmd_analyze(cfg: RunConfig, log_paths: list) -> int:
         side = "trader" if report.is_trader else "holder"
         print(
             f"{report.agent_label}: trader_score={report.trader_score:.4f} "
-            f"({side} by the 0.5 convention) -> {target}"
+            f"({side} by the {TRADER_THRESHOLD} convention) -> {target}"
         )
     if table is not None:
         out = cfg.out_dir / "comparison.csv"
@@ -362,9 +364,7 @@ def main(argv=None) -> int:
             return cmd_train(cfg, args.timesteps)
         if args.command == "analyze":
             return cmd_analyze(cfg, args.logs)
-        if args.command == "report":
-            return cmd_report(cfg, args.report_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        return cmd_report(cfg, args.report_dir)  # argparse admits no seventh command
     except (TradeLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

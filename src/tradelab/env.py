@@ -21,6 +21,7 @@ telescope to portfolio_value[last] - portfolio_value[first] exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -42,6 +43,7 @@ from .marketdata import (
     read_csv_columns,
     sidecar_path,
     write_csv_columns,
+    write_sidecar,
 )
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "StepAfterDone",
     "MalformedLog",
     "observation_size",
+    "split_observation",
     "run_episode",
     "save_episode_log",
     "load_episode_log",
@@ -98,9 +101,6 @@ class EnvConfig:
             raise ValueError("cost_rate must lie in [0, 0.1]")
         if self.reward_scale <= 0:
             raise ValueError("reward_scale must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,23 @@ def observation_size(n_tickers: int) -> int:
     return 1 + 2 * n_tickers + len(FEATURE_NAMES) * n_tickers
 
 
+@functools.cache
+def _layout(n: int) -> tuple[slice, slice, slice]:
+    """The prices, shares and features slices of an observation over n tickers; cash is index 0."""
+    return slice(1, 1 + n), slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, observation_size(n))
+
+
+def split_observation(observation) -> tuple:
+    """The cash, prices (N,), shares (N,) and (N, 8) feature block of a (D,)
+    observation, as views; a length that fits no ticker count raises ValueError."""
+    obs = np.asarray(observation)
+    n, rem = divmod(obs.size - 1, 2 + len(FEATURE_NAMES))
+    if obs.ndim != 1 or rem != 0 or n < 1:
+        raise ValueError(f"observation shape {obs.shape} does not match the layout")
+    prices, shares, features = _layout(n)
+    return obs[0], obs[prices], obs[shares], obs[features].reshape(n, len(FEATURE_NAMES))
+
+
 class TradingEnv:
     """E lockstep copies of one episode over a window of the feature panel.
 
@@ -169,6 +186,7 @@ class TradingEnv:
         self.copies = int(copies)
         self.n_tickers = features.n_tickers
         self.observation_size = observation_size(self.n_tickers)
+        self._layout = _layout(self.n_tickers)
         # per timestamp: whether the turbulence gate liquidates every position
         if cfg.turbulence_gate is None:
             self._gate = [False] * features.n_timestamps
@@ -258,13 +276,13 @@ class TradingEnv:
         return values
 
     def _observe(self) -> np.ndarray:
-        n = self.n_tickers
         t, cash, shares, _ = self._state
+        prices, held, block = self._layout
         obs = np.empty((shares.shape[0], self.observation_size))
         obs[:, 0] = cash
-        obs[:, 1 : 1 + n] = self.features.closes[t]
-        obs[:, 1 + n : 1 + 2 * n] = shares
-        obs[:, 1 + 2 * n :] = self.features.features[t].reshape(-1)
+        obs[:, prices] = self.features.closes[t]
+        obs[:, held] = shares
+        obs[:, block] = self.features.features[t].reshape(-1)
         return obs
 
 
@@ -353,7 +371,7 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
         rewards=np.diff(values),  # the unscaled reward IS the value delta, recorded exactly
         agent_label=getattr(policy, "label", type(policy).__name__),
         meta={
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "window": [window.start, window.stop],
             # a Generator can stand in for the seed; only ints serialize
             "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
@@ -366,6 +384,10 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
 # produced by external agents
 # ---------------------------------------------------------------------------
 
+# the fixed columns that open every episode log, before action_* and hold_*
+_LOG_COLUMNS = ("t", "timestamp", "cash", "portfolio_value", "reward")
+
+
 def save_episode_log(log: EpisodeLog, path) -> None:
     """Write `t,timestamp,cash,portfolio_value,reward,action_*,hold_*` rows.
 
@@ -374,11 +396,7 @@ def save_episode_log(log: EpisodeLog, path) -> None:
     """
     path = Path(path)
     n = log.n_tickers
-    header = (
-        ["t", "timestamp", "cash", "portfolio_value", "reward"]
-        + [f"action_{i}" for i in range(n)]
-        + [f"hold_{i}" for i in range(n)]
-    )
+    header = [*_LOG_COLUMNS, *(f"action_{i}" for i in range(n)), *(f"hold_{i}" for i in range(n))]
     write_csv_columns(path, header, [
         np.arange(log.n_timestamps),
         format_timestamps(log.timestamps),
@@ -388,8 +406,7 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         *log.actions.T,
         *log.holdings.T,
     ])
-    sidecar = {"agent_label": log.agent_label, "meta": log.meta}
-    sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    write_sidecar(path, {"agent_label": log.agent_label, "meta": log.meta})
 
 
 def _share_counts(cells) -> np.ndarray:
@@ -408,19 +425,19 @@ def load_episode_log(path) -> EpisodeLog:
     must be whole numbers of shares ("3.0" reads as 3).
     """
     path = Path(path)
-    required = ["t", "timestamp", "cash", "portfolio_value", "reward"]
+    fixed = len(_LOG_COLUMNS)
 
     def pick(header: list[str]) -> list[int]:
-        if header[: len(required)] != required:
-            raise MalformedLog(f"unexpected header {header[:5]}", path=path, row=1)
+        if tuple(header[:fixed]) != _LOG_COLUMNS:
+            raise MalformedLog(f"unexpected header {header[:fixed]}", path=path, row=1)
         action_cols = [i for i, name in enumerate(header) if name.startswith("action_")]
         hold_cols = [i for i, name in enumerate(header) if name.startswith("hold_")]
         if not action_cols or len(action_cols) != len(hold_cols):
             raise MalformedLog("action_*/hold_* columns missing or unbalanced", path=path, row=1)
-        return [1, 2, 3, 4, *action_cols, *hold_cols]
+        return [*range(1, fixed), *action_cols, *hold_cols]  # every column but t
 
     names, cells, short = read_csv_columns(path, MalformedLog, pick)
-    n = (len(names) - 4) // 2
+    n = (len(names) - fixed + 1) // 2
     cells[3] = cells[3][:-1]  # the terminal row's reward is no step
     parsers = [parse_timestamps] + [parse_floats] * (3 + n) + [_share_counts] * n
     arrays, fault = parse_csv_columns(path, MalformedLog, list(zip(names, cells, parsers)), fault=short)

@@ -16,7 +16,6 @@ an operation and from ``build_features`` alike.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import check_fields
 from .errors import TradeLabError
-from .marketdata import MarketPanel, _freeze, _frozen, long_format_keys, sidecar_path, write_csv_columns
+from .marketdata import MarketPanel, _freeze, _frozen, write_long_csv, write_sidecar
 
 __all__ = [
     "FEATURE_NAMES",
@@ -93,9 +92,6 @@ class IndicatorConfig:
             raise ValueError("boll_k must be non-negative")
         if self.turb_window is not None and self.turb_window < 2:
             raise ValueError("turb_window must be >= 2 or None")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +366,14 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
 
     Raises InsufficientHistory when the panel is shorter than the longest
     configured warmup, the turbulence window included whenever it is set.
+    The turbulence window and the gate are checked before any indicator runs,
+    so a config with a turbulence fault and another one reports the turbulence one.
     """
     t_len, n = panel.close.shape
+    if cfg.turb_window is not None:
+        _check_turbulence_window(cfg.turb_window, n, t_len)
+    elif with_turbulence:
+        raise IndicatorError("the turbulence gate needs indicators.turb_window, which is null")
     features = np.empty((t_len, n, len(FEATURE_NAMES)))
     # per-ticker 1-D calls so each column is bit-identical to the standalone op
     for j in range(n):
@@ -384,15 +386,11 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
         sma_s, d_s = sma(c, cfg.sma_short)
         sma_l, d_l = sma(c, cfg.sma_long)
         features[:, j, :] = np.stack([macd_v, ub_v, lb_v, rsi_v, cci_v, dx_v, sma_s, sma_l], axis=1)
-    if cfg.turb_window is not None:
-        _check_turbulence_window(cfg.turb_window, n, t_len)
 
     # the masks depend only on the series length, so the last ticker's serve for all
     ready = d_macd & d_boll & d_rsi & d_cci & d_dx & d_s & d_l
     turb = None
     if with_turbulence:
-        if cfg.turb_window is None:
-            raise IndicatorError("the turbulence gate needs indicators.turb_window, which is null")
         turb = turbulence(panel, cfg.turb_window)
         ready = ready & turb[1]
 
@@ -413,13 +411,10 @@ def write_features_csv(fp: FeaturePanel, path) -> None:
     The sidecar records the indicator config, warmup index, feature order,
     and ticker order. Undefined cells serialize as `nan`.
     """
-    write_csv_columns(path, ["timestamp", "ticker", *FEATURE_NAMES], [
-        *long_format_keys(fp.timestamps, fp.tickers), *(fp.features[:, :, k] for k in range(len(FEATURE_NAMES))),
-    ])
-    sidecar = {
-        "config": fp.config.to_dict(),
+    write_long_csv(path, fp.timestamps, fp.tickers, {name: fp.features[:, :, k] for k, name in enumerate(FEATURE_NAMES)})
+    write_sidecar(path, {
+        "config": asdict(fp.config),
         "warmup": fp.warmup,
         "feature_names": list(FEATURE_NAMES),
         "tickers": list(fp.tickers),
-    }
-    sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    })

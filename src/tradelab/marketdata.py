@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, repeat
@@ -37,8 +38,8 @@ __all__ = [
     "format_timestamp",
     "format_timestamps",
     "quote_csv",
-    "long_format_keys",
     "write_csv_columns",
+    "write_long_csv",
     "read_csv_columns",
     "parse_csv_columns",
     "load_bars",
@@ -48,6 +49,7 @@ __all__ = [
     "load_panel",
     "write_panel_csv",
     "sidecar_path",
+    "write_sidecar",
 ]
 
 PANEL_MAGIC = "tradelab-panel-v1"
@@ -168,14 +170,6 @@ def quote_csv(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def long_format_keys(timestamps, tickers) -> list:
-    """The timestamp and ticker columns of a long-format CSV (ticker varying
-    fastest), each timestamp formatted once and each ticker quoted once."""
-    stamps, names = format_timestamps(timestamps), list(map(quote_csv, tickers))
-    return [chain.from_iterable(map(repeat, stamps, repeat(len(names)))),
-            chain.from_iterable(repeat(names, len(stamps)))]
-
-
 def _cells(column):
     if not isinstance(column, np.ndarray):
         return column
@@ -192,6 +186,19 @@ def write_csv_columns(path, header: list[str], columns) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(quote_csv, header)) + "\r\n")
         handle.writelines(map("{}\r\n".format, map(",".join, zip(*map(_cells, columns)))))
+
+
+def write_long_csv(path, timestamps, tickers, columns: dict) -> None:
+    """Write a long-format CSV, ``timestamp,ticker`` and then each name of
+    ``columns``: one row per (timestamp, ticker), ticker varying fastest, so
+    each column is a (T, N) array. Each timestamp is formatted once and each
+    ticker quoted once."""
+    stamps, quoted = format_timestamps(timestamps), list(map(quote_csv, tickers))
+    write_csv_columns(path, ["timestamp", "ticker", *columns], [
+        chain.from_iterable(map(repeat, stamps, repeat(len(quoted)))),
+        chain.from_iterable(repeat(quoted, len(stamps))),
+        *columns.values(),
+    ])
 
 
 def read_csv_columns(path, error, pick) -> tuple[list[str], list[tuple], TradeLabError | None]:
@@ -258,6 +265,11 @@ def _freeze(record, dtype, shape, *names) -> None:
 def sidecar_path(path) -> Path:
     """The ``<path>.json`` file that carries an artifact's metadata."""
     return Path(f"{path}.json")
+
+
+def write_sidecar(path, doc) -> None:
+    """Write ``doc`` as the sidecar of the artifact at ``path``: sorted keys, indented, one trailing newline."""
+    sidecar_path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _increasing(ts) -> np.ndarray:
@@ -501,6 +513,4 @@ def load_panel(path) -> MarketPanel:
 
 def write_panel_csv(panel: MarketPanel, path) -> None:
     """Long-format mirror of the cache: timestamp,ticker,open,high,low,close,volume."""
-    write_csv_columns(path, ["timestamp", "ticker", *OHLCV], [
-        *long_format_keys(panel.timestamps, panel.tickers), *(getattr(panel, name) for name in OHLCV),
-    ])
+    write_long_csv(path, panel.timestamps, panel.tickers, {name: getattr(panel, name) for name in OHLCV})

@@ -50,34 +50,28 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _el(tag: str, text=None, **attrs) -> str:
+    """One SVG element. Each ``_`` in an attribute name becomes ``-``, a float
+    value prints through ``_fmt`` and any other value as it is; ``text``, when
+    given, is escaped and closed in, otherwise the element closes itself."""
+    spelled = " ".join(f'{name.replace("_", "-")}="{_fmt(value) if isinstance(value, float) else value}"'
+                       for name, value in attrs.items())
+    return f"<{tag} {spelled}/>" if text is None else f"<{tag} {spelled}>{_escape(text)}</{tag}>"
+
+
 def _axes(x0: float, x1: float, y0: float, y1: float, plot_right: float) -> list[str]:
-    parts = []
-    parts.append(
-        f'<line x1="{_fmt(_ML)}" y1="{_fmt(_H - _MB)}" x2="{_fmt(plot_right)}" '
-        f'y2="{_fmt(_H - _MB)}" stroke="#111" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(_ML)}" y1="{_fmt(_MT)}" x2="{_fmt(_ML)}" '
-        f'y2="{_fmt(_H - _MB)}" stroke="#111" stroke-width="1"/>'
-    )
+    parts = [
+        _el("line", x1=_ML, y1=_H - _MB, x2=plot_right, y2=_H - _MB, stroke="#111", stroke_width=1),
+        _el("line", x1=_ML, y1=_MT, x2=_ML, y2=_H - _MB, stroke="#111", stroke_width=1),
+    ]
     for k in range(5):
         frac = k / 4
-        xv = x0 + frac * (x1 - x0)
-        px = _ML + frac * (plot_right - _ML)
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(_H - _MB + 18)}" font-size="11" '
-            f'text-anchor="middle" fill="#333">{_escape(_tick_label(xv))}</text>'
-        )
-        yv = y0 + frac * (y1 - y0)
+        parts.append(_el("text", _tick_label(x0 + frac * (x1 - x0)), x=_ML + frac * (plot_right - _ML),
+                         y=_H - _MB + 18, font_size=11, text_anchor="middle", fill="#333"))
         py = _H - _MB - frac * (_H - _MB - _MT)
-        parts.append(
-            f'<line x1="{_fmt(_ML)}" y1="{_fmt(py)}" x2="{_fmt(plot_right)}" '
-            f'y2="{_fmt(py)}" stroke="#ddd" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_ML - 6)}" y="{_fmt(py + 4)}" font-size="11" '
-            f'text-anchor="end" fill="#333">{_escape(_tick_label(yv))}</text>'
-        )
+        parts.append(_el("line", x1=_ML, y1=py, x2=plot_right, y2=py, stroke="#ddd", stroke_width="0.5"))
+        parts.append(_el("text", _tick_label(y0 + frac * (y1 - y0)), x=_ML - 6, y=py + 4, font_size=11,
+                         text_anchor="end", fill="#333"))
     return parts
 
 
@@ -85,9 +79,8 @@ def _frame(title: str, body: list[str]) -> str:
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
         f'viewBox="0 0 {int(_W)} {int(_H)}">',
-        f'<rect width="{int(_W)}" height="{int(_H)}" fill="#ffffff"/>',
-        f'<text x="{_fmt(_W / 2)}" y="24" font-size="16" text-anchor="middle" '
-        f'fill="#111">{_escape(title)}</text>',
+        _el("rect", width=int(_W), height=int(_H), fill="#ffffff"),
+        _el("text", title, x=_W / 2, y=24, font_size=16, text_anchor="middle", fill="#111"),
     ]
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
@@ -113,19 +106,12 @@ def render_line_chart(series, title: str = "") -> str:
         px = _ML + (xs - x0) / (x1 - x0) * (plot_right - _ML)
         py = _H - _MB - (ys - y0) / (y1 - y0) * (_H - _MB - _MT)
         points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
-        body.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        body.append(_el("polyline", points=points, fill="none", stroke=color, stroke_width="1.5"))
         if legend:
             ly = _MT + 14 * i
             lx = plot_right + 12
-            body.append(
-                f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>'
-            )
-            body.append(
-                f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-size="11" '
-                f'fill="#333">{_escape(label)}</text>'
-            )
+            body.append(_el("rect", x=lx, y=ly, width=10, height=10, fill=color))
+            body.append(_el("text", label, x=lx + 14, y=ly + 9, font_size=11, fill="#333"))
     return _frame(title, body)
 
 
@@ -151,13 +137,8 @@ def render_bar_chart(labels, values, title: str = "") -> str:
         x = _ML + slot * i + slot * 0.1
         top = py(float(value))
         height = abs(base - top)
-        body.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(min(top, base))}" width="{_fmt(width)}" '
-            f'height="{_fmt(height)}" fill="{COLORS[0]}"/>'
-        )
+        body.append(_el("rect", x=x, y=min(top, base), width=width, height=height, fill=COLORS[0]))
         if n <= 40:  # per-bar labels stay readable only at modest counts
-            body.append(
-                f'<text x="{_fmt(x + width / 2)}" y="{_fmt(_H - _MB + 30)}" font-size="10" '
-                f'text-anchor="middle" fill="#333">{_escape(label)}</text>'
-            )
+            body.append(_el("text", label, x=x + width / 2, y=_H - _MB + 30, font_size=10, text_anchor="middle",
+                            fill="#333"))
     return _frame(title, body)

@@ -9,6 +9,7 @@ asserts well-formedness.
 
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -549,7 +550,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     config = {
         "data": {"AA": "data/aa.csv", "BB": "data/bb.csv"},
         "align": "intersect",
-        "indicators": SMALL_INDICATORS.to_dict(),
+        "indicators": asdict(SMALL_INDICATORS),
         "a2c": {"total_timesteps": 200, "n_envs": 2, "n_steps": 5, "hidden_sizes": [16, 16]},
         "seed": 12,
     }

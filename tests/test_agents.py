@@ -32,7 +32,6 @@ from tradelab.agents import (
     save_checkpoint,
 )
 from tradelab.agents.a2c import CHECKPOINT_MAGIC, gaussian_entropy, gaussian_log_density
-from tradelab.agents.policies import n_tickers_of
 from tradelab.binfile import MalformedFile, write_frame
 from tradelab.env import EnvConfig, TradingEnv, Window, run_episode
 from tradelab.errors import TradeLabError
@@ -55,14 +54,6 @@ def obs_of(n, rng=None, cash=1e6):
 # ---------------------------------------------------------------------------
 
 class TestBaselinePolicies:
-    def test_n_tickers_roundtrip(self):
-        for n in (1, 2, 30):
-            assert n_tickers_of(obs_of(n)) == n
-
-    def test_n_tickers_rejects_bad_layout(self):
-        with pytest.raises(ValueError):
-            n_tickers_of(np.zeros(12))
-
     def test_hold_is_all_zeros(self):
         a = HoldPolicy().act(obs_of(5), np.random.default_rng(0))
         assert a.shape == (5,)
@@ -503,6 +494,17 @@ class TestA2CUpdate:
         bad = RolloutBatch(batch.observations, batch.actions, np.full_like(batch.returns, np.inf))
         with pytest.raises(NonFiniteLoss, match="update 7"):
             a2c_update(params, bad, A2CConfig(), update_index=7)
+
+    def test_nonfinite_gradient_of_a_finite_loss_raises_with_index(self, rng):
+        # an infinite observation saturates tanh, so the loss stays finite, but
+        # the first layer's gradient meets inf * 0
+        params = init_mlp((4, 6, 6, 2), rng)
+        batch = random_batch(rng, params)
+        observations = batch.observations.copy()
+        observations[:, 0] = np.inf
+        bad = RolloutBatch(observations, batch.actions, batch.returns)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss, match="update 4: non-finite gradient"):
+            a2c_update(params, bad, A2CConfig(), update_index=4)
 
     def test_input_params_untouched(self, rng):
         params = init_mlp((4, 6, 6, 2), rng)

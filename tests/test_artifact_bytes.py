@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import hourly_axis, make_features, make_walk_series
-from tradelab import cli, svgchart
+from tradelab import analytics, cli, svgchart
 from tradelab.agents.a2c import TrainStats
 from tradelab.analytics import ProfileComparison, behavior_profile, save_report, write_comparison_csv
 from tradelab.env import EnvConfig, EpisodeLog, Window, load_episode_log, run_episode, save_episode_log
@@ -507,6 +507,11 @@ def test_save_report_matches_json_dumps_and_csv_writer(tmp_path, case):
     ref_save_report(report, tmp_path / "ref")
     for name in ("report.json", "cumulative_reward.csv", "integral_holding.csv", "holdings_matrix.csv"):
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_json_array_of_nothing_matches_json_dumps(depth):
+    assert analytics._json_array([], depth) == json.dumps([], indent=2)
 
 
 def test_save_report_spells_nonfinite_floats_like_json(tmp_path):

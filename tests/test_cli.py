@@ -3,15 +3,17 @@ paths, flag overrides, and byte-identical re-runs."""
 
 import json
 import os
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from conftest import hourly_axis, make_walk_series, write_bars_csv
+from tradelab.agents import MlpPolicy, ObsNormalizer, init_mlp, save_checkpoint
 from tradelab.analytics import behavior_profile, load_report
 from tradelab.binfile import write_frame
-from tradelab.cli import build_parser, main
+from tradelab.cli import build_parser, entrypoint, main
 from tradelab.env import load_episode_log
 from tradelab.marketdata import OHLCV, PANEL_MAGIC, format_timestamp, load_panel, parse_timestamp
 
@@ -246,10 +248,63 @@ class TestSimulate:
         # the default window is the test side when a split is configured
         assert f"{BARS - 90 - 1} steps on test" in capsys.readouterr().out
 
+    def test_split_that_leaves_no_window_exits_one(self, workspace, capsys):
+        run(workspace, "ingest")
+        boundary = format_timestamp(START + 10 * 3600)  # inside the 16-bar warmup
+        assert run(workspace, "simulate", "--agent", "hold", "--split", boundary) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: split {boundary} leaves no usable train/test windows")
+        assert not (workspace / "out" / "log_hold.csv").exists()
+
     def test_window_without_split(self, workspace, capsys):
         run(workspace, "ingest")
         assert run(workspace, "simulate", "--agent", "hold", "--window", "train") == 1
         assert "unavailable" in capsys.readouterr().err
+
+
+class TestRefusedBeforeFeatures:
+    """simulate and train check the agent and the trainer settings before the
+    feature build, the longest step of both."""
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, workspace, monkeypatch):
+        import tradelab.cli
+
+        assert run(workspace, "ingest") == 0
+
+        def boom(*args, **kwargs):
+            raise AssertionError("features built before the invocation was checked")
+
+        monkeypatch.setattr(tradelab.cli, "build_features", boom)
+
+    def checkpoint(self, workspace, n_tickers, label="a2c"):
+        width = 1 + 10 * n_tickers
+        path = workspace / f"{label.replace('/', '_')}.ckpt"
+        normalizer = ObsNormalizer(width)
+        normalizer.freeze()
+        save_checkpoint(MlpPolicy(init_mlp((width, 4, 4, n_tickers), np.random.default_rng(0)), normalizer,
+                                  label=label), path)
+        return path
+
+    def test_unknown_agent(self, workspace, capsys):
+        assert run(workspace, "simulate", "--agent", "oracle") == 1
+        assert capsys.readouterr().err.startswith("error: unknown agent 'oracle'; valid baselines:")
+
+    def test_checkpoint_of_another_width(self, workspace, capsys):
+        path = self.checkpoint(workspace, 1)
+        assert run(workspace, "simulate", "--agent", str(path)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: checkpoint {path} takes 11-wide observations, but the run's 2 tickers give 21-wide ones")
+
+    def test_checkpoint_label_that_is_not_a_file_name(self, workspace, capsys):
+        path = self.checkpoint(workspace, 2, label="../escaped")
+        assert run(workspace, "simulate", "--agent", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: agent label '../escaped'")
+
+    def test_zero_timesteps(self, workspace, capsys):
+        assert run(workspace, "train", "--timesteps", "0") == 1
+        assert capsys.readouterr().err == "error: n_steps, n_envs, and total_timesteps must be >= 1\n"
+        assert not (workspace / "out" / "a2c.ckpt").exists()
 
 
 class TestTurbulenceGate:
@@ -640,6 +695,16 @@ class TestMalformedInputs:
         assert err.startswith("error: checkpoint") and str(ckpt) in err
         assert "21-wide" in err and "11-wide" in err
         assert not (workspace / "out" / "log_a2c.csv").exists()
+
+
+class TestEntrypoint:
+    # features before any ingest finds no cached panel, so it exits 1
+    @pytest.mark.parametrize("command, code", [("ingest", 0), ("features", 1)])
+    def test_exits_with_the_status_of_main(self, workspace, monkeypatch, command, code):
+        monkeypatch.setattr(sys, "argv", ["tradelab", command, "--config", str(workspace / "config.json")])
+        with pytest.raises(SystemExit) as caught:
+            entrypoint()
+        assert caught.value.code == code
 
 
 class TestFlags:

@@ -21,6 +21,7 @@ from tradelab.env import (
     observation_size,
     run_episode,
     save_episode_log,
+    split_observation,
 )
 
 
@@ -65,6 +66,31 @@ def test_observation_is_301_dimensional_for_30_tickers():
     assert observation.shape == (1, 301)  # one copy by default
 
 
+def test_split_observation_roundtrip():
+    for n in (1, 2, 30):
+        observation = np.arange(observation_size(n), dtype=np.float64)
+        cash, prices, shares, block = split_observation(observation)
+        assert cash == 0.0
+        assert np.array_equal(prices, np.arange(1, 1 + n)) and np.array_equal(shares, np.arange(1 + n, 1 + 2 * n))
+        assert np.array_equal(block, np.arange(1 + 2 * n, 1 + 10 * n).reshape(n, 8))
+
+
+@pytest.mark.parametrize("observation", [np.zeros(12), np.zeros(1), np.zeros((2, 11))], ids=["12", "1", "2-d"])
+def test_split_observation_rejects_bad_layout(observation):
+    with pytest.raises(ValueError, match="does not match the layout"):
+        split_observation(observation)
+
+
+def test_split_observation_reads_what_the_env_observes():
+    features = make_features(["A", "B", "C"], 30, seed=4)
+    env = TradingEnv(EnvConfig(), features, Window(16, 30))
+    env.reset()
+    observation = env.step(np.full((1, 3), 0.5)).observation[0]
+    cash, prices, shares, block = split_observation(observation)
+    assert cash == env.state.cash[0] and np.array_equal(shares, env.state.shares[0])
+    assert np.array_equal(prices, features.closes[17]) and np.array_equal(block, features.features[17])
+
+
 def test_reset_initial_state():
     features = make_features(["A", "B"], 30, seed=1)
     cfg = EnvConfig()
@@ -88,6 +114,12 @@ def test_reset_before_warmup_rejected():
     features = make_features(["A", "B"], 30, seed=1)
     with pytest.raises(WindowBeforeWarmup):
         TradingEnv(EnvConfig(), features, Window(10, 30)).reset()
+
+
+def test_window_past_the_panel_rejected():
+    features = make_features(["A", "B"], 30, seed=1)
+    with pytest.raises(ValueError, match="window stops at 31 beyond panel length 30"):
+        TradingEnv(EnvConfig(), features, Window(16, 31))
 
 
 def test_window_needs_two_rows():
@@ -702,6 +734,14 @@ def test_episode_log_validates_shapes():
             rewards=np.zeros(2),  # must be T-1 = 1
             agent_label="x",
         )
+
+
+@pytest.mark.parametrize("field", ["cash", "portfolio_value"])
+def test_episode_log_refuses_a_value_column_off_the_axis(field):
+    columns = {"cash": np.ones(2), "portfolio_value": np.ones(2), field: np.ones(3)}
+    with pytest.raises(MalformedLog, match="cash/portfolio_value must be length T"):
+        EpisodeLog(timestamps=np.array([0, 3600]), actions=np.zeros((2, 2)),
+                   holdings=np.zeros((2, 2), dtype=np.int64), rewards=np.zeros(1), agent_label="x", **columns)
 
 
 def test_episode_log_refuses_zero_tickers():

@@ -603,6 +603,49 @@ def test_build_features_skips_turbulence_unless_asked(rng, monkeypatch):
         build_features(make_panel(["AAA", "BBB"], 30, seed=3), replace_turb(SMALL_CFG, 40))
 
 
+def test_macd_fast_must_be_below_slow():
+    with pytest.raises(ValueError, match="macd_fast must be smaller than macd_slow"):
+        IndicatorConfig(macd_fast=26, macd_slow=26)
+
+
+def test_ops_refuse_a_three_dimensional_input():
+    with pytest.raises(ValueError, match=r"expected a \(T,\) or \(T, M\) array, got shape \(20, 2, 2\)"):
+        sma(np.ones((20, 2, 2)), 3)
+
+
+@pytest.mark.parametrize("op", [lambda x: sma(x, 0), lambda x: ema(x, 0), lambda x: rsi(x, -1),
+                                lambda x: cci(x, x, x, 0), lambda x: dx(x, x, x, 0)],
+                         ids=["sma", "ema", "rsi", "cci", "dx"])
+def test_ops_refuse_a_window_below_one(op):
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        op(np.ones(20))
+
+
+@pytest.mark.parametrize("turb_window, gated, error, message", [
+    (3, False, ValueError, "must exceed the ticker count"),
+    (2, True, ValueError, "must exceed the ticker count"),
+    (59, False, InsufficientHistory, "turbulence window 59 leaves no defined index"),
+    (None, True, IndicatorError, "turb_window, which is null"),
+], ids=["at-ticker-count", "below-ticker-count-gated", "too-long", "gate-without-window"])
+def test_build_features_checks_turbulence_before_any_indicator(monkeypatch, turb_window, gated, error, message):
+    import tradelab.indicators
+
+    def boom(*args):
+        raise AssertionError("an indicator ran before the turbulence checks")
+
+    monkeypatch.setattr(tradelab.indicators, "macd", boom)
+    panel = make_panel(["AAA", "BBB", "CCC"], 60, seed=3)
+    with pytest.raises(error, match=message):
+        build_features(panel, replace_turb(SMALL_CFG, turb_window), with_turbulence=gated)
+
+
+def test_build_features_reports_the_turbulence_fault_of_two():
+    # 12 bars are too few for SMALL_CFG's indicators, and a window of 2 does not exceed 3 tickers
+    panel = make_panel(["AAA", "BBB", "CCC"], 12, seed=3)
+    with pytest.raises(ValueError, match="must exceed the ticker count"):
+        build_features(panel, replace_turb(SMALL_CFG, 2))
+
+
 def test_build_features_insufficient_history(rng):
     panel = make_panel(["AAA", "BBB"], 12, seed=3)
     with pytest.raises(InsufficientHistory):

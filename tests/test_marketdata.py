@@ -28,6 +28,7 @@ from tradelab.marketdata import (
     load_series,
     parse_floats,
     parse_timestamp,
+    parse_csv_columns,
     parse_timestamps,
     read_csv_columns,
     save_panel,
@@ -293,6 +294,33 @@ def test_align_intersect_set_oracle(rng):
             continue
         panel = align_panel(series, fill="intersect")
         assert list(panel.timestamps) == expected
+
+
+def test_align_panel_needs_a_series():
+    with pytest.raises(ValueError, match="at least one BarSeries"):
+        align_panel([])
+
+
+def test_align_panel_refuses_an_unknown_fill(rng):
+    with pytest.raises(ValueError, match="unknown fill policy 'backfill'"):
+        align_panel([make_walk_series("AAA", hourly_axis(T0, 5), rng)], fill="backfill")
+
+
+def test_bar_series_needs_a_bar():
+    empty = np.zeros(0)
+    with pytest.raises(InvalidBar, match="series contains no bars"):
+        BarSeries("AAA", np.zeros(0, dtype=np.int64), empty, empty, empty, empty, empty)
+
+
+def test_parse_csv_columns_names_a_column_that_fails_only_whole(tmp_path):
+    def pairs_only(cells):  # every single cell parses; the column of three does not
+        if len(cells) > 2:
+            raise ValueError("more than two cells")
+        return parse_floats(cells)
+
+    with pytest.raises(MarketDataError, match="unparsable column: more than two cells") as caught:
+        parse_csv_columns(tmp_path / "x.csv", MarketDataError, [("value", ("1", "2", "3"), pairs_only)])
+    assert caught.value.column == "value" and str(tmp_path / "x.csv") in str(caught.value)
 
 
 def test_align_intersect_empty(rng):

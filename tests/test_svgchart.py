@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from tradelab import svgchart
 from tradelab.svgchart import COLORS, render_bar_chart, render_line_chart
 
 
@@ -44,6 +45,13 @@ class TestLineChart:
         parse(svg)
         assert "<b>" not in svg.replace("<body", "")
         assert "&amp;" in svg
+
+    def test_non_finite_data_gets_the_unit_span(self):
+        assert svgchart._span(np.nan, 1.0) == svgchart._span(0.0, np.inf) == (-1.0, 1.0)
+        svg = render_line_chart([("a", [0.0, 1.0], [1.0, np.inf])])
+        parse(svg)
+        ticks = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert ticks[2:11:2] == ["-1", "-0.5", "0", "0.5", "1"]  # the y ticks, beside the x ones
 
     def test_deterministic(self):
         args = [("a", [0, 1, 2], [0.1, 0.7, 0.3]), ("b", [0, 1, 2], [1, 0, 1])]
