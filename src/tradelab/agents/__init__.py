@@ -5,6 +5,7 @@ from .a2c import (
     MlpPolicy,
     NonFiniteLoss,
     ObsNormalizer,
+    RmsPropState,
     RolloutBatch,
     TrainStats,
     UpdateStats,
@@ -35,6 +36,7 @@ __all__ = [
     "MlpPolicy",
     "NonFiniteLoss",
     "ObsNormalizer",
+    "RmsPropState",
     "RolloutBatch",
     "TrainStats",
     "UpdateStats",

@@ -8,6 +8,13 @@ policy gradients with an RMSProp-style adaptive step on the flat parameter
 vector ``MlpParams.vector``, and everything is driven by one seeded
 generator, so a (seed, config, data) triple fixes the whole parameter
 trajectory bit for bit.
+
+The training step owns its buffers: ``a2c_update`` steps the parameters and
+the ``RmsPropState`` it is given in place, ``mlp_backward`` writes the
+gradient into the state's ``grad``, and the forward pass and the normalizer
+compute in arrays they have just made. Each of these is the IEEE operation
+of the allocating form, on the same operands, in the same order (additions
+commuted, which IEEE addition allows).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "A2CConfig",
     "ObsNormalizer",
     "RolloutBatch",
+    "RmsPropState",
     "UpdateStats",
     "TrainStats",
     "MlpPolicy",
@@ -97,9 +105,18 @@ class ObsNormalizer:
         self._set_stats(np.zeros(dim), np.zeros(dim), 0)
 
     def _set_stats(self, mean: np.ndarray, m2: np.ndarray, count: int) -> None:
-        """The one way the statistics change; it derives ``sd`` from them."""
+        """The one way the statistics change; it derives ``sd`` from them.
+
+        It keeps ``mean`` and ``m2`` without writing into them, and ``update``
+        replaces them with new arrays, so a checkpoint's or a frozen policy's
+        statistics never change under their holder."""
         self.mean, self.m2, self.count = mean, m2, count
-        self.sd = np.ones(self.dim) if count < 2 else np.sqrt(m2 / count + 1e-8)
+        if count < 2:
+            self.sd = np.ones(self.dim)
+        else:
+            self.sd = m2 / count
+            self.sd += 1e-8
+            np.sqrt(self.sd, out=self.sd)
 
     def update(self, batch: np.ndarray) -> None:
         if self.frozen:
@@ -110,18 +127,28 @@ class ObsNormalizer:
         nb = batch.shape[0]
         if nb == 0:
             return
-        b_mean = np.add.reduce(batch, axis=0) / nb  # what batch.mean(axis=0) computes
-        b_m2 = np.add.reduce((batch - b_mean) ** 2, axis=0)
-        delta = b_mean - self.mean
+        delta = np.add.reduce(batch, axis=0)
+        delta /= nb  # the batch mean, as batch.mean(axis=0) computes it
+        squares = batch - delta
+        np.square(squares, out=squares)
+        m2 = np.add.reduce(squares, axis=0)
+        delta -= self.mean
         total = self.count + nb
-        self._set_stats(self.mean + delta * (nb / total),
-                        self.m2 + b_m2 + delta**2 * (self.count * nb / total), total)
+        mean = delta * (nb / total)
+        mean += self.mean
+        m2 += self.m2
+        np.square(delta, out=delta)
+        delta *= self.count * nb / total
+        m2 += delta
+        self._set_stats(mean, m2, total)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1:] != (self.dim,):
             raise ShapeMismatch(f"observation shape {x.shape} does not match normalizer width {self.dim}")
-        return (x - self.mean) / self.sd
+        z = x - self.mean
+        z /= self.sd
+        return z
 
     def freeze(self) -> None:
         self.frozen = True
@@ -138,6 +165,23 @@ class RolloutBatch:
     observations: np.ndarray  # (B, D)
     actions: np.ndarray  # (B, N)
     returns: np.ndarray  # (B,)
+
+
+@dataclass(frozen=True)
+class RmsPropState:
+    """The buffers one training run's updates overwrite: the RMSProp
+    accumulator, the gradient ``mlp_backward`` writes, and one scratch vector,
+    each the length of ``MlpParams.vector``."""
+
+    accumulator: np.ndarray
+    grad: MlpParams
+    scratch: np.ndarray
+
+    @classmethod
+    def zeros(cls, sizes) -> "RmsPropState":
+        """The state before the first update: a zero accumulator."""
+        grad = MlpParams.zeros(sizes)
+        return cls(np.zeros_like(grad.vector), grad, np.zeros_like(grad.vector))
 
 
 @dataclass(frozen=True)
@@ -187,6 +231,7 @@ def a2c_loss_and_grad(
     params: MlpParams,
     batch: RolloutBatch,
     cfg: A2CConfig,
+    grad: MlpParams,
     update_index: int = 0,
 ) -> tuple[float, float, float, np.ndarray]:
     """Loss components and the exact pre-clip gradient of
@@ -194,7 +239,8 @@ def a2c_loss_and_grad(
 
     Advantages are detached (R - V treated as a constant weight), so the
     gradient matches finite differences of that loss with A held fixed.
-    Returns (policy_loss, value_loss, entropy, flat_gradient).
+    The gradient is written into ``grad``. Returns (policy_loss, value_loss,
+    entropy, flat_gradient), the last being ``grad.vector``.
     """
     obs = batch.observations
     actions = batch.actions
@@ -224,7 +270,7 @@ def a2c_loss_and_grad(
     z2 = (diff**2) / sigma2
     d_log_std = -np.add.reduce(advantages[:, None] * (z2 - 1.0), axis=0) / b - cfg.entropy_coef
 
-    g = mlp_backward(params, cache, d_mean, d_value, d_log_std).vector
+    g = mlp_backward(params, cache, d_mean, d_value, d_log_std, grad).vector
     if not np.logical_and.reduce(np.isfinite(g)):
         raise NonFiniteLoss(f"update {update_index}: non-finite gradient")
     return policy_loss, value_loss, entropy, g
@@ -234,27 +280,30 @@ def a2c_update(
     params: MlpParams,
     batch: RolloutBatch,
     cfg: A2CConfig,
-    opt_state: np.ndarray | None = None,
+    opt_state: RmsPropState,
     update_index: int = 0,
-) -> tuple[MlpParams, np.ndarray, UpdateStats]:
-    """One clipped RMSProp step on the actor-critic loss. Returns the new
-    parameters, the optimizer accumulator, and the update statistics."""
-    policy_loss, value_loss, entropy, g = a2c_loss_and_grad(params, batch, cfg, update_index)
+) -> UpdateStats:
+    """One clipped RMSProp step on the actor-critic loss, in place: it steps
+    ``params.vector`` and ``opt_state`` and returns the update statistics.
+    ``batch`` is only read. A loss or gradient that is not finite raises
+    NonFiniteLoss before ``params`` or the accumulator is written."""
+    policy_loss, value_loss, entropy, g = a2c_loss_and_grad(params, batch, cfg, opt_state.grad, update_index)
     grad_norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a vector
-    # the fresh g is scaled in place; acc = decay * opt_state + (1 - decay) * g**2 (opt_state None is
-    # zero, and acc + 0.0 is acc) and (lr * g) / (sqrt(acc) + eps) take new arrays, the last the new vector
     if grad_norm > cfg.max_grad_norm:
         g *= cfg.max_grad_norm / grad_norm
-    acc = np.square(g)
-    acc *= 1.0 - cfg.rms_decay
-    step = np.multiply(np.zeros_like(g) if opt_state is None else opt_state, cfg.rms_decay)
-    acc += step
-    np.sqrt(acc, out=step)
-    step += cfg.rms_eps
+    # acc = decay * acc + (1 - decay) * g**2, then params -= (lr * g) / (sqrt(acc) + eps); the first
+    # update's zero accumulator adds an exact 0.0, so it starts from (1 - decay) * g**2
+    acc, scratch = opt_state.accumulator, opt_state.scratch
+    np.square(g, out=scratch)
+    scratch *= 1.0 - cfg.rms_decay
+    acc *= cfg.rms_decay
+    acc += scratch
+    np.sqrt(acc, out=scratch)
+    scratch += cfg.rms_eps
     g *= cfg.lr
-    g /= step
-    stats = UpdateStats(policy_loss=policy_loss, value_loss=value_loss, entropy=entropy, grad_norm=grad_norm)
-    return MlpParams(np.subtract(params.vector, g, out=step), params.sizes), acc, stats
+    g /= scratch
+    params.vector -= g
+    return UpdateStats(policy_loss=policy_loss, value_loss=value_loss, entropy=entropy, grad_norm=grad_norm)
 
 
 class MlpPolicy:
@@ -293,7 +342,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
 
     params = init_mlp((obs_dim, *cfg.hidden_sizes, n_actions), rng)
     normalizer = ObsNormalizer(obs_dim)
-    opt_state: np.ndarray | None = None
+    opt_state = RmsPropState.zeros(params.sizes)
     stats = TrainStats(
         episodes=cfg.total_timesteps // episode_steps,
         episode_steps=episode_steps,
@@ -338,7 +387,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
             running = rew_buf[k] + cfg.gamma * running * not_done[k]
             returns[k] = running
 
-        params, opt_state, ustats = a2c_update(params, batch, cfg, opt_state, update_index)
+        ustats = a2c_update(params, batch, cfg, opt_state, update_index)
         stats.policy_losses.append(ustats.policy_loss)
         stats.value_losses.append(ustats.value_loss)
         stats.entropies.append(ustats.entropy)

@@ -96,45 +96,53 @@ def mlp_forward(params: MlpParams, observation):
     x = np.asarray(observation, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise ShapeMismatch(f"observation shape {np.shape(observation)} does not match input size {params.w1.shape[0]}")
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    mean = np.tanh(h2 @ params.w_mean + params.b_mean)
-    value = (h2 @ params.w_value + params.b_value)[:, 0]
+    h1 = x @ params.w1
+    h1 += params.b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ params.w2
+    h2 += params.b2
+    np.tanh(h2, out=h2)
+    mean = h2 @ params.w_mean
+    mean += params.b_mean
+    np.tanh(mean, out=mean)
+    value = h2 @ params.w_value
+    value += params.b_value
     cache = {"x": x, "h1": h1, "h2": h2, "mean": mean}
-    return mean, params.log_std.copy(), value, cache
+    return mean, params.log_std.copy(), value[:, 0], cache
 
 
-def mlp_backward(params: MlpParams, cache: dict, d_mean, d_value, d_log_std) -> MlpParams:
+def mlp_backward(params: MlpParams, cache: dict, d_mean, d_value, d_log_std, grad: MlpParams) -> MlpParams:
     """Exact gradients of a scalar loss given its derivatives at the heads.
 
     d_mean is dL/d(mean) AFTER the tanh squash, shape (B, N); d_value is
     dL/d(value), shape (B,); d_log_std is the (N,) parameter gradient
-    accumulated outside (log_std bypasses the trunk entirely). Returns an
-    MlpParams holding the gradient for each parameter, in one fresh vector.
+    accumulated outside (log_std bypasses the trunk entirely). Every entry of
+    ``grad``, an MlpParams of the same sizes, is overwritten with the gradient
+    of its parameter; ``grad`` is returned.
     """
     x, h1, h2, mean = cache["x"], cache["h1"], cache["h2"], cache["mean"]
     d_mean = np.asarray(d_mean, dtype=np.float64)
     d_value = np.asarray(d_value, dtype=np.float64).reshape(-1, 1)
     d_log_std = np.asarray(d_log_std, dtype=np.float64)
-    if d_mean.shape != mean.shape or d_value.shape[0] != h2.shape[0] or d_log_std.shape != params.log_std.shape:
-        raise ShapeMismatch("upstream gradient shapes do not match the cached forward pass")
+    if (d_mean.shape != mean.shape or d_value.shape[0] != h2.shape[0] or d_log_std.shape != params.log_std.shape
+            or grad.sizes != params.sizes):
+        raise ShapeMismatch("upstream gradient shapes or the gradient's sizes do not match the cached forward pass")
 
-    g = MlpParams(np.empty_like(params.vector), params.sizes)
     dz_mean = d_mean * (1.0 - mean**2)  # back through the tanh squash
-    np.matmul(h2.T, dz_mean, out=g.w_mean)
-    np.add.reduce(dz_mean, axis=0, out=g.b_mean)
-    np.matmul(h2.T, d_value, out=g.w_value)
-    np.add.reduce(d_value, axis=0, out=g.b_value)
+    np.matmul(h2.T, dz_mean, out=grad.w_mean)
+    np.add.reduce(dz_mean, axis=0, out=grad.b_mean)
+    np.matmul(h2.T, d_value, out=grad.w_value)
+    np.add.reduce(d_value, axis=0, out=grad.b_value)
 
     d_h2 = dz_mean @ params.w_mean.T + d_value @ params.w_value.T
     dz2 = d_h2 * (1.0 - h2**2)
-    np.matmul(h1.T, dz2, out=g.w2)
-    np.add.reduce(dz2, axis=0, out=g.b2)
+    np.matmul(h1.T, dz2, out=grad.w2)
+    np.add.reduce(dz2, axis=0, out=grad.b2)
 
     d_h1 = dz2 @ params.w2.T
     dz1 = d_h1 * (1.0 - h1**2)
-    np.matmul(x.T, dz1, out=g.w1)
-    np.add.reduce(dz1, axis=0, out=g.b1)
-    g.log_std[...] = d_log_std
-    return g
+    np.matmul(x.T, dz1, out=grad.w1)
+    np.add.reduce(dz1, axis=0, out=grad.b1)
+    grad.log_std[...] = d_log_std
+    return grad
 

@@ -216,13 +216,13 @@ def cmd_simulate(cfg: RunConfig, agent: str, window_name: str | None) -> int:
     # the agent first: the cached panel holds exactly cfg.tickers, and the features take longest
     policy = _resolve_agent(agent, len(cfg.tickers))
     _check_label(policy.label, agent)
-    features = _build_features(cfg)
-    windows = _windows(cfg, features)
+    # without a split only "full" exists; with one, _windows makes all three or raises
     if window_name is None:
-        window_name = "test" if "test" in windows else "full"
-    if window_name not in windows:
-        raise TradeLabError(f"window {window_name!r} unavailable; choose from {sorted(windows)}")
-    log = run_episode(policy, cfg.env, features, windows[window_name], seed=cfg.seed)
+        window_name = "full" if cfg.split is None else "test"
+    elif cfg.split is None and window_name != "full":
+        raise TradeLabError(f"window {window_name!r} unavailable; choose from ['full']")
+    features = _build_features(cfg)
+    log = run_episode(policy, cfg.env, features, _windows(cfg, features)[window_name], seed=cfg.seed)
     out = cfg.out_dir / f"log_{log.agent_label}.csv"
     save_episode_log(log, out)
     print(

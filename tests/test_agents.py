@@ -4,6 +4,7 @@ training determinism, and checkpoint round trips."""
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tradelab.agents import (
     NonFiniteLoss,
     ObsNormalizer,
     RandomPolicy,
+    RmsPropState,
     RolloutBatch,
     ShapeMismatch,
     a2c_train,
@@ -237,9 +239,15 @@ def fd_gradient(params, x, c_mean, c_value, c_log_std, eps=1e-5):
     return grad
 
 
+def unwritten_grad(params):
+    """A gradient destination for mlp_backward filled with NaN, so an entry
+    the pass does not write shows."""
+    return MlpParams(np.full_like(params.vector, np.nan), params.sizes)
+
+
 def analytic_gradient(params, x, c_mean, c_value, c_log_std):
     _, _, _, cache = mlp_forward(params, x)
-    return mlp_backward(params, cache, c_mean, c_value, c_log_std).vector
+    return mlp_backward(params, cache, c_mean, c_value, c_log_std, unwritten_grad(params)).vector
 
 
 class TestMlpBackward:
@@ -247,7 +255,7 @@ class TestMlpBackward:
         params = init_mlp((4, 6, 5, 2), rng)
         x = rng.standard_normal((3, 4))
         _, _, _, cache = mlp_forward(params, x)
-        grads = mlp_backward(params, cache, np.zeros((3, 2)), np.zeros(3), np.zeros(2))
+        grads = mlp_backward(params, cache, np.zeros((3, 2)), np.zeros(3), np.zeros(2), unwritten_grad(params))
         assert np.array_equal(grads.vector, np.zeros(params.vector.size))
 
     def test_matches_finite_differences(self):
@@ -268,11 +276,13 @@ class TestMlpBackward:
         params = init_mlp((4, 6, 5, 2), rng)
         x = rng.standard_normal((3, 4))
         _, _, _, cache = mlp_forward(params, x)
-        only_mean = mlp_backward(params, cache, rng.standard_normal((3, 2)), np.zeros(3), np.zeros(2))
+        only_mean = mlp_backward(params, cache, rng.standard_normal((3, 2)), np.zeros(3), np.zeros(2),
+                                 unwritten_grad(params))
         assert np.array_equal(only_mean.w_value, np.zeros((5, 1)))
         assert np.array_equal(only_mean.b_value, np.zeros(1))
         assert np.abs(only_mean.w_mean).max() > 0
-        only_value = mlp_backward(params, cache, np.zeros((3, 2)), rng.standard_normal(3), np.zeros(2))
+        only_value = mlp_backward(params, cache, np.zeros((3, 2)), rng.standard_normal(3), np.zeros(2),
+                                  unwritten_grad(params))
         assert np.array_equal(only_value.w_mean, np.zeros((5, 2)))
         assert np.array_equal(only_value.b_mean, np.zeros(2))
         assert np.abs(only_value.w_value).max() > 0
@@ -296,7 +306,7 @@ class TestMlpBackward:
         x = rng.standard_normal((3, 4))
         _, _, _, cache = mlp_forward(params, x)
         d_log_std = rng.standard_normal(2)
-        grads = mlp_backward(params, cache, np.zeros((3, 2)), np.zeros(3), d_log_std)
+        grads = mlp_backward(params, cache, np.zeros((3, 2)), np.zeros(3), d_log_std, unwritten_grad(params))
         assert np.array_equal(grads.log_std, d_log_std)
 
     def test_upstream_shape_check(self, rng):
@@ -304,7 +314,9 @@ class TestMlpBackward:
         x = rng.standard_normal((3, 4))
         _, _, _, cache = mlp_forward(params, x)
         with pytest.raises(ShapeMismatch):
-            mlp_backward(params, cache, np.zeros((2, 2)), np.zeros(3), np.zeros(2))
+            mlp_backward(params, cache, np.zeros((2, 2)), np.zeros(3), np.zeros(2), unwritten_grad(params))
+        with pytest.raises(ShapeMismatch):  # a destination of other sizes
+            mlp_backward(params, cache, np.zeros((3, 2)), np.zeros(3), np.zeros(2), MlpParams.zeros((4, 6, 5, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +457,8 @@ class TestA2CUpdate:
 
             # recover the analytic gradient from the first RMSProp step:
             # s = (1-decay) g^2, delta = -lr g / (sqrt(s) + eps_rms)
-            new_params, _, stats = a2c_update(params, batch, cfg)
-            delta = new_params.vector - base
+            stats = a2c_update(params, batch, cfg, RmsPropState.zeros(sizes))
+            delta = params.vector - base
             scale = np.sqrt((1.0 - cfg.rms_decay) * g_fd**2) + cfg.rms_eps
             predicted = -cfg.lr * g_fd / scale
             rel = np.abs(delta - predicted) / np.maximum(1.0, np.maximum(np.abs(delta), np.abs(predicted)))
@@ -462,8 +474,9 @@ class TestA2CUpdate:
         _, log_std, values, _ = mlp_forward(params, obs)
         batch_a = RolloutBatch(obs, rng.standard_normal((5, 2)), values.copy())
         batch_b = RolloutBatch(obs, rng.standard_normal((5, 2)), values.copy())
-        out_a, _, stats_a = a2c_update(params, batch_a, cfg)
-        out_b, _, stats_b = a2c_update(params, batch_b, cfg)
+        out_a, out_b = (MlpParams(params.vector.copy(), params.sizes) for _ in range(2))
+        stats_a = a2c_update(out_a, batch_a, cfg, RmsPropState.zeros(params.sizes))
+        a2c_update(out_b, batch_b, cfg, RmsPropState.zeros(params.sizes))
         assert np.array_equal(out_a.vector, out_b.vector)
         assert stats_a.policy_loss == 0.0
         assert stats_a.value_loss == 0.0
@@ -474,9 +487,11 @@ class TestA2CUpdate:
         params = init_mlp((4, 6, 6, 2), rng)
         batch = random_batch(rng, params)
         p0 = params.vector.copy()
-        new1, opt1, _ = a2c_update(params, batch, cfg)
+        opt_state = RmsPropState.zeros(params.sizes)
+        a2c_update(params, batch, cfg, opt_state)
         # recover g from the first step and check the accumulator matches
-        delta = new1.vector - p0
+        delta = params.vector - p0
+        opt1 = opt_state.accumulator
         g = -delta * (np.sqrt(opt1) + cfg.rms_eps) / cfg.lr
         np.testing.assert_allclose(opt1, (1 - cfg.rms_decay) * g**2, rtol=1e-9, atol=1e-300)
 
@@ -485,7 +500,7 @@ class TestA2CUpdate:
         params = init_mlp((4, 8, 8, 2), rng)
         batch = random_batch(rng, params)
         huge = RolloutBatch(batch.observations, batch.actions, batch.returns * 1e6)
-        _, _, stats = a2c_update(params, huge, cfg)
+        stats = a2c_update(params, huge, cfg, RmsPropState.zeros(params.sizes))
         assert stats.grad_norm > cfg.max_grad_norm
 
     def test_nonfinite_loss_raises_with_index(self, rng):
@@ -493,7 +508,7 @@ class TestA2CUpdate:
         batch = random_batch(rng, params)
         bad = RolloutBatch(batch.observations, batch.actions, np.full_like(batch.returns, np.inf))
         with pytest.raises(NonFiniteLoss, match="update 7"):
-            a2c_update(params, bad, A2CConfig(), update_index=7)
+            a2c_update(params, bad, A2CConfig(), RmsPropState.zeros(params.sizes), update_index=7)
 
     def test_nonfinite_gradient_of_a_finite_loss_raises_with_index(self, rng):
         # an infinite observation saturates tanh, so the loss stays finite, but
@@ -504,13 +519,33 @@ class TestA2CUpdate:
         observations[:, 0] = np.inf
         bad = RolloutBatch(observations, batch.actions, batch.returns)
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss, match="update 4: non-finite gradient"):
-            a2c_update(params, bad, A2CConfig(), update_index=4)
+            a2c_update(params, bad, A2CConfig(), RmsPropState.zeros(params.sizes), update_index=4)
 
     def test_input_params_untouched(self, rng):
+        # the update steps the params it is given in place, so a caller that
+        # keeps its params copies them first, and the copy's source stays as it was
         params = init_mlp((4, 6, 6, 2), rng)
         before = params.vector.copy()
-        a2c_update(params, random_batch(rng, params), A2CConfig())
+        stepped = MlpParams(params.vector.copy(), params.sizes)
+        a2c_update(stepped, random_batch(rng, params), A2CConfig(), RmsPropState.zeros(params.sizes))
         assert np.array_equal(params.vector, before)
+        assert not np.array_equal(stepped.vector, before)
+
+    def test_update_allocates_less_than_one_parameter_vector(self):
+        # at the paper's sizes (obs 301, 30 tickers) and a 5 x 4 rollout, a warmed-up
+        # update writes the gradient, the accumulator and the step into its own buffers
+        rng = np.random.default_rng(0)
+        params = init_mlp((301, 64, 64, 30), rng)
+        batch = random_batch(rng, params, b=20)
+        cfg, opt_state = A2CConfig(), RmsPropState.zeros(params.sizes)
+        a2c_update(params, batch, cfg, opt_state)
+        tracemalloc.start()
+        try:
+            a2c_update(params, batch, cfg, opt_state, update_index=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.vector.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -256,15 +256,10 @@ class TestSimulate:
         assert err.startswith(f"error: split {boundary} leaves no usable train/test windows")
         assert not (workspace / "out" / "log_hold.csv").exists()
 
-    def test_window_without_split(self, workspace, capsys):
-        run(workspace, "ingest")
-        assert run(workspace, "simulate", "--agent", "hold", "--window", "train") == 1
-        assert "unavailable" in capsys.readouterr().err
-
 
 class TestRefusedBeforeFeatures:
-    """simulate and train check the agent and the trainer settings before the
-    feature build, the longest step of both."""
+    """simulate and train check the agent, the window and the trainer settings
+    before the feature build, the longest step of both."""
 
     @pytest.fixture(autouse=True)
     def no_build(self, workspace, monkeypatch):
@@ -300,6 +295,12 @@ class TestRefusedBeforeFeatures:
         path = self.checkpoint(workspace, 2, label="../escaped")
         assert run(workspace, "simulate", "--agent", str(path)) == 1
         assert capsys.readouterr().err.startswith("error: agent label '../escaped'")
+
+    @pytest.mark.parametrize("window", ["train", "test"])
+    def test_window_without_split(self, workspace, capsys, window):
+        assert run(workspace, "simulate", "--agent", "hold", "--window", window) == 1
+        assert capsys.readouterr().err == f"error: window '{window}' unavailable; choose from ['full']\n"
+        assert not (workspace / "out" / "log_hold.csv").exists()
 
     def test_zero_timesteps(self, workspace, capsys):
         assert run(workspace, "train", "--timesteps", "0") == 1

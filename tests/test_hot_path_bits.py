@@ -4,9 +4,12 @@ Each reference below is the arithmetic the training step used before its
 numpy calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
 and backward passes, the batched ``TradingEnv.step`` and the ``a2c_train``
-loop. The package must reproduce each of them exactly (``np.array_equal`` and
-``==``, never a tolerance). Both sides run on the same numpy and BLAS, so
-these pins hold on any machine, unlike artifact digests.
+loop. The references allocate a fresh array for every result; the package
+writes into buffers it owns (``a2c_update`` steps the parameters and the
+``RmsPropState`` in place, ``mlp_backward`` fills a given ``MlpParams``), and
+must reproduce each of them exactly (``np.array_equal`` and ``==``, never a
+tolerance). Both sides run on the same numpy and BLAS, so these pins hold on
+any machine, unlike artifact digests.
 """
 
 import math
@@ -18,6 +21,7 @@ from conftest import flat_features, make_features, turbulent_features
 from tradelab.agents.a2c import (
     A2CConfig,
     ObsNormalizer,
+    RmsPropState,
     RolloutBatch,
     a2c_train,
     a2c_update,
@@ -285,27 +289,30 @@ def seeded_batch(seed, sizes=(12, 16, 16, 3), b=20, scale=1.0):
     return params, RolloutBatch(obs, actions, scale * rng.standard_normal(b))
 
 
-def assert_update_matches(params, batch, cfg, opt_state):
-    before = params.vector.copy()
-    state_before = None if opt_state is None else opt_state.copy()
-    new, acc, stats = a2c_update(params, batch, cfg, opt_state)
-    ref_new, ref_acc, ref_stats = ref_a2c_update(params, batch, cfg, opt_state)
-    assert np.array_equal(new.vector, ref_new.vector)
-    assert np.array_equal(acc, ref_acc)
+def assert_update_matches(params, batch, cfg, opt_state, ref_state):
+    """Steps ``params`` and ``opt_state`` in place and checks them against the
+    reference step from the same parameters and the accumulator ``ref_state``;
+    returns the reference accumulator and the update statistics."""
+    ref_new, ref_acc, ref_stats = ref_a2c_update(params, batch, cfg, ref_state)
+    batch_before = [a.copy() for a in (batch.observations, batch.actions, batch.returns)]
+    stats = a2c_update(params, batch, cfg, opt_state)
+    assert np.array_equal(params.vector, ref_new.vector)
+    assert np.array_equal(opt_state.accumulator, ref_acc)
     assert (stats.policy_loss, stats.value_loss, stats.entropy, stats.grad_norm) == ref_stats
-    assert np.array_equal(params.vector, before)  # the inputs stay as they were
-    assert state_before is None or np.array_equal(opt_state, state_before)
-    return new, acc, stats
+    assert all(np.array_equal(a, b) for a, b in
+               zip((batch.observations, batch.actions, batch.returns), batch_before))  # the batch is only read
+    return ref_acc, stats
 
 
 @pytest.mark.parametrize("clipped", [True, False], ids=["clipped", "unclipped"])
 def test_first_and_second_update_match_reference(clipped):
     cfg = A2CConfig(max_grad_norm=0.5 if clipped else 1e9)
     params, batch = seeded_batch(1, scale=50.0)
-    new, acc, stats = assert_update_matches(params, batch, cfg, None)
+    opt_state = RmsPropState.zeros(params.sizes)
+    acc, stats = assert_update_matches(params, batch, cfg, opt_state, None)
     assert (stats.grad_norm > cfg.max_grad_norm) == clipped
     _, batch2 = seeded_batch(2, scale=50.0)
-    _, acc2, _ = assert_update_matches(new, batch2, cfg, acc)  # folds the first accumulator in
+    acc2, _ = assert_update_matches(params, batch2, cfg, opt_state, acc)  # folds the first accumulator in
     assert not np.array_equal(acc2, acc)
 
 
@@ -335,7 +342,7 @@ def test_mlp_passes_match_reference(rows):
     assert np.array_equal(value, ref_value)
     b = 1 if rows is None else rows
     d_mean, d_value, d_log_std = rng.standard_normal((b, 3)), rng.standard_normal(b), rng.standard_normal(3)
-    g = mlp_backward(params, cache, d_mean, d_value, d_log_std)
+    g = mlp_backward(params, cache, d_mean, d_value, d_log_std, MlpParams.zeros(params.sizes))
     assert np.array_equal(g.vector, ref_mlp_backward(params, ref_cache, d_mean, d_value, d_log_std).vector)
 
 
@@ -354,8 +361,11 @@ def test_normalizer_matches_reference_across_batches():
                   rng.standard_normal((3, 6)) * 4.0 + 1.0,  # 1/3 is inexact, unlike 1/4
                   rng.standard_normal((0, 6)),
                   rng.standard_normal((4, 6)) * 1e-3 - 7.0]:
+        held = live.mean, live.m2, live.mean.copy(), live.m2.copy()
         live.update(batch)
         ref.update(batch)
+        # update replaces the statistics: arrays a checkpoint or a frozen policy holds keep their values
+        assert np.array_equal(held[0], held[2]) and np.array_equal(held[1], held[3])
         assert live.count == ref.count
         assert np.array_equal(live.mean, ref.mean) and np.array_equal(live.m2, ref.m2)
         assert np.array_equal(live.normalize(probe), ref.normalize(probe))
