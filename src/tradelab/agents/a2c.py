@@ -369,7 +369,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
             obs_buf[k] = normalizer.normalize(raw_obs)
             mean, _, _, _ = mlp_forward(params, obs_buf[k])
             act_buf[k] += mean  # the pre-clamp sample mean + std * noise
-            outcome = env.step(act_buf[k])  # the env clamps each component to [-1, 1]
+            outcome = env.step(act_buf[k])  # the env clips each component to [-1, 1], ±inf too; NaN raises
             rew_buf[k] = outcome.reward
             not_done[k] = 1.0 - float(outcome.done)
             episode_return += outcome.reward

@@ -165,14 +165,16 @@ def split_observation(observation) -> tuple:
 class TradingEnv:
     """E lockstep copies of one episode over a window of the feature panel.
 
-    ``step`` executes one trading step in every copy: sells, then cash-clipped
-    buys, then advance; each trades at most ``hmax`` shares per ticker. The
-    one exception is a step gated by turbulence, which sells every position
-    whole and buys nothing, as FinRL's environment does. Buys fill row by row,
-    in ascending ticker order within each copy, and a ticker whose unit cost
-    is above the copy's remaining cash buys 0. The reward compares
-    the new portfolio value (new prices, fees paid) against the pre-trade
-    value at the old prices, scaled by reward_scale.
+    ``step`` executes one trading step in every copy: it clips each action
+    component to [-1, 1] (±inf included; NaN is refused), then sells, then
+    buys within cash, then advances; each trades at most ``hmax`` shares per
+    ticker. The one exception is a step gated by turbulence, which sells every
+    position whole and buys nothing, as FinRL's environment does. Buys fill
+    row by row, in ascending ticker order within each copy, and a ticker whose
+    unit cost (price times 1 + cost_rate, taken once per window) is above the
+    copy's remaining cash buys 0. The reward compares the new portfolio value
+    (new prices, fees paid) against the pre-trade value at the old prices,
+    scaled by reward_scale.
     """
 
     def __init__(self, cfg: EnvConfig, features: FeaturePanel, window: Window, copies: int = 1):
@@ -195,6 +197,8 @@ class TradingEnv:
         else:
             turb, defined = features.turbulence
             self._gate = (defined & (turb > cfg.turbulence_gate)).tolist()
+        # each ticker's unit cost (price plus cost_rate) at every timestamp of the window
+        self._units = features.closes[window.start : window.stop] * (1.0 + cfg.cost_rate)
         self._state: EnvState | None = None
 
     @property
@@ -210,7 +214,9 @@ class TradingEnv:
         return self._observe()
 
     def step(self, action) -> StepOutcome:
-        """``action`` is (E, N), one row per copy."""
+        """``action`` is (E, N), one row per copy. Each component is clipped
+        to [-1, 1] first, so ±inf saturates to ±1; a NaN component raises
+        ValueError."""
         before = self.state
         t = before.t
         if t >= self.window.stop - 1:
@@ -219,12 +225,12 @@ class TradingEnv:
         a = np.asarray(action, dtype=np.float64)
         if a.shape != shares.shape:
             raise ValueError(f"action shape {a.shape}, expected {shares.shape}")
-        if not np.logical_and.reduce(np.isfinite(a), axis=None):
-            raise ValueError("action contains non-finite components")
+        clipped = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, at less call overhead; NaN stays NaN
+        if math.isnan(np.add.reduce(clipped, axis=None)):  # else finite: every component lies in [-1, 1]
+            raise ValueError("action contains NaN components")
         if self._gate[t]:
             desired = -shares  # liquidate everything, buy nothing
         else:
-            clipped = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, at less call overhead
             desired = np.rint(clipped * cfg.hmax).astype(np.int64)
 
         # sells first, each clipped to current holdings
@@ -239,26 +245,27 @@ class TradingEnv:
         # order, as numpy scalars. A ticker dearer than the cash left buys 0 and
         # leaves the cash as it is, exactly as floor(have / unit) would: for
         # 0 < have < unit the quotient rounds below 1.0.
-        units = (prices * (1.0 + cfg.cost_rate)).tolist()  # each ticker's unit cost
+        units = self._units[t - self.window.start].tolist()
         left = cash.tolist()
         bought = desired.tolist()  # overwritten with the fills
         for e, row in enumerate(bought):
             have = left[e]
-            for i, unit in enumerate(units):
-                want = row[i]
-                if want <= 0 or unit > have:
-                    row[i] = 0
-                    continue
-                qty = math.floor(have / unit)
-                if qty >= want:
-                    qty = want
-                while qty > 0 and qty * unit > have:  # guard against float overdraw
-                    qty -= 1
-                have = have - qty * unit
-                row[i] = qty
+            for i, want in enumerate(row):
+                if want > 0:
+                    unit = units[i]
+                    if unit <= have:
+                        qty = math.floor(have / unit)
+                        if qty >= want:
+                            qty = want
+                        while qty > 0 and qty * unit > have:  # guard against float overdraw
+                            qty -= 1
+                        have = have - qty * unit
+                        row[i] = qty
+                        continue
+                row[i] = 0
             left[e] = have
         cash = np.array(left)
-        shares += bought
+        shares += np.array(bought, dtype=np.int64)
 
         values = self._settle(t + 1, cash, shares)
         reward = cfg.reward_scale * (values - before.portfolio_value)
@@ -341,26 +348,35 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
     The policy contract is ``act(observation (D,), rng) -> action (N,)`` plus
     a ``label`` attribute; the rng is seeded here so identical inputs give a
     bit-identical log. The env is one copy, so row 0 of its batch is the episode.
+    The log records each action as the env takes it: clipped to [-1, 1], ±inf
+    included. An action of the wrong shape or with a NaN component raises
+    ValueError naming the policy, the step index and the shapes.
     """
     rng = np.random.default_rng(seed)
     env = TradingEnv(cfg, features, window)
     observation = env.reset()[0]
     n = env.n_tickers
     length = len(window)
+    label = getattr(policy, "label", type(policy).__name__)
 
     actions = np.zeros((length, n))
     holdings = np.zeros((length, n), dtype=np.int64)
     cash = np.zeros(length)
     values = np.zeros(length)
-    for k in range(length):
-        state = env.state
-        cash[k], holdings[k], values[k] = state.cash[0], state.shares[0], state.portfolio_value[0]
-        if k == length - 1:
-            break
-        row = actions[k]
-        row[...] = policy.act(observation, rng)
-        np.minimum(np.maximum(row, -1.0, out=row), 1.0, out=row)  # np.clip in place, at less call overhead
-        observation = env.step(actions[k : k + 1]).observation[0]
+    action = None
+    try:
+        for k in range(length):
+            state = env.state
+            cash[k], holdings[k], values[k] = state.cash[0], state.shares[0], state.portfolio_value[0]
+            if k == length - 1:
+                break
+            action = policy.act(observation, rng)
+            actions[k] = action  # as returned: step clips what it takes, and the log is clipped once below
+            observation = env.step(actions[k : k + 1]).observation[0]
+    except ValueError as exc:
+        raise ValueError(f"policy {label!r} at step {k}: last action of shape {np.shape(action)}, "
+                         f"expected ({n},): {exc}") from exc
+    np.minimum(np.maximum(actions, -1.0, out=actions), 1.0, out=actions)  # np.clip in place
 
     return EpisodeLog(
         timestamps=features.timestamps[window.start : window.stop],
@@ -369,7 +385,7 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
         cash=cash,
         portfolio_value=values,
         rewards=np.diff(values),  # the unscaled reward IS the value delta, recorded exactly
-        agent_label=getattr(policy, "label", type(policy).__name__),
+        agent_label=label,
         meta={
             "config": asdict(cfg),
             "window": [window.start, window.stop],

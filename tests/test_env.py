@@ -252,6 +252,74 @@ def test_action_components_clamped():
     assert np.array_equal(state.shares, [[10]])  # clamped to +1 before scaling by hmax
 
 
+@pytest.mark.parametrize("copies", [1, 4])
+@pytest.mark.parametrize("gate", [None, 12.0], ids=["ungated", "gated"])
+def test_infinite_components_saturate_to_unit_ones(gate, copies):
+    """A step clips each component first, so ±inf leaves exactly the state,
+    reward and observation that ±1 in its place leaves."""
+    features = turbulent_features(23)
+    window = Window(16, 60)
+    cfg = EnvConfig(initial_capital=50_000.0, hmax=40, reward_scale=1e-3, turbulence_gate=gate)
+    infinite_env, unit_env = (TradingEnv(cfg, features, window, copies=copies) for _ in range(2))
+    assert np.array_equal(infinite_env.reset(), unit_env.reset())
+    turb, defined = features.turbulence
+    rng = np.random.default_rng(12)
+    gated_steps = bought = 0
+    for _ in range(window.steps):
+        unit = rng.uniform(-1.0, 1.0, size=(copies, 5))
+        saturated = rng.random((copies, 5)) < 0.4
+        unit[saturated] = np.sign(unit[saturated])
+        infinite = np.where(saturated, np.copysign(np.inf, unit), unit)
+        t, before = infinite_env.state.t, infinite_env.state.shares
+        got, expected = infinite_env.step(infinite), unit_env.step(unit)
+        assert np.array_equal(got.observation, expected.observation)
+        assert np.array_equal(got.reward, expected.reward) and got.done == expected.done
+        for field, a, b in zip(infinite_env.state._fields, infinite_env.state, unit_env.state):
+            assert np.array_equal(a, b), field
+        gated_steps += bool(gate is not None and defined[t] and turb[t] > gate)
+        bought += int((infinite_env.state.shares > before).sum())
+    assert (gated_steps > 0) == (gate is not None) and bought > 0
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+def test_nan_in_any_component_is_refused(copies):
+    features = make_features(["A", "B", "C"], 40, seed=3)
+    env = TradingEnv(EnvConfig(), features, Window(16, 40), copies=copies)
+    env.reset()
+    before = env.state
+    for e in range(copies):
+        for i in range(3):
+            action = np.tile([np.inf, -np.inf, 0.5], (copies, 1))  # ±inf alone would saturate
+            action[e, i] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                env.step(action)
+            assert env.state is before
+
+
+@pytest.mark.parametrize("offset", range(7))
+def test_unit_costs_on_a_window_past_index_zero(offset):
+    """Buys at window step ``offset`` pay that timestamp's close times
+    (1 + cost_rate), bit for bit as the product taken at the step gives it."""
+    closes = np.random.default_rng(21).uniform(5.0, 500.0, size=(12, 3))
+    cfg = EnvConfig(initial_capital=40_000.0, hmax=200, cost_rate=0.0013)
+    window = Window(4, 12)
+    env = TradingEnv(cfg, flat_features(closes), window)
+    env.reset()
+    for _ in range(offset):
+        env.step(np.zeros((1, 3)))  # trade nothing, so the cash stays the capital
+    t = env.state.t
+    env.step(np.ones((1, 3)))
+    have, fills = cfg.initial_capital, []
+    for unit in (closes[t] * (1.0 + cfg.cost_rate)).tolist():
+        qty = min(math.floor(have / unit), cfg.hmax)
+        while qty > 0 and qty * unit > have:
+            qty -= 1
+        have = have - qty * unit
+        fills.append(qty)
+    assert env.state.shares.tolist() == [fills] and env.state.cash.tolist() == [have]
+    assert 0 < sum(fills) < 3 * cfg.hmax  # cash binds
+
+
 def test_accounting_identity_fuzz():
     # 10^4 random steps: cash and shares stay non-negative, the recomputed
     # value matches, and position changes respect hmax
@@ -550,6 +618,33 @@ def test_portfolio_value_recomputable_from_panel():
     closes = features.closes[window.start : window.stop]
     recomputed = log.cash + np.sum(log.holdings * closes, axis=1)
     assert np.allclose(recomputed, log.portfolio_value, rtol=1e-12)
+
+
+class _Faulty:
+    """Holds, except at step ``at``, where it returns ``action``."""
+
+    label = "faulty"
+
+    def __init__(self, at, action):
+        self.at, self.action, self.calls = at, action, 0
+
+    def act(self, observation, rng):
+        self.calls += 1
+        return self.action if self.calls - 1 == self.at else np.zeros(2)
+
+
+@pytest.mark.parametrize(
+    "action, detail",
+    [(np.zeros(3), "could not broadcast"), (np.array([0.5, np.nan]), "NaN")],
+    ids=["wrong-shape", "nan"],
+)
+def test_run_episode_names_the_policy_at_fault(action, detail):
+    features = make_features(["A", "B"], 40, seed=2)
+    with pytest.raises(ValueError) as caught:
+        run_episode(_Faulty(3, action), EnvConfig(), features, Window(16, 40))
+    message = str(caught.value)
+    assert message.startswith(f"policy 'faulty' at step 3: last action of shape {action.shape}, expected (2,)")
+    assert detail in message
 
 
 def test_run_episode_determinism():

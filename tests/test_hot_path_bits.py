@@ -3,8 +3,8 @@
 Each reference below is the arithmetic the training step used before its
 numpy calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
-and backward passes, the batched ``TradingEnv.step`` and the ``a2c_train``
-loop. The references allocate a fresh array for every result; the package
+and backward passes, the batched ``TradingEnv.step``, the ``run_episode`` and
+``a2c_train`` loops. The references allocate a fresh array for every result; the package
 writes into buffers it owns (``a2c_update`` steps the parameters and the
 ``RmsPropState`` in place, ``mlp_backward`` fills a given ``MlpParams``), and
 must reproduce each of them exactly (``np.array_equal`` and ``==``, never a
@@ -31,7 +31,8 @@ from tradelab.agents.a2c import (
     save_checkpoint,
 )
 from tradelab.agents.mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
-from tradelab.env import EnvConfig, TradingEnv, Window
+from tradelab.agents.policies import BASELINE_POLICIES
+from tradelab.env import EnvConfig, TradingEnv, Window, run_episode, split_observation
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -229,6 +230,29 @@ class RefSingleEnv(RefTradingEnv):
     def __init__(self, cfg, features, window):
         super().__init__(cfg, features, window, copies=1)
         self.copies = None
+
+
+def ref_run_episode(policy, cfg, features, window, seed=0):
+    """The episode loop that clipped each action row in place before it
+    stepped, over the reference single env; returns the logged arrays."""
+    rng = np.random.default_rng(seed)
+    env = RefSingleEnv(cfg, features, window)
+    observation = env.reset()
+    n, length = features.n_tickers, len(window)
+    actions = np.zeros((length, n))
+    holdings = np.zeros((length, n), dtype=np.int64)
+    cash = np.zeros(length)
+    values = np.zeros(length)
+    for k in range(length):
+        cash[k], holdings[k], values[k] = env._cash[0], env._shares[0], env._values[0]
+        if k == length - 1:
+            break
+        row = actions[k]
+        row[...] = policy.act(observation, rng)
+        np.minimum(np.maximum(row, -1.0, out=row), 1.0, out=row)
+        observation = env.step(actions[k : k + 1])[0]
+    return {"actions": actions, "holdings": holdings, "cash": cash,
+            "portfolio_value": values, "rewards": np.diff(values)}
 
 
 def ref_a2c_train(cfg, features, env_cfg, window):
@@ -465,6 +489,47 @@ def test_buy_fill_at_cash_boundaries_matches_reference(case, copies):
     assert (bought == expected).all() and (cash >= 0.0).all()
     if case == "just-short":
         assert (cash == capital).all()
+
+
+# ---------------------------------------------------------------------------
+# the episode loop
+# ---------------------------------------------------------------------------
+
+class WildPolicy:
+    """Uniform components in [-3, 3], about a quarter of them replaced by ±inf."""
+
+    label = "wild"
+
+    def act(self, observation, rng):
+        n = split_observation(observation)[1].size
+        action = rng.uniform(-3.0, 3.0, size=n)
+        infinite = rng.random(n) < 0.25
+        action[infinite] = np.copysign(np.inf, action[infinite])
+        return action
+
+
+def _trained_policy(features, window):
+    cfg = A2CConfig(total_timesteps=200, n_envs=2, n_steps=5, seed=3, hidden_sizes=(8, 8))
+    policy, _ = a2c_train(cfg, lambda: TradingEnv(EnvConfig(), features, window))
+    return policy
+
+
+@pytest.mark.parametrize("capital", [1_000_000.0, 50_000.0], ids=["1m", "50k"])
+@pytest.mark.parametrize("agent", [*BASELINE_POLICIES, "mlp", "wild"])
+def test_run_episode_matches_reference_loop(agent, capital):
+    features = make_features(["A", "B", "C", "D", "E"], 120, seed=13, vol=0.02)
+    window = Window(features.warmup, 120)
+    if agent == "mlp":
+        policy = _trained_policy(features, window)
+    else:
+        policy = WildPolicy() if agent == "wild" else BASELINE_POLICIES[agent]()
+    cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001)
+    log = run_episode(policy, cfg, features, window, seed=6)
+    ref = ref_run_episode(policy, cfg, features, window, seed=6)
+    for name, expected in ref.items():
+        assert np.array_equal(getattr(log, name), expected), name
+    if agent == "wild":  # the reference saw out-of-range and infinite components, and clipped them
+        assert np.abs(ref["actions"]).max() == 1.0 and (np.abs(ref["actions"]) == 1.0).mean() > 0.25
 
 
 # ---------------------------------------------------------------------------
