@@ -429,7 +429,7 @@ def load_checkpoint(path) -> MlpPolicy:
         if not (isinstance(sizes, list) and len(sizes) == 4 and all(type(s) is int and s >= 1 for s in sizes)):
             raise ValueError(f"field 'sizes' must list four integers >= 1, got {sizes!r}")
         params = MlpParams(take("<f8", count("param_count")).copy(), sizes)
-        if not params.all_finite():
+        if not np.isfinite(params.vector).all():
             raise TradeLabError("checkpoint contains non-finite parameters")
         if count("obs_dim") != params.sizes[0]:
             raise ValueError(f"field 'obs_dim' is {header['obs_dim']}, but field 'sizes' starts with {params.sizes[0]}")

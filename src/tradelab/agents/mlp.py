@@ -10,7 +10,6 @@ reverse-mode.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -33,10 +32,9 @@ class ShapeMismatch(TradeLabError):
 _NAMES = ("w1", "b1", "w2", "b2", "w_mean", "b_mean", "w_value", "b_value", "log_std")
 
 
-@functools.lru_cache(maxsize=16)
 def _layout(sizes: tuple) -> tuple:
     """(total length, (name, start, stop, shape) per parameter in _NAMES order)
-    for a tuple of int sizes, computed once per distinct sizes."""
+    for a tuple of int sizes."""
     d, h1, h2, n = sizes
     shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, n), (n,), (h2, 1), (1,), (n,)]
     entries, offset = [], 0
@@ -69,9 +67,6 @@ class MlpParams:
     @classmethod
     def zeros(cls, sizes) -> "MlpParams":
         return cls(np.zeros(_layout(tuple(map(int, sizes)))[0]), sizes)
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.vector).all())
 
 
 def init_mlp(sizes, rng: np.random.Generator) -> MlpParams:

@@ -26,8 +26,6 @@ __all__ = [
     "DiversityStats",
     "BehaviorReport",
     "ProfileComparison",
-    "WindowMismatch",
-    "DuplicateLabel",
     "MalformedReport",
     "cumulative_reward",
     "integral_holding",
@@ -49,14 +47,6 @@ COMPARISON_METRICS = ("final_cumulative_reward", "trader_score", "hhi", "max_sha
 REPORT_MAGIC = "tradelab-report-v1"
 
 
-class WindowMismatch(TradeLabError):
-    pass
-
-
-class DuplicateLabel(TradeLabError):
-    pass
-
-
 class MalformedReport(TradeLabError):
     pass
 
@@ -71,15 +61,6 @@ class TradeStats:
     stationarity_fraction: float  # fraction of (step, ticker) pairs left unchanged
     mean_holding_run: float  # mean rows per maximal constant-holding segment
 
-    def to_dict(self) -> dict:
-        return {
-            "trade_count": [int(v) for v in self.trade_count],
-            "total_turnover": [int(v) for v in self.total_turnover],
-            "max_shares_held": [int(v) for v in self.max_shares_held],
-            "stationarity_fraction": self.stationarity_fraction,
-            "mean_holding_run": self.mean_holding_run,
-        }
-
 
 @dataclass(frozen=True)
 class DiversityStats:
@@ -89,9 +70,6 @@ class DiversityStats:
     active_tickers: int
     hhi: float | None
     top1_share: float | None
-
-    def to_dict(self) -> dict:
-        return {"active_tickers": self.active_tickers, "hhi": self.hhi, "top1_share": self.top1_share}
 
 
 @dataclass(frozen=True)
@@ -195,13 +173,13 @@ def compare_profiles(reports) -> ProfileComparison:
     base = reports[0].timestamps
     for report in reports[1:]:
         if not np.array_equal(report.timestamps, base):
-            raise WindowMismatch(
+            raise TradeLabError(
                 f"report {report.agent_label!r} covers a different window than {reports[0].agent_label!r}"
             )
     labels = tuple(r.agent_label for r in reports)
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
-        raise DuplicateLabel(
+        raise TradeLabError(
             f"reports share the agent label {repeated[0]!r}; each row of a comparison needs its own label"
         )
     return ProfileComparison(
@@ -236,6 +214,11 @@ def _json_floats(values: np.ndarray) -> list:
     return texts
 
 
+def _json_fields(record) -> dict:
+    """A stats record's fields as JSON values, each array as a list."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in vars(record).items()}
+
+
 def save_report(report: BehaviorReport, directory) -> None:
     """Write report.json plus cumulative_reward/integral_holding/
     holdings_matrix CSVs under the given directory."""
@@ -248,8 +231,8 @@ def save_report(report: BehaviorReport, directory) -> None:
     small = {
         "format": REPORT_MAGIC,
         "agent_label": report.agent_label,
-        "trade_stats": report.trade_stats.to_dict(),
-        "diversity": report.diversity.to_dict(),
+        "trade_stats": _json_fields(report.trade_stats),
+        "diversity": _json_fields(report.diversity),
         "trader_score": report.trader_score,
     }
     # json.dumps(doc, sort_keys=True, indent=2), with the four large arrays encoded column-wise

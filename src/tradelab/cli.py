@@ -48,13 +48,9 @@ from .marketdata import (
 )
 from .svgchart import render_bar_chart, render_line_chart
 
-__all__ = ["RunConfig", "UnknownAgent", "main", "entrypoint"]
+__all__ = ["RunConfig", "main", "entrypoint"]
 
 SECTIONS = {"indicators": IndicatorConfig, "env": EnvConfig, "a2c": A2CConfig}
-
-
-class UnknownAgent(TradeLabError):
-    pass
 
 
 @dataclass
@@ -99,6 +95,8 @@ class RunConfig:
                 raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
             sections = {name: decode_config(kind, raw[name], name) for name, kind in SECTIONS.items() if name in raw}
             cfg = decode_config(cls, {**raw, **sections}, None)
+            if "seed" in raw.get("a2c", {}) and cfg.a2c.seed != cfg.seed:  # train seeds A2C with the run's seed
+                raise ConfigError(f"config field a2c.seed is {cfg.a2c.seed}, but the run's seed is {cfg.seed}")
         except (ConfigError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise ConfigError(f"{exc} in {path}") from None
         base = path.parent
@@ -206,7 +204,7 @@ def _resolve_agent(name: str, n_tickers: int):
                 f"but the run's {n_tickers} tickers give {width}-wide ones"
             )
         return policy
-    raise UnknownAgent(
+    raise TradeLabError(
         f"unknown agent {name!r}; valid baselines: {', '.join(sorted(BASELINE_POLICIES))}, "
         "or pass a checkpoint path"
     )

@@ -54,8 +54,6 @@ __all__ = [
     "EpisodeLog",
     "TradingEnv",
     "EnvError",
-    "WindowBeforeWarmup",
-    "StepAfterDone",
     "MalformedLog",
     "observation_size",
     "split_observation",
@@ -66,14 +64,6 @@ __all__ = [
 
 
 class EnvError(TradeLabError):
-    pass
-
-
-class WindowBeforeWarmup(EnvError):
-    pass
-
-
-class StepAfterDone(EnvError):
     pass
 
 
@@ -95,8 +85,8 @@ class EnvConfig:
         check_fields(self)
         if self.initial_capital <= 0:
             raise ValueError("initial_capital must be positive")
-        if self.hmax < 1:
-            raise ValueError("hmax must be >= 1")
+        if not 1 <= self.hmax <= 2**53:  # up to 2**53, rint(action * hmax) is an exact int64 for |action| <= 1
+            raise ValueError(f"hmax must lie in [1, 2**53], got {self.hmax}")
         if not (0.0 <= self.cost_rate <= 0.1):
             raise ValueError("cost_rate must lie in [0, 0.1]")
         if self.reward_scale <= 0:
@@ -179,7 +169,7 @@ class TradingEnv:
 
     def __init__(self, cfg: EnvConfig, features: FeaturePanel, window: Window, copies: int = 1):
         if window.start < features.warmup:
-            raise WindowBeforeWarmup(f"window starts at {window.start} but features are defined from {features.warmup}")
+            raise EnvError(f"window starts at {window.start} but features are defined from {features.warmup}")
         if window.stop > features.n_timestamps:
             raise ValueError(f"window stops at {window.stop} beyond panel length {features.n_timestamps}")
         if int(copies) != copies or copies < 1:
@@ -220,7 +210,7 @@ class TradingEnv:
         before = self.state
         t = before.t
         if t >= self.window.stop - 1:
-            raise StepAfterDone(f"episode already finished at index {t}")
+            raise EnvError(f"episode already finished at index {t}")
         cfg, shares = self.cfg, before.shares
         a = np.asarray(action, dtype=np.float64)
         if a.shape != shares.shape:

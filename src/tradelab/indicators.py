@@ -30,7 +30,6 @@ __all__ = [
     "IndicatorConfig",
     "FeaturePanel",
     "IndicatorError",
-    "SingularCovariance",
     "InsufficientHistory",
     "sma",
     "ema",
@@ -49,10 +48,6 @@ FEATURE_NAMES = ("macd", "boll_ub", "boll_lb", "rsi", "cci", "dx", "sma_short", 
 
 
 class IndicatorError(TradeLabError):
-    pass
-
-
-class SingularCovariance(IndicatorError):
     pass
 
 
@@ -282,8 +277,8 @@ def turbulence(panel: MarketPanel, window: int):
     d[t] = (r_t - mu) Sigma^-1 (r_t - mu)^T with mu/Sigma the mean and sample
     covariance of the `window` return vectors strictly before t. Undefined for
     t < window + 1. Sigma gets an eps*I bump when the Cholesky factorization
-    fails; if it still fails the data is degenerate and SingularCovariance
-    is raised.
+    fails; if it still fails the data is degenerate and IndicatorError is
+    raised.
     """
     n_tickers = panel.n_tickers
     t_len = panel.n_timestamps
@@ -297,17 +292,14 @@ def turbulence(panel: MarketPanel, window: int):
         mu = trailing.mean(axis=0)
         sigma = np.atleast_2d(np.cov(trailing, rowvar=False, ddof=1))
         dev = returns[t - 1] - mu
-        chol = None
-        for attempt in range(2):
+        try:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            eps = 1e-8 * np.trace(sigma) / n_tickers
             try:
-                chol = np.linalg.cholesky(sigma)
-                break
+                chol = np.linalg.cholesky(sigma + eps * np.eye(n_tickers))
             except np.linalg.LinAlgError:
-                if attempt == 0:
-                    eps = 1e-8 * np.trace(sigma) / n_tickers
-                    sigma = sigma + eps * np.eye(n_tickers)
-        if chol is None:
-            raise SingularCovariance(f"return covariance is singular at index {t} even after regularization")
+                raise IndicatorError(f"return covariance is singular at index {t} even after regularization") from None
         z = np.linalg.solve(chol, dev)
         values[t] = float(z @ z)
     return values, defined

@@ -28,9 +28,7 @@ __all__ = [
     "MarketPanel",
     "ALIGN_MODES",
     "MarketDataError",
-    "SchemaMismatch",
     "InvalidBar",
-    "DuplicateTimestamp",
     "EmptyIntersection",
     "parse_timestamp",
     "parse_timestamps",
@@ -61,20 +59,12 @@ class MarketDataError(TradeLabError):
     """Base for data errors."""
 
 
-class SchemaMismatch(MarketDataError):
-    pass
-
-
 class InvalidBar(MarketDataError):
     """A bar breaks an invariant or the time order; ``index`` is its position, when known."""
 
     def __init__(self, reason: str, index: int | None = None, ticker: str = "", **context):
         super().__init__(reason if index is None else f"{ticker}: {reason} at index {index}", **context)
         self.reason, self.index = reason, index
-
-
-class DuplicateTimestamp(MarketDataError):
-    pass
 
 
 class EmptyIntersection(MarketDataError):
@@ -394,7 +384,7 @@ class MarketPanel:
 def _column_indices(header: list[str], names, path) -> list[int]:
     for name in names:
         if name not in header:
-            raise SchemaMismatch(f"missing column {name!r}", path=path, row=1)
+            raise MarketDataError(f"missing column {name!r}", path=path, row=1)
     return [header.index(name) for name in names]
 
 
@@ -444,8 +434,8 @@ def load_series(path, name: str) -> AuxSeries:
     ordered = _increasing(timestamps)
     if not ordered.all():  # sorted, so a repeat
         k = int(np.argmin(ordered))
-        raise DuplicateTimestamp(f"duplicate timestamp {format_timestamp(timestamps[k])}", path=path,
-                                 row=int(order[k]) + 2)
+        raise MarketDataError(f"duplicate timestamp {format_timestamp(timestamps[k])}", path=path,
+                              row=int(order[k]) + 2)
     return AuxSeries(name=name, timestamps=timestamps, values=values[order])
 
 

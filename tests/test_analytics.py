@@ -12,9 +12,7 @@ from tradelab.agents import HoldPolicy, RandomPolicy
 from tradelab.analytics import (
     BehaviorReport,
     DiversityStats,
-    DuplicateLabel,
     MalformedReport,
-    WindowMismatch,
     behavior_profile,
     compare_profiles,
     cumulative_reward,
@@ -26,6 +24,7 @@ from tradelab.analytics import (
     write_comparison_csv,
 )
 from tradelab.env import EnvConfig, EpisodeLog, MalformedLog, Window, run_episode
+from tradelab.errors import TradeLabError
 
 START = 1_646_380_800
 
@@ -323,7 +322,7 @@ class TestCompareProfiles:
     def test_window_mismatch(self, rng):
         a = behavior_profile(synthetic_log(rng, t=30))
         b = behavior_profile(synthetic_log(rng, t=31))
-        with pytest.raises(WindowMismatch):
+        with pytest.raises(TradeLabError, match="covers a different window than"):
             compare_profiles([a, b])
 
     def test_duplicate_labels_rejected(self, rng):
@@ -331,7 +330,7 @@ class TestCompareProfiles:
         a = behavior_profile(synthetic_log(rng, label="twin"))
         b = behavior_profile(synthetic_log(rng, label="solo"))
         c = behavior_profile(synthetic_log(rng, label="twin"))
-        with pytest.raises(DuplicateLabel, match="'twin'"):
+        with pytest.raises(TradeLabError, match="reports share the agent label 'twin'"):
             compare_profiles([a, b, c])
 
     def test_needs_two(self, rng):

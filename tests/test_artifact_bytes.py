@@ -28,7 +28,6 @@ from tradelab.indicators import FEATURE_NAMES, write_features_csv
 from tradelab.marketdata import (
     AuxSeries,
     BarSeries,
-    DuplicateTimestamp,
     EmptyIntersection,
     InvalidBar,
     MarketDataError,
@@ -88,6 +87,7 @@ def ref_save_episode_log(log, path):
 
 def ref_save_report(report, directory):
     directory.mkdir(parents=True, exist_ok=True)
+    stats = report.trade_stats
     doc = {
         "format": "tradelab-report-v1",
         "agent_label": report.agent_label,
@@ -95,8 +95,14 @@ def ref_save_report(report, directory):
         "cumulative_reward": [float(v) for v in report.cumulative_reward],
         "integral_holding": [int(v) for v in report.integral_holding],
         "holdings_matrix": [[int(v) for v in row] for row in report.holdings_matrix],
-        "trade_stats": report.trade_stats.to_dict(),
-        "diversity": report.diversity.to_dict(),
+        "trade_stats": {
+            "trade_count": [int(v) for v in stats.trade_count],
+            "total_turnover": [int(v) for v in stats.total_turnover],
+            "max_shares_held": [int(v) for v in stats.max_shares_held],
+            "stationarity_fraction": stats.stationarity_fraction,
+            "mean_holding_run": stats.mean_holding_run,
+        },
+        "diversity": {name: getattr(report.diversity, name) for name in ("active_tickers", "hhi", "top1_share")},
         "trader_score": report.trader_score,
     }
     (directory / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -272,7 +278,7 @@ def ref_load_series(path, name):
     parsed.sort(key=lambda item: item[0])
     for prev, cur in zip(parsed, parsed[1:]):
         if cur[0] == prev[0]:
-            raise DuplicateTimestamp(f"duplicate timestamp {ref_format_timestamp(cur[0])}", path=path, row=cur[2])
+            raise MarketDataError(f"duplicate timestamp {ref_format_timestamp(cur[0])}", path=path, row=cur[2])
     return (np.array([p[0] for p in parsed], dtype=np.int64), np.array([p[1] for p in parsed]))
 
 

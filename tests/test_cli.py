@@ -360,8 +360,11 @@ class TestTrain:
         run(workspace, "ingest")
         assert run(workspace, "train") == 0
         first = (workspace / "out" / "a2c.ckpt").read_bytes()
+        edit_config(workspace, "a2c", seed=3)  # the run's seed, stated again where A2CConfig keeps it
         assert run(workspace, "train") == 0
         assert (workspace / "out" / "a2c.ckpt").read_bytes() == first
+        assert run(workspace, "train", "--seed", "4") == 0  # --seed overrides both
+        assert (workspace / "out" / "a2c.ckpt").read_bytes() != first
 
     def test_timesteps_flag(self, workspace, capsys):
         run(workspace, "ingest")
@@ -537,6 +540,9 @@ class TestMalformedInputs:
             ("a2c", {"rms_decay": -0.5}, ["'a2c'", "rms_decay"]),
             ("a2c", {"rms_eps": 0.0}, ["'a2c'", "rms_eps"]),
             ("a2c", {"hidden_sizes": [0, 64]}, ["'a2c'", "hidden_sizes"]),
+            ("env", {"hmax": 2**53 + 1}, ["'env'", "hmax", "2**53"]),
+            ("env", {"hmax": 2**63}, ["'env'", "hmax", "2**53"]),
+            ("a2c", {"seed": 5}, ["a2c.seed is 5", "seed is 3", "config.json"]),
         ],
     )
     def test_bad_config_section_exits_one(self, workspace, capsys, section, value, names):

@@ -13,10 +13,8 @@ from tradelab.env import (
     EnvError,
     EpisodeLog,
     MalformedLog,
-    StepAfterDone,
     TradingEnv,
     Window,
-    WindowBeforeWarmup,
     load_episode_log,
     observation_size,
     run_episode,
@@ -112,7 +110,7 @@ def test_reset_is_deterministic():
 
 def test_reset_before_warmup_rejected():
     features = make_features(["A", "B"], 30, seed=1)
-    with pytest.raises(WindowBeforeWarmup):
+    with pytest.raises(EnvError, match="window starts at 10 but features are defined from"):
         TradingEnv(EnvConfig(), features, Window(10, 30)).reset()
 
 
@@ -219,13 +217,24 @@ def test_buys_fill_in_ascending_ticker_order():
     assert abs(state.cash[0] - 50.0) <= 1e-12
 
 
+def test_hmax_at_its_bound_buys_within_cash():
+    # EnvConfig refuses hmax above 2**53; at the bound rint(action * hmax) is an
+    # exact int64, so a full buy step raises no overflow warning (warnings are errors)
+    features = flat_features(np.array([[100.0, 100.0], [100.0, 100.0]]))
+    env = TradingEnv(EnvConfig(initial_capital=350.0, hmax=2**53, cost_rate=0.0), features, Window(0, 2))
+    env.reset()
+    env.step(np.array([[1.0, 1.0]]))
+    assert env.state.shares.tolist() == [[3, 0]]
+    assert env.state.cash.tolist() == [50.0]
+
+
 def test_step_after_done():
     features = flat_features(np.array([[10.0], [11.0]]))
     cfg = EnvConfig()
     env = TradingEnv(cfg, features, Window(0, 2))
     env.reset()
     env.step(np.zeros((1, 1)))
-    with pytest.raises(StepAfterDone):
+    with pytest.raises(EnvError, match="episode already finished at index 1"):
         env.step(np.zeros((1, 1)))
 
 

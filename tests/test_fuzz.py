@@ -149,6 +149,8 @@ def test_config_classes_refuse_from_python_what_json_refuses():
     (IndicatorConfig, "rsi_period", float("inf")),
     (A2CConfig, "hidden_sizes", (0, 64)),
     (A2CConfig, "hidden_sizes", (-1, 64)),
+    (EnvConfig, "hmax", 2**53 + 1),
+    (EnvConfig, "hmax", 2**63),
 ])
 def test_config_class_refuses_a_value_json_refuses(cls, name, value):
     with pytest.raises(ValueError, match=name):

@@ -20,7 +20,6 @@ from tradelab.indicators import (
     IndicatorConfig,
     IndicatorError,
     InsufficientHistory,
-    SingularCovariance,
     bollinger,
     build_features,
     cci,
@@ -456,7 +455,7 @@ def test_turbulence_singular_covariance():
         for name in ("A", "B")
     ]
     panel = align_panel(series, fill="intersect")
-    with pytest.raises(SingularCovariance):
+    with pytest.raises(IndicatorError, match="singular at index 11 even after regularization"):
         turbulence(panel, 10)
 
 
