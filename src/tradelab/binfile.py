@@ -24,9 +24,10 @@ class MalformedFile(TradeLabError):
 
 def write_frame(path, magic: str, header: dict, arrays) -> None:
     """Write ``header`` (plus ``format: magic``) and then each array, little-endian, in order."""
-    head = json.dumps({"format": magic, **header}, sort_keys=True).encode() + b"\n"
-    payload = [arr.astype(arr.dtype.newbyteorder("<")).tobytes() for arr in arrays]
-    Path(path).write_bytes(b"".join([head, *payload]))
+    with Path(path).open("wb") as handle:
+        handle.write(json.dumps({"format": magic, **header}, sort_keys=True).encode() + b"\n")
+        for arr in arrays:  # each array as it is, when it is already little-endian and in C order
+            handle.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
 
 
 def read_frame(path, magic: str, decode):

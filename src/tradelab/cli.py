@@ -71,6 +71,11 @@ class RunConfig:
     def __post_init__(self):
         if self.align not in ALIGN_MODES:
             raise ValueError(f"align must be one of {ALIGN_MODES}, got {self.align!r}")
+        if self.split is not None:
+            try:
+                parse_timestamp(self.split)
+            except ValueError as exc:
+                raise ValueError(f"split: {exc}") from None
         if not self.tickers:
             self.tickers = sorted(self.data)
         missing = [t for t in self.tickers if t not in self.data]

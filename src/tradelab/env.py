@@ -34,10 +34,10 @@ from .config import check_fields
 from .errors import TradeLabError
 from .indicators import FEATURE_NAMES, FeaturePanel
 from .marketdata import (
+    _ButLast,
     _freeze,
     _increasing,
     format_timestamps,
-    parse_csv_columns,
     parse_floats,
     parse_timestamps,
     read_csv_columns,
@@ -423,6 +423,24 @@ def _share_counts(cells) -> np.ndarray:
     return values.astype(np.int64)
 
 
+def _indexed_columns(header: list[str], prefix: str, path) -> list[int]:
+    """The positions of the header's ``<prefix><i>`` columns in the order of
+    ``i``, which must be ASCII digits; the indices must be 0..n-1, each once."""
+    found: dict[int, int] = {}
+    for j, name in enumerate(header):
+        if name.startswith(prefix):
+            suffix = name[len(prefix):]
+            if not (suffix.isascii() and suffix.isdigit()):
+                raise MalformedLog("column index is not an integer", path=path, row=1, column=name)
+            if int(suffix) in found:
+                raise MalformedLog(f"column index {int(suffix)} repeats", path=path, row=1, column=name)
+            found[int(suffix)] = j
+    for i, j in found.items():
+        if i >= len(found):
+            raise MalformedLog(f"column index {i} is outside 0..{len(found) - 1}", path=path, row=1, column=header[j])
+    return [found[i] for i in range(len(found))]
+
+
 def load_episode_log(path) -> EpisodeLog:
     """Read a log written by save_episode_log or by an external agent.
 
@@ -431,25 +449,24 @@ def load_episode_log(path) -> EpisodeLog:
     must be whole numbers of shares ("3.0" reads as 3).
     """
     path = Path(path)
-    fixed = len(_LOG_COLUMNS)
+    parsers = [parse_timestamps, parse_floats, parse_floats, _ButLast(parse_floats)]  # the terminal reward is no step
 
     def pick(header: list[str]) -> list[int]:
-        if tuple(header[:fixed]) != _LOG_COLUMNS:
-            raise MalformedLog(f"unexpected header {header[:fixed]}", path=path, row=1)
-        action_cols = [i for i, name in enumerate(header) if name.startswith("action_")]
-        hold_cols = [i for i, name in enumerate(header) if name.startswith("hold_")]
-        if not action_cols or len(action_cols) != len(hold_cols):
+        if tuple(header[: len(_LOG_COLUMNS)]) != _LOG_COLUMNS:
+            raise MalformedLog(f"unexpected header {header[: len(_LOG_COLUMNS)]}", path=path, row=1)
+        actions, holds = _indexed_columns(header, "action_", path), _indexed_columns(header, "hold_", path)
+        if not actions or len(actions) != len(holds):
             raise MalformedLog("action_*/hold_* columns missing or unbalanced", path=path, row=1)
-        return [*range(1, fixed), *action_cols, *hold_cols]  # every column but t
+        parsers.extend([parse_floats] * len(actions) + [_share_counts] * len(holds))
+        return [*range(1, len(_LOG_COLUMNS)), *actions, *holds]  # every column but t
 
-    names, cells, short = read_csv_columns(path, MalformedLog, pick)
-    n = (len(names) - fixed + 1) // 2
-    cells[3] = cells[3][:-1]  # the terminal row's reward is no step
-    parsers = [parse_timestamps] + [parse_floats] * (3 + n) + [_share_counts] * n
-    arrays, fault = parse_csv_columns(path, MalformedLog, list(zip(names, cells, parsers)), fault=short)
+    arrays, fault = read_csv_columns(path, MalformedLog, pick, parsers)
     if fault is not None:
         raise fault
     timestamps, cash, values, rewards, *columns = arrays
+    n = len(columns) // 2
+    actions, holdings = np.column_stack(columns[:n]), np.column_stack(columns[n:])
+    del arrays, columns  # the stacked copies replace them before EpisodeLog copies those
 
     agent_label = path.stem
     meta: dict = {}
@@ -468,8 +485,8 @@ def load_episode_log(path) -> EpisodeLog:
     try:
         return EpisodeLog(
             timestamps=timestamps,
-            actions=np.column_stack(columns[:n]),
-            holdings=np.column_stack(columns[n:]),
+            actions=actions,
+            holdings=holdings,
             cash=cash,
             portfolio_value=values,
             rewards=rewards,

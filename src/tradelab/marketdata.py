@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import functools
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +41,6 @@ __all__ = [
     "write_csv_columns",
     "write_long_csv",
     "read_csv_columns",
-    "parse_csv_columns",
     "load_bars",
     "load_series",
     "align_panel",
@@ -53,6 +54,7 @@ __all__ = [
 PANEL_MAGIC = "tradelab-panel-v1"
 OHLCV = ("open", "high", "low", "close", "volume")
 ALIGN_MODES = ("intersect", "forward-fill")
+_BLOCK_ROWS = 512  # data rows that read_csv_columns holds as text and parses at a time
 
 
 class MarketDataError(TradeLabError):
@@ -164,15 +166,17 @@ def _cells(column):
     if not isinstance(column, np.ndarray):
         return column
     text = float.__repr__ if column.dtype.kind == "f" else str
-    return map(text, column.tolist() if column.ndim == 1 else chain.from_iterable(map(np.ndarray.tolist, column)))
+    blocks = (column[k : k + _BLOCK_ROWS].ravel().tolist() for k in range(0, len(column), _BLOCK_ROWS))
+    return map(text, chain.from_iterable(blocks))
 
 
 def write_csv_columns(path, header: list[str], columns) -> None:
     """Write a CSV file, byte for byte as ``csv.writer`` writes its rows. A
-    column is a 1-D or 2-D array, written in C order a row at a time (floats
-    by ``float.__repr__``, integers by ``str``), or an iterable of cell text,
-    written as given: user text (tickers, labels) comes through ``quote_csv``.
-    Rows are written one at a time, so lazy columns stream."""
+    column is a 1-D or 2-D array, written in C order (floats by
+    ``float.__repr__``, integers by ``str``) and turned into Python numbers
+    ``_BLOCK_ROWS`` rows at a time, or an iterable of cell text, written as
+    given: user text (tickers, labels) comes through ``quote_csv``. Rows are
+    written one at a time, so lazy columns stream."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(quote_csv, header)) + "\r\n")
         handle.writelines(map("{}\r\n".format, map(",".join, zip(*map(_cells, columns)))))
@@ -191,49 +195,86 @@ def write_long_csv(path, timestamps, tickers, columns: dict) -> None:
     ])
 
 
-def read_csv_columns(path, error, pick) -> tuple[list[str], list[tuple], TradeLabError | None]:
-    """``(names, columns, short)``: the header names and cell tuples of the
-    columns ``pick(header)`` checks and selects (an empty file has header
-    ``[]``), up to the first row too short to hold them, and the ``error``
-    naming that row, or None. Text that is not UTF-8 CSV raises ``error``."""
+class _ButLast(NamedTuple):
+    """A parser for ``read_csv_columns`` whose column leaves out the cell of the
+    last row kept, as an episode log's terminal reward, which no step earns."""
+
+    parse: Callable
+
+
+def read_csv_columns(path, error, pick, parsers) -> tuple[list[np.ndarray], TradeLabError | None]:
+    """Read the columns that ``pick(header)`` checks and selects (an empty file
+    has header ``[]``), ``_BLOCK_ROWS`` data rows at a time, and parse each
+    block's cells of the k-th column with ``parsers[k]`` at once; only a column
+    that fails is searched for its first bad cell. Only the parsed arrays are
+    kept, joined at the end. ``pick`` runs before ``parsers`` is read, so it
+    may extend ``parsers`` to fit the header; a ``_ButLast`` parser's column
+    leaves out the last row kept.
+
+    The rows kept end before the first row too short to hold the columns. Returns
+    the arrays up to the first faulty row (a short row, or a cell its parser
+    refuses: the earliest row, then the leftmost column) and the ``error`` naming
+    it, or None. The rest of the file is still read, so text that is not UTF-8
+    CSV raises ``error`` wherever it sits, before any refusal of ``pick`` or of
+    a parser that fails a block whose cells each parse."""
     try:
         with Path(path).open(encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            rows = csv.reader(handle)
+            try:
+                return _read_blocks(path, error, pick, parsers, rows)
+            except TradeLabError:  # a refusal by pick or a parser comes after the text check
+                deque(rows, maxlen=0)
+                raise
     except (UnicodeDecodeError, csv.Error) as exc:
         raise error(f"not CSV text: {exc}", path=path) from None
-    header = rows.pop(0) if rows else []
+
+
+def _read_blocks(path, error, pick, parsers, rows):
+    """``read_csv_columns`` over the ``csv.reader`` rows of an open file."""
+    header = next(rows, [])
     indices = pick(header)
-    width, short = max(indices) + 1, None
-    if min(map(len, rows), default=width) < width:
-        k = next(k for k, cells in enumerate(rows) if len(cells) < width)
-        short = error(f"row has {len(rows[k])} cells, the header needs {width}", path=path, row=k + 2)
-        del rows[k:]
-    columns = list(zip(*rows)) or [()] * width  # every row left holds `width` cells, so zip drops no picked one
-    return [header[j] for j in indices], [columns[j] for j in indices], short
+    width = max(indices) + 1
+    but_last = [isinstance(parse, _ButLast) for parse in parsers]
+    parsers = [parse.parse if last else parse for parse, last in zip(parsers, but_last)]
+    parts = [[parse(())] for parse in parsers]  # typed, for a file with no rows kept
+    ahead, row, fault = list(islice(rows, 1)), 2, None  # a row of look-ahead: do the rows kept end in a block?
+    while ahead and fault is None:
+        block = ahead + list(islice(rows, _BLOCK_ROWS))
+        ahead = block[_BLOCK_ROWS:]
+        del block[_BLOCK_ROWS:]
+        kept = next((k for k, cells in enumerate(block) if len(cells) < width), len(block))
+        ends = kept < len(block) or not ahead or len(ahead[0]) < width
+        columns = list(zip(*block[:kept])) or [()] * width  # every row kept holds `width` cells
+        cells = [columns[j][: kept - 1 if ends and last else kept] for j, last in zip(indices, but_last)]
+        faults, arrays = [], []
+        for j, column, parse in zip(indices, cells, parsers):
+            try:
+                arrays.append(parse(column))
+            except (ValueError, OverflowError) as reason:
+                faults.append(_first_fault(path, error, header[j], column, parse, row, reason))
+        if kept < len(block):
+            faults.append(error(f"row has {len(block[kept])} cells, the header needs {width}",
+                                path=path, row=row + kept))
+        if faults:
+            fault = min(faults, key=lambda exc: exc.row)  # stable: the leftmost column of the earliest row
+            arrays = [parse(column[: fault.row - row]) for column, parse in zip(cells, parsers)]
+        for part, array in zip(parts, arrays):
+            part.append(array)
+        row += len(block)
+        del block, columns, cells  # so the next block's text replaces this one's instead of joining it
+    deque(rows, maxlen=0)  # the rest of the file, unkept: text that is not CSV raises here too
+    return [np.concatenate(part) for part in parts], fault
 
 
-def parse_csv_columns(path, error, columns, fault=None) -> tuple[list, TradeLabError | None]:
-    """Parse each ``(name, cells, parse)`` of ``columns`` at once; only a column
-    that fails is searched for its first bad cell. The cells are the data rows
-    2, 3, ... of the file. Returns the arrays up to the first faulty row and
-    the ``error`` naming it, or the given ``fault`` if that comes first."""
-    arrays, faults = [], [] if fault is None else [fault]
-    for name, cells, parse in columns:
+def _first_fault(path, error, name, cells, parse, row, reason):
+    """The ``error`` naming the first cell of ``cells`` (data row ``row`` on) that
+    ``parse`` refuses alone; with none, raises the whole column's ``reason``."""
+    for row, cell in enumerate(cells, start=row):
         try:
-            arrays.append(parse(cells))
-        except (ValueError, OverflowError) as reason:
-            for row, cell in enumerate(cells, start=2):
-                try:
-                    parse((cell,))
-                except (ValueError, OverflowError) as exc:
-                    faults.append(error(f"unparsable field: {exc}", path=path, row=row, column=name))
-                    break
-            else:
-                raise error(f"unparsable column: {reason}", path=path, column=name) from None
-    if not faults:
-        return arrays, None
-    fault = min(faults, key=lambda exc: exc.row)
-    return [parse(cells[: fault.row - 2]) for _, cells, parse in columns], fault
+            parse((cell,))
+        except (ValueError, OverflowError) as exc:
+            return error(f"unparsable field: {exc}", path=path, row=row, column=name)
+    raise error(f"unparsable column: {reason}", path=path, column=name) from None
 
 
 def _frozen(value, dtype, shape, name: str) -> np.ndarray:
@@ -396,13 +437,13 @@ def load_bars(path, ticker: str | None = None) -> BarSeries:
     """
     path = Path(path)
     name = ticker if ticker is not None else path.stem
-    names, cells, short = read_csv_columns(path, MarketDataError,
-                                           lambda header: _column_indices(header, ("timestamp", *OHLCV), path))
-
-    # Parse up to the first unparsable row; BarSeries then checks the parsed
-    # bars at once, and a bad bar before that row is the one reported.
-    parsers = [parse_timestamps] + [parse_floats] * len(OHLCV)
-    arrays, fault = parse_csv_columns(path, InvalidBar, list(zip(names, cells, parsers)), short)
+    # Parse up to the first faulty row; BarSeries then checks the parsed bars
+    # at once, and a bad bar before that row is the one reported.
+    arrays, fault = read_csv_columns(path, MarketDataError,
+                                     lambda header: _column_indices(header, ("timestamp", *OHLCV), path),
+                                     [parse_timestamps] + [parse_floats] * len(OHLCV))
+    if fault is not None and fault.column is not None:  # an unparsable cell, not a short row
+        fault = InvalidBar(fault.reason, path=path, row=fault.row, column=fault.column)
     if arrays[0].size == 0:
         raise fault or InvalidBar(f"no usable rows for ticker {name!r}", path=path)
     try:
@@ -421,10 +462,9 @@ def load_series(path, name: str) -> AuxSeries:
     timestamps are rejected.
     """
     path = Path(path)
-    names, cells, short = read_csv_columns(path, MarketDataError,
-                                           lambda header: _column_indices(header, ("timestamp", "value"), path))
-    columns = list(zip(names, cells, (parse_timestamps, parse_floats)))
-    (timestamps, values), fault = parse_csv_columns(path, MarketDataError, columns, fault=short)
+    (timestamps, values), fault = read_csv_columns(
+        path, MarketDataError, lambda header: _column_indices(header, ("timestamp", "value"), path),
+        [parse_timestamps, parse_floats])
     if fault is not None:
         raise fault
     if timestamps.size == 0:

@@ -5,7 +5,10 @@ Each reference below is the cell-by-cell implementation that the column-wise
 code replaced: ``csv.writer`` rows, ``json.dumps(indent=2)``, per-point
 coordinate closures, ``datetime`` formatting and per-row parsing. The package
 must reproduce its bytes, and its parsed arrays, exactly; the bar and aux
-loaders must also raise the reference's errors. ``ref_align_panel`` is the
+loaders must also raise the reference's errors. ``ref_read_csv_columns`` and
+``ref_parse_csv_columns`` are the whole-file reader that the block reader
+replaced: bars, aux series and episode logs must load through the block
+reader with its arrays and its errors. ``ref_align_panel`` is the
 per-ticker alignment loop with the guards that series which check their own
 axes made unreachable; ``align_panel`` must build the same panel bit for bit.
 """
@@ -23,20 +26,24 @@ from conftest import hourly_axis, make_features, make_walk_series
 from tradelab import analytics, cli, svgchart
 from tradelab.agents.a2c import TrainStats
 from tradelab.analytics import ProfileComparison, behavior_profile, save_report, write_comparison_csv
-from tradelab.env import EnvConfig, EpisodeLog, Window, load_episode_log, run_episode, save_episode_log
+from tradelab.env import (EnvConfig, EpisodeLog, MalformedLog, Window, _share_counts, load_episode_log, run_episode,
+                          save_episode_log)
 from tradelab.indicators import FEATURE_NAMES, write_features_csv
 from tradelab.marketdata import (
+    _BLOCK_ROWS,
     AuxSeries,
     BarSeries,
     EmptyIntersection,
     InvalidBar,
     MarketDataError,
     MarketPanel,
+    _column_indices,
     align_panel,
     format_timestamp,
     format_timestamps,
     load_bars,
     load_series,
+    parse_floats,
     parse_timestamp,
     parse_timestamps,
     quote_csv,
@@ -280,6 +287,108 @@ def ref_load_series(path, name):
         if cur[0] == prev[0]:
             raise MarketDataError(f"duplicate timestamp {ref_format_timestamp(cur[0])}", path=path, row=cur[2])
     return (np.array([p[0] for p in parsed], dtype=np.int64), np.array([p[1] for p in parsed]))
+
+
+def ref_read_csv_columns(path, error, pick):
+    """The whole-file column reader that the block reader replaced:
+    ``(names, columns, short)``, with every row held as text."""
+    try:
+        with path.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"not CSV text: {exc}", path=path) from None
+    header = rows.pop(0) if rows else []
+    indices = pick(header)
+    width, short = max(indices) + 1, None
+    if min(map(len, rows), default=width) < width:
+        k = next(k for k, cells in enumerate(rows) if len(cells) < width)
+        short = error(f"row has {len(rows[k])} cells, the header needs {width}", path=path, row=k + 2)
+        del rows[k:]
+    columns = list(zip(*rows)) or [()] * width
+    return [header[j] for j in indices], [columns[j] for j in indices], short
+
+
+def ref_parse_csv_columns(path, error, columns, fault=None):
+    """Each ``(name, cells, parse)`` of ``columns`` parsed whole: the arrays up
+    to the first faulty row and the ``error`` naming it, or ``fault``."""
+    arrays, faults = [], [] if fault is None else [fault]
+    for name, cells, parse in columns:
+        try:
+            arrays.append(parse(cells))
+        except (ValueError, OverflowError) as reason:
+            for row, cell in enumerate(cells, start=2):
+                try:
+                    parse((cell,))
+                except (ValueError, OverflowError) as exc:
+                    faults.append(error(f"unparsable field: {exc}", path=path, row=row, column=name))
+                    break
+            else:
+                raise error(f"unparsable column: {reason}", path=path, column=name) from None
+    if not faults:
+        return arrays, None
+    fault = min(faults, key=lambda exc: exc.row)
+    return [parse(cells[: fault.row - 2]) for _, cells, parse in columns], fault
+
+
+def ref_whole_load_bars(path):
+    names, cells, short = ref_read_csv_columns(path, MarketDataError,
+                                               lambda header: _column_indices(header, ("timestamp", *OHLCV), path))
+    parsers = [parse_timestamps] + [parse_floats] * len(OHLCV)
+    arrays, fault = ref_parse_csv_columns(path, InvalidBar, list(zip(names, cells, parsers)), short)
+    if arrays[0].size == 0:
+        raise fault or InvalidBar(f"no usable rows for ticker {path.stem!r}", path=path)
+    try:
+        series = BarSeries(path.stem, *arrays)
+    except InvalidBar as exc:
+        raise InvalidBar(exc.reason, path=path, row=exc.index + 2) from None
+    if fault is not None:
+        raise fault
+    return [series.timestamps, *(getattr(series, name) for name in OHLCV)]
+
+
+def ref_whole_load_series(path):
+    names, cells, short = ref_read_csv_columns(path, MarketDataError,
+                                               lambda header: _column_indices(header, ("timestamp", "value"), path))
+    columns = list(zip(names, cells, (parse_timestamps, parse_floats)))
+    (timestamps, values), fault = ref_parse_csv_columns(path, MarketDataError, columns, fault=short)
+    if fault is not None:
+        raise fault
+    if timestamps.size == 0:
+        raise MarketDataError("no rows for series 'vix'", path=path)
+    order = np.argsort(timestamps, kind="stable")
+    timestamps = timestamps[order]
+    if (timestamps[1:] == timestamps[:-1]).any():
+        k = int(np.argmax(timestamps[1:] == timestamps[:-1])) + 1
+        raise MarketDataError(f"duplicate timestamp {format_timestamp(timestamps[k])}", path=path,
+                              row=int(order[k]) + 2)
+    return [timestamps, values[order]]
+
+
+def ref_whole_load_episode_log(path):
+    """The whole-file log reader, columns in header order, without a sidecar."""
+    def pick(header):
+        if tuple(header[:5]) != ("t", "timestamp", "cash", "portfolio_value", "reward"):
+            raise MalformedLog(f"unexpected header {header[:5]}", path=path, row=1)
+        action_cols = [i for i, name in enumerate(header) if name.startswith("action_")]
+        hold_cols = [i for i, name in enumerate(header) if name.startswith("hold_")]
+        if not action_cols or len(action_cols) != len(hold_cols):
+            raise MalformedLog("action_*/hold_* columns missing or unbalanced", path=path, row=1)
+        return [*range(1, 5), *action_cols, *hold_cols]
+
+    names, cells, short = ref_read_csv_columns(path, MalformedLog, pick)
+    n = (len(names) - 4) // 2
+    cells[3] = cells[3][:-1]
+    parsers = [parse_timestamps] + [parse_floats] * (3 + n) + [_share_counts] * n
+    arrays, fault = ref_parse_csv_columns(path, MalformedLog, list(zip(names, cells, parsers)), fault=short)
+    if fault is not None:
+        raise fault
+    timestamps, cash, values, rewards, *columns = arrays
+    try:
+        return EpisodeLog(timestamps=timestamps, actions=np.column_stack(columns[:n]),
+                          holdings=np.column_stack(columns[n:]), cash=cash, portfolio_value=values,
+                          rewards=rewards, agent_label=path.stem)
+    except MalformedLog as exc:
+        raise MalformedLog(exc.reason, path=path, row=exc.row, column=exc.column) from None
 
 
 class UnfillableLeadingGap(MarketDataError):
@@ -697,7 +806,7 @@ def test_quote_csv_matches_csv_writer():
 def _outcome(load, *args):
     try:
         return load(*args)
-    except MarketDataError as exc:
+    except (MarketDataError, MalformedLog) as exc:
         return exc
 
 
@@ -840,3 +949,135 @@ def test_align_panel_matches_the_reference_loop(fill):
         assert list(got.aux) == list(expected.aux)
         assert all(got.aux[key].tobytes() == expected.aux[key].tobytes() for key in got.aux), seed
     assert aligned >= 60  # most seeds share stamps, so both paths build a panel
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the whole-file reader
+# ---------------------------------------------------------------------------
+
+def _cell(j, text):
+    """An edit of one data line: cell ``j`` replaced by ``text``."""
+    def edit(line):
+        cells = line.split(",")
+        cells[j] = text
+        return ",".join(cells)
+    return edit
+
+
+EDITS = {
+    "bad-cell": _cell(-1, "x"),
+    "short": lambda line: line.rsplit(",", 1)[0],
+    "blank": lambda line: "",
+    "bad-utf8": lambda line: line + "\udcff",
+    "bad-reward-and-hold": lambda line: _cell(4, "r")(_cell(-1, "h")(line)),  # in a log
+}
+
+
+def _stamp(k):
+    return ref_format_timestamp(START + 3600 * k)
+
+
+READERS = {
+    "bars": ("timestamp,open,high,low,close,volume",
+             lambda k: f"{_stamp(k)},{10 + k % 7},{12 + k % 7},{9 + k % 7},{10.5 + k % 7},{k}",
+             lambda path: _bars(load_bars(path)), ref_whole_load_bars),
+    "aux": ("timestamp,value", lambda k: f"{_stamp(k)},{0.5 * k}",
+            lambda path: _series_fields(load_series(path, "vix")), ref_whole_load_series),
+    "log": ("t,timestamp,cash,portfolio_value,reward,action_0,action_1,hold_0,hold_1",
+            lambda k: f"{k},{_stamp(k)},{1000.0 - k},{2000.0 + k},{0.25 * k},0.5,-0.5,{k},{k % 3}",
+            lambda path: _log_fields(load_episode_log(path)),
+            lambda path: _log_fields(ref_whole_load_episode_log(path))),
+}
+
+
+def _series_fields(series):
+    return [series.timestamps, series.values]
+
+
+def _log_fields(log):
+    return [log.timestamps, log.actions, log.holdings, log.cash, log.portfolio_value, log.rewards]
+
+
+B = _BLOCK_ROWS
+# (id, data rows, {data row index: edit}): each fault at the last row of a
+# block, the first row of the next one, and the file's last row
+READER_CASES = [
+    (f"{kind}-at-{where}", rows, {at: EDITS[kind]})
+    for kind in ("bad-cell", "short", "blank")
+    for where, rows, at in (("block-end", 2 * B + 3, B - 1), ("block-start", 2 * B + 3, B),
+                            ("file-end", 2 * B + 3, 2 * B + 2), ("file-and-block-end", 2 * B, 2 * B - 1))
+] + [
+    ("clean-one-block", B, {}),
+    ("clean-three-blocks", 2 * B + 3, {}),
+    ("fault-in-block-1-bad-utf8-in-block-3", 2 * B + 9, {5: EDITS["bad-cell"], 2 * B + 4: EDITS["bad-utf8"]}),
+    ("bad-utf8-in-block-3", 2 * B + 9, {2 * B + 4: EDITS["bad-utf8"]}),
+    ("bad-utf8-in-blocks-1-and-3", 2 * B + 9, {3: EDITS["bad-utf8"], 2 * B + 4: EDITS["bad-utf8"]}),
+    ("short-then-bad-utf8", 2 * B + 9, {B + 1: EDITS["short"], 2 * B + 8: EDITS["bad-utf8"]}),
+    ("bad-cell-then-short-in-one-block", 40, {7: EDITS["bad-cell"], 9: EDITS["short"]}),
+]
+READER_LOG_CASES = [
+    # the terminal reward is never parsed: the file's last row, or the row before a short one
+    (f"garbage-terminal-reward-{rows}-rows", rows, {rows - 1: _cell(4, "garbage")}) for rows in (2, B, B + 1, 2 * B + 3)
+] + [
+    (f"garbage-terminal-reward-short-row-at-{at}", 2 * B + 3, {at - 1: _cell(4, "garbage"), at: EDITS["short"]})
+    for at in (5, B - 1, B, B + 1)
+] + [
+    # a row with a bad reward and a bad holding reports the reward, unless it is the terminal row
+    ("bad-reward-and-hold-in-one-row", 2 * B + 3, {B - 1: EDITS["bad-reward-and-hold"]}),
+    ("bad-terminal-reward-and-hold", B, {B - 1: EDITS["bad-reward-and-hold"]}),
+    ("bad-terminal-reward-and-hold-before-short", 2 * B + 3,
+     {B - 1: EDITS["bad-reward-and-hold"], B: EDITS["short"]}),
+    ("bad-reward-before-bad-hold", 2 * B + 3, {B + 4: _cell(4, "r"), B + 5: _cell(-1, "h")}),
+    ("one-row", 1, {}),
+]
+READER_BAR_CASES = [
+    ("bad-bar-then-bad-cell-in-block-2", 2 * B + 3, {10: _cell(2, "1"), B + 3: EDITS["bad-cell"]}),
+    ("bad-cell-then-bad-bar", 2 * B + 3, {B - 1: EDITS["bad-cell"], B + 3: _cell(2, "1")}),
+]
+READER_AUX_CASES = [
+    ("duplicate-across-blocks", 2 * B + 3, {B + 2: _cell(0, _stamp(3))}),
+]
+
+
+def _reader_file(tmp_path, reader, rows, edits):
+    header, row, _, _ = READERS[reader]
+    lines = [header] + [edits.get(k, lambda line: line)(row(k)) for k in range(rows)]
+    path = tmp_path / "AAA.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    return path
+
+
+def _assert_same_load(got, expected):
+    """Equal arrays bit for bit, or the same error: its class, row, column and message."""
+    if isinstance(expected, Exception):
+        assert isinstance(got, Exception), got
+        assert (type(got), got.row, got.column, str(got)) == \
+            (type(expected), expected.row, expected.column, str(expected))
+        return
+    assert not isinstance(got, Exception), got
+    assert len(got) == len(expected)
+    for ours, theirs in zip(got, expected):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "reader, rows, edits",
+    [pytest.param(reader, rows, edits, id=f"{reader}-{case}")
+     for reader, extra in (("bars", READER_BAR_CASES), ("aux", READER_AUX_CASES), ("log", READER_LOG_CASES))
+     for case, rows, edits in READER_CASES + extra],
+)
+def test_block_reader_loads_like_the_whole_file_reader(tmp_path, reader, rows, edits):
+    path = _reader_file(tmp_path, reader, rows, edits)
+    _, _, load, ref_load = READERS[reader]
+    _assert_same_load(_outcome(load, path), _outcome(ref_load, path))
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("text", ["", "header-only"])
+def test_block_reader_loads_an_empty_file_like_the_whole_file_reader(tmp_path, reader, text):
+    header, _, load, ref_load = READERS[reader]
+    path = tmp_path / "AAA.csv"
+    path.write_text(f"{header}\n" if text else "")
+    got = _outcome(load, path)
+    assert isinstance(got, Exception)
+    _assert_same_load(got, _outcome(ref_load, path))

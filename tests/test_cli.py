@@ -302,6 +302,21 @@ class TestRefusedBeforeFeatures:
         assert capsys.readouterr().err == f"error: window '{window}' unavailable; choose from ['full']\n"
         assert not (workspace / "out" / "log_hold.csv").exists()
 
+    @pytest.mark.parametrize("command, split", [("simulate", "garbage"), ("train", "2022-13-45"),
+                                                ("simulate", "10000-01-01")])
+    def test_malformed_split_flag(self, workspace, capsys, command, split):
+        extra = ["--agent", "hold"] if command == "simulate" else []
+        assert run(workspace, command, *extra, "--split", split) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: split: ") and repr(split) in err
+
+    def test_malformed_split_in_config(self, workspace, capsys):
+        path = workspace / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "split": "garbage"}))
+        assert run(workspace, "simulate", "--agent", "hold") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config: split: unparsable timestamp 'garbage' in {path}\n"
+
     def test_zero_timesteps(self, workspace, capsys):
         assert run(workspace, "train", "--timesteps", "0") == 1
         assert capsys.readouterr().err == "error: n_steps, n_envs, and total_timesteps must be >= 1\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -800,6 +801,64 @@ def test_load_reads_whole_float_holdings(tmp_path):
     path = tmp_path / "external.csv"
     path.write_text(GOOD_LOG.replace(",0.0,49\n", ",0.0,49.0\n").replace(",1.0,0\n", ",1.0,-0.0\n"))
     assert load_episode_log(path).holdings[:, 0].tolist() == [0, 49]
+
+
+def test_load_holds_a_block_of_text_not_the_file(tmp_path):
+    """A 20,000-row, 8-ticker log loads within three times the size of its
+    arrays: the reader keeps a block of rows as text at a time, and the parsed
+    arrays, where a reader of the whole file held about eleven times it."""
+    t, n = 20_000, 8
+    rng = np.random.default_rng(0)
+    path = tmp_path / "long.csv"
+    save_episode_log(EpisodeLog(
+        timestamps=1_646_380_800 + 3600 * np.arange(t), actions=rng.uniform(-1.0, 1.0, (t, n)),
+        holdings=rng.integers(0, 500, (t, n)), cash=rng.uniform(0.0, 1e6, t),
+        portfolio_value=rng.uniform(1e5, 2e6, t), rewards=rng.standard_normal(t - 1) * 100.0, agent_label="long",
+    ), path)
+    tracemalloc.start()
+    try:
+        log = load_episode_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(log, name).nbytes for name in ("timestamps", "actions", "holdings", "cash",
+                                                       "portfolio_value", "rewards"))
+    assert size == 3_199_992 and peak < 3 * size, peak
+
+
+def test_load_places_log_columns_by_their_index(tmp_path):
+    path = tmp_path / "external.csv"
+    path.write_text(
+        "t,timestamp,cash,portfolio_value,reward,action_1,action_0,hold_1,hold_0\n"
+        "0,2022-03-04T08:00:00Z,1000.0,1000.0,-10.0,0.25,0.5,0,5\n"
+        "1,2022-03-04T09:00:00Z,500.0,990.0,0.0,0.0,0.0,0,5\n"
+        "2,2022-03-04T10:00:00Z,500.0,990.0,0.0,0.0,0.0,3,5\n"
+    )
+    log = load_episode_log(path)
+    assert log.holdings[:, 0].tolist() == [5, 5, 5] and log.holdings[:, 1].tolist() == [0, 0, 3]
+    assert log.actions[0].tolist() == [0.5, 0.25]
+
+
+@pytest.mark.parametrize(
+    "columns, column, reason",
+    [
+        ("action_0,action_x,hold_0,hold_1", "action_x", "column index is not an integer"),
+        ("action_0,action_-1,hold_0,hold_1", "action_-1", "column index is not an integer"),
+        ("action_0,action_1,hold_0,hold_١", "hold_١", "column index is not an integer"),
+        ("action_0,action_00,hold_0,hold_1", "action_00", "column index 0 repeats"),
+        ("action_0,action_1,hold_1,hold_1", "hold_1", "column index 1 repeats"),
+        ("action_0,action_2,hold_0,hold_1", "action_2", "column index 2 is outside 0..1"),
+        ("action_1,action_2,hold_1,hold_2", "action_2", "column index 2 is outside 0..1"),
+    ],
+    ids=["letter", "negative", "arabic-digit", "zero-padded-repeat", "repeat", "gap", "from-one"],
+)
+def test_load_refuses_log_columns_not_indexed_0_to_n(tmp_path, columns, column, reason):
+    path = tmp_path / "external.csv"
+    path.write_text(f"t,timestamp,cash,portfolio_value,reward,{columns}\n"
+                    "0,2022-03-04T08:00:00Z,1,1,0,0,0,0,0\n1,2022-03-04T09:00:00Z,1,1,0,0,0,0,0\n")
+    with pytest.raises(MalformedLog) as caught:
+        load_episode_log(path)
+    assert (caught.value.reason, caught.value.column, caught.value.row) == (reason, column, 1)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from tradelab.marketdata import (
     load_series,
     parse_floats,
     parse_timestamp,
-    parse_csv_columns,
     parse_timestamps,
     read_csv_columns,
     save_panel,
@@ -310,15 +309,17 @@ def test_bar_series_needs_a_bar():
         BarSeries("AAA", np.zeros(0, dtype=np.int64), empty, empty, empty, empty, empty)
 
 
-def test_parse_csv_columns_names_a_column_that_fails_only_whole(tmp_path):
+def test_read_csv_columns_names_a_column_that_fails_only_whole(tmp_path):
     def pairs_only(cells):  # every single cell parses; the column of three does not
         if len(cells) > 2:
             raise ValueError("more than two cells")
         return parse_floats(cells)
 
+    path = tmp_path / "x.csv"
+    path.write_text("value\n1\n2\n3\n")
     with pytest.raises(MarketDataError, match="unparsable column: more than two cells") as caught:
-        parse_csv_columns(tmp_path / "x.csv", MarketDataError, [("value", ("1", "2", "3"), pairs_only)])
-    assert caught.value.column == "value" and str(tmp_path / "x.csv") in str(caught.value)
+        read_csv_columns(path, MarketDataError, lambda header: [0], [pairs_only])
+    assert caught.value.column == "value" and str(path) in str(caught.value)
 
 
 def test_align_intersect_empty(rng):
@@ -433,13 +434,13 @@ def test_write_panel_csv_reloads(tmp_path, rng):
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
     names = ["timestamp", "ticker", *OHLCV]
-    _, (stamps, tickers, *values), short = read_csv_columns(path, MarketDataError,
-                                                            lambda header: [header.index(n) for n in names])
-    assert short is None
+    (stamps, tickers, *values), fault = read_csv_columns(
+        path, MarketDataError, lambda header: [header.index(n) for n in names],
+        [parse_timestamps, lambda cells: np.array(cells, dtype=object)] + [parse_floats] * len(OHLCV))
+    assert fault is None
     for j, ticker in enumerate(panel.tickers):
-        rows = [k for k, cell in enumerate(tickers) if cell == ticker]
-        series = BarSeries(ticker, parse_timestamps([stamps[k] for k in rows]),
-                           *(parse_floats([column[k] for k in rows]) for column in values))
+        rows = tickers == ticker
+        series = BarSeries(ticker, stamps[rows], *(column[rows] for column in values))
         assert np.array_equal(series.timestamps, panel.timestamps)
         assert np.array_equal(series.close, panel.close[:, j])
         assert np.array_equal(series.volume, panel.volume[:, j])
