@@ -30,7 +30,7 @@ from .agents import (
 )
 from .analytics import (TRADER_THRESHOLD, behavior_profile, compare_profiles, load_report, save_report,
                         write_comparison_csv)
-from .config import ConfigError, decode_config
+from .config import ConfigError, check_fields, decode_config
 from .env import EnvConfig, TradingEnv, Window, load_episode_log, observation_size, run_episode, save_episode_log
 from .errors import TradeLabError
 from .indicators import IndicatorConfig, build_features, write_features_csv
@@ -69,6 +69,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.align not in ALIGN_MODES:
             raise ValueError(f"align must be one of {ALIGN_MODES}, got {self.align!r}")
         if self.split is not None:

@@ -11,7 +11,10 @@ index), while Bollinger and CCI windows include the current bar.
 Operations accept a 1-D series ``(T,)`` or a 2-D batch ``(T, M)`` of
 independent columns; the mask depends only on T, never on the data. A series
 too short for a window to define any index raises InsufficientHistory, from
-an operation and from ``build_features`` alike.
+an operation and from ``build_features`` alike. ``build_features`` makes one
+call per indicator across all tickers, on ticker-major copies (each ticker's
+column contiguous, bit for bit the per-ticker 1-D call); ``bollinger`` and
+``cci`` run in column blocks that bound their (T, M, n) window temporaries.
 """
 
 from __future__ import annotations
@@ -309,6 +312,8 @@ def turbulence(panel: MarketPanel, window: int):
 # feature assembly
 # ---------------------------------------------------------------------------
 
+_WINDOW_BLOCK = 5  # tickers per bollinger/cci call in build_features
+
 @dataclass(frozen=True)
 class FeaturePanel:
     """Per-timestamp, per-ticker indicator block, plus turbulence when asked for.
@@ -356,6 +361,10 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
     ``env.turbulence_gate`` is set); ``warmup`` then covers turbulence too,
     and ``cfg.turb_window`` None raises IndicatorError.
 
+    Each indicator is one call across all tickers on ticker-major copies of
+    high, low and close, bit for bit the per-ticker 1-D call; ``bollinger`` and
+    ``cci`` run in column blocks of ``_WINDOW_BLOCK`` to bound their temporaries.
+
     Raises InsufficientHistory when the panel is shorter than the longest
     configured warmup, the turbulence window included whenever it is set.
     The turbulence window and the gate are checked before any indicator runs,
@@ -366,20 +375,19 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
         _check_turbulence_window(cfg.turb_window, n, t_len)
     elif with_turbulence:
         raise IndicatorError("the turbulence gate needs indicators.turb_window, which is null")
+    h, l, c = (np.ascontiguousarray(x.T).T for x in (panel.high, panel.low, panel.close))
+    blocks = [slice(a, a + _WINDOW_BLOCK) for a in range(0, n, _WINDOW_BLOCK)]
     features = np.empty((t_len, n, len(FEATURE_NAMES)))
-    # per-ticker 1-D calls so each column is bit-identical to the standalone op
-    for j in range(n):
-        h, l, c = panel.high[:, j], panel.low[:, j], panel.close[:, j]
-        macd_v, d_macd = macd(c, cfg)
-        ub_v, lb_v, d_boll = bollinger(c, cfg)
-        rsi_v, d_rsi = rsi(c, cfg.rsi_period)
-        cci_v, d_cci = cci(h, l, c, cfg.cci_period)
-        dx_v, d_dx = dx(h, l, c, cfg.dx_period)
-        sma_s, d_s = sma(c, cfg.sma_short)
-        sma_l, d_l = sma(c, cfg.sma_long)
-        features[:, j, :] = np.stack([macd_v, ub_v, lb_v, rsi_v, cci_v, dx_v, sma_s, sma_l], axis=1)
-
-    # the masks depend only on the series length, so the last ticker's serve for all
+    # calls in FEATURE_NAMES order, so of several too-short windows the first in that order is reported
+    features[..., 0], d_macd = macd(c, cfg)
+    for b in blocks:
+        features[:, b, 1], features[:, b, 2], d_boll = bollinger(c[:, b], cfg)
+    features[..., 3], d_rsi = rsi(c, cfg.rsi_period)
+    for b in blocks:
+        features[:, b, 4], d_cci = cci(h[:, b], l[:, b], c[:, b], cfg.cci_period)
+    features[..., 5], d_dx = dx(h, l, c, cfg.dx_period)
+    features[..., 6], d_s = sma(c, cfg.sma_short)
+    features[..., 7], d_l = sma(c, cfg.sma_long)
     ready = d_macd & d_boll & d_rsi & d_cci & d_dx & d_s & d_l
     turb = None
     if with_turbulence:

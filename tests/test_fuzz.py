@@ -129,9 +129,7 @@ def _refused(build):
 def test_config_classes_refuse_from_python_what_json_refuses():
     refused = 0
     for section, name, value in _config_cases():
-        if section is None:
-            continue
-        cls = SECTIONS[section]
+        cls = RunConfig if section is None else SECTIONS[section]
         from_json = _refused(lambda: decode_config(cls, {name: value}, section))
         assert _refused(lambda: cls(**{name: value})) == from_json, (section, name, value)
         refused += from_json
@@ -151,6 +149,9 @@ def test_config_classes_refuse_from_python_what_json_refuses():
     (A2CConfig, "hidden_sizes", (-1, 64)),
     (EnvConfig, "hmax", 2**53 + 1),
     (EnvConfig, "hmax", 2**63),
+    (RunConfig, "split", 5),
+    (RunConfig, "seed", "1"),
+    (RunConfig, "data", {"AA": 5}),
 ])
 def test_config_class_refuses_a_value_json_refuses(cls, name, value):
     with pytest.raises(ValueError, match=name):

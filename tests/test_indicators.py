@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,6 +543,37 @@ def test_build_features_matches_standalone_ops(rng):
             mask = ~np.isnan(want)
             assert np.array_equal(got[mask], want[mask]), name
             assert np.isnan(got[~mask]).all(), name
+
+
+def test_build_features_matches_standalone_ops_across_blocks():
+    """13 tickers with the default config run bollinger and cci in blocks of
+    5, 5 and 3; every column of every feature is still bit for bit the
+    standalone 1-D call for its ticker, NaN warmup included."""
+    panel = make_panel([f"T{j:02d}" for j in range(13)], 300, seed=11)
+    cfg = IndicatorConfig()
+    fp = build_features(panel, cfg)
+    for j in range(panel.n_tickers):
+        h, l, c = panel.high[:, j], panel.low[:, j], panel.close[:, j]
+        expected = (macd(c, cfg)[0], *bollinger(c, cfg)[:2], rsi(c, cfg.rsi_period)[0],
+                    cci(h, l, c, cfg.cci_period)[0], dx(h, l, c, cfg.dx_period)[0], sma(c, cfg.sma_short)[0],
+                    sma(c, cfg.sma_long)[0])
+        for k, name in enumerate(FEATURE_NAMES):
+            assert np.array_equal(fp.features[:, j, k], expected[k], equal_nan=True), (name, panel.tickers[j])
+
+
+def test_build_features_bounds_its_window_temporaries():
+    """At paper scale (30 tickers x 3,500 bars) the build peaks well below
+    the 50 MB that one cci call over all 30 tickers alone would hold: the
+    (T, M, n) window temporaries of bollinger and cci are built a block of
+    tickers at a time."""
+    panel = make_panel([f"T{j:02d}" for j in range(30)], 3500, seed=2)
+    tracemalloc.start()
+    try:
+        build_features(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
 
 
 
