@@ -12,9 +12,10 @@ Operations accept a 1-D series ``(T,)`` or a 2-D batch ``(T, M)`` of
 independent columns; the mask depends only on T, never on the data. A series
 too short for a window to define any index raises InsufficientHistory, from
 an operation and from ``build_features`` alike. ``build_features`` makes one
-call per indicator across all tickers, on ticker-major copies (each ticker's
-column contiguous, bit for bit the per-ticker 1-D call); ``bollinger`` and
-``cci`` run in column blocks that bound their (T, M, n) window temporaries.
+call per indicator across all tickers, on ticker-major copies (bit for bit the
+per-ticker 1-D call); ``bollinger`` and ``cci`` run in column blocks that bound
+their (T, M, n) window temporaries. A recurrence (``ema``, ``dx``'s Wilder sums)
+is one in-place row update per bar; the rest runs over the whole block, bit for bit.
 """
 
 from __future__ import annotations
@@ -138,15 +139,18 @@ def sma(closes, n: int):
 
 
 def ema(closes, n: int):
-    """SMA-seeded exponential mean, alpha = 2/(n+1), defined from index n-1."""
+    """SMA-seeded exponential mean, alpha = 2/(n+1), defined from index n-1:
+    ``alpha * x`` over the whole block, then one in-place row update per bar."""
     x, squeeze = _as_columns(closes)
     t = x.shape[0]
     defined = _check_window(n, t, n - 1, "ema")
-    out = _blank(x.shape)
     alpha = 2.0 / (n + 1)
+    beta = 1.0 - alpha
+    out = alpha * x
+    out[: n - 1] = np.nan
     out[n - 1] = x[:n].mean(axis=0)
     for i in range(n, t):
-        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
+        out[i] += beta * out[i - 1]
     return _restore(out, squeeze), defined
 
 
@@ -228,39 +232,35 @@ def cci(high, low, close, n: int):
 def dx(high, low, close, n: int):
     """Directional movement index in [0, 100] with Wilder smoothing of period n.
 
-    The smoothed sums start as the plain sum of the first n one-bar terms and
-    then decay as S <- S*(1 - 1/n) + current. A zero +DI + -DI maps to 0.
+    The smoothed +DM, -DM and TR sums start as the plain sum of the first n one-bar
+    terms and step S <- current + S*(1 - 1/n), one in-place (3, M) row update per bar;
+    the DIs and DX then run over the whole block. A zero +DI + -DI maps to 0.
     """
     h, squeeze = _as_columns(high)
     l, _ = _as_columns(low)
     c, _ = _as_columns(close)
     t = h.shape[0]
     defined = _check_window(n, t, n, "dx")
-
-    up = h[1:] - h[:-1]
-    down = l[:-1] - l[1:]
-    dm_plus = np.where((up > down) & (up > 0), up, 0.0)
-    dm_minus = np.where((down > up) & (down > 0), down, 0.0)
-    prev_close = c[:-1]
-    tr = np.maximum(h[1:] - l[1:], np.maximum(np.abs(h[1:] - prev_close), np.abs(l[1:] - prev_close)))
-
-    out = _blank(h.shape)
-    s_plus = dm_plus[:n].sum(axis=0)
-    s_minus = dm_minus[:n].sum(axis=0)
-    s_tr = tr[:n].sum(axis=0)
+    sums = np.empty((t - 1, 3, h.shape[1]))  # row k: the +DM, -DM and TR terms of bar k+1
+    np.maximum(h[1:] - l[1:], np.maximum(np.abs(h[1:] - c[:-1]), np.abs(l[1:] - c[:-1])), out=sums[:, 2])
+    up, down = h[1:] - h[:-1], l[:-1] - l[1:]
+    sums[:, 0] = np.where((up > down) & (up > 0), up, 0.0)
+    sums[:, 1] = np.where((down > up) & (down > 0), down, 0.0)
+    # numpy sums time pairwise where it is contiguous (ticker-major, 1-D) and row by row elsewhere
+    sums[n - 1] = (np.asfortranarray(sums[:n]) if up.flags.f_contiguous else sums[:n]).sum(axis=0)
+    del up, down
     decay = 1.0 - 1.0 / n
-    for k in range(n - 1, t - 1):  # term k belongs to bar index k+1
-        if k >= n:
-            s_plus = s_plus * decay + dm_plus[k]
-            s_minus = s_minus * decay + dm_minus[k]
-            s_tr = s_tr * decay + tr[k]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            di_plus = np.where(s_tr > 0, 100.0 * s_plus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
-            di_minus = np.where(s_tr > 0, 100.0 * s_minus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
-        total = di_plus + di_minus
-        # ratio first: |a-b|/(a+b) <= 1 exactly, so DX stays within [0, 100]
-        ratio = np.abs(di_plus - di_minus) / np.where(total > 0, total, 1.0)
-        out[k + 1] = np.where(total > 0, 100.0 * ratio, 0.0)
+    for k in range(n, t - 1):
+        sums[k] += sums[k - 1] * decay
+    s_plus, s_minus, s_tr = sums[n - 1 :].transpose(1, 0, 2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        di_plus = np.where(s_tr > 0, 100.0 * s_plus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
+        di_minus = np.where(s_tr > 0, 100.0 * s_minus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
+    total = di_plus + di_minus
+    # ratio first: |a-b|/(a+b) <= 1 exactly, so DX stays within [0, 100]
+    ratio = np.abs(di_plus - di_minus) / np.where(total > 0, total, 1.0)
+    out = _blank(h.shape)
+    out[n:] = np.where(total > 0, 100.0 * ratio, 0.0)
     return _restore(out, squeeze), defined
 
 

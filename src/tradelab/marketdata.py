@@ -501,7 +501,7 @@ def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
         if timestamps.size == 0:
             raise EmptyIntersection("no timestamp is common to all inputs")
     else:
-        timestamps = functools.reduce(np.union1d, axes)
+        timestamps = np.unique(np.concatenate(axes))
         timestamps = timestamps[timestamps >= max(axis[0] for axis in axes)]
 
     # each input's last observation at or before each panel stamp; a gap

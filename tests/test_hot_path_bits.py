@@ -1,15 +1,16 @@
-"""Bit pins for the A2C training hot path.
+"""Bit pins for the A2C training hot path and the indicator recurrences.
 
-Each reference below is the arithmetic the training step used before its
-numpy calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
+Each reference below is the arithmetic the package used before its numpy
+calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
 and backward passes, the batched ``TradingEnv.step``, the ``run_episode`` and
-``a2c_train`` loops. The references allocate a fresh array for every result; the package
-writes into buffers it owns (``a2c_update`` steps the parameters and the
-``RmsPropState`` in place, ``mlp_backward`` fills a given ``MlpParams``), and
-must reproduce each of them exactly (``np.array_equal`` and ``==``, never a
-tolerance). Both sides run on the same numpy and BLAS, so these pins hold on
-any machine, unlike artifact digests.
+``a2c_train`` loops, and the bar-at-a-time ``ema`` and ``dx`` loops. The
+references allocate a fresh array for every result; the package writes into
+buffers it owns (``a2c_update`` steps the parameters and the ``RmsPropState``
+in place, ``mlp_backward`` fills a given ``MlpParams``, ``dx`` smooths its
+terms in place), and must reproduce each of them exactly (``np.array_equal``,
+``==`` and ``tobytes()``, never a tolerance). Both sides run on the same numpy
+and BLAS, so these pins hold on any machine, unlike artifact digests.
 """
 
 import math
@@ -17,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import flat_features, make_features, turbulent_features
+from conftest import flat_features, make_features, make_panel, turbulent_features
 from tradelab.agents.a2c import (
     A2CConfig,
     ObsNormalizer,
@@ -33,6 +34,7 @@ from tradelab.agents.a2c import (
 from tradelab.agents.mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
 from tradelab.agents.policies import BASELINE_POLICIES
 from tradelab.env import EnvConfig, TradingEnv, Window, run_episode, split_observation
+from tradelab.indicators import IndicatorConfig, dx, ema, macd
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -549,3 +551,119 @@ def test_a2c_train_matches_reference_loop():
     assert np.array_equal(policy.normalizer.mean, normalizer.mean)
     assert np.array_equal(policy.normalizer.m2, normalizer.m2)
     assert policy.normalizer.count == normalizer.count
+
+
+# ---------------------------------------------------------------------------
+# the indicator recurrences
+# ---------------------------------------------------------------------------
+
+def _columns(x):
+    return (x, False) if x.ndim == 2 else (x[:, None], True)
+
+
+def ref_ema(closes, n):
+    x, squeeze = _columns(closes)
+    out = np.full(x.shape, np.nan)
+    alpha = 2.0 / (n + 1)
+    out[n - 1] = x[:n].mean(axis=0)
+    for i in range(n, x.shape[0]):
+        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
+    return out[:, 0] if squeeze else out
+
+
+def ref_dx(high, low, close, n):
+    (h, squeeze), (l, _), (c, _) = _columns(high), _columns(low), _columns(close)
+    up = h[1:] - h[:-1]
+    down = l[:-1] - l[1:]
+    dm_plus = np.where((up > down) & (up > 0), up, 0.0)
+    dm_minus = np.where((down > up) & (down > 0), down, 0.0)
+    prev_close = c[:-1]
+    tr = np.maximum(h[1:] - l[1:], np.maximum(np.abs(h[1:] - prev_close), np.abs(l[1:] - prev_close)))
+    out = np.full(h.shape, np.nan)
+    s_plus = dm_plus[:n].sum(axis=0)
+    s_minus = dm_minus[:n].sum(axis=0)
+    s_tr = tr[:n].sum(axis=0)
+    decay = 1.0 - 1.0 / n
+    for k in range(n - 1, h.shape[0] - 1):  # term k belongs to bar index k+1
+        if k >= n:
+            s_plus = s_plus * decay + dm_plus[k]
+            s_minus = s_minus * decay + dm_minus[k]
+            s_tr = s_tr * decay + tr[k]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            di_plus = np.where(s_tr > 0, 100.0 * s_plus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
+            di_minus = np.where(s_tr > 0, 100.0 * s_minus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
+        total = di_plus + di_minus
+        ratio = np.abs(di_plus - di_minus) / np.where(total > 0, total, 1.0)
+        out[k + 1] = np.where(total > 0, 100.0 * ratio, 0.0)
+    return out[:, 0] if squeeze else out
+
+
+PRICE_LAYOUTS = ["1-D", "ticker-major", "C-order"]
+
+
+def price_inputs(layout, high, low, close):
+    """(high, low, close) as each caller passes them: per-ticker 1-D columns
+    (strided views, and one contiguous copy), the ticker-major block that
+    build_features passes, or the panel's own C-order block."""
+    prices = (high, low, close)
+    if layout == "1-D":
+        views = [tuple(x[:, j] for x in prices) for j in range(high.shape[1])]
+        return views + [tuple(np.ascontiguousarray(x) for x in views[0])]
+    if layout == "ticker-major":
+        return [tuple(np.ascontiguousarray(x.T).T for x in prices)]
+    return [tuple(np.ascontiguousarray(x) for x in prices)]
+
+
+def _window(n, t):
+    cfg = IndicatorConfig()
+    return {"default dx": cfg.dx_period, "default ema": cfg.macd_slow, "t-1": t - 1}.get(n, n)
+
+
+PANEL = make_panel([f"T{j:02d}" for j in range(5)], 300, seed=13)
+
+
+@pytest.mark.parametrize("layout", PRICE_LAYOUTS)
+@pytest.mark.parametrize("n", [1, 2, "default dx", "t-1"])
+def test_dx_matches_reference_loop(layout, n):
+    n = _window(n, PANEL.n_timestamps)
+    for h, l, c in price_inputs(layout, PANEL.high, PANEL.low, PANEL.close):
+        values, defined = dx(h, l, c, n)
+        assert values.shape == h.shape and np.array_equal(defined, np.arange(h.shape[0]) >= n)
+        assert values.tobytes() == ref_dx(h, l, c, n).tobytes()
+
+
+@pytest.mark.parametrize("layout", PRICE_LAYOUTS)
+@pytest.mark.parametrize("n", [1, 2, "default ema", "t-1"])
+def test_ema_matches_reference_loop(layout, n):
+    n = _window(n, PANEL.n_timestamps)
+    for _, _, c in price_inputs(layout, PANEL.high, PANEL.low, PANEL.close):
+        values, defined = ema(c, n)
+        assert values.shape == c.shape and np.array_equal(defined, np.arange(c.shape[0]) >= n - 1)
+        assert values.tobytes() == ref_ema(c, n).tobytes()
+
+
+@pytest.mark.parametrize("layout", PRICE_LAYOUTS)
+def test_macd_matches_reference_loop(layout):
+    cfg = IndicatorConfig()
+    for _, _, c in price_inputs(layout, PANEL.high, PANEL.low, PANEL.close):
+        want = ref_ema(c, cfg.macd_fast) - ref_ema(c, cfg.macd_slow)
+        assert macd(c, cfg)[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", PRICE_LAYOUTS)
+def test_dx_on_flat_bars_matches_reference_loop(layout):
+    """Every TR sum is 0 on flat bars, so both DIs and DX map to 0."""
+    flat = np.tile([50.0, 7.25, 1e3], (80, 1))
+    for h, l, c in price_inputs(layout, flat, flat, flat):
+        for n in (1, 2, 30):
+            values = dx(h, l, c, n)[0]
+            assert values.tobytes() == ref_dx(h, l, c, n).tobytes()
+            assert np.all(values[n:] == 0.0)
+
+
+def test_dx_zigzag_tie_matches_reference_loop():
+    h = np.array([10.0, 11.0, 10.0, 11.0, 10.0, 11.0])
+    l, c = h - 5.0, np.full(6, 8.0)
+    values = dx(h, l, c, 4)[0]
+    assert values.tobytes() == ref_dx(h, l, c, 4).tobytes()
+    assert values[4] == 0.0

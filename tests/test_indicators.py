@@ -576,6 +576,22 @@ def test_build_features_bounds_its_window_temporaries():
     assert peak < 24e6, peak
 
 
+def test_dx_bounds_its_temporaries():
+    """dx over a paper-scale ticker-major block (30 x 3,500) holds one
+    (T-1, 3, M) array of smoothed sums, 2.5 MB, and a few (T, M) temporaries
+    of 0.84 MB each: it peaks below 10 MB, where a second stacked array of
+    terms would not."""
+    panel = make_panel([f"T{j:02d}" for j in range(30)], 3500, seed=2)
+    h, l, c = (np.ascontiguousarray(getattr(panel, name).T).T for name in ("high", "low", "close"))
+    tracemalloc.start()
+    try:
+        dx(h, l, c, IndicatorConfig().dx_period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
 
 BLOCK_OPS = {
     "sma": lambda h, l, c, cfg: sma(c, cfg.sma_long)[0],

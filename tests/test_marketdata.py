@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -391,6 +393,26 @@ def test_align_panel_invariants_hold(rng):
     assert np.all((panel.low <= panel.open) & (panel.open <= panel.high))
     assert np.all((panel.low <= panel.close) & (panel.close <= panel.high))
     assert np.all(panel.open > 0) and np.all(panel.volume >= 0)
+
+
+@pytest.mark.parametrize("count", [1, 31])
+def test_align_forward_fill_axis_is_the_union_of_the_inputs(rng, count):
+    """The forward-fill axis, one sort of all input stamps, is byte for byte
+    the pairwise union1d reduce over the inputs, from the latest first stamp
+    on: staggered starts and ends, gaps, and an aux series on its own grid."""
+    base = hourly_axis(T0, 400)
+    axes = [base[rng.integers(0, 40):400 - rng.integers(0, 40)] for _ in range(count)]
+    axes = [ax[rng.random(ax.size) > 0.25] for ax in axes]
+    series = [make_walk_series(f"S{k:02d}", ax, rng) for k, ax in enumerate(axes)]
+    aux = [AuxSeries("vix", base[5::3] + HOUR // 2, np.arange(base[5::3].size, dtype=float))] if count > 1 else []
+    panel = align_panel(series, aux=aux, fill="forward-fill")
+    inputs = axes + [a.timestamps for a in aux]
+    union = functools.reduce(np.union1d, inputs)
+    want = union[union >= max(ax[0] for ax in inputs)]
+    assert panel.timestamps.dtype == np.int64
+    assert panel.timestamps.tobytes() == want.tobytes()
+    if count == 1:
+        assert panel.timestamps.tobytes() == axes[0].tobytes()
 
 
 def test_panel_arrays_read_only(rng):
