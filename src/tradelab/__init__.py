@@ -1,14 +1,7 @@
 """Hourly OHLCV trading simulation, indicators, training, and behavior analytics."""
 
-from .agents import (
-    A2CConfig,
-    BASELINE_POLICIES,
-    MlpPolicy,
-    a2c_train,
-    load_checkpoint,
-    make_baseline,
-    save_checkpoint,
-)
+from .agents.a2c import A2CConfig, MlpPolicy, a2c_train, load_checkpoint, save_checkpoint
+from .agents.policies import BASELINE_POLICIES, make_baseline
 from .analytics import (
     BehaviorReport,
     behavior_profile,

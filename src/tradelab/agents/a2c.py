@@ -194,22 +194,14 @@ class UpdateStats:
 
 @dataclass
 class TrainStats:
-    """Per-update curves plus episode accounting.
-
-    ``episodes`` is the aggregate arithmetic total_timesteps // episode_steps
-    (the budget in complete passes); ``episode_rewards`` lists the scaled
-    return of every episode a worker actually finished, which can differ
-    from ``episodes`` when the budget does not divide evenly across workers.
-    """
+    """Per-update curves, and the scaled return of every episode a worker
+    finished."""
 
     policy_losses: list = field(default_factory=list)
     value_losses: list = field(default_factory=list)
     entropies: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     episode_rewards: list = field(default_factory=list)
-    episodes: int = 0
-    episode_steps: int = 0
-    total_timesteps: int = 0
 
     @property
     def updates(self) -> int:
@@ -338,16 +330,12 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
     env = TradingEnv(template.cfg, template.features, template.window, copies=cfg.n_envs)
     obs_dim = env.observation_size
     n_actions = env.n_tickers
-    episode_steps = env.window.steps
+    steps_per_update = cfg.n_steps * cfg.n_envs
 
     params = init_mlp((obs_dim, *cfg.hidden_sizes, n_actions), rng)
     normalizer = ObsNormalizer(obs_dim)
     opt_state = RmsPropState.zeros(params.sizes)
-    stats = TrainStats(
-        episodes=cfg.total_timesteps // episode_steps,
-        episode_steps=episode_steps,
-        total_timesteps=cfg.total_timesteps,
-    )
+    stats = TrainStats()
 
     raw_obs = env.reset()
     normalizer.update(raw_obs)
@@ -360,9 +348,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
     returns = np.empty((cfg.n_steps, cfg.n_envs))
     batch = RolloutBatch(obs_buf.reshape(-1, obs_dim), act_buf.reshape(-1, n_actions), returns.reshape(-1))
 
-    steps_done = 0
-    update_index = 0
-    while steps_done < cfg.total_timesteps:
+    while stats.updates * steps_per_update < cfg.total_timesteps:
         rng.standard_normal(out=act_buf)  # one draw per rollout gives the same stream as one per step
         act_buf *= np.exp(params.log_std)  # log_std changes only in the update
         for k in range(cfg.n_steps):
@@ -379,7 +365,6 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
                 episode_return[:] = 0.0
                 raw_obs = env.reset()
             normalizer.update(raw_obs)
-            steps_done += cfg.n_envs
 
         _, _, bootstrap, _ = mlp_forward(params, normalizer.normalize(raw_obs))
         running = bootstrap
@@ -387,15 +372,15 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
             running = rew_buf[k] + cfg.gamma * running * not_done[k]
             returns[k] = running
 
-        ustats = a2c_update(params, batch, cfg, opt_state, update_index)
+        ustats = a2c_update(params, batch, cfg, opt_state, stats.updates)
         stats.policy_losses.append(ustats.policy_loss)
         stats.value_losses.append(ustats.value_loss)
         stats.entropies.append(ustats.entropy)
         stats.grad_norms.append(ustats.grad_norm)
-        update_index += 1
 
     normalizer.freeze()
-    policy = MlpPolicy(params, normalizer, label="a2c", config=cfg, steps_trained=steps_done)
+    policy = MlpPolicy(params, normalizer, label="a2c", config=cfg,
+                       steps_trained=stats.updates * steps_per_update)
     return policy, stats
 
 

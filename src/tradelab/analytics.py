@@ -19,7 +19,7 @@ import numpy as np
 
 from .env import EpisodeLog
 from .errors import TradeLabError
-from .marketdata import format_timestamps, quote_csv, write_csv_columns
+from .marketdata import _increasing, format_timestamps, quote_csv, write_csv_columns
 
 __all__ = [
     "TradeStats",
@@ -262,7 +262,9 @@ def load_report(directory) -> BehaviorReport:
 
     Every array must have the shape save_report gives it: timestamps (T,)
     with T >= 2, cumulative_reward (T-1,), holdings_matrix (T, N) with
-    N >= 1, and integral_holding and the trade-stat vectors (N,).
+    N >= 1, and integral_holding and the trade-stat vectors (N,). As in an
+    EpisodeLog, timestamps strictly increase and no holding is negative, and
+    trader_score is exactly 1 - stationarity_fraction, as behavior_profile sets it.
     """
     path = Path(directory) / "report.json"
     try:
@@ -294,10 +296,12 @@ def load_report(directory) -> BehaviorReport:
         require(isinstance(doc["agent_label"], str), "agent_label", "a string")
         stamps = numbers("timestamps", True, (None,))
         require(len(stamps) >= 2, "timestamps", "(T,) with T >= 2")
+        require(_increasing(stamps).all(), "timestamps", "strictly increasing")
         holdings = numbers("holdings_matrix", True, (len(stamps), None))
         require(holdings.shape[1] >= 1, "holdings_matrix", "(T, N) with N >= 1")
+        require((holdings >= 0).all(), "holdings_matrix", "never negative")
         n = holdings.shape[1]
-        return BehaviorReport(
+        report = BehaviorReport(
             agent_label=doc["agent_label"],
             timestamps=stamps,
             cumulative_reward=numbers("cumulative_reward", False, (len(stamps) - 1,)),
@@ -317,6 +321,9 @@ def load_report(directory) -> BehaviorReport:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedReport(f"report fields missing or malformed: {path}: {exc}") from None
+    require(report.trader_score == 1.0 - report.trade_stats.stationarity_fraction, "trader_score",
+            "1 - trade_stats.stationarity_fraction")
+    return report
 
 
 def write_comparison_csv(comparison: ProfileComparison, path) -> None:

@@ -20,14 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import (
-    A2CConfig,
-    BASELINE_POLICIES,
-    a2c_train,
-    load_checkpoint,
-    make_baseline,
-    save_checkpoint,
-)
+from .agents.a2c import A2CConfig, a2c_train, load_checkpoint, save_checkpoint
+from .agents.policies import BASELINE_POLICIES, make_baseline
 from .analytics import (TRADER_THRESHOLD, behavior_profile, compare_profiles, load_report, save_report,
                         write_comparison_csv)
 from .config import ConfigError, check_fields, decode_config
@@ -49,9 +43,6 @@ from .marketdata import (
 from .svgchart import render_bar_chart, render_line_chart
 
 __all__ = ["RunConfig", "main", "entrypoint"]
-
-SECTIONS = {"indicators": IndicatorConfig, "env": EnvConfig, "a2c": A2CConfig}
-
 
 @dataclass
 class RunConfig:
@@ -99,8 +90,7 @@ class RunConfig:
             raw = json.loads(path.read_text())
             if not isinstance(raw, dict):
                 raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-            sections = {name: decode_config(kind, raw[name], name) for name, kind in SECTIONS.items() if name in raw}
-            cfg = decode_config(cls, {**raw, **sections}, None)
+            cfg = decode_config(cls, raw, None)
             if "seed" in raw.get("a2c", {}) and cfg.a2c.seed != cfg.seed:  # train seeds A2C with the run's seed
                 raise ConfigError(f"config field a2c.seed is {cfg.a2c.seed}, but the run's seed is {cfg.seed}")
         except (ConfigError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
@@ -254,8 +244,8 @@ def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
                       [np.arange(len(stats.episode_rewards)), np.array(stats.episode_rewards, dtype=np.float64)])
 
     print(
-        f"trained {stats.total_timesteps} timesteps: {stats.episodes} episodes "
-        f"of {stats.episode_steps} steps, {stats.updates} updates -> {ckpt}"
+        f"trained {a2c_cfg.total_timesteps} timesteps: {a2c_cfg.total_timesteps // window.steps} episodes "
+        f"of {window.steps} steps, {stats.updates} updates -> {ckpt}"
     )
     return 0
 

@@ -3,6 +3,7 @@ the one per-field rule that both JSON configs and Python callers meet."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import types
@@ -10,7 +11,7 @@ import typing
 
 from .errors import TradeLabError
 
-__all__ = ["ConfigError", "field_fault", "check_fields", "decode_config"]
+__all__ = ["ConfigError", "check_fields", "decode_config"]
 
 
 class ConfigError(TradeLabError):
@@ -36,43 +37,34 @@ def _is_json_type(value, hint) -> bool:
 _type_hints = functools.cache(typing.get_type_hints)  # one evaluation of the annotations per class
 
 
-def field_fault(value, hint) -> str | None:
-    """Why ``value`` cannot fill a config field annotated ``hint``, or None:
-    a value of another type (nothing is coerced, and a bool is not a number),
-    NaN or an infinity."""
-    if not _is_json_type(value, hint):
-        return f"must be {hint if typing.get_origin(hint) else hint.__name__}, got {value!r}"
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"must be a finite number, got {value!r}"
-    return None
-
-
 def check_fields(record) -> None:
     """Raise ValueError for the first field of the config dataclass ``record``
-    that ``field_fault`` refuses, so a config built in Python meets the rule
-    that ``decode_config`` applies to JSON."""
+    that holds a value of another type (nothing is coerced, and a bool is not
+    a number), NaN or an infinity. Each config class calls it first in
+    ``__post_init__``, so configs from JSON and from Python meet one rule."""
     for name, hint in _type_hints(type(record)).items():
-        fault = field_fault(getattr(record, name), hint)
-        if fault is not None:
-            raise ValueError(f"{name} {fault}")
+        value = getattr(record, name)
+        if not _is_json_type(value, hint):
+            raise ValueError(f"{name} must be {hint if typing.get_origin(hint) else hint.__name__}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def decode_config(cls, data, section: str | None):
-    """Build ``cls`` from the JSON object ``data``; unknown fields, values that
-    ``field_fault`` refuses (``json.loads`` accepts NaN and infinities) and
-    out-of-range values raise a ConfigError naming ``section`` (None for the
-    top level) and the field."""
+    """Build ``cls`` from the JSON object ``data``, a field typed as a config
+    class from its own JSON object; unknown fields and the faults the class
+    refuses (``json.loads`` accepts NaN and infinities) raise a ConfigError
+    naming ``section`` (None for the top level) and the field."""
     where = "config" if section is None else f"config section {section!r}"
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object, got {data!r}")
     hints = _type_hints(cls)
+    fields = {}
     for key, value in data.items():
         if key not in hints:
             raise ConfigError(f"{where} has unknown field {key!r}")
-        fault = field_fault(value, hints[key])
-        if fault is not None:
-            raise ConfigError(f"config field {key if section is None else f'{section}.{key}'} {fault}")
+        fields[key] = decode_config(hints[key], value, key) if dataclasses.is_dataclass(hints[key]) else value
     try:
-        return cls(**data)
+        return cls(**fields)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None

@@ -289,8 +289,8 @@ class EpisodeLog:
 
     ``rewards`` holds UNSCALED portfolio-value deltas (length T-1); the final
     ``actions`` row is zero because no step leaves the terminal state.
-    Timestamps strictly increase and holdings are never negative; a fault
-    names the column and the row it has in the saved log (t + 2).
+    The label is a string, timestamps strictly increase and holdings are never
+    negative; a fault names the column and the row it has in the saved log (t + 2).
     """
 
     timestamps: np.ndarray  # int64 (T,)
@@ -305,6 +305,8 @@ class EpisodeLog:
     def __post_init__(self):
         _freeze(self, np.int64, None, "timestamps", "holdings")
         _freeze(self, np.float64, None, "actions", "cash", "portfolio_value", "rewards")
+        if not isinstance(self.agent_label, str):
+            raise MalformedLog(f"agent_label must be a string, got {self.agent_label!r}")
         t = self.timestamps.shape[0]
         if t < 2:
             raise MalformedLog("a log needs at least two rows")

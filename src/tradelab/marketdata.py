@@ -501,8 +501,8 @@ def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
         if timestamps.size == 0:
             raise EmptyIntersection("no timestamp is common to all inputs")
     else:
-        timestamps = np.unique(np.concatenate(axes))
-        timestamps = timestamps[timestamps >= max(axis[0] for axis in axes)]
+        timestamps = np.sort(np.concatenate(axes))
+        timestamps = timestamps[_increasing(timestamps) & (timestamps >= max(axis[0] for axis in axes))]
 
     # each input's last observation at or before each panel stamp; a gap
     # (never in intersect mode) is a flat bar at that close, volume 0

@@ -15,18 +15,16 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_INDICATORS, flat_features, hourly_axis, make_features, make_panel, write_bars_csv
-from tradelab.agents import (
+from tradelab.agents.a2c import (
     A2CConfig,
-    BuyAndHoldPolicy,
-    HoldPolicy,
-    MlpParams,
-    RandomPolicy,
+    RolloutBatch,
     a2c_loss_and_grad,
     a2c_train,
-    init_mlp,
-    mlp_forward,
+    gaussian_entropy,
+    gaussian_log_density,
 )
-from tradelab.agents.a2c import RolloutBatch, gaussian_entropy, gaussian_log_density
+from tradelab.agents.mlp import MlpParams, init_mlp, mlp_forward
+from tradelab.agents.policies import BuyAndHoldPolicy, HoldPolicy, RandomPolicy
 from tradelab.analytics import behavior_profile, compare_profiles, diversity_stats, trade_stats
 from tradelab.cli import main as cli_main
 from tradelab.env import EnvConfig, EpisodeLog, TradingEnv, Window, observation_size, run_episode

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import HOUR, hourly_axis, make_features
-from tradelab.agents import HoldPolicy, RandomPolicy
+from tradelab.agents.policies import HoldPolicy, RandomPolicy
 from tradelab.analytics import (
     BehaviorReport,
     DiversityStats,
@@ -477,6 +477,7 @@ class TestReportPersistence:
         doc = json.loads(path.read_text())
         doc["cumulative_reward"] = [1, float("nan"), float("inf"), -float("inf")]
         doc["trader_score"] = 1
+        doc["trade_stats"]["stationarity_fraction"] = 0
         doc["diversity"]["hhi"] = None
         path.write_text(json.dumps(doc))
         loaded = load_report(tmp_path / "out")
@@ -484,6 +485,27 @@ class TestReportPersistence:
         assert loaded.cumulative_reward.tobytes() == np.array([1.0, np.nan, np.inf, -np.inf]).tobytes()
         assert loaded.trader_score == 1.0 and type(loaded.trader_score) is float
         assert loaded.diversity.hhi is None
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("timestamps", lambda doc: doc["timestamps"].reverse()),
+            ("holdings_matrix", lambda doc: doc["holdings_matrix"][0].__setitem__(0, -7)),
+            ("trader_score", lambda doc: doc.__setitem__("trader_score", 0.99)),
+        ],
+        ids=["reversed-stamps", "negative-holding", "score-off-stationarity"],
+    )
+    def test_report_that_contradicts_itself_is_malformed(self, tmp_path, rng, field, edit):
+        save_report(behavior_profile(synthetic_log(rng, t=12, n=3)), tmp_path / "out")
+        path = tmp_path / "out" / "report.json"
+        doc = json.loads(path.read_text())
+        doc["trade_stats"]["stationarity_fraction"] = 1.0
+        doc["trader_score"] = 0.0
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedReport) as caught:
+            load_report(tmp_path / "out")
+        assert f"report field {field} " in str(caught.value) and str(path) in str(caught.value)
 
     def test_missing_report(self, tmp_path):
         with pytest.raises(FileNotFoundError):

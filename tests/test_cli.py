@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import hourly_axis, make_walk_series, write_bars_csv
-from tradelab.agents import MlpPolicy, ObsNormalizer, init_mlp, save_checkpoint
+from tradelab.agents.a2c import MlpPolicy, ObsNormalizer, save_checkpoint
+from tradelab.agents.mlp import init_mlp
 from tradelab.analytics import behavior_profile, load_report
 from tradelab.binfile import write_frame
 from tradelab.cli import build_parser, entrypoint, main
@@ -386,6 +387,14 @@ class TestTrain:
         assert run(workspace, "train", "--timesteps", "120") == 0
         assert "trained 120 timesteps" in capsys.readouterr().out
 
+    def test_prints_budget_episodes_and_updates(self, workspace, capsys):
+        run(workspace, "ingest")
+        capsys.readouterr()
+        assert run(workspace, "train", "--timesteps", "401") == 0
+        # 401 // 123 whole passes of the 123-step window; ceil(401 / (2 envs * 5 steps)) updates
+        ckpt = workspace / "out" / "a2c.ckpt"
+        assert capsys.readouterr().out == f"trained 401 timesteps: 3 episodes of 123 steps, 41 updates -> {ckpt}\n"
+
     def test_checkpoint_simulates(self, workspace, capsys):
         run(workspace, "ingest")
         run(workspace, "train")
@@ -542,15 +551,15 @@ class TestMalformedInputs:
         "section, value, names",
         [
             ("env", {"hmaxx": 5}, ["'env'", "'hmaxx'"]),
-            ("env", {"hmax": "100"}, ["env.hmax", "int"]),
-            ("indicators", {"rsi_period": 8.5}, ["indicators.rsi_period"]),
+            ("env", {"hmax": "100"}, ["'env'", "hmax must be int", "'100'"]),
+            ("indicators", {"rsi_period": 8.5}, ["'indicators'", "rsi_period"]),
             ("a2c", {"hidden_sizes": [16]}, ["'a2c'", "hidden_sizes"]),
             ("a2c", [16, 16], ["'a2c'", "JSON object"]),
-            ("env", {"initial_capital": float("inf")}, ["env.initial_capital", "finite", "inf"]),
-            ("env", {"initial_capital": float("nan")}, ["env.initial_capital", "finite", "nan"]),
-            ("env", {"turbulence_gate": float("nan")}, ["env.turbulence_gate", "finite"]),
-            ("indicators", {"boll_k": float("-inf")}, ["indicators.boll_k", "finite"]),
-            ("a2c", {"lr": float("inf")}, ["a2c.lr", "finite"]),
+            ("env", {"initial_capital": float("inf")}, ["'env'", "initial_capital", "finite", "inf"]),
+            ("env", {"initial_capital": float("nan")}, ["'env'", "initial_capital", "finite", "nan"]),
+            ("env", {"turbulence_gate": float("nan")}, ["'env'", "turbulence_gate", "finite"]),
+            ("indicators", {"boll_k": float("-inf")}, ["'indicators'", "boll_k", "finite"]),
+            ("a2c", {"lr": float("inf")}, ["'a2c'", "lr", "finite"]),
             ("a2c", {"rms_decay": 1.0}, ["'a2c'", "rms_decay"]),
             ("a2c", {"rms_decay": -0.5}, ["'a2c'", "rms_decay"]),
             ("a2c", {"rms_eps": 0.0}, ["'a2c'", "rms_eps"]),
@@ -573,10 +582,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "edit, names",
         [
-            (lambda config: {**config, "seed": [1]}, ["config field seed", "int", "[1]"]),
+            (lambda config: {**config, "seed": [1]}, ["seed must be int", "[1]"]),
             (lambda config: [config], ["config must be a JSON object", "list"]),
             (lambda config: {**config, "outt": "elsewhere"}, ["unknown field 'outt'"]),
-            (lambda config: {**config, "data": {"AA": 5}}, ["config field data", "dict[str, str]"]),
+            (lambda config: {**config, "data": {"AA": 5}}, ["data must be dict[str, str]"]),
             (lambda config: {**config, "tickers": ["AA", "CC"]}, ["tickers without a data path", "CC"]),
         ],
         ids=["seed-list", "top-level-list", "unknown-key", "data-path-number", "ticker-without-data"],

@@ -1,11 +1,15 @@
 """numpy stays the only runtime dependency: every module under ``src/``
-imports only the package itself, numpy and the standard library."""
+imports only the package itself, numpy and the standard library. And every
+name the README's code imports from the package resolves."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 ALLOWED = {"tradelab", "numpy", *sys.stdlib_module_names}
 
 
@@ -31,3 +35,13 @@ def test_the_walk_sees_a_foreign_import(tmp_path):
     module.write_text("import os.path\nfrom . import sibling\nfrom numpy import array\n"
                       "def f():\n    import pandas.api\n")
     assert [name for _, name in _top_level_imports(module) if name not in ALLOWED] == ["pandas"]
+
+
+def test_readme_imports_resolve():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    imports = [(node.module, alias.name) for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert ("tradelab", "a2c_train") in imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing

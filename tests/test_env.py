@@ -899,6 +899,15 @@ def test_episode_log_validates_shapes():
         )
 
 
+def test_run_episode_refuses_a_label_that_is_not_a_string():
+    class Numbered(_Hold):
+        label = 5
+
+    features = make_features(["A", "B"], 40, seed=9)
+    with pytest.raises(MalformedLog, match="agent_label must be a string, got 5"):
+        run_episode(Numbered(), EnvConfig(), features, Window(16, 40))
+
+
 @pytest.mark.parametrize("field", ["cash", "portfolio_value"])
 def test_episode_log_refuses_a_value_column_off_the_axis(field):
     columns = {"cash": np.ones(2), "portfolio_value": np.ones(2), field: np.ones(3)}

@@ -10,6 +10,7 @@ exactly the values its JSON section refuses.
 import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ import pytest
 from conftest import make_panel
 from tradelab.agents.a2c import A2CConfig, MlpPolicy, ObsNormalizer, load_checkpoint, save_checkpoint
 from tradelab.agents.mlp import init_mlp
-from tradelab.cli import SECTIONS, RunConfig
+from tradelab.cli import RunConfig
 from tradelab.config import ConfigError, decode_config
 from tradelab.env import EnvConfig
 from tradelab.errors import TradeLabError
 from tradelab.indicators import IndicatorConfig
 from tradelab.marketdata import load_panel, save_panel
 
+# the config sections: the fields of RunConfig typed as config classes
+SECTIONS = {name: hint for name, hint in typing.get_type_hints(RunConfig).items() if dataclasses.is_dataclass(hint)}
 WRONG_VALUES = [None, True, -1, 1.5, "x", []]
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 

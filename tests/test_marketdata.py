@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import HOUR, hourly_axis, make_features, make_walk_series, write_bars_csv
-from tradelab.agents import RandomPolicy
+from tradelab.agents.policies import RandomPolicy
 from tradelab.binfile import MalformedFile, write_frame
 from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.errors import TradeLabError
