@@ -390,6 +390,8 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(policy: MlpPolicy, path) -> None:
+    if not isinstance(policy.label, str):  # load_checkpoint refuses it, so no such file is written
+        raise TradeLabError(f"policy label must be a string, got {policy.label!r}")
     params_vec = policy.params.vector
     header = {
         "sizes": list(policy.params.sizes),

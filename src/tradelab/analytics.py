@@ -1,18 +1,19 @@
 """Behavioral analytics over episode logs.
 
-Everything here is a pure function of an EpisodeLog, whose arrays are
-read-only int64/float64, at least two rows long and one ticker wide:
-cumulative reward (prefix sums of the logged value deltas, so the series is
-in account currency), integral holding (time-summed share exposure), trade
-statistics over position changes, purchase-diversity concentration, and a
-continuous holder-vs-trader score. Trades are detected as holding changes,
-never from the action sign — a clipped no-op action is not a trade.
+A BehaviorReport holds one episode's cumulative reward (prefix sums of the
+logged value deltas, so the series is in account currency) and holdings
+matrix, and derives the rest from the holdings, an int64 (T, N) array at
+least two rows long and one ticker wide, as an EpisodeLog guarantees it:
+integral holding (time-summed share exposure), trade statistics over
+position changes, purchase-diversity concentration, and a continuous
+holder-vs-trader score. Trades are detected as holding changes, never from
+the action sign — a clipped no-op action is not a trade.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "BehaviorReport",
     "ProfileComparison",
     "MalformedReport",
-    "cumulative_reward",
     "integral_holding",
     "trade_stats",
     "diversity_stats",
@@ -74,16 +74,25 @@ class DiversityStats:
 
 @dataclass(frozen=True)
 class BehaviorReport:
-    """Everything the analytics layer derives from one episode."""
+    """One episode's rewards and holdings, and every statistic the analytics
+    layer derives from the holdings; a report is never handed a statistic."""
 
     agent_label: str
     timestamps: np.ndarray  # int64 (T,)
     cumulative_reward: np.ndarray  # float64 (T-1,) running account-currency total
-    integral_holding: np.ndarray  # int64 (N,) share-steps
     holdings_matrix: np.ndarray  # int64 (T, N)
-    trade_stats: TradeStats
-    diversity: DiversityStats
-    trader_score: float  # 1 - stationarity_fraction
+    integral_holding: np.ndarray = field(init=False)  # int64 (N,) share-steps
+    trade_stats: TradeStats = field(init=False)
+    diversity: DiversityStats = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "integral_holding", integral_holding(self.holdings_matrix))
+        object.__setattr__(self, "trade_stats", trade_stats(self.holdings_matrix))
+        object.__setattr__(self, "diversity", diversity_stats(self.holdings_matrix))
+
+    @property
+    def trader_score(self) -> float:
+        return 1.0 - self.trade_stats.stationarity_fraction
 
     @property
     def final_cumulative_reward(self) -> float:
@@ -94,21 +103,12 @@ class BehaviorReport:
         return self.trader_score > TRADER_THRESHOLD
 
 
-def cumulative_reward(log: EpisodeLog) -> np.ndarray:
-    """Running total of the logged per-step value deltas (Σ_{k<=t} r_k).
-
-    The deltas telescope, so the last element is exactly V_T - V_0.
-    """
-    return np.cumsum(log.rewards)
-
-
-def integral_holding(log: EpisodeLog) -> np.ndarray:
+def integral_holding(holdings: np.ndarray) -> np.ndarray:
     """Time-summed exposure per ticker, in share-steps: Σ_t holdings[t][i]."""
-    return log.holdings.sum(axis=0)
+    return holdings.sum(axis=0)
 
 
-def trade_stats(log: EpisodeLog) -> TradeStats:
-    holdings = log.holdings
+def trade_stats(holdings: np.ndarray) -> TradeStats:
     deltas = np.diff(holdings, axis=0)
     changed = deltas != 0
     trade_count = changed.sum(axis=0).astype(np.int64)
@@ -124,8 +124,8 @@ def trade_stats(log: EpisodeLog) -> TradeStats:
     )
 
 
-def diversity_stats(log: EpisodeLog) -> DiversityStats:
-    held = integral_holding(log)
+def diversity_stats(holdings: np.ndarray) -> DiversityStats:
+    held = integral_holding(holdings)
     total = int(held.sum())
     active = int(np.count_nonzero(held))
     if total == 0:
@@ -139,19 +139,10 @@ def diversity_stats(log: EpisodeLog) -> DiversityStats:
 
 
 def behavior_profile(log: EpisodeLog) -> BehaviorReport:
-    """Assemble every analytic for one log; the report shares the log's
-    read-only timestamp and holdings arrays."""
-    stats = trade_stats(log)
-    return BehaviorReport(
-        agent_label=log.agent_label,
-        timestamps=log.timestamps,
-        cumulative_reward=cumulative_reward(log),
-        integral_holding=integral_holding(log),
-        holdings_matrix=log.holdings,
-        trade_stats=stats,
-        diversity=diversity_stats(log),
-        trader_score=1.0 - stats.stationarity_fraction,
-    )
+    """The report of one log: its cumulative reward is the running total of
+    the logged value deltas, whose last element is exactly V_T - V_0; the
+    report shares the log's read-only timestamp and holdings arrays."""
+    return BehaviorReport(log.agent_label, log.timestamps, np.cumsum(log.rewards), log.holdings)
 
 
 @dataclass(frozen=True)
@@ -219,6 +210,19 @@ def _json_fields(record) -> dict:
     return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in vars(record).items()}
 
 
+def _report_fields(report: BehaviorReport) -> dict:
+    """report.json's fields but the three per-step arrays, as JSON values:
+    save_report writes them, and load_report holds a stored report to them."""
+    return {
+        "format": REPORT_MAGIC,
+        "agent_label": report.agent_label,
+        "integral_holding": report.integral_holding.tolist(),
+        "trade_stats": _json_fields(report.trade_stats),
+        "diversity": _json_fields(report.diversity),
+        "trader_score": report.trader_score,
+    }
+
+
 def save_report(report: BehaviorReport, directory) -> None:
     """Write report.json plus cumulative_reward/integral_holding/
     holdings_matrix CSVs under the given directory."""
@@ -226,21 +230,13 @@ def save_report(report: BehaviorReport, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     timestamps = np.asarray(report.timestamps, dtype=np.int64)
     cumulative = np.asarray(report.cumulative_reward, dtype=np.float64)
-    held = np.asarray(report.integral_holding, dtype=np.int64)
     holdings = np.asarray(report.holdings_matrix, dtype=np.int64)
-    small = {
-        "format": REPORT_MAGIC,
-        "agent_label": report.agent_label,
-        "trade_stats": _json_fields(report.trade_stats),
-        "diversity": _json_fields(report.diversity),
-        "trader_score": report.trader_score,
-    }
-    # json.dumps(doc, sort_keys=True, indent=2), with the four large arrays encoded column-wise
-    fields = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ") for key, value in small.items()}
+    # json.dumps(doc, sort_keys=True, indent=2), with the three per-step arrays encoded column-wise
+    fields = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+              for key, value in _report_fields(report).items()}
     fields.update({
         "timestamps": _json_array(list(map(str, timestamps.tolist())), 1),
         "cumulative_reward": _json_array(_json_floats(cumulative), 1),
-        "integral_holding": _json_array(list(map(str, held.tolist())), 1),
         "holdings_matrix": _json_array([_json_array(list(map(str, row)), 2) for row in holdings.tolist()], 1),
     })
     doc = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
@@ -250,7 +246,7 @@ def save_report(report: BehaviorReport, directory) -> None:
     write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"],
                       [np.arange(1, cumulative.shape[0] + 1), stamps[1:], cumulative])
     write_csv_columns(directory / "integral_holding.csv", ["ticker", "integral_holding"],
-                      [np.arange(held.shape[0]), held])
+                      [np.arange(holdings.shape[1]), report.integral_holding])
     write_csv_columns(
         directory / "holdings_matrix.csv", ["t", "timestamp"] + [f"hold_{i}" for i in range(holdings.shape[1])],
         [np.arange(holdings.shape[0]), stamps, *holdings.T],
@@ -260,11 +256,11 @@ def save_report(report: BehaviorReport, directory) -> None:
 def load_report(directory) -> BehaviorReport:
     """Rebuild a report from its JSON document of record.
 
-    Every array must have the shape save_report gives it: timestamps (T,)
-    with T >= 2, cumulative_reward (T-1,), holdings_matrix (T, N) with
-    N >= 1, and integral_holding and the trade-stat vectors (N,). As in an
-    EpisodeLog, timestamps strictly increase and no holding is negative, and
-    trader_score is exactly 1 - stationarity_fraction, as behavior_profile sets it.
+    The four given fields are decoded and checked: agent_label a string,
+    timestamps (T,) with T >= 2 strictly increasing, cumulative_reward
+    (T-1,), and holdings_matrix (T, N) with N >= 1 and no negative holding.
+    Every other stored field must be, as JSON text, what the rebuilt report
+    derives from its holdings, as save_report writes it.
     """
     path = Path(directory) / "report.json"
     try:
@@ -274,19 +270,16 @@ def load_report(directory) -> BehaviorReport:
     if not isinstance(doc, dict) or doc.get("format") != REPORT_MAGIC:
         raise MalformedReport(f"not a behavior report: {path}")
 
-    def numbers(name: str, integer: bool, shape: tuple = ()):
-        """The field at dotted ``name``, shaped ``shape`` (None: any length):
-        JSON integers, or numbers (NaN and ±Infinity too), never coerced."""
-        value = doc
-        for key in name.split("."):
-            value = value[key]
-        cells = np.array(value, dtype=object)
+    def numbers(name: str, integer: bool, shape: tuple) -> np.ndarray:
+        """The field ``name``, shaped ``shape`` (None: any length): JSON
+        integers, or numbers (NaN and ±Infinity too), never coerced."""
+        cells = np.array(doc[name], dtype=object)
         if not set(map(type, cells.flat)) <= ({int} if integer else {int, float}):
             kind = "integers" if integer else "numbers"
-            raise MalformedReport(f"report field {name} must hold JSON {kind} only, got {value!r:.80}", path=path)
+            raise MalformedReport(f"report field {name} must hold JSON {kind} only, got {doc[name]!r:.80}", path=path)
         if cells.ndim != len(shape) or any(size not in (None, got) for got, size in zip(cells.shape, shape)):
             raise MalformedReport(f"report field {name} has shape {cells.shape}, expected {shape}", path=path)
-        return cells.astype(np.int64 if integer else np.float64) if shape else (int if integer else float)(value)
+        return cells.astype(np.int64 if integer else np.float64)
 
     def require(ok: bool, name: str, what: str) -> None:
         if not ok:
@@ -300,29 +293,16 @@ def load_report(directory) -> BehaviorReport:
         holdings = numbers("holdings_matrix", True, (len(stamps), None))
         require(holdings.shape[1] >= 1, "holdings_matrix", "(T, N) with N >= 1")
         require((holdings >= 0).all(), "holdings_matrix", "never negative")
-        n = holdings.shape[1]
-        report = BehaviorReport(
-            agent_label=doc["agent_label"],
-            timestamps=stamps,
-            cumulative_reward=numbers("cumulative_reward", False, (len(stamps) - 1,)),
-            integral_holding=numbers("integral_holding", True, (n,)),
-            holdings_matrix=holdings,
-            trade_stats=TradeStats(
-                *(numbers(f"trade_stats.{key}", True, (n,))
-                  for key in ("trade_count", "total_turnover", "max_shares_held")),
-                *(numbers(f"trade_stats.{key}", False) for key in ("stationarity_fraction", "mean_holding_run")),
-            ),
-            diversity=DiversityStats(
-                numbers("diversity.active_tickers", True),
-                *(None if doc["diversity"][key] is None else numbers(f"diversity.{key}", False)
-                  for key in ("hhi", "top1_share")),
-            ),
-            trader_score=numbers("trader_score", False),
-        )
+        report = BehaviorReport(doc["agent_label"], stamps, numbers("cumulative_reward", False, (len(stamps) - 1,)),
+                                holdings)
+        for key, derived in _report_fields(report).items():
+            for sub, value in derived.items() if isinstance(derived, dict) else [(None, derived)]:
+                name, stored = (key, doc[key]) if sub is None else (f"{key}.{sub}", doc[key][sub])
+                if json.dumps(stored) != json.dumps(value):
+                    raise MalformedReport(f"report field {name} is {json.dumps(stored):.80}, but the holdings "
+                                          f"give {json.dumps(value):.80}", path=path)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedReport(f"report fields missing or malformed: {path}: {exc}") from None
-    require(report.trader_score == 1.0 - report.trade_stats.stationarity_fraction, "trader_score",
-            "1 - trade_stats.stationarity_fraction")
     return report
 
 

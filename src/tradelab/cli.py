@@ -88,8 +88,6 @@ class RunConfig:
     def _read(cls, path: Path) -> "RunConfig":
         try:
             raw = json.loads(path.read_text())
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
             cfg = decode_config(cls, raw, None)
             if "seed" in raw.get("a2c", {}) and cfg.a2c.seed != cfg.seed:  # train seeds A2C with the run's seed
                 raise ConfigError(f"config field a2c.seed is {cfg.a2c.seed}, but the run's seed is {cfg.seed}")

@@ -57,7 +57,7 @@ def decode_config(cls, data, section: str | None):
     naming ``section`` (None for the top level) and the field."""
     where = "config" if section is None else f"config section {section!r}"
     if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+        raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
     hints = _type_hints(cls)
     fields = {}
     for key, value in data.items():

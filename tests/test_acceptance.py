@@ -413,7 +413,7 @@ def test_criterion_08_analytics_oracles():
         log = _random_log(rng, t, n)
         holdings = np.asarray(log.holdings)
 
-        stats = trade_stats(log)
+        stats = trade_stats(holdings)
         report = behavior_profile(log)
         changed_pairs = 0
         runs = []
@@ -440,7 +440,7 @@ def test_criterion_08_analytics_oracles():
 
         held = [sum(int(holdings[k, i]) for k in range(t)) for i in range(n)]
         assert np.array_equal(report.integral_holding, held)
-        d = diversity_stats(log)
+        d = diversity_stats(holdings)
         total = sum(held)
         if total == 0:
             assert d.hhi is None
@@ -456,24 +456,10 @@ def test_criterion_08_analytics_oracles():
 
     single = np.zeros((10, 4), dtype=np.int64)
     single[:, 1] = 9
-    assert diversity_stats(_random_log_with(single)).hhi == 1.0
+    assert diversity_stats(single).hhi == 1.0
     uniform = np.full((6, 30), 3, dtype=np.int64)
-    assert abs(diversity_stats(_random_log_with(uniform)).hhi - 1 / 30) <= 1e-12
+    assert abs(diversity_stats(uniform).hhi - 1 / 30) <= 1e-12
     _verdict(8, started, 30.0, "analytics match brute-force oracles on 100 random logs; degenerate facts pinned")
-
-
-def _random_log_with(holdings):
-    rng = np.random.default_rng(0)
-    t, n = holdings.shape
-    return EpisodeLog(
-        timestamps=hourly_axis(1_646_380_800, t),
-        actions=np.zeros((t, n)),
-        holdings=holdings,
-        cash=np.full(t, 100.0),
-        portfolio_value=np.full(t, 100.0),
-        rewards=np.zeros(t - 1),
-        agent_label="fixed",
-    )
 
 
 # ---------------------------------------------------------------------------

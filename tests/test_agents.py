@@ -706,6 +706,13 @@ class TestCheckpoint:
         for name in names:
             assert name in str(caught.value)
 
+    def test_save_refuses_a_label_that_load_would_refuse(self, tmp_path, rng):
+        policy = MlpPolicy(init_mlp((4, 6, 6, 2), rng), ObsNormalizer(4), label=5)
+        path = tmp_path / "policy.ckpt"
+        with pytest.raises(TradeLabError, match="label must be a string, got 5"):
+            save_checkpoint(policy, path)
+        assert not path.exists()
+
     def test_rejects_nonfinite_params(self, tmp_path, rng):
         params = init_mlp((4, 6, 6, 2), rng)
         vec = params.vector.copy()

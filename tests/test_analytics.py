@@ -15,7 +15,6 @@ from tradelab.analytics import (
     MalformedReport,
     behavior_profile,
     compare_profiles,
-    cumulative_reward,
     diversity_stats,
     integral_holding,
     load_report,
@@ -104,17 +103,17 @@ class TestCumulativeReward:
     def test_prefix_sums(self, rng):
         log = synthetic_log(rng, t=4, n=2)
         object.__setattr__(log, "rewards", np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(cumulative_reward(log), [1.0, 3.0, 6.0])
+        assert np.array_equal(behavior_profile(log).cumulative_reward, [1.0, 3.0, 6.0])
 
     def test_hold_log_is_flat_zero(self, rng):
         feats = make_features(["AA", "BB"], 80, seed=3)
         log = run_episode(HoldPolicy(), EnvConfig(), feats, Window(feats.warmup, 80), seed=0)
-        assert np.array_equal(cumulative_reward(log), np.zeros(log.n_timestamps - 1))
+        assert np.array_equal(behavior_profile(log).cumulative_reward, np.zeros(log.n_timestamps - 1))
 
     def test_final_equals_value_delta(self, rng):
         feats = make_features(["AA", "BB", "CC"], 120, seed=9)
         log = run_episode(RandomPolicy(), EnvConfig(), feats, Window(feats.warmup, 120), seed=4)
-        series = cumulative_reward(log)
+        series = behavior_profile(log).cumulative_reward
         expected = log.portfolio_value[-1] - log.portfolio_value[0]
         assert series[-1] == pytest.approx(expected, rel=1e-9, abs=1e-6)
         assert series.shape == (log.n_timestamps - 1,)
@@ -131,20 +130,20 @@ class TestCumulativeReward:
             rewards=log.rewards,
             agent_label=log.agent_label,
         )
-        assert np.array_equal(cumulative_reward(log), cumulative_reward(swapped))
+        assert np.array_equal(behavior_profile(log).cumulative_reward, behavior_profile(swapped).cumulative_reward)
 
 
 class TestIntegralHolding:
     def test_constant_holding(self, rng):
         holdings = np.full((12, 3), 7, dtype=np.int64)
         log = synthetic_log(rng, holdings=holdings)
-        assert np.array_equal(integral_holding(log), [84, 84, 84])
+        assert np.array_equal(integral_holding(log.holdings), [84, 84, 84])
 
     def test_untraded_ticker_is_zero(self, rng):
         holdings = np.zeros((10, 2), dtype=np.int64)
         holdings[:, 0] = 5
         log = synthetic_log(rng, holdings=holdings)
-        assert np.array_equal(integral_holding(log), [50, 0])
+        assert np.array_equal(integral_holding(log.holdings), [50, 0])
 
     def test_double_loop_oracle(self, rng):
         for _ in range(25):
@@ -153,13 +152,13 @@ class TestIntegralHolding:
                 sum(int(log.holdings[t, i]) for t in range(log.n_timestamps))
                 for i in range(log.n_tickers)
             ]
-            assert np.array_equal(integral_holding(log), expected)
+            assert np.array_equal(integral_holding(log.holdings), expected)
 
     def test_permutation_equivariance(self, rng):
         log = synthetic_log(rng, t=30, n=5)
         perm = rng.permutation(5)
         swapped = synthetic_log(rng, holdings=log.holdings[:, perm])
-        assert np.array_equal(integral_holding(swapped), integral_holding(log)[perm])
+        assert np.array_equal(integral_holding(swapped.holdings), integral_holding(log.holdings)[perm])
 
 
 class TestTradeStats:
@@ -167,7 +166,7 @@ class TestTradeStats:
         # one trade per ticker at the first step, then frozen
         holdings = np.zeros((10, 3), dtype=np.int64)
         holdings[1:] = [5, 9, 2]
-        stats = trade_stats(synthetic_log(rng, holdings=holdings))
+        stats = trade_stats(holdings)
         assert np.array_equal(stats.trade_count, [1, 1, 1])
         assert np.array_equal(stats.total_turnover, [5, 9, 2])
         assert np.array_equal(stats.max_shares_held, [5, 9, 2])
@@ -177,7 +176,7 @@ class TestTradeStats:
 
     def test_alternating_run_of_one(self, rng):
         holdings = (np.arange(12, dtype=np.int64) % 2)[:, None]
-        stats = trade_stats(synthetic_log(rng, holdings=holdings))
+        stats = trade_stats(holdings)
         assert stats.mean_holding_run == 1.0
         assert stats.stationarity_fraction == 0.0
         assert stats.trade_count[0] == 11
@@ -185,7 +184,7 @@ class TestTradeStats:
     def test_scanner_oracle(self, rng):
         for _ in range(25):
             log = synthetic_log(rng, t=int(rng.integers(2, 80)), n=int(rng.integers(1, 6)))
-            stats = trade_stats(log)
+            stats = trade_stats(log.holdings)
             count, turn, held, stationary, mean_run = scan_trade_stats(np.asarray(log.holdings))
             assert np.array_equal(stats.trade_count, count)
             assert np.array_equal(stats.total_turnover, turn)
@@ -197,7 +196,7 @@ class TestTradeStats:
         feats = make_features(["AA", "BB"], 100, seed=21)
         cfg = EnvConfig(hmax=10)
         log = run_episode(RandomPolicy(), cfg, feats, Window(feats.warmup, 100), seed=2)
-        stats = trade_stats(log)
+        stats = trade_stats(log.holdings)
         assert np.all(stats.max_shares_held <= cfg.hmax * (log.n_timestamps - 1))
         assert np.all(np.abs(np.diff(np.asarray(log.holdings), axis=0)) <= cfg.hmax)
 
@@ -206,21 +205,21 @@ class TestDiversityStats:
     def test_single_ticker_concentration(self, rng):
         holdings = np.zeros((10, 4), dtype=np.int64)
         holdings[:, 2] = 3
-        d = diversity_stats(synthetic_log(rng, holdings=holdings))
+        d = diversity_stats(holdings)
         assert d.active_tickers == 1
         assert d.hhi == 1.0
         assert d.top1_share == 1.0
 
     def test_uniform_over_thirty(self, rng):
         holdings = np.full((6, 30), 11, dtype=np.int64)
-        d = diversity_stats(synthetic_log(rng, holdings=holdings))
+        d = diversity_stats(holdings)
         assert d.active_tickers == 30
         assert d.hhi == pytest.approx(1 / 30, abs=1e-12)
         assert d.top1_share == pytest.approx(1 / 30, abs=1e-12)
 
     def test_zero_exposure_reports_absent(self, rng):
         holdings = np.zeros((8, 5), dtype=np.int64)
-        d = diversity_stats(synthetic_log(rng, holdings=holdings))
+        d = diversity_stats(holdings)
         assert d.active_tickers == 0
         assert d.hhi is None
         assert d.top1_share is None
@@ -229,8 +228,8 @@ class TestDiversityStats:
         for _ in range(25):
             n = int(rng.integers(1, 8))
             log = synthetic_log(rng, t=int(rng.integers(2, 50)), n=n)
-            d = diversity_stats(log)
-            held = integral_holding(log)
+            d = diversity_stats(log.holdings)
+            held = integral_holding(log.holdings)
             total = held.sum()
             if total == 0:
                 assert d.hhi is None
@@ -476,15 +475,10 @@ class TestReportPersistence:
         path = tmp_path / "out" / "report.json"
         doc = json.loads(path.read_text())
         doc["cumulative_reward"] = [1, float("nan"), float("inf"), -float("inf")]
-        doc["trader_score"] = 1
-        doc["trade_stats"]["stationarity_fraction"] = 0
-        doc["diversity"]["hhi"] = None
         path.write_text(json.dumps(doc))
         loaded = load_report(tmp_path / "out")
         assert loaded.cumulative_reward.dtype == np.float64
         assert loaded.cumulative_reward.tobytes() == np.array([1.0, np.nan, np.inf, -np.inf]).tobytes()
-        assert loaded.trader_score == 1.0 and type(loaded.trader_score) is float
-        assert loaded.diversity.hhi is None
 
     @pytest.mark.parametrize(
         "field, edit",
@@ -492,15 +486,27 @@ class TestReportPersistence:
             ("timestamps", lambda doc: doc["timestamps"].reverse()),
             ("holdings_matrix", lambda doc: doc["holdings_matrix"][0].__setitem__(0, -7)),
             ("trader_score", lambda doc: doc.__setitem__("trader_score", 0.99)),
+            # well-typed statistics that the holdings contradict; the true values
+            # are [37, 56, 7], [4, 4, 7], [7, 6, 8], [5, 8, 2], 6/11, 2.0, 3, 0.4554 and 0.56
+            ("integral_holding", lambda doc: doc.__setitem__("integral_holding", [999, 0, 0])),
+            ("trade_stats.trade_count", lambda doc: doc["trade_stats"].__setitem__("trade_count", [0, 0, 0])),
+            ("trade_stats.total_turnover", lambda doc: doc["trade_stats"].__setitem__("total_turnover", [7, 6, 9])),
+            ("trade_stats.max_shares_held", lambda doc: doc["trade_stats"].__setitem__("max_shares_held", [7, 7, 7])),
+            ("trade_stats.stationarity_fraction",
+             lambda doc: doc["trade_stats"].__setitem__("stationarity_fraction", 0.5)),
+            ("trade_stats.mean_holding_run", lambda doc: doc["trade_stats"].__setitem__("mean_holding_run", 12.0)),
+            ("diversity.active_tickers", lambda doc: doc["diversity"].__setitem__("active_tickers", 1)),
+            ("diversity.hhi", lambda doc: doc["diversity"].__setitem__("hhi", 0.9)),
+            ("diversity.top1_share", lambda doc: doc["diversity"].__setitem__("top1_share", None)),
         ],
-        ids=["reversed-stamps", "negative-holding", "score-off-stationarity"],
+        ids=["reversed-stamps", "negative-holding", "score-off-stationarity", "wrong-integral", "wrong-trade-count",
+             "wrong-turnover", "wrong-max-held", "wrong-stationarity", "wrong-mean-run", "wrong-active", "wrong-hhi",
+             "absent-top1-share"],
     )
     def test_report_that_contradicts_itself_is_malformed(self, tmp_path, rng, field, edit):
         save_report(behavior_profile(synthetic_log(rng, t=12, n=3)), tmp_path / "out")
         path = tmp_path / "out" / "report.json"
         doc = json.loads(path.read_text())
-        doc["trade_stats"]["stationarity_fraction"] = 1.0
-        doc["trader_score"] = 0.0
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedReport) as caught:

@@ -632,7 +632,7 @@ def test_json_array_of_nothing_matches_json_dumps(depth):
 def test_save_report_spells_nonfinite_floats_like_json(tmp_path):
     report = behavior_profile(_logs(tmp_path)["hhi-none"])
     cumulative = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -2.5, 0.1, 7.0, 1.0, 2.0])
-    report = dataclasses.replace(report, cumulative_reward=cumulative, trader_score=float("nan"))
+    report = dataclasses.replace(report, cumulative_reward=cumulative)
     save_report(report, tmp_path / "new")
     ref_save_report(report, tmp_path / "ref")
     for name in ("report.json", "cumulative_reward.csv"):

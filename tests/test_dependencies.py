@@ -1,6 +1,7 @@
 """numpy stays the only runtime dependency: every module under ``src/``
 imports only the package itself, numpy and the standard library. And every
-name the README's code imports from the package resolves."""
+name the README's code imports from the package, and every name a package
+module exports in ``__all__``, resolves."""
 
 import ast
 import importlib
@@ -44,4 +45,14 @@ def test_readme_imports_resolve():
     assert ("tradelab", "a2c_train") in imports
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
+
+
+def test_every_exported_name_resolves():
+    modules = [".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+               for path in sorted(SRC.rglob("*.py"))]
+    exported = [(module, name) for module in modules
+                for name in getattr(importlib.import_module(module), "__all__", ())]
+    assert ("tradelab.analytics", "load_report") in exported
+    missing = [f"{module}.{name}" for module, name in exported if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing
