@@ -3,7 +3,7 @@
 A BehaviorReport holds one episode's cumulative reward (prefix sums of the
 logged value deltas, so the series is in account currency) and holdings
 matrix, and derives the rest from the holdings, an int64 (T, N) array at
-least two rows long and one ticker wide, as an EpisodeLog guarantees it:
+least two rows long and one ticker wide, which the report checks itself:
 integral holding (time-summed share exposure), trade statistics over
 position changes, purchase-diversity concentration, and a continuous
 holder-vs-trader score. Trades are detected as holding changes, never from
@@ -20,7 +20,7 @@ import numpy as np
 
 from .env import EpisodeLog
 from .errors import TradeLabError
-from .marketdata import _increasing, format_timestamps, quote_csv, write_csv_columns
+from .marketdata import _freeze, _increasing, format_timestamps, quote_csv, write_csv_columns
 
 __all__ = [
     "TradeStats",
@@ -75,7 +75,12 @@ class DiversityStats:
 @dataclass(frozen=True)
 class BehaviorReport:
     """One episode's rewards and holdings, and every statistic the analytics
-    layer derives from the holdings; a report is never handed a statistic."""
+    layer derives from the holdings; a report is never handed a statistic.
+
+    The four given fields hold their own rule, and a fault raises ValueError
+    naming the field: timestamps (T,) with T >= 2, strictly increasing;
+    holdings (T, N) with N >= 1, never negative; cumulative reward (T-1,).
+    """
 
     agent_label: str
     timestamps: np.ndarray  # int64 (T,)
@@ -86,6 +91,21 @@ class BehaviorReport:
     diversity: DiversityStats = field(init=False)
 
     def __post_init__(self):
+        _freeze(self, np.int64, None, "timestamps", "holdings_matrix")
+        _freeze(self, np.float64, None, "cumulative_reward")
+        stamps, held = self.timestamps, self.holdings_matrix
+        t = stamps.shape[0] if stamps.ndim == 1 else 0
+        if t < 2:
+            raise ValueError(f"report field timestamps must be (T,) with T >= 2, got shape {stamps.shape}")
+        if not _increasing(stamps).all():
+            raise ValueError("report field timestamps must be strictly increasing")
+        if held.ndim != 2 or held.shape[0] != t or held.shape[1] < 1:
+            raise ValueError(f"report field holdings_matrix must be ({t}, N) with N >= 1, got shape {held.shape}")
+        if (held < 0).any():
+            raise ValueError("report field holdings_matrix must never be negative")
+        if self.cumulative_reward.shape != (t - 1,):
+            raise ValueError(f"report field cumulative_reward must be ({t - 1},), "
+                             f"got shape {self.cumulative_reward.shape}")
         object.__setattr__(self, "integral_holding", integral_holding(self.holdings_matrix))
         object.__setattr__(self, "trade_stats", trade_stats(self.holdings_matrix))
         object.__setattr__(self, "diversity", diversity_stats(self.holdings_matrix))
@@ -228,9 +248,7 @@ def save_report(report: BehaviorReport, directory) -> None:
     holdings_matrix CSVs under the given directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    timestamps = np.asarray(report.timestamps, dtype=np.int64)
-    cumulative = np.asarray(report.cumulative_reward, dtype=np.float64)
-    holdings = np.asarray(report.holdings_matrix, dtype=np.int64)
+    timestamps, cumulative, holdings = report.timestamps, report.cumulative_reward, report.holdings_matrix
     # json.dumps(doc, sort_keys=True, indent=2), with the three per-step arrays encoded column-wise
     fields = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
               for key, value in _report_fields(report).items()}
@@ -256,11 +274,11 @@ def save_report(report: BehaviorReport, directory) -> None:
 def load_report(directory) -> BehaviorReport:
     """Rebuild a report from its JSON document of record.
 
-    The four given fields are decoded and checked: agent_label a string,
-    timestamps (T,) with T >= 2 strictly increasing, cumulative_reward
-    (T-1,), and holdings_matrix (T, N) with N >= 1 and no negative holding.
-    Every other stored field must be, as JSON text, what the rebuilt report
-    derives from its holdings, as save_report writes it.
+    The four given fields are decoded as JSON types (agent_label a string,
+    timestamps and holdings_matrix integers, cumulative_reward numbers) and
+    then hold BehaviorReport's own rule. Every other stored field must be, as
+    JSON text, what the rebuilt report derives from its holdings, as
+    save_report writes it.
     """
     path = Path(directory) / "report.json"
     try:
@@ -270,31 +288,24 @@ def load_report(directory) -> BehaviorReport:
     if not isinstance(doc, dict) or doc.get("format") != REPORT_MAGIC:
         raise MalformedReport(f"not a behavior report: {path}")
 
-    def numbers(name: str, integer: bool, shape: tuple) -> np.ndarray:
-        """The field ``name``, shaped ``shape`` (None: any length): JSON
-        integers, or numbers (NaN and ±Infinity too), never coerced."""
+    def numbers(name: str, integer: bool) -> np.ndarray:
+        """The field ``name``: JSON integers, or numbers (NaN and ±Infinity
+        too), never coerced."""
         cells = np.array(doc[name], dtype=object)
         if not set(map(type, cells.flat)) <= ({int} if integer else {int, float}):
             kind = "integers" if integer else "numbers"
             raise MalformedReport(f"report field {name} must hold JSON {kind} only, got {doc[name]!r:.80}", path=path)
-        if cells.ndim != len(shape) or any(size not in (None, got) for got, size in zip(cells.shape, shape)):
-            raise MalformedReport(f"report field {name} has shape {cells.shape}, expected {shape}", path=path)
         return cells.astype(np.int64 if integer else np.float64)
 
-    def require(ok: bool, name: str, what: str) -> None:
-        if not ok:
-            raise MalformedReport(f"report field {name} must be {what}, got {doc[name]!r:.80}", path=path)
-
     try:
-        require(isinstance(doc["agent_label"], str), "agent_label", "a string")
-        stamps = numbers("timestamps", True, (None,))
-        require(len(stamps) >= 2, "timestamps", "(T,) with T >= 2")
-        require(_increasing(stamps).all(), "timestamps", "strictly increasing")
-        holdings = numbers("holdings_matrix", True, (len(stamps), None))
-        require(holdings.shape[1] >= 1, "holdings_matrix", "(T, N) with N >= 1")
-        require((holdings >= 0).all(), "holdings_matrix", "never negative")
-        report = BehaviorReport(doc["agent_label"], stamps, numbers("cumulative_reward", False, (len(stamps) - 1,)),
-                                holdings)
+        if not isinstance(doc["agent_label"], str):
+            raise MalformedReport(f"report field agent_label must be a string, got {doc['agent_label']!r:.80}",
+                                  path=path)
+        fields = (numbers("timestamps", True), numbers("cumulative_reward", False), numbers("holdings_matrix", True))
+        try:
+            report = BehaviorReport(doc["agent_label"], *fields)
+        except ValueError as exc:
+            raise MalformedReport(str(exc), path=path) from None
         for key, derived in _report_fields(report).items():
             for sub, value in derived.items() if isinstance(derived, dict) else [(None, derived)]:
                 name, stored = (key, doc[key]) if sub is None else (f"{key}.{sub}", doc[key][sub])

@@ -369,6 +369,9 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
         raise ValueError(f"policy {label!r} at step {k}: last action of shape {np.shape(action)}, "
                          f"expected ({n},): {exc}") from exc
     np.minimum(np.maximum(actions, -1.0, out=actions), 1.0, out=actions)  # np.clip in place
+    rewards = np.diff(values)  # the unscaled reward IS the value delta, recorded exactly
+    for arr in (actions, holdings, cash, values, rewards):  # read-only, so EpisodeLog keeps them rather than copying
+        arr.setflags(write=False)
 
     return EpisodeLog(
         timestamps=features.timestamps[window.start : window.stop],
@@ -376,7 +379,7 @@ def run_episode(policy, cfg: EnvConfig, features: FeaturePanel, window: Window, 
         holdings=holdings,
         cash=cash,
         portfolio_value=values,
-        rewards=np.diff(values),  # the unscaled reward IS the value delta, recorded exactly
+        rewards=rewards,
         agent_label=label,
         meta={
             "config": asdict(cfg),

@@ -158,7 +158,7 @@ def macd(closes, cfg: IndicatorConfig = IndicatorConfig()):
     """EMA(fast) - EMA(slow); defined where the slow EMA is."""
     fast, d_fast = ema(closes, cfg.macd_fast)
     slow, d_slow = ema(closes, cfg.macd_slow)
-    return fast - slow, d_fast & d_slow
+    return np.subtract(fast, slow, out=fast), d_fast & d_slow
 
 
 def bollinger(closes, cfg: IndicatorConfig = IndicatorConfig()):
@@ -173,11 +173,14 @@ def bollinger(closes, cfg: IndicatorConfig = IndicatorConfig()):
     windows = sliding_window_view(x, n, axis=0)  # ends at index s+n-1
     mid = windows.mean(axis=-1)
     # two-pass variance; a cumsum-of-squares shortcut cancels catastrophically
-    sigma = np.sqrt(((windows - mid[..., None]) ** 2).mean(axis=-1))
+    dev = windows - mid[..., None]
+    width = np.square(dev, out=dev).mean(axis=-1)  # the variance, then k * sigma in place
+    del dev
+    np.multiply(cfg.boll_k, np.sqrt(width, out=width), out=width)
     ub = _blank(x.shape)
     lb = _blank(x.shape)
-    ub[n - 1 :] = mid + cfg.boll_k * sigma
-    lb[n - 1 :] = mid - cfg.boll_k * sigma
+    np.add(mid, width, out=ub[n - 1 :])
+    np.subtract(mid, width, out=lb[n - 1 :])
     return _restore(ub, squeeze), _restore(lb, squeeze), defined
 
 
@@ -194,16 +197,21 @@ def rsi(closes, n: int):
     x, squeeze = _as_columns(closes)
     t = x.shape[0]
     defined = _check_window(n, t, n, "rsi")
-    diffs = np.diff(x, axis=0)
-    gains = np.where(diffs > 0, diffs, 0.0)
-    losses = np.where(diffs < 0, -diffs, 0.0)
+    gains = np.diff(x, axis=0)
+    losses = np.negative(gains)
+    np.copyto(losses, 0.0, where=~(gains < 0))
+    np.copyto(gains, 0.0, where=~(gains > 0))
     avg_gain = sliding_window_view(gains, n, axis=0).mean(axis=-1)
     avg_loss = sliding_window_view(losses, n, axis=0).mean(axis=-1)
-    denom = avg_gain + avg_loss
+    del gains, losses
+    denom = np.add(avg_gain, avg_loss, out=avg_loss)
+    flat = ~(denom > 0)
+    np.copyto(denom, 1.0, where=flat)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(denom > 0, avg_gain / np.where(denom > 0, denom, 1.0), 0.5)
+        ratio = np.divide(avg_gain, denom, out=avg_gain)
+    np.copyto(ratio, 0.5, where=flat)
     out = _blank(x.shape)
-    out[n:] = 100.0 * ratio
+    np.multiply(100.0, ratio, out=out[n:])
     return _restore(out, squeeze), defined
 
 
@@ -217,15 +225,20 @@ def cci(high, low, close, n: int):
     c, _ = _as_columns(close)
     t = h.shape[0]
     defined = _check_window(n, t, n - 1, "cci")
-    tp = (h + l + c) / 3.0
+    tp = np.add(h, l)
+    tp += c
+    tp /= 3.0
     windows = sliding_window_view(tp, n, axis=0)
     mean_tp = windows.mean(axis=-1)
-    mean_dev = np.abs(windows - mean_tp[..., None]).mean(axis=-1)
-    current = tp[n - 1 :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = (current - mean_tp) / (0.015 * mean_dev)
+    dev = windows - mean_tp[..., None]
+    mean_dev = np.abs(dev, out=dev).mean(axis=-1)
+    del dev
+    flat = ~(mean_dev > 0)
     out = _blank(h.shape)
-    out[n - 1 :] = np.where(mean_dev > 0, raw, 0.0)
+    raw = out[n - 1 :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(np.subtract(tp[n - 1 :], mean_tp, out=raw), np.multiply(0.015, mean_dev, out=mean_dev), out=raw)
+    np.copyto(raw, 0.0, where=flat)
     return _restore(out, squeeze), defined
 
 
@@ -242,25 +255,38 @@ def dx(high, low, close, n: int):
     t = h.shape[0]
     defined = _check_window(n, t, n, "dx")
     sums = np.empty((t - 1, 3, h.shape[1]))  # row k: the +DM, -DM and TR terms of bar k+1
-    np.maximum(h[1:] - l[1:], np.maximum(np.abs(h[1:] - c[:-1]), np.abs(l[1:] - c[:-1])), out=sums[:, 2])
+    # TR = max(h - l, max(|h - c_prev|, |l - c_prev|)), built in its row of sums
+    tr, term = sums[:, 2], np.subtract(l[1:], c[:-1])
+    np.abs(np.subtract(h[1:], c[:-1], out=tr), out=tr)
+    np.maximum(tr, np.abs(term, out=term), out=tr)
+    np.maximum(np.subtract(h[1:], l[1:], out=term), tr, out=tr)
+    del term
     up, down = h[1:] - h[:-1], l[:-1] - l[1:]
-    sums[:, 0] = np.where((up > down) & (up > 0), up, 0.0)
-    sums[:, 1] = np.where((down > up) & (down > 0), down, 0.0)
+    sums[:, :2] = 0.0
+    np.copyto(sums[:, 0], up, where=(up > down) & (up > 0))
+    np.copyto(sums[:, 1], down, where=(down > up) & (down > 0))
     # numpy sums time pairwise where it is contiguous (ticker-major, 1-D) and row by row elsewhere
     sums[n - 1] = (np.asfortranarray(sums[:n]) if up.flags.f_contiguous else sums[:n]).sum(axis=0)
     del up, down
     decay = 1.0 - 1.0 / n
     for k in range(n, t - 1):
         sums[k] += sums[k - 1] * decay
+    # the DIs, their total and DX overwrite the smoothed sums they are made from
     s_plus, s_minus, s_tr = sums[n - 1 :].transpose(1, 0, 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        di_plus = np.where(s_tr > 0, 100.0 * s_plus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
-        di_minus = np.where(s_tr > 0, 100.0 * s_minus / np.where(s_tr > 0, s_tr, 1.0), 0.0)
-    total = di_plus + di_minus
+    flat = ~(s_tr > 0)
+    np.copyto(s_tr, 1.0, where=flat)
+    for di in (s_plus, s_minus):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(np.multiply(100.0, di, out=di), s_tr, out=di)
+        np.copyto(di, 0.0, where=flat)
+    total = np.add(s_plus, s_minus, out=s_tr)
+    empty = ~(total > 0)
+    np.copyto(total, 1.0, where=empty)
     # ratio first: |a-b|/(a+b) <= 1 exactly, so DX stays within [0, 100]
-    ratio = np.abs(di_plus - di_minus) / np.where(total > 0, total, 1.0)
+    ratio = np.divide(np.abs(np.subtract(s_plus, s_minus, out=s_plus), out=s_plus), total, out=s_plus)
     out = _blank(h.shape)
-    out[n:] = np.where(total > 0, 100.0 * ratio, 0.0)
+    np.multiply(100.0, ratio, out=out[n:])
+    np.copyto(out[n:], 0.0, where=empty)
     return _restore(out, squeeze), defined
 
 
@@ -393,6 +419,8 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
     if with_turbulence:
         turb = turbulence(panel, cfg.turb_window)
         ready = ready & turb[1]
+    for arr in (features, *(turb or ())):  # read-only, so FeaturePanel keeps them rather than copying
+        arr.setflags(write=False)
 
     return FeaturePanel(
         timestamps=panel.timestamps,

@@ -278,9 +278,23 @@ def _first_fault(path, error, name, cells, parse, row, reason):
 
 
 def _frozen(value, dtype, shape, name: str) -> np.ndarray:
-    """A read-only ``dtype`` copy of ``value``, so the caller's array stays writable; a copy
-    whose shape is not ``shape`` (None: any) raises ValueError naming the field ``name``."""
-    arr = np.array(value, dtype=dtype)
+    """``value`` as a read-only ``dtype`` array for the field ``name``.
+
+    An array that already has the dtype, is read-only and owns its memory is
+    kept, so a record shares what the package has just built; anything else
+    is copied, so the caller's array stays writable and later writes to it do
+    not reach the record. A conversion that changes a value (3600.7 or NaN to
+    an integer) or a shape other than ``shape`` (None: any) raises ValueError.
+    """
+    arr = value
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.owndata and not arr.flags.writeable):
+        given = np.asarray(value)
+        with np.errstate(invalid="ignore"):  # NaN or an infinity to an integer, refused below
+            arr = np.array(given, dtype=dtype)
+            changed = given.dtype != arr.dtype and not np.array_equal(arr.astype(given.dtype), given,
+                                                                      equal_nan=given.dtype.kind in "fc")
+        if changed:
+            raise ValueError(f"field {name!r} holds values that {arr.dtype} cannot hold exactly")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"field {name!r} has shape {arr.shape}, expected {shape}")
     arr.setflags(write=False)
@@ -288,7 +302,7 @@ def _frozen(value, dtype, shape, name: str) -> np.ndarray:
 
 
 def _freeze(record, dtype, shape, *names) -> None:
-    """Replace each named field of the frozen dataclass ``record`` with its ``_frozen`` copy."""
+    """Replace each named field of the frozen dataclass ``record`` with its ``_frozen`` array."""
     for name in names:
         object.__setattr__(record, name, _frozen(getattr(record, name), dtype, shape, name))
 
@@ -514,7 +528,9 @@ def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
         for name in OHLCV
     }
     aux_columns = {a.name: a.values[idx] for a, idx in zip(aux, picks[len(series):])}
-    del picks, gaps  # freed before MarketPanel copies the matrices, so that copy is the peak
+    del picks, gaps  # freed before MarketPanel's bar check adds its own temporaries
+    for arr in (timestamps, *matrices.values(), *aux_columns.values()):  # kept by MarketPanel, not copied
+        arr.setflags(write=False)
     return MarketPanel(tickers=[s.ticker for s in series], timestamps=timestamps, aux=aux_columns, **matrices)
 
 

@@ -513,6 +513,27 @@ class TestReportPersistence:
             load_report(tmp_path / "out")
         assert f"report field {field} " in str(caught.value) and str(path) in str(caught.value)
 
+    def test_report_holds_its_own_rule_for_the_given_fields(self, tmp_path):
+        """Whole float holdings convert, so the saved report loads; a
+        fractional holding, and every shape, order and sign fault that
+        load_report used to check alone, are the report's own ValueError."""
+        stamps, reward = [0, 3600, 7200], [1.0, 2.0]
+        report = BehaviorReport("f", stamps, reward, np.array([[0, 1], [2, 3], [2, 5]], dtype=np.float64))
+        assert report.holdings_matrix.dtype == np.int64 and report.integral_holding.tolist() == [4, 9]
+        save_report(report, tmp_path / "out")
+        assert load_report(tmp_path / "out").integral_holding.tolist() == [4, 9]
+        for given, field in [
+            ((stamps, reward, [[0, 1.5], [2, 3], [2, 5]]), "'holdings_matrix' holds values that int64"),
+            (([0], [], [[0]]), "timestamps must be"),
+            (([0, 7200, 3600], reward, [[0], [0], [0]]), "timestamps must be strictly increasing"),
+            ((stamps, reward, [[0], [0]]), "holdings_matrix must be"),
+            ((stamps, reward, np.zeros((3, 0))), "holdings_matrix must be"),
+            ((stamps, reward, [[0], [-1], [0]]), "holdings_matrix must never be negative"),
+            ((stamps, [1.0], [[0], [0], [0]]), "cumulative_reward must be"),
+        ]:
+            with pytest.raises(ValueError, match=f"field {field}"):
+                BehaviorReport("f", *given)
+
     def test_missing_report(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_report(tmp_path / "nowhere")

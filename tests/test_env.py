@@ -789,6 +789,21 @@ def test_episode_log_rejects_negative_holdings_and_unordered_stamps(timestamps, 
     assert str(caught.value).endswith(f"(column {column!r}, row {row})")
 
 
+@pytest.mark.parametrize("field, value", [("timestamps", [0, 3600.7]), ("holdings", [[0.0], [1.5]]),
+                                          ("holdings", [[0.0], [np.nan]])], ids=["fraction-stamp", "fraction-share",
+                                                                                 "nan-share"])
+def test_episode_log_refuses_a_conversion_that_changes_a_value(field, value):
+    """3600.7 would be stored as 3600 and 1.5 shares as 1; whole floats still convert."""
+    columns = {"timestamps": [0.0, 3600.0], "holdings": [[0.0], [2.0]]}
+    log = EpisodeLog(actions=np.zeros((2, 1)), cash=np.ones(2), portfolio_value=np.ones(2), rewards=np.zeros(1),
+                     agent_label="x", **{name: np.array(v) for name, v in columns.items()})
+    assert log.timestamps.tolist() == [0, 3600] and log.holdings.tolist() == [[0], [2]]
+    columns[field] = value
+    with pytest.raises(ValueError, match=f"field '{field}' holds values that int64 cannot hold exactly"):
+        EpisodeLog(actions=np.zeros((2, 1)), cash=np.ones(2), portfolio_value=np.ones(2), rewards=np.zeros(1),
+                   agent_label="x", **{name: np.array(v) for name, v in columns.items()})
+
+
 def test_load_rejects_non_utf8_log(tmp_path):
     path = tmp_path / "latin.csv"
     path.write_bytes(GOOD_LOG.replace("1000.0,1000.0", "1000.0,1000.0\xe9").encode("latin-1"))

@@ -4,11 +4,13 @@ Each reference below is the arithmetic the package used before its numpy
 calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
 and backward passes, the batched ``TradingEnv.step``, the ``run_episode`` and
-``a2c_train`` loops, and the bar-at-a-time ``ema`` and ``dx`` loops. The
-references allocate a fresh array for every result; the package writes into
-buffers it owns (``a2c_update`` steps the parameters and the ``RmsPropState``
-in place, ``mlp_backward`` fills a given ``MlpParams``, ``dx`` smooths its
-terms in place), and must reproduce each of them exactly (``np.array_equal``,
+``a2c_train`` loops, the bar-at-a-time ``ema`` and ``dx`` loops, and the
+whole-block ``bollinger``, ``rsi`` and ``cci`` expressions. The references
+allocate a fresh array for every result; the package writes into buffers it
+owns (``a2c_update`` steps the parameters and the ``RmsPropState`` in place,
+``mlp_backward`` fills a given ``MlpParams``, ``dx`` smooths its terms in
+place, and the window indicators compute in their own temporaries), and must
+reproduce each of them exactly (``np.array_equal``,
 ``==`` and ``tobytes()``, never a tolerance). Both sides run on the same numpy
 and BLAS, so these pins hold on any machine, unlike artifact digests.
 """
@@ -17,8 +19,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import flat_features, make_features, make_panel, turbulent_features
+from tradelab import env as env_module
+from tradelab import indicators, marketdata
 from tradelab.agents.a2c import (
     A2CConfig,
     ObsNormalizer,
@@ -33,8 +38,9 @@ from tradelab.agents.a2c import (
 )
 from tradelab.agents.mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
 from tradelab.agents.policies import BASELINE_POLICIES
-from tradelab.env import EnvConfig, TradingEnv, Window, run_episode, split_observation
-from tradelab.indicators import IndicatorConfig, dx, ema, macd
+from tradelab.analytics import behavior_profile
+from tradelab.env import EnvConfig, EpisodeLog, TradingEnv, Window, run_episode, split_observation
+from tradelab.indicators import FeaturePanel, IndicatorConfig, bollinger, cci, dx, ema, macd, rsi
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -667,3 +673,134 @@ def test_dx_zigzag_tie_matches_reference_loop():
     values = dx(h, l, c, 4)[0]
     assert values.tobytes() == ref_dx(h, l, c, 4).tobytes()
     assert values[4] == 0.0
+
+
+def ref_bollinger(closes, cfg):
+    x, squeeze = _columns(closes)
+    n = cfg.boll_period
+    windows = sliding_window_view(x, n, axis=0)
+    mid = windows.mean(axis=-1)
+    sigma = np.sqrt(((windows - mid[..., None]) ** 2).mean(axis=-1))
+    ub, lb = np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+    ub[n - 1 :] = mid + cfg.boll_k * sigma
+    lb[n - 1 :] = mid - cfg.boll_k * sigma
+    return (ub[:, 0], lb[:, 0]) if squeeze else (ub, lb)
+
+
+def ref_rsi(closes, n):
+    x, squeeze = _columns(closes)
+    diffs = np.diff(x, axis=0)
+    gains = np.where(diffs > 0, diffs, 0.0)
+    losses = np.where(diffs < 0, -diffs, 0.0)
+    avg_gain = sliding_window_view(gains, n, axis=0).mean(axis=-1)
+    avg_loss = sliding_window_view(losses, n, axis=0).mean(axis=-1)
+    denom = avg_gain + avg_loss
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(denom > 0, avg_gain / np.where(denom > 0, denom, 1.0), 0.5)
+    out = np.full(x.shape, np.nan)
+    out[n:] = 100.0 * ratio
+    return out[:, 0] if squeeze else out
+
+
+def ref_cci(high, low, close, n):
+    (h, squeeze), (l, _), (c, _) = _columns(high), _columns(low), _columns(close)
+    tp = (h + l + c) / 3.0
+    windows = sliding_window_view(tp, n, axis=0)
+    mean_tp = windows.mean(axis=-1)
+    mean_dev = np.abs(windows - mean_tp[..., None]).mean(axis=-1)
+    current = tp[n - 1 :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        raw = (current - mean_tp) / (0.015 * mean_dev)
+    out = np.full(h.shape, np.nan)
+    out[n - 1 :] = np.where(mean_dev > 0, raw, 0.0)
+    return out[:, 0] if squeeze else out
+
+
+def _edge_prices(t=70):
+    """(high, low, close), each (t, 6): a flat bar, a steady rise, a steady
+    fall, signed zeros (every move +0.0 or -0.0), a walk, and a walk with one
+    NaN close, whose windows the masks must treat as the references do."""
+    steps = np.arange(t, dtype=np.float64)
+    zeros = np.where(steps % 2 == 0, 0.0, -0.0)
+    walk = 100.0 + np.cumsum(np.random.default_rng(7).normal(0.0, 1.0, t))
+    gap = walk.copy()
+    gap[t // 2] = np.nan
+    close = np.column_stack([np.full(t, 50.0), 10.0 + steps, 200.0 - steps, zeros, walk, gap])
+    spread = np.array([0.0, 0.5, 0.5, 0.0, 0.75, 0.75])
+    return close + spread, close - spread, close
+
+
+EDGE = _edge_prices()
+
+
+@pytest.mark.parametrize("layout", PRICE_LAYOUTS)
+@pytest.mark.parametrize("prices", ["walk", "edge"])
+@pytest.mark.parametrize("n", [1, 2, "default"])
+def test_window_indicators_match_reference_expressions(layout, prices, n):
+    """bollinger, rsi, cci, macd and dx, as build_features and a per-ticker
+    caller pass their prices, bit for bit the expressions that allocate a
+    fresh array per result, NaN and signed zeros included."""
+    high, low, close = (PANEL.high, PANEL.low, PANEL.close) if prices == "walk" else EDGE
+    default = IndicatorConfig()
+    cfg = default if n == "default" else IndicatorConfig(boll_period=n, macd_fast=n, macd_slow=n + 1)
+    period = {"rsi": default.rsi_period, "cci": default.cci_period, "dx": default.dx_period}
+    for h, l, c in price_inputs(layout, high, low, close):
+        got_ub, got_lb, _ = bollinger(c, cfg)
+        want_ub, want_lb = ref_bollinger(c, cfg)
+        assert got_ub.tobytes() == want_ub.tobytes() and got_lb.tobytes() == want_lb.tobytes()
+        want_macd = ref_ema(c, cfg.macd_fast) - ref_ema(c, cfg.macd_slow)
+        assert macd(c, cfg)[0].tobytes() == want_macd.tobytes()
+        for name in ("rsi", "cci", "dx"):
+            k = period[name] if n == "default" else n
+            got = rsi(c, k)[0] if name == "rsi" else getattr(indicators, name)(h, l, c, k)[0]
+            want = ref_rsi(c, k) if name == "rsi" else {"cci": ref_cci, "dx": ref_dx}[name](h, l, c, k)
+            assert got.tobytes() == want.tobytes(), (name, k)
+
+
+def test_records_keep_the_arrays_the_package_just_built(monkeypatch):
+    """align_panel, build_features and run_episode hand their records arrays
+    that are read-only and own their memory, and each record keeps them: the
+    feature block is the build's own array, and the feature panel's closes are
+    the market panel's."""
+    built = {}
+
+    def capture(cls):
+        def make(**fields):
+            built[cls.__name__] = fields
+            return cls(**fields)
+        return make
+
+    monkeypatch.setattr(marketdata, "MarketPanel", capture(marketdata.MarketPanel))
+    monkeypatch.setattr(indicators, "FeaturePanel", capture(FeaturePanel))
+    fp = make_features(["A", "B", "C"], 120, seed=4)
+    panel = built["MarketPanel"]
+    assert fp.features is built["FeaturePanel"]["features"]
+    assert fp.closes is panel["close"] and np.shares_memory(fp.closes, panel["close"])
+    assert fp.timestamps is panel["timestamps"]
+    assert not fp.features.flags.writeable and not fp.closes.flags.writeable
+
+    monkeypatch.setattr(env_module, "EpisodeLog", capture(EpisodeLog))
+    log = run_episode(BASELINE_POLICIES["random"](), EnvConfig(), fp, Window(fp.warmup, fp.n_timestamps))
+    given = built["EpisodeLog"]
+    for name in ("actions", "holdings", "cash", "portfolio_value", "rewards"):
+        assert getattr(log, name) is given[name], name
+    report = behavior_profile(log)
+    assert report.timestamps is log.timestamps and report.holdings_matrix is log.holdings
+
+
+@pytest.mark.parametrize("source", ["writable", "read-only view"])
+def test_records_copy_what_a_caller_can_still_change(source):
+    """A writable array, or a read-only view of memory that something else
+    owns, is copied: writing the caller's array later leaves the record as it
+    was built."""
+    t, n = 6, 2
+    closes = 100.0 + np.arange(t * n, dtype=np.float64).reshape(t, n)
+    owner = closes.copy()
+    given = owner if source == "writable" else owner[:]
+    if source != "writable":
+        given.setflags(write=False)
+    fp = FeaturePanel(timestamps=np.arange(t) * 3600, tickers=("A", "B"), features=np.zeros((t, n, 8)),
+                      closes=given, warmup=0)
+    assert fp.closes is not given and not np.shares_memory(fp.closes, owner)
+    owner[:] = -1.0
+    assert fp.closes.tobytes() == closes.tobytes()
