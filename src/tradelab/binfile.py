@@ -40,14 +40,14 @@ def read_frame(path, magic: str, decode):
     """
     path = Path(path)
     raw = path.read_bytes()
-    head, newline, _ = raw.partition(b"\n")
+    end = raw.find(b"\n")  # the header line, without binding a copy of the payload after it
     try:
-        header = json.loads(head)
+        header = json.loads(raw[:end]) if end >= 0 else None
     except ValueError:
         header = None
-    if not newline or not isinstance(header, dict) or header.get("format") != magic:
+    if not isinstance(header, dict) or header.get("format") != magic:
         raise MalformedFile(f"not a {magic} file", path)
-    offset = len(head) + 1
+    offset = end + 1
 
     def take(dtype, count):
         nonlocal offset

@@ -6,12 +6,23 @@ configuration). One episode is one full pass over a window of the panel.
 
 ``TradingEnv`` is one core over E >= 1 lockstep copies of an episode: cash
 (E,), integer shares (E, N) and one time index, so every copy sees the same
-prices, features and turbulence gate. Sells settle vectorized over (E, N);
-buys fill in ascending ticker order within each copy, clipped to that copy's
-cash. Observations are (E, D), actions (E, N) and rewards (E,) for every E:
-``run_episode`` rolls one policy as ``copies=1`` (the default) and
-``a2c_train`` steps its workers as ``copies=n_envs``, one ``step`` call per
-rollout step.
+prices, features and turbulence gate. Buys fill in ascending ticker order
+within each copy, clipped to that copy's cash. Observations are (E, D),
+actions (E, N) and rewards (E,) for every E: ``run_episode`` rolls one policy
+as ``copies=1`` (the default) and ``a2c_train`` steps its workers as
+``copies=n_envs``, one ``step`` call per rollout step.
+
+A step of at most ``_SCALAR_STEP_CELLS`` (16) cells, E * N, clips, rounds
+and sells one cell at a time in Python numbers; a larger step does it with
+whole-array numpy calls over (E, N). Each numpy call costs about a
+microsecond whatever its size, so on small steps the per-cell pass is
+faster: it led at 8 cells, and at 16 only when most actions were zero, so
+the crossover lies between the two. ``run_episode`` over 8 tickers takes
+it, and ``a2c_train`` over 30 tickers with 4 copies does not. Both paths sum
+each copy's sale proceeds with the same numpy reduction and share the buy
+fill, the settlement and the observation, so they give the same bits;
+``tests/test_hot_path_bits.py`` pins each against its reference step,
+``RefTradingEnv``, on both sides of the threshold.
 
 Logs follow a pre-trade convention: row t records the state an agent saw at
 timestamp t, so the holdings bought at step t appear first in row t+1, the
@@ -152,6 +163,43 @@ def split_observation(observation) -> tuple:
     return obs[0], obs[prices], obs[shares], obs[features].reshape(n, len(FEATURE_NAMES))
 
 
+# A step of at most this many cells (copies * n_tickers) computes its orders
+# and sells in Python numbers: numpy's fixed cost per call outweighs its speed
+# per cell on small steps. The timed crossover lies between 8 and 16 cells;
+# at 16 the per-cell pass led only when most actions were zero, and no
+# benchmark workload steps between 9 and 29 cells to tell the two apart.
+_SCALAR_STEP_CELLS = 16
+
+
+def _fill_buys(units: list, left: list, orders: list) -> None:
+    """Overwrite each order with its fill: the buys of each copy fill in
+    ascending ticker order, each clipped to the copy's remaining cash
+    ``left[e]``, which is left holding the cash after the buys; a sell or a
+    zero order fills 0.
+
+    Python floats do the same IEEE operations, in the same order, as numpy
+    scalars. A ticker dearer than the cash left buys 0 and leaves the cash as
+    it is, exactly as floor(have / unit) would: for 0 < have < unit the
+    quotient rounds below 1.0.
+    """
+    for e, row in enumerate(orders):
+        have = left[e]
+        for i, want in enumerate(row):
+            if want > 0:
+                unit = units[i]
+                if unit <= have:
+                    qty = math.floor(have / unit)
+                    if qty >= want:
+                        qty = want
+                    while qty > 0 and qty * unit > have:  # guard against float overdraw
+                        qty -= 1
+                    have = have - qty * unit
+                    row[i] = qty
+                    continue
+            row[i] = 0
+        left[e] = have
+
+
 class TradingEnv:
     """E lockstep copies of one episode over a window of the feature panel.
 
@@ -211,55 +259,72 @@ class TradingEnv:
         t = before.t
         if t >= self.window.stop - 1:
             raise EnvError(f"episode already finished at index {t}")
-        cfg, shares = self.cfg, before.shares
         a = np.asarray(action, dtype=np.float64)
-        if a.shape != shares.shape:
-            raise ValueError(f"action shape {a.shape}, expected {shares.shape}")
+        if a.shape != before.shares.shape:
+            raise ValueError(f"action shape {a.shape}, expected {before.shares.shape}")
+        trade = self._trade_cells if a.size <= _SCALAR_STEP_CELLS else self._trade_arrays
+        values = self._settle(t + 1, *trade(t, a, before))
+        reward = self.cfg.reward_scale * (values - before.portfolio_value)
+        return StepOutcome(self._observe(), reward, t + 1 == self.window.stop - 1)
+
+    # Both trade methods return the new cash (E,) and shares (E, N), bit for bit
+    # the same, and share _fill_buys; only the orders and sells differ.
+
+    def _trade_cells(self, t: int, a: np.ndarray, before: EnvState) -> tuple[np.ndarray, np.ndarray]:
+        """Orders and sells one cell at a time, in Python numbers: clip, then
+        ``round`` (half to even, as ``np.rint``). Each copy's proceeds are
+        summed by the numpy reduction of ``_trade_arrays``, whose pairwise
+        order the bits depend on."""
+        hmax, gated = self.cfg.hmax, self._gate[t]
+        prices = self.features.closes[t].tolist()
+        orders, held = a.tolist(), before.shares.tolist()
+        proceeds, any_sold = [], False
+        for row, hold in zip(orders, held):
+            out = [0.0] * len(row)
+            for i, x in enumerate(row):
+                if x >= 1.0:
+                    want = hmax
+                elif x <= -1.0:
+                    want = -hmax
+                elif x == x:
+                    want = round(x * hmax)
+                else:  # NaN fails every comparison
+                    raise ValueError("action contains NaN components")
+                if gated:
+                    want = -hold[i]  # liquidate everything, buy nothing
+                row[i] = want
+                if want < 0 and hold[i]:  # sell, clipped to the holding
+                    q = min(-want, hold[i])
+                    hold[i] -= q
+                    out[i] = q * prices[i]
+                    any_sold = True
+            proceeds.append(out)
+        left = before.cash.tolist()
+        if any_sold:  # else every proceed is 0.0, and cash + 0.0 is cash
+            totals = np.add.reduce(np.array(proceeds), axis=1).tolist()
+            keep = 1.0 - self.cfg.cost_rate
+            left = [have + total * keep for have, total in zip(left, totals)]
+        _fill_buys(self._units[t - self.window.start].tolist(), left, orders)
+        shares = [[h + q for h, q in zip(hold, row)] for hold, row in zip(held, orders)]
+        return np.array(left), np.array(shares, dtype=np.int64)
+
+    def _trade_arrays(self, t: int, a: np.ndarray, before: EnvState) -> tuple[np.ndarray, np.ndarray]:
+        """Orders and sells as whole-array operations over (E, N)."""
+        shares = before.shares
         clipped = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, at less call overhead; NaN stays NaN
         if math.isnan(np.add.reduce(clipped, axis=None)):  # else finite: every component lies in [-1, 1]
             raise ValueError("action contains NaN components")
         if self._gate[t]:
             desired = -shares  # liquidate everything, buy nothing
         else:
-            desired = np.rint(clipped * cfg.hmax).astype(np.int64)
-
-        # sells first, each clipped to current holdings
-        prices = self.features.closes[t]
-        sold = np.minimum(-np.minimum(desired, 0), shares)
-        proceeds = sold * prices
-        cash = before.cash + np.add.reduce(proceeds, axis=1) * (1.0 - cfg.cost_rate)
+            desired = np.rint(clipped * self.cfg.hmax).astype(np.int64)
+        sold = np.minimum(-np.minimum(desired, 0), shares)  # each sell clipped to the holding
+        cash = before.cash + np.add.reduce(sold * self.features.closes[t], axis=1) * (1.0 - self.cfg.cost_rate)
+        left, fills = cash.tolist(), desired.tolist()
+        _fill_buys(self._units[t - self.window.start].tolist(), left, fills)
         shares = shares - sold
-
-        # buys row by row, in ascending ticker order, each clipped to the copy's
-        # remaining cash; Python floats do the same IEEE operations, in the same
-        # order, as numpy scalars. A ticker dearer than the cash left buys 0 and
-        # leaves the cash as it is, exactly as floor(have / unit) would: for
-        # 0 < have < unit the quotient rounds below 1.0.
-        units = self._units[t - self.window.start].tolist()
-        left = cash.tolist()
-        bought = desired.tolist()  # overwritten with the fills
-        for e, row in enumerate(bought):
-            have = left[e]
-            for i, want in enumerate(row):
-                if want > 0:
-                    unit = units[i]
-                    if unit <= have:
-                        qty = math.floor(have / unit)
-                        if qty >= want:
-                            qty = want
-                        while qty > 0 and qty * unit > have:  # guard against float overdraw
-                            qty -= 1
-                        have = have - qty * unit
-                        row[i] = qty
-                        continue
-                row[i] = 0
-            left[e] = have
-        cash = np.array(left)
-        shares += np.array(bought, dtype=np.int64)
-
-        values = self._settle(t + 1, cash, shares)
-        reward = cfg.reward_scale * (values - before.portfolio_value)
-        return StepOutcome(self._observe(), reward, t + 1 == self.window.stop - 1)
+        shares += np.array(fills, dtype=np.int64)
+        return np.array(left), shares
 
     def _settle(self, t: int, cash: np.ndarray, shares: np.ndarray) -> np.ndarray:
         """Make the state at index ``t`` the current one and return its values.
@@ -289,8 +354,9 @@ class EpisodeLog:
 
     ``rewards`` holds UNSCALED portfolio-value deltas (length T-1); the final
     ``actions`` row is zero because no step leaves the terminal state.
-    The label is a string, timestamps strictly increase and holdings are never
-    negative; a fault names the column and the row it has in the saved log (t + 2).
+    The label is a string, timestamps strictly increase, holdings are never
+    negative, and cash, values and rewards are finite; a fault names the
+    column and the row it has in the saved log (t + 2).
     """
 
     timestamps: np.ndarray  # int64 (T,)
@@ -317,13 +383,21 @@ class EpisodeLog:
             raise MalformedLog("cash/portfolio_value must be length T")
         if self.rewards.shape != (t - 1,):
             raise MalformedLog(f"rewards must have length {t - 1}, got {self.rewards.shape}")
-        ok = _increasing(self.timestamps) & (self.holdings >= 0).all(axis=1)
-        if not ok.all():
+        ordered = _increasing(self.timestamps)
+        money = {"cash": self.cash, "portfolio_value": self.portfolio_value,
+                 "reward": np.append(self.rewards, 0.0)}  # the terminal row has no reward
+        ok = ordered & (self.holdings >= 0).all(axis=1)
+        for values in money.values():
+            ok &= np.isfinite(values)
+        if not ok.all():  # the first faulty row: by its holding, else its timestamp, cash, value, reward
             i = int(np.argmin(ok))
-            if (self.holdings[i] < 0).any():  # a row with both faults is reported by its holding
+            if (self.holdings[i] < 0).any():
                 j = int(np.argmax(self.holdings[i] < 0))
                 raise MalformedLog(f"negative holding {self.holdings[i, j]}", column=f"hold_{j}", row=i + 2)
-            raise MalformedLog("timestamp not strictly increasing", column="timestamp", row=i + 2)
+            if not ordered[i]:
+                raise MalformedLog("timestamp not strictly increasing", column="timestamp", row=i + 2)
+            column, values = next((c, v) for c, v in money.items() if not math.isfinite(v[i]))
+            raise MalformedLog(f"non-finite {column} {float(values[i])!r}", column=column, row=i + 2)
 
     @property
     def n_timestamps(self) -> int:

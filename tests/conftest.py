@@ -121,10 +121,10 @@ def flat_features(closes, turbulence=None, start: int = 1_646_380_800) -> Featur
     )
 
 
-def turbulent_features(seed: int) -> FeaturePanel:
-    """Five tickers over 90 bars with a seeded turbulence series that is
-    undefined on every seventh index, for gate tests."""
-    features = make_features(["A", "B", "C", "D", "E"], 90, seed=seed, vol=0.02)
+def turbulent_features(seed: int, tickers: int = 5) -> FeaturePanel:
+    """Five tickers (or ``tickers``) over 90 bars with a seeded turbulence
+    series that is undefined on every seventh index, for gate tests."""
+    features = make_features([chr(ord("A") + j) for j in range(tickers)], 90, seed=seed, vol=0.02)
     turb = np.abs(np.random.default_rng(seed).normal(0.0, 10.0, features.n_timestamps))
     defined = np.arange(features.n_timestamps) % 7 != 0
     return flat_features(features.closes, turbulence=(turb, defined))

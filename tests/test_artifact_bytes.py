@@ -475,13 +475,15 @@ def _log(timestamps, holdings, label="agent"):
 
 
 def _nonfinite_log(tmp_path):
-    """An externally written log whose float cells hold -0.0, NaN and ±inf."""
+    """An externally written log whose action cells hold -0.0, NaN and ±inf, and
+    whose cash, values and rewards (which must be finite) hold -0.0,
+    subnormals and numbers near the float64 limit."""
     path = tmp_path / "external.csv"
     path.write_text(
         "t,timestamp,cash,portfolio_value,reward,action_0,action_1,hold_0,hold_1\n"
-        "0,2022-03-04T08:00:00Z,-0.0,inf,nan,-0.0,nan,0,3\n"
-        "1,2022-03-04T09:00:00Z,nan,-inf,inf,inf,-inf,1,3.0\n"
-        "2,2022-03-04T10:00:00Z,1e-320,1.5e300,-inf,0.1,-0.1,-0.0,7\n"
+        "0,2022-03-04T08:00:00Z,-0.0,1.5e300,1.7e308,-0.0,nan,0,3\n"
+        "1,2022-03-04T09:00:00Z,5e-324,-1e-320,-1e-320,inf,-inf,1,3.0\n"
+        "2,2022-03-04T10:00:00Z,1e-320,1.5e300,-0.0,0.1,-0.1,-0.0,7\n"
         "3,2022-03-04T11:00:00Z,0.1,0.2,0.0,1.0,-1.0,2,7\n"
     )
     return load_episode_log(path)
@@ -671,10 +673,12 @@ def test_render_line_chart_matches_point_closures(series):
     ids=["epoch", "offsets", "mixed", "pre-1970"],
 )
 def test_load_episode_log_matches_row_parser(tmp_path, stamps, hold):
-    floats = [["1000.0", "-0.0", "nan"], ["inf", "-inf", "1e-320"], ["0.1", "0.2", "garbage-in-terminal-reward"]]
+    # cash, portfolio_value, reward (finite, as a log must hold them), then the action
+    floats = [["1000.0", "-0.0", "1e-320", "nan"], ["5e-324", "1e300", "-2.5", "inf"],
+              ["0.1", "0.2", "garbage-in-terminal-reward", "-inf"]]
     lines = ["t,timestamp,cash,portfolio_value,reward,action_0,hold_0,extra"]
-    for t, (stamp, h, (a, b, c)) in enumerate(zip(stamps, hold, floats)):
-        lines.append(f"{t},{stamp},{a},{b},{c},{a},{h},ignored")
+    for t, (stamp, h, (a, b, c, d)) in enumerate(zip(stamps, hold, floats)):
+        lines.append(f"{t},{stamp},{a},{b},{c},{d},{h},ignored")
     path = tmp_path / "external.csv"
     path.write_text("\n".join(lines) + "\n")
     log = load_episode_log(path)

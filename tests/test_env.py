@@ -789,6 +789,53 @@ def test_episode_log_rejects_negative_holdings_and_unordered_stamps(timestamps, 
     assert str(caught.value).endswith(f"(column {column!r}, row {row})")
 
 
+@pytest.mark.parametrize(
+    "columns, column, row, reason",
+    [
+        ({"cash": [100.0, -50.0, np.nan]}, "cash", 4, "non-finite cash nan"),
+        ({"cash": [100.0, 100.0, np.inf]}, "cash", 4, "non-finite cash inf"),
+        ({"cash": [100.0, -np.inf, 0.0]}, "cash", 3, "non-finite cash -inf"),
+        ({"portfolio_value": [100.0, np.nan, 100.0]}, "portfolio_value", 3, "non-finite portfolio_value nan"),
+        ({"rewards": [np.inf, 5.0]}, "reward", 2, "non-finite reward inf"),
+        ({"rewards": [0.0, np.nan], "portfolio_value": [100.0, np.inf, 100.0]}, "portfolio_value", 3,
+         "non-finite portfolio_value inf"),
+        ({"cash": [100.0, 100.0, -np.inf], "portfolio_value": [100.0, 100.0, np.nan]}, "cash", 4,
+         "non-finite cash -inf"),
+        ({"cash": [100.0, np.nan, 0.0], "holdings": [[0], [0], [-2]]}, "cash", 3, "non-finite cash nan"),
+        ({"cash": [100.0, np.nan, 0.0], "holdings": [[0], [-2], [0]]}, "hold_0", 3, "negative holding -2"),
+    ],
+    ids=["roadmap-crafted", "inf", "minus-inf", "value-nan", "reward-inf", "value-before-reward",
+         "cash-before-value", "earliest-row-first", "holding-before-cash"],
+)
+def test_episode_log_refuses_cash_values_and_rewards_that_cannot_be(columns, column, row, reason):
+    """Cash, values and rewards must be finite; the first faulty row is
+    reported, by its first faulty column: holding, timestamp, cash, value,
+    reward."""
+    fields = {"timestamps": np.array([0, 3600, 7200]), "actions": np.zeros((3, 1)), "holdings": np.zeros((3, 1)),
+              "cash": np.full(3, 100.0), "portfolio_value": np.full(3, 100.0), "rewards": np.zeros(2)}
+    fields.update((name, np.array(value)) for name, value in columns.items())
+    with pytest.raises(MalformedLog) as caught:
+        EpisodeLog(agent_label="x", **fields)
+    assert (caught.value.reason, caught.value.column, caught.value.row) == (reason, column, row)
+    EpisodeLog(agent_label="x", **{**fields, "cash": np.array([0.0, -0.0, 5e-324]), "holdings": np.zeros((3, 1)),
+                                   "portfolio_value": np.ones(3), "rewards": np.zeros(2)})  # zero cash is fine
+
+
+def test_load_refuses_the_crafted_nan_cash_log(tmp_path):
+    """The log of a negative, then NaN, cash beside a flat value and rewards
+    that do not add up is refused when read, naming cash and its saved row.
+    A negative cash alone is still accepted: the benchmark's own self-test
+    builds such a log to see its checks flag it."""
+    path = tmp_path / "crafted.csv"
+    path.write_text("t,timestamp,cash,portfolio_value,reward,action_0,hold_0\n"
+                    "0,2022-03-04T08:00:00Z,100.0,100.0,1e6,0.0,0\n"
+                    "1,2022-03-04T09:00:00Z,-50.0,100.0,5.0,0.0,0\n"
+                    "2,2022-03-04T10:00:00Z,nan,100.0,0.0,0.0,0\n")
+    with pytest.raises(MalformedLog) as caught:
+        load_episode_log(path)
+    assert str(caught.value) == f"non-finite cash nan ({path}, column 'cash', row 4)"
+
+
 @pytest.mark.parametrize("field, value", [("timestamps", [0, 3600.7]), ("holdings", [[0.0], [1.5]]),
                                           ("holdings", [[0.0], [np.nan]])], ids=["fraction-stamp", "fraction-share",
                                                                                  "nan-share"])

@@ -1,5 +1,5 @@
 """Seeded fuzz of the files a run reads back: the binary frames (``panel.bin``,
-``a2c.ckpt``) and the JSON config.
+``a2c.ckpt``), the JSON config and a behavior report's ``report.json``.
 
 Every mutated file either loads or raises a TradeLabError whose message names
 the file; nothing leaks a bare traceback. A config never loads a NaN or an
@@ -15,12 +15,14 @@ import typing
 import numpy as np
 import pytest
 
-from conftest import make_panel
+from conftest import make_features, make_panel
 from tradelab.agents.a2c import A2CConfig, MlpPolicy, ObsNormalizer, load_checkpoint, save_checkpoint
 from tradelab.agents.mlp import init_mlp
+from tradelab.agents.policies import RandomPolicy
+from tradelab.analytics import MalformedReport, behavior_profile, load_report, save_report
 from tradelab.cli import RunConfig
 from tradelab.config import ConfigError, decode_config
-from tradelab.env import EnvConfig
+from tradelab.env import EnvConfig, Window, run_episode
 from tradelab.errors import TradeLabError
 from tradelab.indicators import IndicatorConfig
 from tradelab.marketdata import load_panel, save_panel
@@ -90,6 +92,31 @@ def test_mutated_frames_load_or_fail_closed(tmp_path, name):
         mutants.append(bytes(flipped))
     for data in mutants:
         _fails_closed(load, path, data)
+
+
+def test_mutated_reports_load_or_fail_closed(tmp_path):
+    """Truncations and single bit flips of a saved report.json: each one
+    loads as a report or raises MalformedReport naming the file."""
+    features = make_features(["AA", "BB", "CC"], 60, seed=4)
+    log = run_episode(RandomPolicy(), EnvConfig(hmax=20), features, Window(features.warmup, 60), seed=1)
+    save_report(behavior_profile(log), tmp_path)
+    path = tmp_path / "report.json"
+    raw = path.read_bytes()
+    rng = np.random.default_rng(67)
+    mutants = [raw[:cut] for cut in sorted({0, 1, len(raw) - 1, *rng.integers(0, len(raw), 150).tolist()})]
+    for _ in range(300):
+        flipped = bytearray(raw)
+        flipped[int(rng.integers(0, len(raw)))] ^= 1 << int(rng.integers(0, 8))
+        mutants.append(bytes(flipped))
+    outcomes = []
+    for data in [raw, *mutants]:
+        path.write_bytes(data)
+        try:
+            outcomes.append(load_report(tmp_path) is not None)
+        except MalformedReport as exc:
+            assert str(path) in str(exc), exc
+            outcomes.append(False)
+    assert outcomes[0] and outcomes[1:].count(False) > 0.9 * len(mutants)  # most mutants are refused
 
 
 def _config_cases():

@@ -3,7 +3,8 @@
 Each reference below is the arithmetic the package used before its numpy
 calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
-and backward passes, the batched ``TradingEnv.step``, the ``run_episode`` and
+and backward passes, the batched ``TradingEnv.step`` (on both sides of its
+per-cell threshold), the ``run_episode`` and
 ``a2c_train`` loops, the bar-at-a-time ``ema`` and ``dx`` loops, and the
 whole-block ``bollinger``, ``rsi`` and ``cci`` expressions. The references
 allocate a fresh array for every result; the package writes into buffers it
@@ -421,14 +422,27 @@ def test_restored_normalizer_normalizes_like_the_live_one(tmp_path):
 # environment step
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("copies", [None, 4])  # None: the reference single env against the live copies=1
+# (tickers, copies): the step's cells (copies * tickers) on each side of the
+# per-cell threshold; copies None is the reference single env against the live copies=1
+SCALAR_CELLS = env_module._SCALAR_STEP_CELLS
+STEP_SIZES = {"5-cells": (5, None), "20-cells": (5, 4), "at-threshold": (8, 2), "above-threshold": (17, None)}
+FILL_SIZES = {"3-cells": (3, 1), "12-cells": (3, 4), "at-threshold": (4, 4), "above-threshold": (17, 1)}
+
+
+@pytest.mark.parametrize("sizes", [STEP_SIZES, FILL_SIZES], ids=["step", "fill"])
+def test_step_sizes_straddle_the_per_cell_threshold(sizes):
+    cells = {name: n * (copies or 1) for name, (n, copies) in sizes.items()}
+    assert cells["at-threshold"] == SCALAR_CELLS and cells["above-threshold"] == SCALAR_CELLS + 1
+
+
+@pytest.mark.parametrize("tickers, copies", STEP_SIZES.values(), ids=STEP_SIZES.keys())
 @pytest.mark.parametrize(
     "capital, gate",
     [(1_000_000.0, None), (50_000.0, None), (50_000.0, 12.0)],
     ids=["1m", "50k-cash-binds", "50k-gated"],
 )
-def test_env_step_matches_reference(capital, gate, copies):
-    features = turbulent_features(23)
+def test_env_step_matches_reference(capital, gate, tickers, copies):
+    features = turbulent_features(23, tickers)
     window = Window(16, 60)
     cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001, reward_scale=1e-3, turbulence_gate=gate)
     if copies is None:
@@ -438,12 +452,12 @@ def test_env_step_matches_reference(capital, gate, copies):
             RefTradingEnv(cfg, features, window, copies=copies), slice(None)
     rng = np.random.default_rng(8)
     assert np.array_equal(live.reset()[rows], ref.reset())
-    shape = (5,) if copies is None else (copies, 5)
+    shape = (tickers,) if copies is None else (copies, tickers)
     gated_steps = clipped_buys = 0
     for _ in range(2 * window.steps + 5):  # through done, a reset and part of a second episode
         actions = rng.uniform(-1.2, 1.2, size=shape)
         before = live.state.shares
-        outcome = live.step(actions.reshape(-1, 5))
+        outcome = live.step(actions.reshape(-1, tickers))
         observation, reward, done, info = ref.step(actions)
         assert outcome._fields == ("observation", "reward", "done")
         assert np.array_equal(outcome.observation[rows], observation)
@@ -471,22 +485,22 @@ def overdraw_case(seed=0):
             return close, have
 
 
-@pytest.mark.parametrize("copies", [1, 4])
+@pytest.mark.parametrize("tickers, copies", FILL_SIZES.values(), ids=FILL_SIZES.keys())
 @pytest.mark.parametrize("case", ["exact-multiple", "just-short", "overdraw"])
-def test_buy_fill_at_cash_boundaries_matches_reference(case, copies):
+def test_buy_fill_at_cash_boundaries_matches_reference(case, tickers, copies):
     close, capital = overdraw_case() if case == "overdraw" else (123.45, None)
     unit = close * (1.0 + 0.001)
     if case == "exact-multiple":
         capital = 7 * unit
     elif case == "just-short":
         capital = float(np.nextafter(unit, 0.0))
-    closes = np.full((3, 3), 50.0)
+    closes = np.full((3, tickers), 50.0)
     closes[0, 0] = close
     cfg = EnvConfig(initial_capital=capital, hmax=200)
     live, ref = (cls(cfg, flat_features(closes), Window(0, 3), copies=copies) for cls in (TradingEnv, RefTradingEnv))
     live.reset()
     ref.reset()
-    action = np.zeros((copies, 3))
+    action = np.zeros((copies, tickers))
     action[:, 0] = 1.0  # ticker 0 at hmax, which cash caps below 200
     live.step(action)
     ref.step(action)
@@ -497,6 +511,36 @@ def test_buy_fill_at_cash_boundaries_matches_reference(case, copies):
     assert (bought == expected).all() and (cash >= 0.0).all()
     if case == "just-short":
         assert (cash == capital).all()
+
+
+@pytest.mark.parametrize("tickers, copies", [STEP_SIZES["at-threshold"], STEP_SIZES["above-threshold"]],
+                         ids=["at-threshold", "above-threshold"])
+def test_step_refuses_nan_and_clips_infinities_on_both_paths(tickers, copies):
+    """A NaN in any cell raises and leaves the state as it was; ±inf trades
+    exactly as ±1 does in the reference step."""
+    copies = copies or 1
+    features = turbulent_features(23, tickers)
+    window = Window(16, 60)
+    cfg = EnvConfig(initial_capital=50_000.0, hmax=40, reward_scale=1e-3)
+    live, ref = TradingEnv(cfg, features, window, copies=copies), RefTradingEnv(cfg, features, window, copies=copies)
+    assert np.array_equal(live.reset(), ref.reset())
+    rng = np.random.default_rng(14)
+    for _ in range(window.steps):
+        unit = rng.uniform(-1.0, 1.0, size=(copies, tickers))
+        saturated = rng.random(unit.shape) < 0.4
+        unit[saturated] = np.sign(unit[saturated])
+        infinite = np.where(saturated, np.copysign(np.inf, unit), unit)
+        before = live.state
+        for cell in rng.choice(unit.size, size=3, replace=False):
+            poisoned = infinite.copy()
+            poisoned.flat[cell] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                live.step(poisoned)
+            assert live.state is before
+        outcome = live.step(infinite)
+        observation, reward, _, _ = ref.step(unit)
+        assert np.array_equal(outcome.observation, observation) and np.array_equal(outcome.reward, reward)
+        assert np.array_equal(live.state.cash, ref._cash) and np.array_equal(live.state.shares, ref._shares)
 
 
 # ---------------------------------------------------------------------------
