@@ -12,9 +12,12 @@ trajectory bit for bit.
 The training step owns its buffers: ``a2c_update`` steps the parameters and
 the ``RmsPropState`` it is given in place, ``mlp_backward`` writes the
 gradient into the state's ``grad``, and the forward pass and the normalizer
-compute in arrays they have just made. Each of these is the IEEE operation
-of the allocating form, on the same operands, in the same order (additions
-commuted, which IEEE addition allows).
+compute in arrays they have just made. The rollout normalizes each
+observation straight into its buffer row, computes only the policy mean per
+step and only the value for the bootstrap, and runs the n-step returns on
+Python floats. Each of these is the IEEE operation of the allocating form,
+on the same operands, in the same order (additions commuted, which IEEE
+addition allows).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from ..binfile import read_frame, write_frame
 from ..config import check_fields, decode_config
 from ..env import TradingEnv
 from ..errors import TradeLabError
-from .mlp import MlpParams, ShapeMismatch, init_mlp, mlp_backward, mlp_forward
+from .mlp import MlpParams, ShapeMismatch, init_mlp, mlp_backward, mlp_forward, mlp_mean, mlp_value
 
 __all__ = [
     "A2CConfig",
@@ -124,9 +127,13 @@ class ObsNormalizer:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.shape[1:] != (self.dim,):
             raise ShapeMismatch(f"batch shape {batch.shape} does not match normalizer width {self.dim}")
+        if batch.shape[0]:
+            self._merge(batch)
+
+    def _merge(self, batch: np.ndarray) -> None:
+        """``update``'s arithmetic, for a (B, dim) float64 batch with B >= 1
+        that the caller has checked."""
         nb = batch.shape[0]
-        if nb == 0:
-            return
         delta = np.add.reduce(batch, axis=0)
         delta /= nb  # the batch mean, as batch.mean(axis=0) computes it
         squares = batch - delta
@@ -210,7 +217,12 @@ class TrainStats:
 
 def gaussian_log_density(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Per-sample log pi(a | s) of the diagonal Gaussian, closed form."""
-    z = (actions - mean) / np.exp(log_std)
+    return _log_density(actions - mean, log_std)
+
+
+def _log_density(diff: np.ndarray, log_std: np.ndarray) -> np.ndarray:
+    """``gaussian_log_density`` of the deviations ``actions - mean``."""
+    z = diff / np.exp(log_std)
     return -0.5 * np.add.reduce(z**2 + LOG_2PI, axis=1) - np.add.reduce(log_std)
 
 
@@ -234,6 +246,11 @@ def a2c_loss_and_grad(
     The gradient is written into ``grad``. Returns (policy_loss, value_loss,
     entropy, flat_gradient), the last being ``grad.vector``.
     """
+    return _loss_and_grad(params, batch, cfg, grad, update_index)[:4]
+
+
+def _loss_and_grad(params, batch, cfg, grad, update_index):
+    """``a2c_loss_and_grad``, and the gradient's squared norm ``g.dot(g)``."""
     obs = batch.observations
     actions = batch.actions
     returns = batch.returns
@@ -242,8 +259,9 @@ def a2c_loss_and_grad(
     mean, log_std, values, cache = mlp_forward(params, obs)
     sigma2 = np.exp(2.0 * log_std)
     advantages = returns - values
+    diff = actions - mean
 
-    log_probs = gaussian_log_density(actions, mean, log_std)
+    log_probs = _log_density(diff, log_std)
     entropy = gaussian_entropy(log_std)
     # np.add.reduce(x) / b is what x.mean() computes, without its wrapper
     policy_loss = float(-(np.add.reduce(advantages * log_probs) / b))
@@ -256,16 +274,19 @@ def a2c_loss_and_grad(
         )
 
     # closed-form head gradients; advantage weights are constants here
-    diff = actions - mean
-    d_mean = -(advantages[:, None] * diff / sigma2) / b
+    weights = advantages[:, None]
+    d_mean = -(weights * diff / sigma2) / b
     d_value = 2.0 * cfg.value_coef * (values - returns) / b
     z2 = (diff**2) / sigma2
-    d_log_std = -np.add.reduce(advantages[:, None] * (z2 - 1.0), axis=0) / b - cfg.entropy_coef
+    d_log_std = -np.add.reduce(weights * (z2 - 1.0), axis=0) / b - cfg.entropy_coef
 
     g = mlp_backward(params, cache, d_mean, d_value, d_log_std, grad).vector
-    if not np.logical_and.reduce(np.isfinite(g)):
+    squared_norm = g.dot(g)
+    # a sum of squares is finite only if every term is, so the vector is scanned only when it is not:
+    # an all-finite gradient can still overflow it
+    if not math.isfinite(squared_norm) and not np.logical_and.reduce(np.isfinite(g)):
         raise NonFiniteLoss(f"update {update_index}: non-finite gradient")
-    return policy_loss, value_loss, entropy, g
+    return policy_loss, value_loss, entropy, g, squared_norm
 
 
 def a2c_update(
@@ -279,8 +300,9 @@ def a2c_update(
     ``params.vector`` and ``opt_state`` and returns the update statistics.
     ``batch`` is only read. A loss or gradient that is not finite raises
     NonFiniteLoss before ``params`` or the accumulator is written."""
-    policy_loss, value_loss, entropy, g = a2c_loss_and_grad(params, batch, cfg, opt_state.grad, update_index)
-    grad_norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a vector
+    policy_loss, value_loss, entropy, g, squared_norm = _loss_and_grad(
+        params, batch, cfg, opt_state.grad, update_index)
+    grad_norm = math.sqrt(squared_norm)  # what np.linalg.norm computes for a vector
     if grad_norm > cfg.max_grad_norm:
         g *= cfg.max_grad_norm / grad_norm
     # acc = decay * acc + (1 - decay) * g**2, then params -= (lr * g) / (sqrt(acc) + eps); the first
@@ -312,8 +334,10 @@ class MlpPolicy:
 
     def act(self, observation, rng: np.random.Generator) -> np.ndarray:
         """The (N,) policy mean for one (D,) observation, run as a batch of one."""
-        mean, _, _, _ = mlp_forward(self.params, self.normalizer.normalize(observation)[None])
-        return mean[0]
+        x = self.normalizer.normalize(observation)
+        if x.ndim != 1:
+            raise ShapeMismatch(f"observation shape {x.shape} is not one ({self.normalizer.dim},) observation")
+        return mlp_mean(self.params, x[None])[0]
 
 
 def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
@@ -338,39 +362,47 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
     stats = TrainStats()
 
     raw_obs = env.reset()
-    normalizer.update(raw_obs)
-    episode_return = np.zeros(cfg.n_envs)
-    # one set of rollout buffers, refilled by every rollout; batch views them
+    normalizer._merge(raw_obs)  # the env's (n_envs, obs_dim) float64 batches need no check
+    episode_return = [0.0] * cfg.n_envs
+    # one set of rollout buffers, refilled by every rollout; batch views them, and each step
+    # normalizes its observations straight into its row
     obs_buf = np.empty((cfg.n_steps, cfg.n_envs, obs_dim))
     act_buf = np.empty((cfg.n_steps, cfg.n_envs, n_actions))
-    rew_buf = np.empty((cfg.n_steps, cfg.n_envs))
-    not_done = [1.0] * cfg.n_steps
     returns = np.empty((cfg.n_steps, cfg.n_envs))
     batch = RolloutBatch(obs_buf.reshape(-1, obs_dim), act_buf.reshape(-1, n_actions), returns.reshape(-1))
+    obs_rows, act_rows = list(obs_buf), list(act_buf)
+    last_obs = np.empty((cfg.n_envs, obs_dim))
+    rewards = [None] * cfg.n_steps  # per step, the copies' rewards as Python floats
+    not_done = [1.0] * cfg.n_steps
 
     while stats.updates * steps_per_update < cfg.total_timesteps:
         rng.standard_normal(out=act_buf)  # one draw per rollout gives the same stream as one per step
         act_buf *= np.exp(params.log_std)  # log_std changes only in the update
         for k in range(cfg.n_steps):
-            obs_buf[k] = normalizer.normalize(raw_obs)
-            mean, _, _, _ = mlp_forward(params, obs_buf[k])
-            act_buf[k] += mean  # the pre-clamp sample mean + std * noise
-            outcome = env.step(act_buf[k])  # the env clips each component to [-1, 1], ±inf too; NaN raises
-            rew_buf[k] = outcome.reward
+            obs, act = obs_rows[k], act_rows[k]
+            np.subtract(raw_obs, normalizer.mean, out=obs)  # what normalizer.normalize computes
+            obs /= normalizer.sd
+            act += mlp_mean(params, obs)  # the pre-clamp sample mean + std * noise
+            outcome = env.step(act)  # the env clips each component to [-1, 1], ±inf too; NaN raises
+            rewards[k] = reward = outcome.reward.tolist()
             not_done[k] = 1.0 - float(outcome.done)
-            episode_return += outcome.reward
+            episode_return = [total + r for total, r in zip(episode_return, reward)]
             raw_obs = outcome.observation
             if outcome.done:  # the copies share one clock, so they finish together
-                stats.episode_rewards.extend(episode_return.tolist())
-                episode_return[:] = 0.0
+                stats.episode_rewards.extend(episode_return)
+                episode_return = [0.0] * cfg.n_envs
                 raw_obs = env.reset()
-            normalizer.update(raw_obs)
+            normalizer._merge(raw_obs)
 
-        _, _, bootstrap, _ = mlp_forward(params, normalizer.normalize(raw_obs))
-        running = bootstrap
+        np.subtract(raw_obs, normalizer.mean, out=last_obs)
+        last_obs /= normalizer.sd
+        # the n-step returns in Python floats: the IEEE operations of the array recursion, in its order
+        running = mlp_value(params, last_obs).tolist()
+        rows = [None] * cfg.n_steps
         for k in reversed(range(cfg.n_steps)):
-            running = rew_buf[k] + cfg.gamma * running * not_done[k]
-            returns[k] = running
+            keep = not_done[k]
+            running = rows[k] = [r + cfg.gamma * x * keep for r, x in zip(rewards[k], running)]
+        returns[...] = rows
 
         ustats = a2c_update(params, batch, cfg, opt_state, stats.updates)
         stats.policy_losses.append(ustats.policy_loss)

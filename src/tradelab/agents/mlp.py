@@ -21,6 +21,8 @@ __all__ = [
     "MlpParams",
     "init_mlp",
     "mlp_forward",
+    "mlp_mean",
+    "mlp_value",
     "mlp_backward",
 ]
 
@@ -82,28 +84,56 @@ def init_mlp(sizes, rng: np.random.Generator) -> MlpParams:
     return params
 
 
-def mlp_forward(params: MlpParams, observation):
-    """Returns (mean (B, N), log_std (N,), value (B,), cache) for a (B, D) batch.
-
-    mean is tanh-squashed; value is the raw linear head output. The cache
-    holds the activations backward needs.
-    """
-    x = np.asarray(observation, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
-        raise ShapeMismatch(f"observation shape {np.shape(observation)} does not match input size {params.w1.shape[0]}")
+def _trunk(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two tanh hidden layers of a (B, D) float64 batch."""
     h1 = x @ params.w1
     h1 += params.b1
     np.tanh(h1, out=h1)
     h2 = h1 @ params.w2
     h2 += params.b2
     np.tanh(h2, out=h2)
+    return h1, h2
+
+
+def _mean_head(params: MlpParams, h2: np.ndarray) -> np.ndarray:
     mean = h2 @ params.w_mean
     mean += params.b_mean
     np.tanh(mean, out=mean)
+    return mean
+
+
+def _value_head(params: MlpParams, h2: np.ndarray) -> np.ndarray:
     value = h2 @ params.w_value
     value += params.b_value
+    return value[:, 0]
+
+
+def mlp_mean(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The (B, N) policy mean alone, bit for bit the mean of ``mlp_forward``.
+    ``x`` must already be a (B, D) float64 array: nothing is checked."""
+    return _mean_head(params, _trunk(params, x)[1])
+
+
+def mlp_value(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The (B,) value alone, bit for bit the value of ``mlp_forward``.
+    ``x`` must already be a (B, D) float64 array: nothing is checked."""
+    return _value_head(params, _trunk(params, x)[1])
+
+
+def mlp_forward(params: MlpParams, observation):
+    """Returns (mean (B, N), log_std (N,), value (B,), cache) for a (B, D) batch.
+
+    mean is tanh-squashed; value is the raw linear head output. The cache
+    holds the activations backward needs. This is the checked pass, which
+    the update runs; ``mlp_mean`` and ``mlp_value`` compute one head each.
+    """
+    x = np.asarray(observation, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
+        raise ShapeMismatch(f"observation shape {np.shape(observation)} does not match input size {params.w1.shape[0]}")
+    h1, h2 = _trunk(params, x)
+    mean = _mean_head(params, h2)
     cache = {"x": x, "h1": h1, "h2": h2, "mean": mean}
-    return mean, params.log_std.copy(), value[:, 0], cache
+    return mean, params.log_std.copy(), _value_head(params, h2), cache
 
 
 def mlp_backward(params: MlpParams, cache: dict, d_mean, d_value, d_log_std, grad: MlpParams) -> MlpParams:

@@ -309,29 +309,33 @@ class TradingEnv:
         return np.array(left), np.array(shares, dtype=np.int64)
 
     def _trade_arrays(self, t: int, a: np.ndarray, before: EnvState) -> tuple[np.ndarray, np.ndarray]:
-        """Orders and sells as whole-array operations over (E, N)."""
+        """Orders and sells as whole-array operations over (E, N), in place
+        in the arrays this step has made."""
         shares = before.shares
-        clipped = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, at less call overhead; NaN stays NaN
+        clipped = np.maximum(a, -1.0)  # np.clip, at less call overhead; NaN stays NaN
+        np.minimum(clipped, 1.0, out=clipped)
         if math.isnan(np.add.reduce(clipped, axis=None)):  # else finite: every component lies in [-1, 1]
             raise ValueError("action contains NaN components")
         if self._gate[t]:
             desired = -shares  # liquidate everything, buy nothing
         else:
-            desired = np.rint(clipped * self.cfg.hmax).astype(np.int64)
-        sold = np.minimum(-np.minimum(desired, 0), shares)  # each sell clipped to the holding
+            clipped *= self.cfg.hmax
+            desired = np.rint(clipped, out=clipped).astype(np.int64)
+        sold = np.minimum(desired, 0)  # each sell clipped to the holding
+        np.negative(sold, out=sold)
+        np.minimum(sold, shares, out=sold)
         cash = before.cash + np.add.reduce(sold * self.features.closes[t], axis=1) * (1.0 - self.cfg.cost_rate)
         left, fills = cash.tolist(), desired.tolist()
         _fill_buys(self._units[t - self.window.start].tolist(), left, fills)
-        shares = shares - sold
-        shares += np.array(fills, dtype=np.int64)
-        return np.array(left), shares
+        held = np.subtract(shares, sold, out=sold)
+        held += np.array(fills, dtype=np.int64)
+        return np.array(left), held
 
     def _settle(self, t: int, cash: np.ndarray, shares: np.ndarray) -> np.ndarray:
         """Make the state at index ``t`` the current one and return its values.
-        The stacked (E, 1, N) @ (N, 1) product is one dot product per copy, so
-        each value is bit-equal to ``cash[e] + shares[e] @ prices``."""
-        prices = self.features.closes[t]
-        values = cash + (shares[:, None, :] @ prices[:, None])[:, 0, 0]
+        ``np.vecdot`` takes one dot product per copy, so each value is
+        bit-equal to ``cash[e] + shares[e] @ prices``."""
+        values = cash + np.vecdot(shares, self.features.closes[t])
         for arr in (cash, shares, values):
             arr.setflags(write=False)
         self._state = EnvState(t, cash, shares, values)
@@ -542,10 +546,15 @@ def load_episode_log(path) -> EpisodeLog:
     arrays, fault = read_csv_columns(path, MalformedLog, pick, parsers)
     if fault is not None:
         raise fault
-    timestamps, cash, values, rewards, *columns = arrays
-    n = len(columns) // 2
-    actions, holdings = np.column_stack(columns[:n]), np.column_stack(columns[n:])
-    del arrays, columns  # the stacked copies replace them before EpisodeLog copies those
+    timestamps, cash, values, rewards = arrays[:4]
+    n = (len(arrays) - 4) // 2
+    # each stacked block replaces its columns before the next is stacked
+    actions = np.column_stack(arrays[4 : 4 + n])
+    del arrays[4 : 4 + n]
+    holdings = np.column_stack(arrays[4:])
+    del arrays
+    for arr in (timestamps, actions, holdings, cash, values, rewards):  # read-only, so EpisodeLog keeps them
+        arr.setflags(write=False)
 
     agent_label = path.stem
     meta: dict = {}

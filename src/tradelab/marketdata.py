@@ -263,7 +263,9 @@ def _read_blocks(path, error, pick, parsers, rows):
         row += len(block)
         del block, columns, cells  # so the next block's text replaces this one's instead of joining it
     deque(rows, maxlen=0)  # the rest of the file, unkept: text that is not CSV raises here too
-    return [np.concatenate(part) for part in parts], fault
+    for k, part in enumerate(parts):  # each column's blocks go as it is joined: one copy, plus one column
+        parts[k] = np.concatenate(part)
+    return parts, fault
 
 
 def _first_fault(path, error, name, cells, parse, row, reason):

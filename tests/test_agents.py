@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_features
+from tradelab.agents import a2c as a2c_module
 from tradelab.agents.a2c import (
     CHECKPOINT_MAGIC,
     A2CConfig,
@@ -18,6 +19,7 @@ from tradelab.agents.a2c import (
     ObsNormalizer,
     RmsPropState,
     RolloutBatch,
+    a2c_loss_and_grad,
     a2c_train,
     a2c_update,
     gaussian_entropy,
@@ -521,6 +523,27 @@ class TestA2CUpdate:
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss, match="update 4: non-finite gradient"):
             a2c_update(params, bad, A2CConfig(), RmsPropState.zeros(params.sizes), update_index=4)
 
+    @pytest.mark.parametrize("component", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 17, -1], ids=["first", "inner", "last"])
+    def test_one_nonfinite_gradient_component_raises_before_the_step(self, rng, monkeypatch, component, at):
+        # finiteness is read off the squared norm, which one NaN or infinity makes non-finite
+        def poisoned(*args):
+            grad = mlp_backward(*args)
+            grad.vector[at] = component
+            return grad
+
+        monkeypatch.setattr(a2c_module, "mlp_backward", poisoned)
+        params = init_mlp((4, 6, 6, 2), rng)
+        batch = random_batch(rng, params)
+        before = params.vector.copy()
+        opt_state = RmsPropState.zeros(params.sizes)
+        opt_state.accumulator[...] = 0.25
+        with pytest.raises(NonFiniteLoss, match="update 3: non-finite gradient"):
+            a2c_update(params, batch, A2CConfig(), opt_state, update_index=3)
+        assert np.array_equal(params.vector, before) and (opt_state.accumulator == 0.25).all()
+        with pytest.raises(NonFiniteLoss, match="update 0: non-finite gradient"):
+            a2c_loss_and_grad(params, batch, A2CConfig(), MlpParams.zeros(params.sizes))
+
     def test_input_params_untouched(self, rng):
         # the update steps the params it is given in place, so a caller that
         # keeps its params copies them first, and the copy's source stays as it was
@@ -605,6 +628,13 @@ class TestTraining:
         a2 = policy.act(obs, np.random.default_rng(99))
         assert np.array_equal(a1, a2)  # deterministic head ignores the rng
         assert np.all(np.abs(a1) <= 1.0)
+
+    def test_act_takes_one_observation(self, rng):
+        policy = MlpPolicy(init_mlp((5, 4, 4, 2), rng), ObsNormalizer(5))
+        obs = rng.standard_normal(5)
+        assert np.array_equal(policy.act(obs, rng), mlp_forward(policy.params, obs[None])[0][0])
+        with pytest.raises(ShapeMismatch, match=r"\(2, 5\) is not one \(5,\) observation"):
+            policy.act(np.stack([obs, obs]), rng)
 
     def test_runs_episodes_in_env(self, rng):
         cfg, factory, window = small_setup()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_features, make_features, turbulent_features
+from tradelab import env as env_module
 from tradelab.env import (
     EnvConfig,
     EnvError,
@@ -865,27 +866,56 @@ def test_load_reads_whole_float_holdings(tmp_path):
     assert load_episode_log(path).holdings[:, 0].tolist() == [0, 49]
 
 
-def test_load_holds_a_block_of_text_not_the_file(tmp_path):
-    """A 20,000-row, 8-ticker log loads within three times the size of its
-    arrays: the reader keeps a block of rows as text at a time, and the parsed
-    arrays, where a reader of the whole file held about eleven times it."""
-    t, n = 20_000, 8
+LOG_ARRAYS = ("timestamps", "actions", "holdings", "cash", "portfolio_value", "rewards")
+
+
+def _long_log(path, t=20_000, n=8):
+    """Save a seeded t-row, n-ticker log at ``path``; returns its arrays' size in bytes."""
     rng = np.random.default_rng(0)
-    path = tmp_path / "long.csv"
     save_episode_log(EpisodeLog(
         timestamps=1_646_380_800 + 3600 * np.arange(t), actions=rng.uniform(-1.0, 1.0, (t, n)),
         holdings=rng.integers(0, 500, (t, n)), cash=rng.uniform(0.0, 1e6, t),
         portfolio_value=rng.uniform(1e5, 2e6, t), rewards=rng.standard_normal(t - 1) * 100.0, agent_label="long",
     ), path)
+    return 8 * (t * (2 * n + 4) - 1)
+
+
+def _traced_load(path):
+    """The loaded log, and tracemalloc's (kept, peak) bytes over the load."""
     tracemalloc.start()
     try:
         log = load_episode_log(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return log, tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    size = sum(getattr(log, name).nbytes for name in ("timestamps", "actions", "holdings", "cash",
-                                                       "portfolio_value", "rewards"))
-    assert size == 3_199_992 and peak < 3 * size, peak
+
+
+def test_load_holds_a_block_of_text_not_the_file(tmp_path):
+    """A 20,000-row, 8-ticker log loads within three times the size of its
+    arrays: the reader keeps a block of rows as text at a time, and the parsed
+    arrays, where a reader of the whole file held about eleven times it."""
+    size = _long_log(tmp_path / "long.csv")
+    log, (_, peak) = _traced_load(tmp_path / "long.csv")
+    assert size == 3_199_992 == sum(getattr(log, name).nbytes for name in LOG_ARRAYS)
+    assert peak < 3 * size, peak
+
+
+def test_load_holds_one_copy_of_its_arrays(tmp_path, monkeypatch):
+    """The log keeps the arrays the loader built, and each column's blocks and
+    each block of action or holding columns are let go as they are joined: the
+    peak is about 0.4 array sizes above the kept log. Copying the arrays into
+    the log, beside the ones built, made it about 1.1."""
+    size = _long_log(tmp_path / "long.csv")
+    given = {}
+
+    def capture(**fields):
+        given.update(fields)
+        return EpisodeLog(**fields)
+
+    monkeypatch.setattr(env_module, "EpisodeLog", capture)
+    log, (kept, peak) = _traced_load(tmp_path / "long.csv")
+    assert all(getattr(log, name) is given[name] for name in LOG_ARRAYS)
+    assert kept >= size and peak - kept < 0.75 * size, (peak - kept) / size
 
 
 def test_load_places_log_columns_by_their_index(tmp_path):

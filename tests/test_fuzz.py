@@ -1,5 +1,6 @@
 """Seeded fuzz of the files a run reads back: the binary frames (``panel.bin``,
-``a2c.ckpt``), the JSON config and a behavior report's ``report.json``.
+``a2c.ckpt``), the JSON config, a behavior report's ``report.json`` and the
+text inputs and logs (bar CSVs, aux CSVs and episode logs).
 
 Every mutated file either loads or raises a TradeLabError whose message names
 the file; nothing leaks a bare traceback. A config never loads a NaN or an
@@ -15,17 +16,24 @@ import typing
 import numpy as np
 import pytest
 
-from conftest import make_features, make_panel
+from conftest import hourly_axis, make_features, make_panel, make_walk_series, write_bars_csv
 from tradelab.agents.a2c import A2CConfig, MlpPolicy, ObsNormalizer, load_checkpoint, save_checkpoint
 from tradelab.agents.mlp import init_mlp
 from tradelab.agents.policies import RandomPolicy
 from tradelab.analytics import MalformedReport, behavior_profile, load_report, save_report
 from tradelab.cli import RunConfig
 from tradelab.config import ConfigError, decode_config
-from tradelab.env import EnvConfig, Window, run_episode
+from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.errors import TradeLabError
 from tradelab.indicators import IndicatorConfig
-from tradelab.marketdata import load_panel, save_panel
+from tradelab.marketdata import (
+    format_timestamps,
+    load_bars,
+    load_panel,
+    load_series,
+    save_panel,
+    write_csv_columns,
+)
 
 # the config sections: the fields of RunConfig typed as config classes
 SECTIONS = {name: hint for name, hint in typing.get_type_hints(RunConfig).items() if dataclasses.is_dataclass(hint)}
@@ -117,6 +125,43 @@ def test_mutated_reports_load_or_fail_closed(tmp_path):
             assert str(path) in str(exc), exc
             outcomes.append(False)
     assert outcomes[0] and outcomes[1:].count(False) > 0.9 * len(mutants)  # most mutants are refused
+
+
+def _text_file(tmp_path, kind):
+    """A small file of ``kind`` as the package writes or reads it, and its loader."""
+    if kind == "bars":
+        path = tmp_path / "AA.csv"
+        write_bars_csv(path, make_walk_series("AA", hourly_axis(1_646_380_800, 40), np.random.default_rng(3)))
+        return path, load_bars
+    if kind == "series":
+        path = tmp_path / "vix.csv"
+        rng = np.random.default_rng(4)
+        write_csv_columns(path, ["timestamp", "value"],
+                          [format_timestamps(hourly_axis(1_646_380_800, 40)), rng.uniform(10.0, 40.0, 40)])
+        return path, lambda p: load_series(p, "vix")
+    features = make_features(["AA", "BB", "CC"], 60, seed=4)
+    path = tmp_path / "log_random.csv"  # its sidecar stays as written
+    save_episode_log(run_episode(RandomPolicy(), EnvConfig(hmax=20), features, Window(features.warmup, 60), seed=1),
+                     path)
+    return path, load_episode_log
+
+
+@pytest.mark.parametrize("kind", ["bars", "series", "episode log"])
+def test_mutated_text_files_load_or_fail_closed(tmp_path, kind):
+    """Truncations and single-byte changes of a bar CSV, an aux CSV and an
+    episode log: each one loads or raises a TradeLabError naming the file.
+    Many load: a cut at a row's end, or a changed digit, leaves a valid file."""
+    path, load = _text_file(tmp_path, kind)
+    raw = path.read_bytes()
+    assert _fails_closed(load, path, raw) is not None
+    rng = np.random.default_rng(73)
+    mutants = [raw[:cut] for cut in sorted({0, 1, len(raw) - 1, *rng.integers(0, len(raw), 150).tolist()})]
+    for _ in range(300):
+        changed = bytearray(raw)
+        changed[int(rng.integers(0, len(raw)))] ^= int(rng.integers(1, 256))  # any other byte, UTF-8 or not
+        mutants.append(bytes(changed))
+    loaded = [_fails_closed(load, path, data) is not None for data in mutants]
+    assert 0 < loaded.count(True) < len(mutants)
 
 
 def _config_cases():

@@ -37,7 +37,7 @@ from tradelab.agents.a2c import (
     load_checkpoint,
     save_checkpoint,
 )
-from tradelab.agents.mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
+from tradelab.agents.mlp import MlpParams, init_mlp, mlp_backward, mlp_forward, mlp_mean, mlp_value
 from tradelab.agents.policies import BASELINE_POLICIES
 from tradelab.analytics import behavior_profile
 from tradelab.env import EnvConfig, EpisodeLog, TradingEnv, Window, run_episode, split_observation
@@ -379,6 +379,35 @@ def test_mlp_passes_match_reference(rows):
     assert np.array_equal(g.vector, ref_mlp_backward(params, ref_cache, d_mean, d_value, d_log_std).vector)
 
 
+@pytest.mark.parametrize("rows", [1, 4, 20])
+def test_single_heads_match_reference(rows):
+    """The rollout's mean-only and the bootstrap's value-only passes give the
+    reference forward's heads bit for bit."""
+    rng = np.random.default_rng(12)
+    params = init_mlp((11, 8, 6, 3), rng)
+    params.vector[...] = rng.standard_normal(params.vector.size)  # every bias and weight non-zero
+    obs = rng.standard_normal((rows, 11)) * 3.0
+    ref_mean, _, ref_value, _ = ref_mlp_forward(params, obs)
+    assert mlp_mean(params, obs).tobytes() == ref_mean.tobytes()
+    assert mlp_value(params, obs).tobytes() == ref_value.tobytes()
+
+
+def test_overflowing_squared_norm_of_a_finite_gradient_steps_as_reference():
+    """Every gradient component is finite, but the b2 components, near 1e200,
+    overflow g.dot(g): the update must not take that for a non-finite
+    gradient, and clips as the reference does, with an infinite norm."""
+    params, batch = seeded_batch(6)
+    for name in ("w1", "b1", "w2", "b2"):
+        getattr(params, name)[...] = 0.0  # h1 = h2 = 0, so the value is b_value and the loss stays small
+    params.w_value[...] = 1e200  # d_h2 = d_value * 1e200 reaches b2's gradient, and nothing else
+    cfg = A2CConfig()
+    with np.errstate(over="ignore"):  # the dot product warns of its overflow
+        _, _, _, g = ref_loss_and_grad(params, batch, cfg)
+        assert np.isfinite(g).all() and np.abs(g).max() > 1e199 and g.dot(g) == np.inf
+        _, stats = assert_update_matches(params, batch, cfg, RmsPropState.zeros(params.sizes), None)
+    assert stats.grad_norm == np.inf
+
+
 # ---------------------------------------------------------------------------
 # observation normalizer
 # ---------------------------------------------------------------------------
@@ -588,19 +617,29 @@ def test_run_episode_matches_reference_loop(agent, capital):
 # the training loop
 # ---------------------------------------------------------------------------
 
-def test_a2c_train_matches_reference_loop():
-    features = make_features(["AA", "BB", "CC"], 160, seed=7)
+def assert_train_matches_reference(tickers, n_envs, total_timesteps=600):
+    features = make_features(["AA", "BB", "CC", "DD", "EE", "FF"][:tickers], 160, seed=7)
     window = Window(features.warmup, 60)  # 43 steps, so each worker finishes several episodes
     env_cfg = EnvConfig(initial_capital=50_000.0)
-    cfg = A2CConfig(total_timesteps=600, n_envs=3, n_steps=5, seed=11, hidden_sizes=(16, 16))
+    cfg = A2CConfig(total_timesteps=total_timesteps, n_envs=n_envs, n_steps=5, seed=11, hidden_sizes=(16, 16))
     policy, stats = a2c_train(cfg, lambda: TradingEnv(env_cfg, features, window))
     params, curves, episode_rewards, normalizer = ref_a2c_train(cfg, features, env_cfg, window)
     assert np.array_equal(policy.params.vector, params.vector)
     assert [stats.policy_losses, stats.value_losses, stats.entropies, stats.grad_norms] == curves
-    assert stats.episode_rewards == episode_rewards and len(episode_rewards) == 3 * (200 // window.steps)
+    assert stats.episode_rewards == episode_rewards
+    assert len(episode_rewards) == n_envs * (total_timesteps // n_envs // window.steps)
     assert np.array_equal(policy.normalizer.mean, normalizer.mean)
     assert np.array_equal(policy.normalizer.m2, normalizer.m2)
     assert policy.normalizer.count == normalizer.count
+
+
+def test_a2c_train_matches_reference_loop():
+    assert_train_matches_reference(3, 3)  # 9 cells: the env's per-cell path
+
+
+def test_a2c_train_on_the_array_path_matches_reference_loop():
+    assert 6 * 4 > SCALAR_CELLS
+    assert_train_matches_reference(6, 4, total_timesteps=800)
 
 
 # ---------------------------------------------------------------------------
