@@ -153,7 +153,12 @@ class ObsNormalizer:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1:] != (self.dim,):
             raise ShapeMismatch(f"observation shape {x.shape} does not match normalizer width {self.dim}")
-        z = x - self.mean
+        return self._normalize(x)
+
+    def _normalize(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``normalize``'s arithmetic for a float64 ``x`` the caller has
+        checked, written into ``out`` when one is given."""
+        z = np.subtract(x, self.mean, out=out)
         z /= self.sd
         return z
 
@@ -380,9 +385,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
         act_buf *= np.exp(params.log_std)  # log_std changes only in the update
         for k in range(cfg.n_steps):
             obs, act = obs_rows[k], act_rows[k]
-            np.subtract(raw_obs, normalizer.mean, out=obs)  # what normalizer.normalize computes
-            obs /= normalizer.sd
-            act += mlp_mean(params, obs)  # the pre-clamp sample mean + std * noise
+            act += mlp_mean(params, normalizer._normalize(raw_obs, obs))  # the pre-clamp sample mean + std * noise
             outcome = env.step(act)  # the env clips each component to [-1, 1], ±inf too; NaN raises
             rewards[k] = reward = outcome.reward.tolist()
             not_done[k] = 1.0 - float(outcome.done)
@@ -394,10 +397,8 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
                 raw_obs = env.reset()
             normalizer._merge(raw_obs)
 
-        np.subtract(raw_obs, normalizer.mean, out=last_obs)
-        last_obs /= normalizer.sd
         # the n-step returns in Python floats: the IEEE operations of the array recursion, in its order
-        running = mlp_value(params, last_obs).tolist()
+        running = mlp_value(params, normalizer._normalize(raw_obs, last_obs)).tolist()
         rows = [None] * cfg.n_steps
         for k in reversed(range(cfg.n_steps)):
             keep = not_done[k]
