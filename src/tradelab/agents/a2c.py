@@ -255,7 +255,7 @@ def a2c_loss_and_grad(
 
 
 def _loss_and_grad(params, batch, cfg, grad, update_index):
-    """``a2c_loss_and_grad``, and the gradient's squared norm ``g.dot(g)``."""
+    """``a2c_loss_and_grad``, and the gradient's Euclidean norm."""
     obs = batch.observations
     actions = batch.actions
     returns = batch.returns
@@ -286,12 +286,16 @@ def _loss_and_grad(params, batch, cfg, grad, update_index):
     d_log_std = -np.add.reduce(weights * (z2 - 1.0), axis=0) / b - cfg.entropy_coef
 
     g = mlp_backward(params, cache, d_mean, d_value, d_log_std, grad).vector
-    squared_norm = g.dot(g)
-    # a sum of squares is finite only if every term is, so the vector is scanned only when it is not:
-    # an all-finite gradient can still overflow it
-    if not math.isfinite(squared_norm) and not np.logical_and.reduce(np.isfinite(g)):
+    with np.errstate(over="ignore"):  # an all-finite gradient can overflow its sum of squares
+        squared_norm = g.dot(g)
+    if math.isfinite(squared_norm):
+        return policy_loss, value_loss, entropy, g, math.sqrt(squared_norm)  # what np.linalg.norm computes
+    # a sum of squares is finite only if every term is, so the vector is scanned only when it is not
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise NonFiniteLoss(f"update {update_index}: non-finite gradient")
-    return policy_loss, value_loss, entropy, g, squared_norm
+    largest = float(np.max(np.abs(g)))  # the sum overflowed: scale by the largest component first
+    scaled = g / largest
+    return policy_loss, value_loss, entropy, g, largest * math.sqrt(scaled.dot(scaled))
 
 
 def a2c_update(
@@ -304,10 +308,10 @@ def a2c_update(
     """One clipped RMSProp step on the actor-critic loss, in place: it steps
     ``params.vector`` and ``opt_state`` and returns the update statistics.
     ``batch`` is only read. A loss or gradient that is not finite raises
-    NonFiniteLoss before ``params`` or the accumulator is written."""
-    policy_loss, value_loss, entropy, g, squared_norm = _loss_and_grad(
+    NonFiniteLoss before ``params`` or the accumulator is written; a finite
+    gradient whose squared norm overflows is still clipped along itself."""
+    policy_loss, value_loss, entropy, g, grad_norm = _loss_and_grad(
         params, batch, cfg, opt_state.grad, update_index)
-    grad_norm = math.sqrt(squared_norm)  # what np.linalg.norm computes for a vector
     if grad_norm > cfg.max_grad_norm:
         g *= cfg.max_grad_norm / grad_norm
     # acc = decay * acc + (1 - decay) * g**2, then params -= (lr * g) / (sqrt(acc) + eps); the first

@@ -4,7 +4,8 @@ Each reference below is the arithmetic the package used before its numpy
 calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
 and backward passes, the batched ``TradingEnv.step`` (on both sides of its
-per-cell threshold), the ``run_episode`` and
+per-cell threshold, steps that trade nothing and short sale sums included),
+the ``run_episode`` and
 ``a2c_train`` loops, the bar-at-a-time ``ema`` and ``dx`` loops, and the
 whole-block ``bollinger``, ``rsi`` and ``cci`` expressions. The references
 allocate a fresh array for every result; the package writes into buffers it
@@ -16,6 +17,7 @@ reproduce each of them exactly (``np.array_equal``,
 and BLAS, so these pins hold on any machine, unlike artifact digests.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,8 +144,9 @@ def ref_loss_and_grad(params, batch, cfg):
     return policy_loss, value_loss, entropy, g
 
 
-def ref_rmsprop_tail(params, g, cfg, opt_state):
-    grad_norm = float(np.linalg.norm(g))
+def ref_rmsprop_tail(params, g, cfg, opt_state, grad_norm=None):
+    if grad_norm is None:
+        grad_norm = float(np.linalg.norm(g))
     if grad_norm > cfg.max_grad_norm:
         g = g * (cfg.max_grad_norm / grad_norm)
     if opt_state is None:
@@ -392,20 +395,34 @@ def test_single_heads_match_reference(rows):
     assert mlp_value(params, obs).tobytes() == ref_value.tobytes()
 
 
-def test_overflowing_squared_norm_of_a_finite_gradient_steps_as_reference():
+def test_overflowing_squared_norm_of_a_finite_gradient_steps_along_it():
     """Every gradient component is finite, but the b2 components, near 1e200,
-    overflow g.dot(g): the update must not take that for a non-finite
-    gradient, and clips as the reference does, with an infinite norm."""
+    overflow g.dot(g): the update takes the norm scaled by the largest
+    component, m * sqrt((g/m).(g/m)), where np.linalg.norm gives inf, and
+    clips the gradient to a step of norm max_grad_norm along it, without a
+    warning (an error under the test settings)."""
     params, batch = seeded_batch(6)
     for name in ("w1", "b1", "w2", "b2"):
         getattr(params, name)[...] = 0.0  # h1 = h2 = 0, so the value is b_value and the loss stays small
     params.w_value[...] = 1e200  # d_h2 = d_value * 1e200 reaches b2's gradient, and nothing else
     cfg = A2CConfig()
-    with np.errstate(over="ignore"):  # the dot product warns of its overflow
+    with np.errstate(over="ignore"):  # the reference's dot product warns of its overflow
         _, _, _, g = ref_loss_and_grad(params, batch, cfg)
         assert np.isfinite(g).all() and np.abs(g).max() > 1e199 and g.dot(g) == np.inf
-        _, stats = assert_update_matches(params, batch, cfg, RmsPropState.zeros(params.sizes), None)
-    assert stats.grad_norm == np.inf
+        assert np.linalg.norm(g) == np.inf
+    largest = np.abs(g).max()
+    norm = float(largest * np.sqrt((g / largest).dot(g / largest)))
+    want, want_acc, _ = ref_rmsprop_tail(params, g, cfg, None, grad_norm=norm)
+    opt_state = RmsPropState.zeros(params.sizes)
+    start = params.vector.copy()
+    stats = a2c_update(params, batch, cfg, opt_state)
+    assert stats.grad_norm == norm and largest <= norm < np.inf
+    assert np.array_equal(params.vector, want.vector) and np.array_equal(opt_state.accumulator, want_acc)
+    clipped = g * (cfg.max_grad_norm / norm)
+    assert np.linalg.norm(clipped) == pytest.approx(cfg.max_grad_norm, rel=1e-12)
+    step = start - params.vector
+    assert np.count_nonzero(step) == np.count_nonzero(g) > 0  # a step wherever the gradient is non-zero
+    assert (np.sign(step) == np.sign(g)).all()  # down the gradient
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +589,115 @@ def test_step_refuses_nan_and_clips_infinities_on_both_paths(tickers, copies):
         assert np.array_equal(live.state.cash, ref._cash) and np.array_equal(live.state.shares, ref._shares)
 
 
+def assert_state_matches_reference(live, ref):
+    """Every state field of ``live`` is bit for bit the reference's."""
+    state = live.state
+    assert state.t == ref._t
+    for got, want in ((state.cash, ref._cash), (state.shares, ref._shares), (state.portfolio_value, ref._values)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def snapshot(state):
+    return [state.t, *(arr.tobytes() for arr in state[1:])]
+
+
+def scripted_closes(steps, tickers):
+    """(steps + 1, tickers) closes near 100 + 55j, each ticker 1% about its
+    base, so ticker 0 is the cheapest at every index and no two tickers cross."""
+    t, j = np.arange(steps + 1)[:, None], np.arange(tickers)[None, :]
+    return (100.0 + 55.0 * j + 0.37 * j * j) * (1.0 + 0.01 * np.sin(0.7 * t + j))
+
+
+# each step of the script, and whether it trades: the quiet ones sell nothing and fill no buy
+SCRIPT = ["zeros", "sell-empty", "gated-empty", "buy", "zeros", "dear-buy", "sell-empty", "mixed",
+          "gated", "gated-empty", "buy", "dear-buy", "zeros", "mixed", "sell-empty"]
+QUIET = {"zeros", "sell-empty", "gated-empty", "dear-buy"}
+QUIET_SIZES = {"8-cells": (8, 1), "16-cells": (8, 2), "16-tickers": (16, 1), "above-threshold": (17, 1)}
+
+
+@pytest.mark.parametrize("tickers, copies", QUIET_SIZES.values(), ids=QUIET_SIZES.keys())
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_quiet_steps_hand_on_the_state_and_match_reference(tickers, copies, scale):
+    """A script that mixes trading steps with steps that trade nothing: zero
+    actions, sells of empty positions, buys of tickers dearer than the cash
+    left and a gated step with nothing held. Every step gives the reference's
+    bits; a quiet step of at most 16 cells hands on the previous state's own
+    read-only cash and shares, and no step changes an earlier state."""
+    gated = [kind.startswith("gated") for kind in SCRIPT] + [False]
+    turbulence = (np.where(gated, 20.0, 0.0), np.ones(len(gated), dtype=bool))
+    features = flat_features(scripted_closes(len(SCRIPT), tickers), turbulence=turbulence)
+    window = Window(0, len(SCRIPT) + 1)
+    cfg = EnvConfig(initial_capital=50_000.0, hmax=40, cost_rate=0.001, reward_scale=scale, turbulence_gate=12.0)
+    live, ref = TradingEnv(cfg, features, window, copies=copies), RefTradingEnv(cfg, features, window, copies=copies)
+    assert live.reset().tobytes() == ref.reset().tobytes()
+    rng = np.random.default_rng(19)
+    history = []
+    for kind in SCRIPT:
+        before = live.state
+        held, cash = before.shares, before.cash
+        units = features.closes[before.t] * (1.0 + cfg.cost_rate)
+        action = {
+            "zeros": lambda: np.zeros(held.shape),
+            "sell-empty": lambda: np.where(held == 0, -1.0, 0.0),
+            "gated-empty": lambda: rng.uniform(-1.0, 1.0, held.shape),
+            "buy": lambda: rng.uniform(0.8, 1.0, held.shape),
+            "dear-buy": lambda: np.where(units[None, :] > cash[:, None], 1.0, 0.0),
+            "gated": lambda: rng.uniform(-1.0, 1.0, held.shape),
+            "mixed": lambda: rng.uniform(-1.0, 1.0, held.shape),
+        }[kind]()
+        if kind in ("sell-empty", "dear-buy"):
+            assert (action != 0.0).any(), kind  # the script reaches the case it names
+        if kind == "gated-empty":
+            assert not held.any()
+        outcome = live.step(action)
+        observation, reward, done, info = ref.step(action)
+        assert outcome.observation.tobytes() == observation.tobytes()
+        assert outcome.reward.tobytes() == reward.tobytes() and outcome.done == done
+        assert_state_matches_reference(live, ref)
+        after = live.state
+        assert (kind in QUIET) == (not info["traded"].any() and np.array_equal(after.cash, cash)), kind
+        if kind in QUIET and tickers * copies <= SCALAR_CELLS:
+            assert after.cash is cash and after.shares is held, kind
+        else:
+            assert after.cash is not cash and after.shares is not held, kind
+        assert not (after.cash.flags.writeable or after.shares.flags.writeable
+                    or after.portfolio_value.flags.writeable)
+        history.append((before, snapshot(before)))
+        assert all(snapshot(state) == kept for state, kept in history)  # no earlier state changed
+
+
+SALES = {"two": (0, 5), "three": (0, 4, 5)}
+
+
+@pytest.mark.parametrize("tickers, copies", [(8, 1), (8, 2), (16, 1)], ids=["8-cells", "16-cells", "16-tickers"])
+@pytest.mark.parametrize("sales", SALES)
+def test_sale_proceeds_of_two_and_three_terms_match_reference(sales, tickers, copies):
+    """One share of each sold ticker, bought at 1.0 and sold at 0.1, 0.2 and
+    0.3 times 2**20 at cost rate 0: the three-term total rounds differently in
+    numpy's pairwise order, a + (b + c), than left to right, so the cash
+    shows which one summed it. A second copy sells the two-term set."""
+    closes = np.ones((3, tickers))
+    closes[1, [0, 4, 5]] = np.array([0.1, 0.2, 0.3]) * 2.0**20
+    cfg = EnvConfig(initial_capital=8.0, hmax=1, cost_rate=0.0)
+    live, ref = (cls(cfg, flat_features(closes), Window(0, 3), copies=copies) for cls in (TradingEnv, RefTradingEnv))
+    live.reset()
+    ref.reset()
+    picks = [SALES[sales]] + [SALES["two"]] * (copies - 1)
+    action = np.zeros((copies, tickers))
+    for row, sold in zip(action, picks):
+        row[list(sold)] = 1.0
+    for step in (action, -action):  # buy one share of each, then sell it
+        live.step(step)
+        ref.step(step)
+        assert_state_matches_reference(live, ref)
+    terms = closes[1, list(SALES[sales])].tolist()
+    assert live.state.cash[0] == 8.0 - len(terms) + math.fsum(terms)  # the exact sum rounds to numpy's
+    if sales == "three":
+        a, b, c = terms
+        assert a + (b + c) != (a + b) + c  # so a left-to-right sum would not match the reference
+        assert live.state.cash[0] != 5.0 + ((a + b) + c)
+
+
 # ---------------------------------------------------------------------------
 # the episode loop
 # ---------------------------------------------------------------------------
@@ -595,20 +721,28 @@ def _trained_policy(features, window):
     return policy
 
 
-@pytest.mark.parametrize("capital", [1_000_000.0, 50_000.0], ids=["1m", "50k"])
+@pytest.mark.parametrize("capital, gate", [(1_000_000.0, None), (50_000.0, None), (50_000.0, 12.0)],
+                         ids=["1m", "50k", "50k-gated"])
 @pytest.mark.parametrize("agent", [*BASELINE_POLICIES, "mlp", "wild"])
-def test_run_episode_matches_reference_loop(agent, capital):
+def test_run_episode_matches_reference_loop(agent, capital, gate):
     features = make_features(["A", "B", "C", "D", "E"], 120, seed=13, vol=0.02)
     window = Window(features.warmup, 120)
     if agent == "mlp":
         policy = _trained_policy(features, window)
     else:
         policy = WildPolicy() if agent == "wild" else BASELINE_POLICIES[agent]()
-    cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001)
+    if gate is not None:  # the seeded series of conftest's turbulent_features, undefined on every seventh index
+        turb = np.abs(np.random.default_rng(13).normal(0.0, 10.0, features.n_timestamps))
+        features = dataclasses.replace(features, turbulence=(turb, np.arange(features.n_timestamps) % 7 != 0))
+    cfg = EnvConfig(initial_capital=capital, hmax=40, cost_rate=0.001, turbulence_gate=gate)
     log = run_episode(policy, cfg, features, window, seed=6)
     ref = ref_run_episode(policy, cfg, features, window, seed=6)
     for name, expected in ref.items():
         assert np.array_equal(getattr(log, name), expected), name
+    if gate is not None:  # each gated step left nothing held
+        turb, defined = features.turbulence
+        gated = (defined & (turb > gate))[window.start : window.stop - 1]
+        assert gated.any() and not log.holdings[1:][gated].any()
     if agent == "wild":  # the reference saw out-of-range and infinite components, and clipped them
         assert np.abs(ref["actions"]).max() == 1.0 and (np.abs(ref["actions"]) == 1.0).mean() > 0.25
 
