@@ -18,20 +18,20 @@ whole-array numpy calls over (E, N). Each numpy call costs about a
 microsecond whatever its size, so on small steps the per-cell pass is
 faster: it led at 8 cells, and at 16 only when most actions were zero, so
 the crossover lies between the two. ``run_episode`` over 8 tickers takes
-it, and ``a2c_train`` over 30 tickers with 4 copies does not. The per-cell
-pass sums a copy's proceeds of one or two sales in Python floats, which
-round once in either order, and of three or more with the array pass's numpy
-reduction, whose pairwise order fixes their bits. Both passes share the buy
-fill, the settlement and the observation, so they give the same bits.
+it, and ``a2c_train`` over 30 tickers with 4 copies does not. Both passes
+sum a copy's sale proceeds with one numpy reduction, whose pairwise order
+fixes the bits, and share the buy fill, the settlement and the observation,
+so they give the same bits.
 
 A per-cell step that trades nothing (it sells nothing and fills no buy: zero
 actions, sells of empty positions, buys dearer than the cash left, a gated
-step with nothing held) skips the buy pass and the reads of prices, cash and
-unit costs, and returns the previous state's read-only cash and shares: equal
-values, possibly the same objects. In the backtest-sweep benchmark (8
-tickers) 57% of steps trade nothing at seed 11 and 60% at seed 29; at seed
-29 the median traced ``env.step_us`` of ten ops went from 18.3 to 14.5 µs
-against the per-cell pass that built new arrays for every step (2-vCPU Xeon).
+step with nothing held) returns the previous state's read-only cash and
+shares: equal values, possibly the same objects. It reads no prices, and
+runs the buy pass only if a cell asks to buy. In the backtest-sweep benchmark
+(8 tickers) 57% of steps trade nothing at seed 11, 60% at seed 29 and 63% at
+seed 37; at seed 37 the median traced ``env.step_us`` of ten ops on a
+steady host went from 18.4 to 14.2 µs against the per-cell pass that built
+new arrays for every step (2-vCPU Xeon).
 ``tests/test_hot_path_bits.py`` pins each pass against its reference step,
 ``RefTradingEnv``, on both sides of the threshold.
 
@@ -213,24 +213,6 @@ def _fill_buys(units: list, left: list, orders: list) -> None:
         left[e] = have
 
 
-def _sale_totals(proceeds: list) -> list:
-    """The sum of each row of ``proceeds`` that holds at most two non-zero
-    terms, bit for bit ``np.add.reduce(proceeds, axis=1)``: adding 0.0 is
-    exact, and two terms round once in either order. The bits of three or
-    more terms depend on numpy's pairwise order, so such rows go to numpy."""
-    totals = []
-    for row in proceeds:
-        first = second = 0.0
-        for x in row:
-            if x:
-                if first:
-                    second = x
-                else:
-                    first = x
-        totals.append(first + second)
-    return totals
-
-
 class TradingEnv:
     """E lockstep copies of one episode over a window of the feature panel.
 
@@ -306,16 +288,16 @@ class TradingEnv:
 
     def _trade_cells(self, t: int, a: np.ndarray, before: EnvState) -> tuple[np.ndarray, np.ndarray]:
         """Orders and sells one cell at a time, in Python numbers: clip, then
-        ``round`` (half to even, as ``np.rint``). Prices, cash and unit costs
-        are read only when a cell sells or asks to buy, and a step that sells
-        nothing and fills no buy returns ``before``'s own cash and shares.
-        Each copy's proceeds sum to the bits of the numpy reduction of
-        ``_trade_arrays``: see ``_sale_totals``."""
+        ``round`` (half to even, as ``np.rint``). Each copy's proceeds are
+        summed by the numpy reduction of ``_trade_arrays``, whose pairwise
+        order the bits depend on. Prices are read at the first sale and unit
+        costs only when a cell asks to buy, and a step that sells nothing and
+        fills no buy returns ``before``'s own cash and shares."""
         hmax, gated = self.cfg.hmax, self._gate[t]
         orders, held = a.tolist(), before.shares.tolist()
-        proceeds, most, buying, prices = [], 0, False, None  # most: the most sales of one copy
+        proceeds, any_sold, buying, prices = [], False, False, None
         for row, hold in zip(orders, held):
-            out, sold = [0.0] * len(row), 0
+            out = [0.0] * len(row)
             for i, x in enumerate(row):
                 if x >= 1.0:
                     want = hmax
@@ -336,23 +318,21 @@ class TradingEnv:
                     if prices is None:
                         prices = self.features.closes[t].tolist()
                     out[i] = q * prices[i]
-                    sold += 1
+                    any_sold = True
             proceeds.append(out)
-            if sold > most:
-                most = sold
-        if not (most or buying):
-            return before.cash, before.shares
         left = before.cash.tolist()
-        if most:  # else every proceed is 0.0, and cash + 0.0 is cash
-            totals = _sale_totals(proceeds) if most <= 2 else np.add.reduce(np.array(proceeds), axis=1).tolist()
+        if any_sold:  # else every proceed is 0.0, and cash + 0.0 is cash
+            totals = np.add.reduce(np.array(proceeds), axis=1).tolist()
             keep = 1.0 - self.cfg.cost_rate
             left = [have + total * keep for have, total in zip(left, totals)]
+        bought = False
         if buying:
             _fill_buys(self._units[t - self.window.start].tolist(), left, orders)
-            if any(map(any, orders)):
-                held = [[h + q for h, q in zip(hold, row)] for hold, row in zip(held, orders)]
-            elif not most:  # every buy was dearer than the cash left, which is unchanged
-                return before.cash, before.shares
+            bought = any(map(any, orders))
+        if not (any_sold or bought):  # nothing sold and no buy filled: the state stands
+            return before.cash, before.shares
+        if bought:
+            held = [[h + q for h, q in zip(hold, row)] for hold, row in zip(held, orders)]
         return np.array(left), np.array(held, dtype=np.int64)
 
     def _trade_arrays(self, t: int, a: np.ndarray, before: EnvState) -> tuple[np.ndarray, np.ndarray]:

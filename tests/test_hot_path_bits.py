@@ -4,11 +4,11 @@ Each reference below is the arithmetic the package used before its numpy
 calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
 and backward passes, the batched ``TradingEnv.step`` (on both sides of its
-per-cell threshold, steps that trade nothing and short sale sums included),
-the ``run_episode`` and
-``a2c_train`` loops, the bar-at-a-time ``ema`` and ``dx`` loops, and the
-whole-block ``bollinger``, ``rsi`` and ``cci`` expressions. The references
-allocate a fresh array for every result; the package writes into buffers it
+per-cell threshold, steps that trade nothing and sales of two and three
+terms included), the ``run_episode`` and ``a2c_train`` loops, the
+bar-at-a-time ``ema`` and ``dx`` loops, and the whole-block ``bollinger``,
+``rsi`` and ``cci`` expressions. The references allocate a fresh array for
+every result; the package writes into buffers it
 owns (``a2c_update`` steps the parameters and the ``RmsPropState`` in place,
 ``mlp_backward`` fills a given ``MlpParams``, ``dx`` smooths its terms in
 place, and the window indicators compute in their own temporaries), and must
