@@ -10,14 +10,15 @@ generator, so a (seed, config, data) triple fixes the whole parameter
 trajectory bit for bit.
 
 The training step owns its buffers: ``a2c_update`` steps the parameters and
-the ``RmsPropState`` it is given in place, ``mlp_backward`` writes the
-gradient into the state's ``grad``, and the forward pass and the normalizer
-compute in arrays they have just made. The rollout normalizes each
-observation straight into its buffer row, computes only the policy mean per
-step and only the value for the bootstrap, and runs the n-step returns on
-Python floats. Each of these is the IEEE operation of the allocating form,
-on the same operands, in the same order (additions commuted, which IEEE
-addition allows).
+the ``RmsPropState`` it is given in place, clipping with the gradient norm
+``a2c_loss_and_grad`` returns, and ``mlp_backward`` writes the gradient into
+the state's ``grad``. The rollout calls the checked ``ObsNormalizer.update``
+and ``normalize`` a library caller does, the latter writing straight into the
+step's buffer row (``out=``); it computes only the policy mean per step and
+only the value for the bootstrap, and runs the n-step returns on Python
+floats. Each of these is the IEEE operation of the allocating form, on the
+same operands, in the same order (additions commuted, which IEEE addition
+allows).
 """
 
 from __future__ import annotations
@@ -127,13 +128,9 @@ class ObsNormalizer:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.shape[1:] != (self.dim,):
             raise ShapeMismatch(f"batch shape {batch.shape} does not match normalizer width {self.dim}")
-        if batch.shape[0]:
-            self._merge(batch)
-
-    def _merge(self, batch: np.ndarray) -> None:
-        """``update``'s arithmetic, for a (B, dim) float64 batch with B >= 1
-        that the caller has checked."""
         nb = batch.shape[0]
+        if not nb:
+            return
         delta = np.add.reduce(batch, axis=0)
         delta /= nb  # the batch mean, as batch.mean(axis=0) computes it
         squares = batch - delta
@@ -149,15 +146,11 @@ class ObsNormalizer:
         m2 += delta
         self._set_stats(mean, m2, total)
 
-    def normalize(self, x: np.ndarray) -> np.ndarray:
+    def normalize(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``(x - mean) / sd``, written into ``out`` if given, as numpy's ``out=``."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1:] != (self.dim,):
             raise ShapeMismatch(f"observation shape {x.shape} does not match normalizer width {self.dim}")
-        return self._normalize(x)
-
-    def _normalize(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``normalize``'s arithmetic for a float64 ``x`` the caller has
-        checked, written into ``out`` when one is given."""
         z = np.subtract(x, self.mean, out=out)
         z /= self.sd
         return z
@@ -222,12 +215,7 @@ class TrainStats:
 
 def gaussian_log_density(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Per-sample log pi(a | s) of the diagonal Gaussian, closed form."""
-    return _log_density(actions - mean, log_std)
-
-
-def _log_density(diff: np.ndarray, log_std: np.ndarray) -> np.ndarray:
-    """``gaussian_log_density`` of the deviations ``actions - mean``."""
-    z = diff / np.exp(log_std)
+    z = (actions - mean) / np.exp(log_std)
     return -0.5 * np.add.reduce(z**2 + LOG_2PI, axis=1) - np.add.reduce(log_std)
 
 
@@ -242,20 +230,16 @@ def a2c_loss_and_grad(
     cfg: A2CConfig,
     grad: MlpParams,
     update_index: int = 0,
-) -> tuple[float, float, float, np.ndarray]:
+) -> tuple[float, float, float, np.ndarray, float]:
     """Loss components and the exact pre-clip gradient of
     loss = -E[log pi * A] + c_v E[(R-V)^2] - c_e H.
 
     Advantages are detached (R - V treated as a constant weight), so the
     gradient matches finite differences of that loss with A held fixed.
     The gradient is written into ``grad``. Returns (policy_loss, value_loss,
-    entropy, flat_gradient), the last being ``grad.vector``.
+    entropy, flat_gradient, grad_norm): the flat gradient is ``grad.vector``
+    and ``grad_norm`` its Euclidean norm, the one ``a2c_update`` clips with.
     """
-    return _loss_and_grad(params, batch, cfg, grad, update_index)[:4]
-
-
-def _loss_and_grad(params, batch, cfg, grad, update_index):
-    """``a2c_loss_and_grad``, and the gradient's Euclidean norm."""
     obs = batch.observations
     actions = batch.actions
     returns = batch.returns
@@ -266,7 +250,7 @@ def _loss_and_grad(params, batch, cfg, grad, update_index):
     advantages = returns - values
     diff = actions - mean
 
-    log_probs = _log_density(diff, log_std)
+    log_probs = gaussian_log_density(actions, mean, log_std)
     entropy = gaussian_entropy(log_std)
     # np.add.reduce(x) / b is what x.mean() computes, without its wrapper
     policy_loss = float(-(np.add.reduce(advantages * log_probs) / b))
@@ -310,7 +294,7 @@ def a2c_update(
     ``batch`` is only read. A loss or gradient that is not finite raises
     NonFiniteLoss before ``params`` or the accumulator is written; a finite
     gradient whose squared norm overflows is still clipped along itself."""
-    policy_loss, value_loss, entropy, g, grad_norm = _loss_and_grad(
+    policy_loss, value_loss, entropy, g, grad_norm = a2c_loss_and_grad(
         params, batch, cfg, opt_state.grad, update_index)
     if grad_norm > cfg.max_grad_norm:
         g *= cfg.max_grad_norm / grad_norm
@@ -371,7 +355,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
     stats = TrainStats()
 
     raw_obs = env.reset()
-    normalizer._merge(raw_obs)  # the env's (n_envs, obs_dim) float64 batches need no check
+    normalizer.update(raw_obs)
     episode_return = [0.0] * cfg.n_envs
     # one set of rollout buffers, refilled by every rollout; batch views them, and each step
     # normalizes its observations straight into its row
@@ -389,7 +373,7 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
         act_buf *= np.exp(params.log_std)  # log_std changes only in the update
         for k in range(cfg.n_steps):
             obs, act = obs_rows[k], act_rows[k]
-            act += mlp_mean(params, normalizer._normalize(raw_obs, obs))  # the pre-clamp sample mean + std * noise
+            act += mlp_mean(params, normalizer.normalize(raw_obs, out=obs))  # the pre-clamp sample mean + std * noise
             outcome = env.step(act)  # the env clips each component to [-1, 1], ±inf too; NaN raises
             rewards[k] = reward = outcome.reward.tolist()
             not_done[k] = 1.0 - float(outcome.done)
@@ -399,10 +383,10 @@ def a2c_train(cfg: A2CConfig, env_factory) -> tuple[MlpPolicy, TrainStats]:
                 stats.episode_rewards.extend(episode_return)
                 episode_return = [0.0] * cfg.n_envs
                 raw_obs = env.reset()
-            normalizer._merge(raw_obs)
+            normalizer.update(raw_obs)
 
         # the n-step returns in Python floats: the IEEE operations of the array recursion, in its order
-        running = mlp_value(params, normalizer._normalize(raw_obs, last_obs)).tolist()
+        running = mlp_value(params, normalizer.normalize(raw_obs, out=last_obs)).tolist()
         rows = [None] * cfg.n_steps
         for k in reversed(range(cfg.n_steps)):
             keep = not_done[k]

@@ -242,7 +242,7 @@ def cmd_train(cfg: RunConfig, timesteps: int | None) -> int:
                       [np.arange(len(stats.episode_rewards)), np.array(stats.episode_rewards, dtype=np.float64)])
 
     print(
-        f"trained {a2c_cfg.total_timesteps} timesteps: {a2c_cfg.total_timesteps // window.steps} episodes "
+        f"trained {policy.steps_trained} timesteps: {len(stats.episode_rewards)} finished episodes "
         f"of {window.steps} steps, {stats.updates} updates -> {ckpt}"
     )
     return 0

@@ -327,7 +327,7 @@ def test_criterion_06_gradients_match_finite_differences():
         batch = RolloutBatch(observations=obs, actions=actions, returns=returns)
         advantages = returns - values  # detached: held constant through the FD
 
-        _, _, _, analytic = a2c_loss_and_grad(params, batch, cfg, MlpParams.zeros(sizes))
+        _, _, _, analytic, _ = a2c_loss_and_grad(params, batch, cfg, MlpParams.zeros(sizes))
 
         def loss_at(vec):
             p = MlpParams(vec, sizes)

@@ -3,6 +3,7 @@ differences, the actor-critic update rule, observation normalization,
 training determinism, and checkpoint round trips."""
 
 import json
+import math
 import re
 import tracemalloc
 
@@ -352,8 +353,11 @@ class TestObsNormalizer:
         norm = ObsNormalizer(3)
         norm.update(rng.standard_normal((10, 3)))
         norm.freeze()
-        with pytest.raises(TradeLabError):
-            norm.update(rng.standard_normal((5, 3)))
+        mean, m2 = norm.mean, norm.m2
+        for batch in (rng.standard_normal((5, 3)), np.empty((0, 3))):  # even a batch with nothing to merge
+            with pytest.raises(TradeLabError, match="normalizer is frozen; no further updates allowed"):
+                norm.update(batch)
+        assert norm.count == 10 and norm.mean is mean and norm.m2 is m2
         # normalize still works after freezing
         norm.normalize(np.zeros(3))
 
@@ -502,8 +506,10 @@ class TestA2CUpdate:
         params = init_mlp((4, 8, 8, 2), rng)
         batch = random_batch(rng, params)
         huge = RolloutBatch(batch.observations, batch.actions, batch.returns * 1e6)
+        *_, g, grad_norm = a2c_loss_and_grad(params, huge, cfg, MlpParams.zeros(params.sizes))
+        assert grad_norm == math.sqrt(g.dot(g))  # a finite sum of squares: the plain norm
         stats = a2c_update(params, huge, cfg, RmsPropState.zeros(params.sizes))
-        assert stats.grad_norm > cfg.max_grad_norm
+        assert stats.grad_norm == grad_norm > cfg.max_grad_norm
 
     def test_nonfinite_loss_raises_with_index(self, rng):
         params = init_mlp((4, 6, 6, 2), rng)

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import types
 from datetime import datetime, timezone
 
 import numpy as np
@@ -762,7 +763,9 @@ def test_write_features_csv_matches_csv_writer(tmp_path, case):
 )
 def test_train_csvs_match_csv_writer(tmp_path, monkeypatch, stats):
     monkeypatch.setattr(cli, "_build_features", lambda cfg: make_features(["A"], 40))
-    monkeypatch.setattr(cli, "a2c_train", lambda cfg, factory: (None, stats))
+    # a stand-in policy: cmd_train reads only the steps it trained, for its stdout line
+    policy = types.SimpleNamespace(steps_trained=10 * stats.updates)
+    monkeypatch.setattr(cli, "a2c_train", lambda cfg, factory: (policy, stats))
     monkeypatch.setattr(cli, "save_checkpoint", lambda policy, path: None)
     assert cli.cmd_train(cli.RunConfig(out=str(tmp_path / "new")), None) == 0
     (tmp_path / "ref").mkdir()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import hourly_axis, make_walk_series, write_bars_csv
-from tradelab.agents.a2c import MlpPolicy, ObsNormalizer, save_checkpoint
+from tradelab.agents.a2c import MlpPolicy, ObsNormalizer, load_checkpoint, save_checkpoint
 from tradelab.agents.mlp import init_mlp
 from tradelab.analytics import behavior_profile, load_report
 from tradelab.binfile import write_frame
@@ -364,7 +364,8 @@ class TestTrain:
         assert run(workspace, "train") == 0
         out = capsys.readouterr().out
         steps = BARS - 16 - 1
-        assert f"{200 // steps} episodes" in out
+        # 20 updates of 2 copies x 5 steps: each copy steps 100 times, short of one 123-step episode
+        assert f"trained 200 timesteps: 0 finished episodes of {steps} steps, 20 updates" in out
         assert (workspace / "out" / "a2c.ckpt").exists()
         stats = (workspace / "out" / "train_stats.csv").read_text().splitlines()
         assert stats[0] == "update,policy_loss,value_loss,entropy,grad_norm"
@@ -384,16 +385,21 @@ class TestTrain:
 
     def test_timesteps_flag(self, workspace, capsys):
         run(workspace, "ingest")
-        assert run(workspace, "train", "--timesteps", "120") == 0
-        assert "trained 120 timesteps" in capsys.readouterr().out
+        assert run(workspace, "train", "--timesteps", "125") == 0
+        # the budget rounds up to whole updates of 2 copies x 5 steps, and the line says what ran
+        assert "trained 130 timesteps" in capsys.readouterr().out
 
     def test_prints_budget_episodes_and_updates(self, workspace, capsys):
         run(workspace, "ingest")
         capsys.readouterr()
         assert run(workspace, "train", "--timesteps", "401") == 0
-        # 401 // 123 whole passes of the 123-step window; ceil(401 / (2 envs * 5 steps)) updates
+        # ceil(401 / (2 envs * 5 steps)) = 41 updates train 410 env-steps; each copy steps 205 times,
+        # so each finishes one 123-step episode, as the checkpoint and episode_rewards.csv record
         ckpt = workspace / "out" / "a2c.ckpt"
-        assert capsys.readouterr().out == f"trained 401 timesteps: 3 episodes of 123 steps, 41 updates -> {ckpt}\n"
+        out = capsys.readouterr().out
+        assert out == f"trained 410 timesteps: 2 finished episodes of 123 steps, 41 updates -> {ckpt}\n"
+        assert load_checkpoint(ckpt).steps_trained == 410
+        assert len((workspace / "out" / "episode_rewards.csv").read_text().splitlines()) == 1 + 2
 
     def test_checkpoint_simulates(self, workspace, capsys):
         run(workspace, "ingest")

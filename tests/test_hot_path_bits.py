@@ -32,6 +32,7 @@ from tradelab.agents.a2c import (
     ObsNormalizer,
     RmsPropState,
     RolloutBatch,
+    a2c_loss_and_grad,
     a2c_train,
     a2c_update,
     gaussian_entropy,
@@ -413,6 +414,8 @@ def test_overflowing_squared_norm_of_a_finite_gradient_steps_along_it():
     largest = np.abs(g).max()
     norm = float(largest * np.sqrt((g / largest).dot(g / largest)))
     want, want_acc, _ = ref_rmsprop_tail(params, g, cfg, None, grad_norm=norm)
+    *_, live_g, live_norm = a2c_loss_and_grad(params, batch, cfg, MlpParams.zeros(params.sizes))
+    assert live_norm == norm and np.array_equal(live_g, g)  # the public function returns the norm the clip uses
     opt_state = RmsPropState.zeros(params.sizes)
     start = params.vector.copy()
     stats = a2c_update(params, batch, cfg, opt_state)
@@ -449,6 +452,8 @@ def test_normalizer_matches_reference_across_batches():
         assert np.array_equal(live.mean, ref.mean) and np.array_equal(live.m2, ref.m2)
         assert np.array_equal(live.normalize(probe), ref.normalize(probe))
         assert np.array_equal(live.normalize(probe[0]), ref.normalize(probe[0]))
+        buf = np.full_like(probe, np.nan)  # the rollout's form: the result written into a given row
+        assert live.normalize(probe, out=buf) is buf and buf.tobytes() == live.normalize(probe).tobytes()
 
 
 def test_restored_normalizer_normalizes_like_the_live_one(tmp_path):
