@@ -218,13 +218,6 @@ def _json_array(items: list, depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def _json_floats(values: np.ndarray) -> list:
-    texts = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-    return texts
-
-
 def _json_fields(record) -> dict:
     """A stats record's fields as JSON values, each array as a list."""
     return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in vars(record).items()}
@@ -249,20 +242,23 @@ def save_report(report: BehaviorReport, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     timestamps, cumulative, holdings = report.timestamps, report.cumulative_reward, report.holdings_matrix
+    rewards = list(map(float.__repr__, cumulative.tolist()))  # the CSV's text; JSON spells nan and inf its own way
+    json_rewards = rewards if np.isfinite(cumulative).all() else [_JSON_NONFINITE.get(text, text) for text in rewards]
+    row_template = _json_array(["{}"] * holdings.shape[1], 2)  # one row of the holdings_matrix JSON array
     # json.dumps(doc, sort_keys=True, indent=2), with the three per-step arrays encoded column-wise
     fields = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
               for key, value in _report_fields(report).items()}
     fields.update({
         "timestamps": _json_array(list(map(str, timestamps.tolist())), 1),
-        "cumulative_reward": _json_array(_json_floats(cumulative), 1),
-        "holdings_matrix": _json_array([_json_array(list(map(str, row)), 2) for row in holdings.tolist()], 1),
+        "cumulative_reward": _json_array(json_rewards, 1),
+        "holdings_matrix": _json_array(list(map(row_template.format, *holdings.T.tolist())), 1),
     })
     doc = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
     (directory / "report.json").write_text("{\n" + doc + "\n}\n")
 
     stamps = format_timestamps(timestamps)
     write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"],
-                      [np.arange(1, cumulative.shape[0] + 1), stamps[1:], cumulative])
+                      [np.arange(1, cumulative.shape[0] + 1), stamps[1:], rewards])
     write_csv_columns(directory / "integral_holding.csv", ["ticker", "integral_holding"],
                       [np.arange(holdings.shape[1]), report.integral_holding])
     write_csv_columns(

@@ -54,7 +54,7 @@ __all__ = [
 PANEL_MAGIC = "tradelab-panel-v1"
 OHLCV = ("open", "high", "low", "close", "volume")
 ALIGN_MODES = ("intersect", "forward-fill")
-_BLOCK_ROWS = 512  # data rows that read_csv_columns holds as text and parses at a time
+_BLOCK_ROWS = 512  # data rows that the CSV codec holds as text at a time: parsed, or joined and written
 
 
 class MarketDataError(TradeLabError):
@@ -176,10 +176,15 @@ def write_csv_columns(path, header: list[str], columns) -> None:
     ``float.__repr__``, integers by ``str``) and turned into Python numbers
     ``_BLOCK_ROWS`` rows at a time, or an iterable of cell text, written as
     given: user text (tickers, labels) comes through ``quote_csv``. Rows are
-    written one at a time, so lazy columns stream."""
+    joined and written ``_BLOCK_ROWS`` at a time, so lazy columns stream and
+    at most one block's text is held. Columns of unequal length raise
+    ValueError."""
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(quote_csv, header)) + "\r\n")
-        handle.writelines(map("{}\r\n".format, map(",".join, zip(*map(_cells, columns)))))
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            block.append("")  # so the join ends the last row too
+            handle.write("\r\n".join(block))
 
 
 def write_long_csv(path, timestamps, tickers, columns: dict) -> None:

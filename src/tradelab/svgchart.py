@@ -36,6 +36,14 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _fmt_each(values: np.ndarray) -> list[str]:
+    """``_fmt`` of each value, formatted once per distinct float64 bit pattern,
+    so -0.0 and NaN keep their own text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _tick_label(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
@@ -88,7 +96,10 @@ def _frame(title: str, body: list[str]) -> str:
 def render_line_chart(series, title: str = "") -> str:
     """SVG document for (label, xs, ys) polyline series on shared axes.
 
-    A legend appears whenever there is more than one series.
+    A legend appears whenever there is more than one series. Each coordinate
+    text is made once: the ``"x,"`` texts once per xs array, however many
+    series pass that same array, and each series' y texts once per distinct
+    value.
     """
     series = [(str(label), np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
               for label, xs, ys in series]
@@ -101,11 +112,14 @@ def render_line_chart(series, title: str = "") -> str:
     y0, y1 = _span(min(ys.min() for _, _, ys in series), max(ys.max() for _, _, ys in series))
 
     body = _axes(x0, x1, y0, y1, plot_right)
+    x_texts = {}  # id(xs) -> its "x," texts; series holds every xs, so no id is reused
     for i, (label, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        px = _ML + (xs - x0) / (x1 - x0) * (plot_right - _ML)
+        if id(xs) not in x_texts:
+            px = _ML + (xs - x0) / (x1 - x0) * (plot_right - _ML)
+            x_texts[id(xs)] = list(map("{:.2f},".format, px.tolist()))
         py = _H - _MB - (ys - y0) / (y1 - y0) * (_H - _MB - _MT)
-        points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+        points = " ".join(map(str.__add__, x_texts[id(xs)], _fmt_each(py)))
         body.append(_el("polyline", points=points, fill="none", stroke=color, stroke_width="1.5"))
         if legend:
             ly = _MT + 14 * i

@@ -497,6 +497,9 @@ def _logs(tmp_path):
     never_held = _log(hourly_axis(START, 12), np.zeros((12, 2), dtype=np.int64))
     pre_1970 = _log(hourly_axis(-10 * 3600 - 1, 20), rng.integers(0, 4, size=(20, 2)))
     odd_years = _log(np.array([YEAR_1, YEAR_1000 - 1, YEAR_1000, YEAR_10000 - 1]), rng.integers(0, 4, size=(4, 2)))
+    # the writers join and write _BLOCK_ROWS rows at a time: one full block, and a last block of one row
+    one_block = _log(hourly_axis(START, _BLOCK_ROWS), rng.integers(0, 9, size=(_BLOCK_ROWS, 3)))
+    blocks = _log(hourly_axis(START, 2 * _BLOCK_ROWS + 1), rng.integers(0, 9, size=(2 * _BLOCK_ROWS + 1, 3)))
     return {
         "one-ticker": one_ticker,
         "nonfinite": _nonfinite_log(tmp_path),
@@ -504,10 +507,13 @@ def _logs(tmp_path):
         "hhi-none": never_held,
         "pre-1970": pre_1970,
         "years-1-to-9999": odd_years,
+        "one-block": one_block,
+        "two-blocks-and-one": blocks,
     }
 
 
-LOG_CASES = ["one-ticker", "nonfinite", "quoted-label", "hhi-none", "pre-1970", "years-1-to-9999"]
+LOG_CASES = ["one-ticker", "nonfinite", "quoted-label", "hhi-none", "pre-1970", "years-1-to-9999", "one-block",
+             "two-blocks-and-one"]
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +649,17 @@ def test_save_report_spells_nonfinite_floats_like_json(tmp_path):
     assert "-Infinity" in (tmp_path / "new" / "report.json").read_text()
 
 
+SHARED_X = np.arange(80.0) * 3600 + START  # one float64 array that every series passes, as cmd_report's t
+
+
+def _shared_x_ys(extra):
+    """Eight holdings-like series over SHARED_X: repeated whole numbers, with
+    -0.0, 0.0 and ``extra`` at fixed steps."""
+    ys = np.random.default_rng(6).integers(0, 30, size=(8, SHARED_X.size)).astype(np.float64)
+    ys[:, 5], ys[:, 6], ys[2:, 40] = -0.0, 0.0, extra
+    return list(ys)
+
+
 @pytest.mark.parametrize(
     "series",
     [
@@ -652,11 +669,27 @@ def test_save_report_spells_nonfinite_floats_like_json(tmp_path):
         [("walk", np.arange(400.0) * 3600 + START, np.random.default_rng(3).standard_normal(400).cumsum() * 1e4)],
         [(f"hold_{i}", np.arange(60.0), np.random.default_rng(i).integers(0, 300, size=60)) for i in range(12)],
         [("signed", [-1e-9, 0.0, 1e-9], [-0.0, 0.0, -1e-300])],
+        [(f"hold_{i}", SHARED_X, ys) for i, ys in enumerate(_shared_x_ys(np.nan))],
+        [(f"hold_{i}", SHARED_X, ys) for i, ys in enumerate(_shared_x_ys(0.0))],
     ],
-    ids=["flat", "single-point", "legend", "walk", "many-series", "tiny-span"],
+    ids=["flat", "single-point", "legend", "walk", "many-series", "tiny-span", "shared-x-nan", "shared-x"],
 )
 def test_render_line_chart_matches_point_closures(series):
     assert svgchart.render_line_chart(series, title="t") == ref_render_line_chart(series, title="t")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, np.nan, 1.005, 1.005, -0.004, 0.004, 5e-324],
+        np.random.default_rng(4).integers(0, 40, size=300) * 11.3,
+        np.random.default_rng(4).standard_normal(300) * 400.0,
+    ],
+    ids=["signed-zeros-nan-inf", "repeats", "distinct"],
+)
+def test_fmt_each_matches_fmt_per_value(values):
+    values = np.array(values, dtype=np.float64)
+    assert svgchart._fmt_each(values) == [svgchart._fmt(v) for v in values.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -740,10 +773,15 @@ def test_write_panel_csv_matches_csv_writer(tmp_path, case):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("case", list(TICKER_CASES))
+# (tickers, bars); the last case's 205 bars of 5 tickers are 2 * _BLOCK_ROWS + 1 rows
+FEATURE_CASES = {**{case: (tickers, 40) for case, tickers in TICKER_CASES.items()},
+                 "two-blocks-and-one": (["A", "B,C", 'Q"X', "ünï", "lf\ny"], (2 * _BLOCK_ROWS + 1) // 5)}
+
+
+@pytest.mark.parametrize("case", list(FEATURE_CASES))
 def test_write_features_csv_matches_csv_writer(tmp_path, case):
-    tickers = TICKER_CASES[case]
-    built = make_features([f"T{j}" for j in range(len(tickers))], 40, seed=3)
+    tickers, bars = FEATURE_CASES[case]
+    built = make_features([f"T{j}" for j in range(len(tickers))], bars, seed=3)
     features = dataclasses.replace(built, tickers=tuple(tickers))  # NaN through the warmup rows
     write_features_csv(features, tmp_path / "new.csv")
     ref_write_features_csv(features, tmp_path / "ref.csv")

@@ -14,6 +14,7 @@ from tradelab.binfile import MalformedFile, write_frame
 from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.errors import TradeLabError
 from tradelab.marketdata import (
+    _BLOCK_ROWS,
     OHLCV,
     PANEL_MAGIC,
     AuxSeries,
@@ -24,6 +25,7 @@ from tradelab.marketdata import (
     MarketPanel,
     align_panel,
     format_timestamp,
+    format_timestamps,
     load_bars,
     load_panel,
     load_series,
@@ -32,6 +34,7 @@ from tradelab.marketdata import (
     parse_timestamps,
     read_csv_columns,
     save_panel,
+    write_csv_columns,
     write_panel_csv,
 )
 
@@ -519,6 +522,40 @@ def test_write_panel_csv_reloads(tmp_path, rng):
         assert np.array_equal(series.timestamps, panel.timestamps)
         assert np.array_equal(series.close, panel.close[:, j])
         assert np.array_equal(series.volume, panel.volume[:, j])
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[np.arange(5), ["a", "b", "c", "d"], np.linspace(0.0, 1.0, 5)],
+     [np.arange(5), ["a", "b", "c", "d", "e"], np.linspace(0.0, 1.0, 4)]],
+    ids=["short-text-column", "short-array-column"],
+)
+def test_write_csv_columns_refuses_columns_of_unequal_length(tmp_path, columns):
+    """The rows would otherwise stop at the shortest column and drop the rest unseen."""
+    with pytest.raises(ValueError):
+        write_csv_columns(tmp_path / "x.csv", ["k", "label", "value"], columns)
+
+
+def test_write_csv_columns_holds_about_one_block_of_text(tmp_path):
+    """50 blocks of rows through the writer peak at about six blocks' worth
+    of the file's text (the block's row texts, their join, its UTF-8 bytes
+    and the block's numbers); a writer that joined the whole file before
+    writing it would hold over 50."""
+    rows = 50 * _BLOCK_ROWS
+    rng = np.random.default_rng(9)
+    stamps = format_timestamps(hourly_axis(T0, rows))
+    columns = [np.arange(rows), stamps, rng.standard_normal(rows), rng.standard_normal((rows, 2))[:, 1],
+               rng.integers(0, 1000, size=rows)]
+    path = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        write_csv_columns(path, ["t", "timestamp", "a", "b", "c"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = path.stat().st_size / 50
+    assert path.read_text().count("\n") == rows + 1
+    assert peak < 10 * block, peak / block
 
 
 def test_panel_without_tickers_is_refused(tmp_path):
