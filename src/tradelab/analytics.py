@@ -254,7 +254,7 @@ def save_report(report: BehaviorReport, directory) -> None:
         "holdings_matrix": _json_array(list(map(row_template.format, *holdings.T.tolist())), 1),
     })
     doc = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
-    (directory / "report.json").write_text("{\n" + doc + "\n}\n")
+    (directory / "report.json").write_text("{\n" + doc + "\n}\n", encoding="utf-8")
 
     stamps = format_timestamps(timestamps)
     write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"],
@@ -278,7 +278,7 @@ def load_report(directory) -> BehaviorReport:
     """
     path = Path(directory) / "report.json"
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise MalformedReport(f"unparsable report JSON: {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != REPORT_MAGIC:

@@ -87,7 +87,7 @@ class RunConfig:
     @classmethod
     def _read(cls, path: Path) -> "RunConfig":
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
             cfg = decode_config(cls, raw, None)
             if "seed" in raw.get("a2c", {}) and cfg.a2c.seed != cfg.seed:  # train seeds A2C with the run's seed
                 raise ConfigError(f"config field a2c.seed is {cfg.a2c.seed}, but the run's seed is {cfg.seed}")
@@ -293,7 +293,7 @@ def cmd_report(cfg: RunConfig, report_dir: str) -> int:
         ),
     }
     for name, svg in charts.items():
-        (target / name).write_text(svg)
+        (target / name).write_text(svg, encoding="utf-8")
     print(f"rendered {len(charts)} charts -> {target}")
     return 0
 

@@ -12,28 +12,23 @@ actions (E, N) and rewards (E,) for every E: ``run_episode`` rolls one policy
 as ``copies=1`` (the default) and ``a2c_train`` steps its workers as
 ``copies=n_envs``, one ``step`` call per rollout step.
 
-A step of at most ``_SCALAR_STEP_CELLS`` (16) cells, E * N, clips, rounds
-and sells one cell at a time in Python numbers; a larger step does it with
-whole-array numpy calls over (E, N). Each numpy call costs about a
-microsecond whatever its size, so on small steps the per-cell pass is
-faster: it led at 8 cells, and at 16 only when most actions were zero, so
-the crossover lies between the two. ``run_episode`` over 8 tickers takes
-it, and ``a2c_train`` over 30 tickers with 4 copies does not. Both passes
-sum a copy's sale proceeds with one numpy reduction, whose pairwise order
-fixes the bits, and share the buy fill, the settlement and the observation,
-so they give the same bits.
+A one-copy step, as ``run_episode`` takes, clips, rounds and sells one cell
+at a time in Python numbers; a batch of copies, as ``a2c_train`` steps, does
+it with whole-array numpy calls over (E, N). Each numpy call costs about a
+microsecond whatever its size, so one copy of 30 tickers steps faster cell
+by cell unless nearly every cell trades, and a batch faster in arrays. Both
+paths sum a copy's sale proceeds with one numpy reduction, whose pairwise
+order fixes the bits, and share the buy fill, the settlement and the
+observation, so they give the same bits; ``tests/test_hot_path_bits.py``
+pins each against its reference step, ``RefTradingEnv``.
 
-A per-cell step that trades nothing (it sells nothing and fills no buy: zero
+A one-copy step that trades nothing (it sells nothing and fills no buy: zero
 actions, sells of empty positions, buys dearer than the cash left, a gated
 step with nothing held) returns the previous state's read-only cash and
-shares: equal values, possibly the same objects. It reads no prices, and
-runs the buy pass only if a cell asks to buy. In the backtest-sweep benchmark
-(8 tickers) 57% of steps trade nothing at seed 11, 60% at seed 29 and 63% at
-seed 37; at seed 37 the median traced ``env.step_us`` of ten ops on a
-steady host went from 18.4 to 14.2 µs against the per-cell pass that built
-new arrays for every step (2-vCPU Xeon).
-``tests/test_hot_path_bits.py`` pins each pass against its reference step,
-``RefTradingEnv``, on both sides of the threshold.
+shares: equal values, possibly the same objects. It reads no prices, and runs
+the buy pass only if a cell asks to buy. In the backtest-sweep benchmark (8
+tickers) 57% of steps trade nothing at seed 11, 60% at seed 29 and 63% at
+seed 37.
 
 Logs follow a pre-trade convention: row t records the state an agent saw at
 timestamp t, so the holdings bought at step t appear first in row t+1, the
@@ -176,14 +171,6 @@ def split_observation(observation) -> tuple:
     return obs[0], obs[prices], obs[shares], obs[features].reshape(n, len(FEATURE_NAMES))
 
 
-# A step of at most this many cells (copies * n_tickers) computes its orders
-# and sells in Python numbers: numpy's fixed cost per call outweighs its speed
-# per cell on small steps. The timed crossover lies between 8 and 16 cells;
-# at 16 the per-cell pass led only when most actions were zero, and no
-# benchmark workload steps between 9 and 29 cells to tell the two apart.
-_SCALAR_STEP_CELLS = 16
-
-
 def _fill_buys(units: list, left: list, orders: list) -> None:
     """Overwrite each order with its fill: the buys of each copy fill in
     ascending ticker order, each clipped to the copy's remaining cash
@@ -275,7 +262,7 @@ class TradingEnv:
         a = np.asarray(action, dtype=np.float64)
         if a.shape != before.shares.shape:
             raise ValueError(f"action shape {a.shape}, expected {before.shares.shape}")
-        trade = self._trade_cells if a.size <= _SCALAR_STEP_CELLS else self._trade_arrays
+        trade = self._trade_cells if self.copies == 1 else self._trade_arrays
         values = self._settle(t + 1, *trade(t, a, before))
         reward = values - before.portfolio_value
         if self.cfg.reward_scale != 1.0:  # x * 1.0 is x
@@ -283,57 +270,51 @@ class TradingEnv:
         return StepOutcome(self._observe(), reward, t + 1 == self.window.stop - 1)
 
     # Both trade methods return the new cash (E,) and shares (E, N), bit for bit
-    # the same (the per-cell one hands on before's arrays when nothing trades),
+    # the same (the one-copy one hands on before's arrays when nothing trades),
     # and share _fill_buys; only the orders and sells differ.
 
     def _trade_cells(self, t: int, a: np.ndarray, before: EnvState) -> tuple[np.ndarray, np.ndarray]:
-        """Orders and sells one cell at a time, in Python numbers: clip, then
-        ``round`` (half to even, as ``np.rint``). Each copy's proceeds are
+        """One copy's orders and sells, one cell at a time in Python numbers:
+        clip, then ``round`` (half to even, as ``np.rint``). The proceeds are
         summed by the numpy reduction of ``_trade_arrays``, whose pairwise
         order the bits depend on. Prices are read at the first sale and unit
         costs only when a cell asks to buy, and a step that sells nothing and
         fills no buy returns ``before``'s own cash and shares."""
         hmax, gated = self.cfg.hmax, self._gate[t]
-        orders, held = a.tolist(), before.shares.tolist()
-        proceeds, any_sold, buying, prices = [], False, False, None
-        for row, hold in zip(orders, held):
-            out = [0.0] * len(row)
-            for i, x in enumerate(row):
-                if x >= 1.0:
-                    want = hmax
-                elif x <= -1.0:
-                    want = -hmax
-                elif x == x:
-                    want = round(x * hmax)
-                else:  # NaN fails every comparison
-                    raise ValueError("action contains NaN components")
-                if gated:
-                    want = -hold[i]  # liquidate everything, buy nothing
-                row[i] = want
-                if want > 0:
-                    buying = True
-                elif want < 0 and hold[i]:  # sell, clipped to the holding
-                    q = min(-want, hold[i])
-                    hold[i] -= q
-                    if prices is None:
-                        prices = self.features.closes[t].tolist()
-                    out[i] = q * prices[i]
-                    any_sold = True
-            proceeds.append(out)
+        orders, held = a[0].tolist(), before.shares[0].tolist()
+        proceeds, buying, prices = [0.0] * len(orders), False, None
+        for i, x in enumerate(orders):
+            if x >= 1.0:
+                want = hmax
+            elif x <= -1.0:
+                want = -hmax
+            elif x == x:
+                want = round(x * hmax)
+            else:  # NaN fails every comparison
+                raise ValueError("action contains NaN components")
+            if gated:
+                want = -held[i]  # liquidate everything, buy nothing
+            orders[i] = want
+            if want > 0:
+                buying = True
+            elif want < 0 and held[i]:  # sell, clipped to the holding
+                q = min(-want, held[i])
+                held[i] -= q
+                if prices is None:
+                    prices = self.features.closes[t].tolist()
+                proceeds[i] = q * prices[i]
         left = before.cash.tolist()
-        if any_sold:  # else every proceed is 0.0, and cash + 0.0 is cash
-            totals = np.add.reduce(np.array(proceeds), axis=1).tolist()
-            keep = 1.0 - self.cfg.cost_rate
-            left = [have + total * keep for have, total in zip(left, totals)]
+        if prices is not None:  # something sold; else cash + 0.0 is cash
+            left[0] += float(np.add.reduce(proceeds)) * (1.0 - self.cfg.cost_rate)
         bought = False
         if buying:
-            _fill_buys(self._units[t - self.window.start].tolist(), left, orders)
-            bought = any(map(any, orders))
-        if not (any_sold or bought):  # nothing sold and no buy filled: the state stands
+            _fill_buys(self._units[t - self.window.start].tolist(), left, [orders])
+            bought = any(orders)
+        if prices is None and not bought:  # nothing sold and no buy filled: the state stands
             return before.cash, before.shares
         if bought:
-            held = [[h + q for h, q in zip(hold, row)] for hold, row in zip(held, orders)]
-        return np.array(left), np.array(held, dtype=np.int64)
+            held = [h + q for h, q in zip(held, orders)]
+        return np.array(left), np.array([held], dtype=np.int64)
 
     def _trade_arrays(self, t: int, a: np.ndarray, before: EnvState) -> tuple[np.ndarray, np.ndarray]:
         """Orders and sells as whole-array operations over (E, N), in place
@@ -588,7 +569,7 @@ def load_episode_log(path) -> EpisodeLog:
     sidecar = sidecar_path(path)
     if sidecar.exists():
         try:
-            data = json.loads(sidecar.read_text())
+            data = json.loads(sidecar.read_text(encoding="utf-8"))
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise MalformedLog(f"sidecar {sidecar} is not JSON: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("agent_label", ""), str) \

@@ -177,14 +177,28 @@ def write_csv_columns(path, header: list[str], columns) -> None:
     ``_BLOCK_ROWS`` rows at a time, or an iterable of cell text, written as
     given: user text (tickers, labels) comes through ``quote_csv``. Rows are
     joined and written ``_BLOCK_ROWS`` at a time, so lazy columns stream and
-    at most one block's text is held. Columns of unequal length raise
-    ValueError."""
+    at most one block's text is held.
+
+    Columns of unequal length raise ValueError: columns with a length before
+    the file is opened, naming the file and the column, and a lazy column as
+    it runs out. A write that fails removes the partial file."""
+    sized = [(name, column.size if isinstance(column, np.ndarray) else len(column))
+             for name, column in zip(header, columns) if hasattr(column, "__len__")]
+    for name, cells in sized[1:]:
+        if cells != sized[0][1]:
+            raise ValueError(f"{path}: column {name!r} has {cells} cells, column {sized[0][0]!r} has {sized[0][1]}")
     rows = map(",".join, zip(*map(_cells, columns), strict=True))
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(map(quote_csv, header)) + "\r\n")
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            block.append("")  # so the join ends the last row too
-            handle.write("\r\n".join(block))
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        try:
+            handle.write(",".join(map(quote_csv, header)) + "\r\n")
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                block.append("")  # so the join ends the last row too
+                handle.write("\r\n".join(block))
+        except BaseException:
+            handle.close()
+            path.unlink()
+            raise
 
 
 def write_long_csv(path, timestamps, tickers, columns: dict) -> None:
@@ -321,7 +335,7 @@ def sidecar_path(path) -> Path:
 
 def write_sidecar(path, doc) -> None:
     """Write ``doc`` as the sidecar of the artifact at ``path``: sorted keys, indented, one trailing newline."""
-    sidecar_path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sidecar_path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _increasing(ts) -> np.ndarray:

@@ -1,21 +1,26 @@
 """End-to-end CLI tests over a temporary workspace: every command, its error
 paths, flag overrides, and byte-identical re-runs."""
 
+import dataclasses
 import json
 import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import hourly_axis, make_walk_series, write_bars_csv
+import tradelab
+from conftest import hourly_axis, make_features, make_walk_series, write_bars_csv
 from tradelab.agents.a2c import MlpPolicy, ObsNormalizer, load_checkpoint, save_checkpoint
 from tradelab.agents.mlp import init_mlp
-from tradelab.analytics import behavior_profile, load_report
+from tradelab.agents.policies import make_baseline
+from tradelab.analytics import behavior_profile, load_report, save_report
 from tradelab.binfile import write_frame
 from tradelab.cli import build_parser, entrypoint, main
-from tradelab.env import load_episode_log
+from tradelab.env import EnvConfig, Window, load_episode_log, run_episode
 from tradelab.marketdata import OHLCV, PANEL_MAGIC, format_timestamp, load_panel, parse_timestamp
 
 START = 1_646_380_800
@@ -550,6 +555,30 @@ class TestReport:
         (target / "report.json").write_text("{oops")
         assert run(workspace, "report", str(target)) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_ascii_label_renders_the_same_bytes_under_an_ascii_locale(self, tmp_path):
+        """Text files are UTF-8 whatever the locale. Under LC_ALL=C with
+        Python's UTF-8 mode and locale coercion off, the locale's encoding is
+        ASCII, and report still writes the SVG bytes of a run in UTF-8 mode."""
+        features = make_features(["AA", "BB"], 60, seed=5)
+        log = run_episode(make_baseline("random"), EnvConfig(), features, Window(features.warmup, 60))
+        report_dir = tmp_path / "report"
+        save_report(behavior_profile(dataclasses.replace(log, agent_label="Zürich-a2c")), report_dir)
+        script = ("import codecs, locale, sys; from tradelab.cli import main; "
+                  "print(codecs.lookup(locale.getpreferredencoding(False)).name); sys.exit(main())")
+        package_root = str(Path(tradelab.__file__).parents[1])
+        locales = {"ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                   "utf-8": {"LC_ALL": "C", "PYTHONUTF8": "1"}}
+        svgs = {}
+        for encoding, overrides in locales.items():
+            env = {**os.environ, "PYTHONPATH": package_root, **overrides}
+            done = subprocess.run([sys.executable, "-c", script, "report", str(report_dir)],
+                                  cwd=tmp_path, env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr.decode(errors="replace")
+            assert done.stdout.decode().split("\n")[0] == encoding
+            svgs[encoding] = {path.name: path.read_bytes() for path in sorted(report_dir.glob("*.svg"))}
+        assert len(svgs["ascii"]) == 3 and svgs["ascii"] == svgs["utf-8"]
+        assert "Zürich-a2c".encode() in svgs["ascii"]["cumulative_reward.svg"]
 
 
 class TestMalformedInputs:

@@ -947,7 +947,7 @@ def test_load_places_log_columns_by_their_index(tmp_path):
 def test_load_refuses_log_columns_not_indexed_0_to_n(tmp_path, columns, column, reason):
     path = tmp_path / "external.csv"
     path.write_text(f"t,timestamp,cash,portfolio_value,reward,{columns}\n"
-                    "0,2022-03-04T08:00:00Z,1,1,0,0,0,0,0\n1,2022-03-04T09:00:00Z,1,1,0,0,0,0,0\n")
+                    "0,2022-03-04T08:00:00Z,1,1,0,0,0,0,0\n1,2022-03-04T09:00:00Z,1,1,0,0,0,0,0\n", encoding="utf-8")
     with pytest.raises(MalformedLog) as caught:
         load_episode_log(path)
     assert (caught.value.reason, caught.value.column, caught.value.row) == (reason, column, 1)

@@ -3,9 +3,9 @@
 Each reference below is the arithmetic the package used before its numpy
 calls and temporaries were cut: the RMSProp tail of ``a2c_update``,
 ``ObsNormalizer.update``/``normalize``, the Gaussian helpers, the MLP forward
-and backward passes, the batched ``TradingEnv.step`` (on both sides of its
-per-cell threshold, steps that trade nothing and sales of two and three
-terms included), the ``run_episode`` and ``a2c_train`` loops, the
+and backward passes, the batched ``TradingEnv.step`` (one copy, cell by
+cell, and batches, in arrays; steps that trade nothing and sales of two and
+three terms included), the ``run_episode`` and ``a2c_train`` loops, the
 bar-at-a-time ``ema`` and ``dx`` loops, and the whole-block ``bollinger``,
 ``rsi`` and ``cci`` expressions. The references allocate a fresh array for
 every result; the package writes into buffers it
@@ -473,17 +473,10 @@ def test_restored_normalizer_normalizes_like_the_live_one(tmp_path):
 # environment step
 # ---------------------------------------------------------------------------
 
-# (tickers, copies): the step's cells (copies * tickers) on each side of the
-# per-cell threshold; copies None is the reference single env against the live copies=1
-SCALAR_CELLS = env_module._SCALAR_STEP_CELLS
-STEP_SIZES = {"5-cells": (5, None), "20-cells": (5, 4), "at-threshold": (8, 2), "above-threshold": (17, None)}
-FILL_SIZES = {"3-cells": (3, 1), "12-cells": (3, 4), "at-threshold": (4, 4), "above-threshold": (17, 1)}
-
-
-@pytest.mark.parametrize("sizes", [STEP_SIZES, FILL_SIZES], ids=["step", "fill"])
-def test_step_sizes_straddle_the_per_cell_threshold(sizes):
-    cells = {name: n * (copies or 1) for name, (n, copies) in sizes.items()}
-    assert cells["at-threshold"] == SCALAR_CELLS and cells["above-threshold"] == SCALAR_CELLS + 1
+# (tickers, copies), named by the path the step takes: one copy trades cell by
+# cell, a batch in arrays; copies None is the reference single env against the live copies=1
+STEP_SIZES = {"one-copy-5": (5, None), "batch-4x5": (5, 4), "batch-2x8": (8, 2), "one-copy-17": (17, None)}
+FILL_SIZES = {"one-copy-3": (3, 1), "batch-4x3": (3, 4), "batch-4x4": (4, 4), "one-copy-17": (17, 1)}
 
 
 @pytest.mark.parametrize("tickers, copies", STEP_SIZES.values(), ids=STEP_SIZES.keys())
@@ -564,8 +557,8 @@ def test_buy_fill_at_cash_boundaries_matches_reference(case, tickers, copies):
         assert (cash == capital).all()
 
 
-@pytest.mark.parametrize("tickers, copies", [STEP_SIZES["at-threshold"], STEP_SIZES["above-threshold"]],
-                         ids=["at-threshold", "above-threshold"])
+@pytest.mark.parametrize("tickers, copies", [STEP_SIZES["batch-2x8"], STEP_SIZES["one-copy-17"]],
+                         ids=["batch-2x8", "one-copy-17"])
 def test_step_refuses_nan_and_clips_infinities_on_both_paths(tickers, copies):
     """A NaN in any cell raises and leaves the state as it was; ±inf trades
     exactly as ±1 does in the reference step."""
@@ -617,7 +610,7 @@ def scripted_closes(steps, tickers):
 SCRIPT = ["zeros", "sell-empty", "gated-empty", "buy", "zeros", "dear-buy", "sell-empty", "mixed",
           "gated", "gated-empty", "buy", "dear-buy", "zeros", "mixed", "sell-empty"]
 QUIET = {"zeros", "sell-empty", "gated-empty", "dear-buy"}
-QUIET_SIZES = {"8-cells": (8, 1), "16-cells": (8, 2), "16-tickers": (16, 1), "above-threshold": (17, 1)}
+QUIET_SIZES = {"one-copy-8": (8, 1), "batch-2x8": (8, 2), "one-copy-16": (16, 1), "one-copy-17": (17, 1)}
 
 
 @pytest.mark.parametrize("tickers, copies", QUIET_SIZES.values(), ids=QUIET_SIZES.keys())
@@ -626,7 +619,7 @@ def test_quiet_steps_hand_on_the_state_and_match_reference(tickers, copies, scal
     """A script that mixes trading steps with steps that trade nothing: zero
     actions, sells of empty positions, buys of tickers dearer than the cash
     left and a gated step with nothing held. Every step gives the reference's
-    bits; a quiet step of at most 16 cells hands on the previous state's own
+    bits; a quiet step of one copy hands on the previous state's own
     read-only cash and shares, and no step changes an earlier state."""
     gated = [kind.startswith("gated") for kind in SCRIPT] + [False]
     turbulence = (np.where(gated, 20.0, 0.0), np.ones(len(gated), dtype=bool))
@@ -661,7 +654,7 @@ def test_quiet_steps_hand_on_the_state_and_match_reference(tickers, copies, scal
         assert_state_matches_reference(live, ref)
         after = live.state
         assert (kind in QUIET) == (not info["traded"].any() and np.array_equal(after.cash, cash)), kind
-        if kind in QUIET and tickers * copies <= SCALAR_CELLS:
+        if kind in QUIET and copies == 1:
             assert after.cash is cash and after.shares is held, kind
         else:
             assert after.cash is not cash and after.shares is not held, kind
@@ -773,11 +766,10 @@ def assert_train_matches_reference(tickers, n_envs, total_timesteps=600):
 
 
 def test_a2c_train_matches_reference_loop():
-    assert_train_matches_reference(3, 3)  # 9 cells: the env's per-cell path
+    assert_train_matches_reference(3, 3)
 
 
 def test_a2c_train_on_the_array_path_matches_reference_loop():
-    assert 6 * 4 > SCALAR_CELLS
     assert_train_matches_reference(6, 4, total_timesteps=800)
 
 

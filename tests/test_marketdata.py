@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -524,16 +525,34 @@ def test_write_panel_csv_reloads(tmp_path, rng):
         assert np.array_equal(series.volume, panel.volume[:, j])
 
 
+ROWS = 3 * _BLOCK_ROWS  # 1,536: a column of 1,535 runs out in the third block of rows
+
+
 @pytest.mark.parametrize(
-    "columns",
-    [[np.arange(5), ["a", "b", "c", "d"], np.linspace(0.0, 1.0, 5)],
-     [np.arange(5), ["a", "b", "c", "d", "e"], np.linspace(0.0, 1.0, 4)]],
-    ids=["short-text-column", "short-array-column"],
+    "columns, message",
+    [([np.arange(5), ["a", "b", "c", "d"], np.linspace(0.0, 1.0, 5)],
+      "x.csv: column 'label' has 4 cells, column 'k' has 5"),
+     ([np.arange(5), ["a", "b", "c", "d", "e"], np.linspace(0.0, 1.0, 4)],
+      "x.csv: column 'value' has 4 cells, column 'k' has 5"),
+     ([np.arange(ROWS), list(map(str, range(ROWS))), np.arange(ROWS - 1)],
+      "x.csv: column 'value' has 1535 cells, column 'k' has 1536"),
+     ([np.arange(ROWS), map(str, range(ROWS - 1)), np.arange(ROWS)], "is shorter than")],
+    ids=["short-text-column", "short-array-column", "short-array-past-a-block", "short-lazy-past-a-block"],
 )
-def test_write_csv_columns_refuses_columns_of_unequal_length(tmp_path, columns):
-    """The rows would otherwise stop at the shortest column and drop the rest unseen."""
-    with pytest.raises(ValueError):
-        write_csv_columns(tmp_path / "x.csv", ["k", "label", "value"], columns)
+def test_write_csv_columns_refuses_columns_of_unequal_length(tmp_path, columns, message):
+    """The rows would otherwise stop at the shortest column and drop the rest
+    unseen. Columns with a length are refused before the file is opened, so
+    an earlier file stays as it was; a lazy column shows its length only as
+    it runs out, after two blocks of rows could have been written, and the
+    partial file is removed."""
+    path = tmp_path / "x.csv"
+    path.write_text("earlier\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_csv_columns(path, ["k", "label", "value"], columns)
+    if all(hasattr(column, "__len__") for column in columns):
+        assert path.read_text() == "earlier\n"
+    else:
+        assert not path.exists()
 
 
 def test_write_csv_columns_holds_about_one_block_of_text(tmp_path):
