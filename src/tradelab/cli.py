@@ -177,10 +177,18 @@ def cmd_features(cfg: RunConfig) -> int:
 
 def _check_label(label: str, source) -> None:
     """An agent label becomes part of a file name under out/, so it must not
-    hold a path separator or NUL; ``source`` is the file the label came from."""
+    hold a path separator or NUL, and the file-system encoding must encode it
+    (under an ASCII locale, 'Zürich' names no file); ``source`` is the file
+    the label came from. Commands check it before they make any directory."""
     if any(c in label for c in "/\\\0"):
         raise TradeLabError(f"agent label {label!r} from {source} contains '/', '\\' or NUL, "
                             "so it cannot name a file under the output directory")
+    try:
+        os.fsencode(label)
+    except UnicodeEncodeError:
+        raise TradeLabError(f"agent label {label!r} from {source} cannot be encoded in the file-system encoding "
+                            f"({sys.getfilesystemencoding()}), so it cannot name a file under the output "
+                            "directory") from None
 
 
 def _resolve_agent(name: str, n_tickers: int):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -54,7 +55,14 @@ __all__ = [
 PANEL_MAGIC = "tradelab-panel-v1"
 OHLCV = ("open", "high", "low", "close", "volume")
 ALIGN_MODES = ("intersect", "forward-fill")
-_BLOCK_ROWS = 512  # data rows that the CSV codec holds as text at a time: parsed, or joined and written
+# cells that the CSV codec holds as text at a time, parsed or joined and written:
+# 512 rows of the 10-column features.csv, 78 of a 30-ticker (65-column) episode log
+_BLOCK_CELLS = 5120
+
+
+def _block_rows(width: int) -> int:
+    """The data rows in one block of a CSV file ``width`` cells wide."""
+    return max(1, _BLOCK_CELLS // width)
 
 
 class MarketDataError(TradeLabError):
@@ -162,42 +170,58 @@ def quote_csv(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def _cells(column):
+def _cells(column, rows: int):
+    """A column's cell texts; an array's numbers are made a block of at most
+    ``rows`` cells (or one array row, if that is wider) at a time."""
     if not isinstance(column, np.ndarray):
         return column
     text = float.__repr__ if column.dtype.kind == "f" else str
-    blocks = (column[k : k + _BLOCK_ROWS].ravel().tolist() for k in range(0, len(column), _BLOCK_ROWS))
+    step = max(1, rows // max(1, column[:1].size))  # a row of a 2-D column is several cells
+    blocks = (column[k : k + step].ravel().tolist() for k in range(0, len(column), step))
     return map(text, chain.from_iterable(blocks))
+
+
+# zip(strict=True)'s refusal: the 1-based place of the column that ran out before,
+# or outlasted, the first column
+_UNEVEN_ZIP = re.compile(r"zip\(\) argument (\d+) is (shorter|longer) than argument")
 
 
 def write_csv_columns(path, header: list[str], columns) -> None:
     """Write a CSV file, byte for byte as ``csv.writer`` writes its rows. A
     column is a 1-D or 2-D array, written in C order (floats by
-    ``float.__repr__``, integers by ``str``) and turned into Python numbers
-    ``_BLOCK_ROWS`` rows at a time, or an iterable of cell text, written as
-    given: user text (tickers, labels) comes through ``quote_csv``. Rows are
-    joined and written ``_BLOCK_ROWS`` at a time, so lazy columns stream and
-    at most one block's text is held.
+    ``float.__repr__``, integers by ``str``), or an iterable of cell text,
+    written as given: user text (tickers, labels) comes through ``quote_csv``.
+    Rows are turned into Python numbers, joined and written a block at a time,
+    ``_block_rows(len(header))`` rows that hold at most ``_BLOCK_CELLS`` cells,
+    so lazy columns stream and at most one block's text is held, however wide
+    the file.
 
-    Columns of unequal length raise ValueError: columns with a length before
-    the file is opened, naming the file and the column, and a lazy column as
-    it runs out. A write that fails removes the partial file."""
+    Columns of unequal length raise ValueError naming the file and the
+    column: columns with a length before the file is opened, and a lazy column
+    as it runs out (or outlasts the first column). A write that fails removes
+    the partial file."""
     sized = [(name, column.size if isinstance(column, np.ndarray) else len(column))
              for name, column in zip(header, columns) if hasattr(column, "__len__")]
     for name, cells in sized[1:]:
         if cells != sized[0][1]:
             raise ValueError(f"{path}: column {name!r} has {cells} cells, column {sized[0][0]!r} has {sized[0][1]}")
-    rows = map(",".join, zip(*map(_cells, columns), strict=True))
+    size = _block_rows(len(header))
+    rows = map(",".join, zip(*(_cells(column, size) for column in columns), strict=True))
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
         try:
             handle.write(",".join(map(quote_csv, header)) + "\r\n")
-            while block := list(islice(rows, _BLOCK_ROWS)):
+            while block := list(islice(rows, size)):
                 block.append("")  # so the join ends the last row too
                 handle.write("\r\n".join(block))
-        except BaseException:
+        except BaseException as exc:
             handle.close()
             path.unlink()
+            uneven = _UNEVEN_ZIP.match(str(exc)) if isinstance(exc, ValueError) else None
+            if uneven:
+                other = header[int(uneven[1]) - 1]
+                short, long = (other, header[0]) if uneven[2] == "shorter" else (header[0], other)
+                raise ValueError(f"{path}: column {short!r} runs out before column {long!r}") from None
             raise
 
 
@@ -223,7 +247,8 @@ class _ButLast(NamedTuple):
 
 def read_csv_columns(path, error, pick, parsers) -> tuple[list[np.ndarray], TradeLabError | None]:
     """Read the columns that ``pick(header)`` checks and selects (an empty file
-    has header ``[]``), ``_BLOCK_ROWS`` data rows at a time, and parse each
+    has header ``[]``) a block of ``_block_rows`` data rows at a time, at most
+    ``_BLOCK_CELLS`` cells of text however wide the file, and parse each
     block's cells of the k-th column with ``parsers[k]`` at once; only a column
     that fails is searched for its first bad cell. Only the parsed arrays are
     kept, joined at the end. ``pick`` runs before ``parsers`` is read, so it
@@ -253,14 +278,15 @@ def _read_blocks(path, error, pick, parsers, rows):
     header = next(rows, [])
     indices = pick(header)
     width = max(indices) + 1
+    size = _block_rows(max(width, len(header)))
     but_last = [isinstance(parse, _ButLast) for parse in parsers]
     parsers = [parse.parse if last else parse for parse, last in zip(parsers, but_last)]
     parts = [[parse(())] for parse in parsers]  # typed, for a file with no rows kept
     ahead, row, fault = list(islice(rows, 1)), 2, None  # a row of look-ahead: do the rows kept end in a block?
     while ahead and fault is None:
-        block = ahead + list(islice(rows, _BLOCK_ROWS))
-        ahead = block[_BLOCK_ROWS:]
-        del block[_BLOCK_ROWS:]
+        block = ahead + list(islice(rows, size))
+        ahead = block[size:]
+        del block[size:]
         kept = next((k for k, cells in enumerate(block) if len(cells) < width), len(block))
         ends = kept < len(block) or not ahead or len(ahead[0]) < width
         columns = list(zip(*block[:kept])) or [()] * width  # every row kept holds `width` cells

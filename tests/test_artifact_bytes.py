@@ -31,13 +31,13 @@ from tradelab.env import (EnvConfig, EpisodeLog, MalformedLog, Window, _share_co
                           save_episode_log)
 from tradelab.indicators import FEATURE_NAMES, write_features_csv
 from tradelab.marketdata import (
-    _BLOCK_ROWS,
     AuxSeries,
     BarSeries,
     EmptyIntersection,
     InvalidBar,
     MarketDataError,
     MarketPanel,
+    _block_rows,
     _column_indices,
     align_panel,
     format_timestamp,
@@ -497,9 +497,11 @@ def _logs(tmp_path):
     never_held = _log(hourly_axis(START, 12), np.zeros((12, 2), dtype=np.int64))
     pre_1970 = _log(hourly_axis(-10 * 3600 - 1, 20), rng.integers(0, 4, size=(20, 2)))
     odd_years = _log(np.array([YEAR_1, YEAR_1000 - 1, YEAR_1000, YEAR_10000 - 1]), rng.integers(0, 4, size=(4, 2)))
-    # the writers join and write _BLOCK_ROWS rows at a time: one full block, and a last block of one row
-    one_block = _log(hourly_axis(START, _BLOCK_ROWS), rng.integers(0, 9, size=(_BLOCK_ROWS, 3)))
-    blocks = _log(hourly_axis(START, 2 * _BLOCK_ROWS + 1), rng.integers(0, 9, size=(2 * _BLOCK_ROWS + 1, 3)))
+    # the writers join and write a block of rows at a time, as many as the cell budget holds of the
+    # 3-ticker log's 11 columns: one full block, and a last block of one row
+    block = _block_rows(11)
+    one_block = _log(hourly_axis(START, block), rng.integers(0, 9, size=(block, 3)))
+    blocks = _log(hourly_axis(START, 2 * block + 1), rng.integers(0, 9, size=(2 * block + 1, 3)))
     return {
         "one-ticker": one_ticker,
         "nonfinite": _nonfinite_log(tmp_path),
@@ -773,14 +775,16 @@ def test_write_panel_csv_matches_csv_writer(tmp_path, case):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-# (tickers, bars); the last case's 205 bars of 5 tickers are 2 * _BLOCK_ROWS + 1 rows
+# (tickers, bars); the last case's bars of 5 tickers are two blocks of features.csv's 10 columns and one row
+FEATURE_ROWS = 2 * _block_rows(2 + len(FEATURE_NAMES)) + 1
 FEATURE_CASES = {**{case: (tickers, 40) for case, tickers in TICKER_CASES.items()},
-                 "two-blocks-and-one": (["A", "B,C", 'Q"X', "ünï", "lf\ny"], (2 * _BLOCK_ROWS + 1) // 5)}
+                 "two-blocks-and-one": (["A", "B,C", 'Q"X', "ünï", "lf\ny"], FEATURE_ROWS // 5)}
 
 
 @pytest.mark.parametrize("case", list(FEATURE_CASES))
 def test_write_features_csv_matches_csv_writer(tmp_path, case):
     tickers, bars = FEATURE_CASES[case]
+    assert case != "two-blocks-and-one" or len(tickers) * bars == FEATURE_ROWS
     built = make_features([f"T{j}" for j in range(len(tickers))], bars, seed=3)
     features = dataclasses.replace(built, tickers=tuple(tickers))  # NaN through the warmup rows
     write_features_csv(features, tmp_path / "new.csv")
@@ -1043,45 +1047,50 @@ def _log_fields(log):
     return [log.timestamps, log.actions, log.holdings, log.cash, log.portfolio_value, log.rewards]
 
 
-B = _BLOCK_ROWS
-# (id, data rows, {data row index: edit}): each fault at the last row of a
-# block, the first row of the next one, and the file's last row
-READER_CASES = [
-    (f"{kind}-at-{where}", rows, {at: EDITS[kind]})
-    for kind in ("bad-cell", "short", "blank")
-    for where, rows, at in (("block-end", 2 * B + 3, B - 1), ("block-start", 2 * B + 3, B),
-                            ("file-end", 2 * B + 3, 2 * B + 2), ("file-and-block-end", 2 * B, 2 * B - 1))
-] + [
-    ("clean-one-block", B, {}),
-    ("clean-three-blocks", 2 * B + 3, {}),
-    ("fault-in-block-1-bad-utf8-in-block-3", 2 * B + 9, {5: EDITS["bad-cell"], 2 * B + 4: EDITS["bad-utf8"]}),
-    ("bad-utf8-in-block-3", 2 * B + 9, {2 * B + 4: EDITS["bad-utf8"]}),
-    ("bad-utf8-in-blocks-1-and-3", 2 * B + 9, {3: EDITS["bad-utf8"], 2 * B + 4: EDITS["bad-utf8"]}),
-    ("short-then-bad-utf8", 2 * B + 9, {B + 1: EDITS["short"], 2 * B + 8: EDITS["bad-utf8"]}),
-    ("bad-cell-then-short-in-one-block", 40, {7: EDITS["bad-cell"], 9: EDITS["short"]}),
-]
-READER_LOG_CASES = [
-    # the terminal reward is never parsed: the file's last row, or the row before a short one
-    (f"garbage-terminal-reward-{rows}-rows", rows, {rows - 1: _cell(4, "garbage")}) for rows in (2, B, B + 1, 2 * B + 3)
-] + [
-    (f"garbage-terminal-reward-short-row-at-{at}", 2 * B + 3, {at - 1: _cell(4, "garbage"), at: EDITS["short"]})
-    for at in (5, B - 1, B, B + 1)
-] + [
-    # a row with a bad reward and a bad holding reports the reward, unless it is the terminal row
-    ("bad-reward-and-hold-in-one-row", 2 * B + 3, {B - 1: EDITS["bad-reward-and-hold"]}),
-    ("bad-terminal-reward-and-hold", B, {B - 1: EDITS["bad-reward-and-hold"]}),
-    ("bad-terminal-reward-and-hold-before-short", 2 * B + 3,
-     {B - 1: EDITS["bad-reward-and-hold"], B: EDITS["short"]}),
-    ("bad-reward-before-bad-hold", 2 * B + 3, {B + 4: _cell(4, "r"), B + 5: _cell(-1, "h")}),
-    ("one-row", 1, {}),
-]
-READER_BAR_CASES = [
-    ("bad-bar-then-bad-cell-in-block-2", 2 * B + 3, {10: _cell(2, "1"), B + 3: EDITS["bad-cell"]}),
-    ("bad-cell-then-bad-bar", 2 * B + 3, {B - 1: EDITS["bad-cell"], B + 3: _cell(2, "1")}),
-]
-READER_AUX_CASES = [
-    ("duplicate-across-blocks", 2 * B + 3, {B + 2: _cell(0, _stamp(3))}),
-]
+def _reader_cases(reader):
+    """(id, data rows, {data row index: edit}) for ``reader``, whose blocks hold
+    the rows of its header's width that fit the cell budget: each fault at the
+    last row of a block, the first row of the next one, and the file's last row."""
+    B = _block_rows(READERS[reader][0].count(",") + 1)
+    cases = [
+        (f"{kind}-at-{where}", rows, {at: EDITS[kind]})
+        for kind in ("bad-cell", "short", "blank")
+        for where, rows, at in (("block-end", 2 * B + 3, B - 1), ("block-start", 2 * B + 3, B),
+                                ("file-end", 2 * B + 3, 2 * B + 2), ("file-and-block-end", 2 * B, 2 * B - 1))
+    ] + [
+        ("clean-one-block", B, {}),
+        ("clean-three-blocks", 2 * B + 3, {}),
+        ("fault-in-block-1-bad-utf8-in-block-3", 2 * B + 9, {5: EDITS["bad-cell"], 2 * B + 4: EDITS["bad-utf8"]}),
+        ("bad-utf8-in-block-3", 2 * B + 9, {2 * B + 4: EDITS["bad-utf8"]}),
+        ("bad-utf8-in-blocks-1-and-3", 2 * B + 9, {3: EDITS["bad-utf8"], 2 * B + 4: EDITS["bad-utf8"]}),
+        ("short-then-bad-utf8", 2 * B + 9, {B + 1: EDITS["short"], 2 * B + 8: EDITS["bad-utf8"]}),
+        ("bad-cell-then-short-in-one-block", 40, {7: EDITS["bad-cell"], 9: EDITS["short"]}),
+    ]
+    if reader == "log":
+        return cases + [
+            # the terminal reward is never parsed: the file's last row, or the row before a short one
+            (f"garbage-terminal-reward-{size}", rows, {rows - 1: _cell(4, "garbage")})
+            for size, rows in (("2-rows", 2), ("one-block", B), ("one-block-and-one", B + 1),
+                               ("three-blocks", 2 * B + 3))
+        ] + [
+            (f"garbage-terminal-reward-short-row-at-{where}", 2 * B + 3,
+             {at - 1: _cell(4, "garbage"), at: EDITS["short"]})
+            for where, at in (("row-5", 5), ("block-end", B - 1), ("block-start", B), ("block-start-and-one", B + 1))
+        ] + [
+            # a row with a bad reward and a bad holding reports the reward, unless it is the terminal row
+            ("bad-reward-and-hold-in-one-row", 2 * B + 3, {B - 1: EDITS["bad-reward-and-hold"]}),
+            ("bad-terminal-reward-and-hold", B, {B - 1: EDITS["bad-reward-and-hold"]}),
+            ("bad-terminal-reward-and-hold-before-short", 2 * B + 3,
+             {B - 1: EDITS["bad-reward-and-hold"], B: EDITS["short"]}),
+            ("bad-reward-before-bad-hold", 2 * B + 3, {B + 4: _cell(4, "r"), B + 5: _cell(-1, "h")}),
+            ("one-row", 1, {}),
+        ]
+    if reader == "bars":
+        return cases + [
+            ("bad-bar-then-bad-cell-in-block-2", 2 * B + 3, {10: _cell(2, "1"), B + 3: EDITS["bad-cell"]}),
+            ("bad-cell-then-bad-bar", 2 * B + 3, {B - 1: EDITS["bad-cell"], B + 3: _cell(2, "1")}),
+        ]
+    return cases + [("duplicate-across-blocks", 2 * B + 3, {B + 2: _cell(0, _stamp(3))})]
 
 
 def _reader_file(tmp_path, reader, rows, edits):
@@ -1108,8 +1117,7 @@ def _assert_same_load(got, expected):
 @pytest.mark.parametrize(
     "reader, rows, edits",
     [pytest.param(reader, rows, edits, id=f"{reader}-{case}")
-     for reader, extra in (("bars", READER_BAR_CASES), ("aux", READER_AUX_CASES), ("log", READER_LOG_CASES))
-     for case, rows, edits in READER_CASES + extra],
+     for reader in ("bars", "aux", "log") for case, rows, edits in _reader_cases(reader)],
 )
 def test_block_reader_loads_like_the_whole_file_reader(tmp_path, reader, rows, edits):
     path = _reader_file(tmp_path, reader, rows, edits)

@@ -20,7 +20,7 @@ from tradelab.agents.policies import make_baseline
 from tradelab.analytics import behavior_profile, load_report, save_report
 from tradelab.binfile import write_frame
 from tradelab.cli import build_parser, entrypoint, main
-from tradelab.env import EnvConfig, Window, load_episode_log, run_episode
+from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.marketdata import OHLCV, PANEL_MAGIC, format_timestamp, load_panel, parse_timestamp
 
 START = 1_646_380_800
@@ -280,7 +280,7 @@ class TestRefusedBeforeFeatures:
 
     def checkpoint(self, workspace, n_tickers, label="a2c"):
         width = 1 + 10 * n_tickers
-        path = workspace / f"{label.replace('/', '_')}.ckpt"
+        path = workspace / f"agent_{n_tickers}.ckpt"  # ASCII whatever the label, so any locale can name it
         normalizer = ObsNormalizer(width)
         normalizer.freeze()
         save_checkpoint(MlpPolicy(init_mlp((width, 4, 4, n_tickers), np.random.default_rng(0)), normalizer,
@@ -301,6 +301,30 @@ class TestRefusedBeforeFeatures:
         path = self.checkpoint(workspace, 2, label="../escaped")
         assert run(workspace, "simulate", "--agent", str(path)) == 1
         assert capsys.readouterr().err.startswith("error: agent label '../escaped'")
+
+    def test_label_the_file_system_cannot_encode_exits_one_before_any_directory(self, workspace, tmp_path):
+        """Under an ASCII locale the file-system encoding is ASCII, so a label
+        such as 'Zürich-a2c' cannot name report_<label> or log_<label>.csv:
+        analyze and simulate refuse it, naming the label and the file it came
+        from, before they make the output directory."""
+        features = make_features(["AA", "BB"], 60, seed=5)
+        log = run_episode(make_baseline("random"), EnvConfig(), features, Window(features.warmup, 60))
+        save_episode_log(dataclasses.replace(log, agent_label="Zürich-a2c"), tmp_path / "log.csv")
+        checkpoint = self.checkpoint(workspace, 2, label="Zürich-a2c")
+        env = {**os.environ, "PYTHONPATH": str(Path(tradelab.__file__).parents[1]),
+               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        script = "import sys; from tradelab.cli import main; sys.exit(main())"
+        for argv, source in ((["analyze", str(tmp_path / "log.csv")], tmp_path / "log.csv.json"),
+                             (["simulate", "--config", str(workspace / "config.json"), "--agent", str(checkpoint)],
+                              checkpoint)):
+            out = tmp_path / f"out_{argv[0]}"
+            done = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)],
+                                  cwd=tmp_path, env=env, capture_output=True)
+            err = done.stderr.decode("ascii")
+            assert done.returncode == 1, err
+            assert err.startswith("error: agent label 'Z\\xfcrich-a2c' from ") and str(source) in err
+            assert "cannot be encoded in the file-system encoding (ascii)" in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("window", ["train", "test"])
     def test_window_without_split(self, workspace, capsys, window):
@@ -477,7 +501,8 @@ class TestAnalyze:
         assert not (workspace / "out" / "comparison.csv").exists()
         assert not (workspace / "out" / "report_hold").exists()
 
-    @pytest.mark.parametrize("label", ["../../../escaped", "..\\..\\escaped", "nul\0byte"])
+    # a lone high surrogate: no file-system encoding encodes it, whatever the locale
+    @pytest.mark.parametrize("label", ["../../../escaped", "..\\..\\escaped", "nul\0byte", "lone-\ud800"])
     def test_label_that_is_not_a_file_name_exits_one(self, workspace, capsys, label):
         hold_log, _ = self._logs(workspace)
         sidecar = workspace / "out" / "log_hold.csv.json"

@@ -564,9 +564,11 @@ def test_build_features_matches_standalone_ops_across_blocks():
 def test_build_features_bounds_its_window_temporaries():
     """At paper scale (30 tickers x 3,500 bars) the build peaks well below
     the 50 MB that one cci call over all 30 tickers alone would hold: the
-    (T, M, n) window temporaries of bollinger and cci are built a block of
-    tickers at a time, one per block, beside the 6.7 MB feature block that
-    FeaturePanel keeps rather than copies (13.9 MB measured)."""
+    windowed ops (bollinger, rsi, cci, sma) run a block of three tickers at a
+    time, so their (T, M, n) window temporaries stay below dx's, the peak,
+    beside the 6.7 MB feature block that FeaturePanel keeps rather than copies
+    (12.9 MB measured; 13.9 MB with blocks of five and rsi and sma over all
+    tickers)."""
     panel = make_panel([f"T{j:02d}" for j in range(30)], 3500, seed=2)
     tracemalloc.start()
     try:
@@ -574,14 +576,15 @@ def test_build_features_bounds_its_window_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6, peak
+    assert peak < 13.3e6, peak
 
 
 def test_dx_bounds_its_temporaries():
     """dx over a paper-scale ticker-major block (30 x 3,500) holds one
-    (T-1, 3, M) array of smoothed sums, 2.5 MB, and at most two (T, M)
-    temporaries of 0.84 MB each, as the DIs and DX overwrite the sums: it
-    peaks below 6.5 MB (4.5 MB measured)."""
+    (T-1, 3, M) array of smoothed sums, 2.5 MB, and at most one (T, M) float
+    temporary of 0.84 MB at a time: the +DM and -DM terms are built in their
+    rows of the sums, and the DIs and DX overwrite the sums (3.64 MB measured;
+    4.5 MB with the terms built in arrays of their own)."""
     panel = make_panel([f"T{j:02d}" for j in range(30)], 3500, seed=2)
     h, l, c = (np.ascontiguousarray(getattr(panel, name).T).T for name in ("high", "low", "close"))
     tracemalloc.start()
@@ -590,7 +593,7 @@ def test_dx_bounds_its_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.5e6, peak
+    assert peak < 4.0e6, peak
 
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,7 @@ from tradelab.binfile import MalformedFile, write_frame
 from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.errors import TradeLabError
 from tradelab.marketdata import (
-    _BLOCK_ROWS,
+    _BLOCK_CELLS,
     OHLCV,
     PANEL_MAGIC,
     AuxSeries,
@@ -24,6 +23,7 @@ from tradelab.marketdata import (
     InvalidBar,
     MarketDataError,
     MarketPanel,
+    _block_rows,
     align_panel,
     format_timestamp,
     format_timestamps,
@@ -525,7 +525,7 @@ def test_write_panel_csv_reloads(tmp_path, rng):
         assert np.array_equal(series.volume, panel.volume[:, j])
 
 
-ROWS = 3 * _BLOCK_ROWS  # 1,536: a column of 1,535 runs out in the third block of rows
+ROWS = 3 * _block_rows(3)  # a column one cell shorter runs out in the third block of rows
 
 
 @pytest.mark.parametrize(
@@ -535,24 +535,45 @@ ROWS = 3 * _BLOCK_ROWS  # 1,536: a column of 1,535 runs out in the third block o
      ([np.arange(5), ["a", "b", "c", "d", "e"], np.linspace(0.0, 1.0, 4)],
       "x.csv: column 'value' has 4 cells, column 'k' has 5"),
      ([np.arange(ROWS), list(map(str, range(ROWS))), np.arange(ROWS - 1)],
-      "x.csv: column 'value' has 1535 cells, column 'k' has 1536"),
-     ([np.arange(ROWS), map(str, range(ROWS - 1)), np.arange(ROWS)], "is shorter than")],
-    ids=["short-text-column", "short-array-column", "short-array-past-a-block", "short-lazy-past-a-block"],
+      f"x.csv: column 'value' has {ROWS - 1} cells, column 'k' has {ROWS}"),
+     ([np.arange(ROWS), map(str, range(ROWS - 1)), np.arange(ROWS)],
+      "x.csv: column 'label' runs out before column 'k'"),
+     ([map(str, range(ROWS - 1)), np.arange(ROWS), np.arange(ROWS)],
+      "x.csv: column 'k' runs out before column 'label'"),
+     ([np.arange(ROWS), map(str, range(ROWS + 1)), np.arange(ROWS)],
+      "x.csv: column 'k' runs out before column 'label'")],
+    ids=["short-text-column", "short-array-column", "short-array-past-a-block", "short-lazy-past-a-block",
+         "short-first-lazy-past-a-block", "long-lazy-past-a-block"],
 )
 def test_write_csv_columns_refuses_columns_of_unequal_length(tmp_path, columns, message):
     """The rows would otherwise stop at the shortest column and drop the rest
     unseen. Columns with a length are refused before the file is opened, so
     an earlier file stays as it was; a lazy column shows its length only as
-    it runs out, after two blocks of rows could have been written, and the
-    partial file is removed."""
+    it runs out (or outlasts the first column), after two blocks of rows
+    could have been written, and the partial file is removed. Either way the
+    error names the file and the columns."""
     path = tmp_path / "x.csv"
     path.write_text("earlier\n")
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError) as caught:
         write_csv_columns(path, ["k", "label", "value"], columns)
+    assert str(caught.value) == str(tmp_path / message)
     if all(hasattr(column, "__len__") for column in columns):
         assert path.read_text() == "earlier\n"
     else:
         assert not path.exists()
+
+
+def test_write_csv_columns_passes_on_a_lazy_column_error(tmp_path):
+    """An error that a lazy column raises after a block has been written comes
+    through as it was raised, and the partial file is removed."""
+    def labels():
+        yield from map(str, range(ROWS - 1))
+        raise ValueError("no more labels")
+
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="^no more labels$"):
+        write_csv_columns(path, ["k", "label"], [np.arange(ROWS), labels()])
+    assert not path.exists()
 
 
 def test_write_csv_columns_holds_about_one_block_of_text(tmp_path):
@@ -560,7 +581,7 @@ def test_write_csv_columns_holds_about_one_block_of_text(tmp_path):
     of the file's text (the block's row texts, their join, its UTF-8 bytes
     and the block's numbers); a writer that joined the whole file before
     writing it would hold over 50."""
-    rows = 50 * _BLOCK_ROWS
+    rows = 50 * _block_rows(5)
     rng = np.random.default_rng(9)
     stamps = format_timestamps(hourly_axis(T0, rows))
     columns = [np.arange(rows), stamps, rng.standard_normal(rows), rng.standard_normal((rows, 2))[:, 1],
@@ -575,6 +596,57 @@ def test_write_csv_columns_holds_about_one_block_of_text(tmp_path):
     block = path.stat().st_size / 50
     assert path.read_text().count("\n") == rows + 1
     assert peak < 10 * block, peak / block
+
+
+def _wide_columns(rows):
+    """The 65 columns of a 30-ticker episode log's shape, ``rows`` rows each:
+    an integer step, 34 float columns and 30 integer ones."""
+    rng = np.random.default_rng(4)
+    header = ["t", *(f"x{j}" for j in range(34)), *(f"h{j}" for j in range(30))]
+    return header, [np.arange(rows), *rng.standard_normal((34, rows)), *rng.integers(0, 1000, size=(30, rows))]
+
+
+def _budget_text(path, rows, width):
+    """The bytes of file text in one cell budget: the file's bytes per cell, times ``_BLOCK_CELLS``."""
+    return path.stat().st_size / (rows * width) * _BLOCK_CELLS
+
+
+def test_write_csv_columns_holds_one_cell_budget_of_a_wide_file(tmp_path):
+    """A 65-column file (a 30-ticker episode log's width) is written a block of
+    rows that fits the cell budget at a time: the writer peaks at 6.7 budgets
+    of the file's text (the block's cells as Python objects, its row texts and
+    their join). A block of a fixed 512 rows held 33,280 cells, 6.5 budgets,
+    and peaked at 38."""
+    header, columns = _wide_columns(3000)
+    path = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        write_csv_columns(path, header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = _budget_text(path, 3000, len(header))
+    assert peak < 10 * budget, peak / budget
+
+
+def test_read_csv_columns_holds_one_cell_budget_of_a_wide_file(tmp_path):
+    """Reading the same 65-column file holds 11.5 budgets of the file's text
+    beside the parsed arrays: a block of rows that fits the cell budget, its
+    cells by column, and each column's parsed blocks until they are joined.
+    A block of a fixed 512 rows held 39.5."""
+    header, columns = _wide_columns(3000)
+    path = tmp_path / "wide.csv"
+    write_csv_columns(path, header, columns)
+    tracemalloc.start()
+    try:
+        arrays, fault = read_csv_columns(path, MarketDataError, lambda names: list(range(len(names))),
+                                         [parse_floats] * len(header))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fault is None and all(np.array_equal(a, c) for a, c in zip(arrays, columns))
+    budget = _budget_text(path, 3000, len(header))
+    assert peak - kept < 16 * budget, (peak - kept) / budget
 
 
 def test_panel_without_tickers_is_refused(tmp_path):
