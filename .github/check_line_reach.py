@@ -7,8 +7,9 @@ A line counts as executable when the compiled module maps a bytecode
 instruction to it (``code.co_lines()``, recursively over nested code objects);
 a line executed when the tracer saw a ``line`` event on it, or a ``call``
 event into a code object starting there (a ``def`` line). Prints
-``path:line`` for each unexecuted line and exits 1 when there is one, or
-when the tests fail; exits 0 otherwise.
+``path:line`` for each unexecuted line, then the executable-line count of each
+module and of the package, so every log records the package's size. Exits 1
+when a line never executed, or when the tests fail; exits 0 otherwise.
 """
 
 import sys
@@ -54,12 +55,16 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    lines = {name: executable_lines(path) for name, path in sources.items()}
     missed = [f"{path.relative_to(PACKAGE.parent.parent)}:{line}"
               for name, path in sources.items()
-              for line in sorted(executable_lines(path) - executed[name])]
+              for line in sorted(lines[name] - executed[name])]
     for entry in missed:
         print(f"never executed: {entry}")
     print(f"{len(missed)} line(s) of {PACKAGE.name} never executed under the tests")
+    for name, path in sources.items():
+        print(f"{len(lines[name]):6d} executable lines in {path.relative_to(PACKAGE.parent.parent)}")
+    print(f"{sum(map(len, lines.values())):6d} executable lines in {PACKAGE.name}")
     return 1 if missed or status != 0 else 0
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import write_file
 from .env import EpisodeLog
 from .errors import TradeLabError
 from .marketdata import _freeze, _increasing, format_timestamps, quote_csv, write_csv_columns
@@ -240,7 +241,6 @@ def save_report(report: BehaviorReport, directory) -> None:
     """Write report.json plus cumulative_reward/integral_holding/
     holdings_matrix CSVs under the given directory."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     timestamps, cumulative, holdings = report.timestamps, report.cumulative_reward, report.holdings_matrix
     rewards = list(map(float.__repr__, cumulative.tolist()))  # the CSV's text; JSON spells nan and inf its own way
     json_rewards = rewards if np.isfinite(cumulative).all() else [_JSON_NONFINITE.get(text, text) for text in rewards]
@@ -254,7 +254,7 @@ def save_report(report: BehaviorReport, directory) -> None:
         "holdings_matrix": _json_array(list(map(row_template.format, *holdings.T.tolist())), 1),
     })
     doc = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
-    (directory / "report.json").write_text("{\n" + doc + "\n}\n", encoding="utf-8")
+    write_file(directory / "report.json", ["{\n", doc, "\n}\n"])
 
     stamps = format_timestamps(timestamps)
     write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"],
@@ -319,6 +319,5 @@ def write_comparison_csv(comparison: ProfileComparison, path) -> None:
     def cell(value) -> str:
         return "" if value is None else float.__repr__(value) if isinstance(value, float) else str(value)
 
-    write_csv_columns(path, ["agent", *COMPARISON_METRICS], [
-        map(quote_csv, comparison.labels), *(map(cell, getattr(comparison, metric)) for metric in COMPARISON_METRICS),
-    ])
+    write_csv_columns(path, ["agent", *COMPARISON_METRICS], [list(map(quote_csv, comparison.labels)),
+                      *(list(map(cell, getattr(comparison, metric))) for metric in COMPARISON_METRICS)])

@@ -9,25 +9,47 @@ from __future__ import annotations
 
 import json
 import operator
+import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TradeLabError
 
-__all__ = ["MalformedFile", "write_frame", "read_frame"]
+__all__ = ["MalformedFile", "write_file", "write_frame", "read_frame"]
 
 
 class MalformedFile(TradeLabError):
     """A framed file is foreign, truncated, over-long, or has a bad header field."""
 
 
+def write_file(path, chunks) -> None:
+    """Write ``chunks`` (bytes-like, or ``str`` as UTF-8) to ``path`` whole or
+    not at all: the package's one way to put a file on disk. The chunks go to
+    ``.<name>.<pid>.part`` beside ``path``, which ``os.replace`` renames onto
+    ``path`` in one step (rename(2), within one filesystem), so a reader sees
+    the earlier file or the new one. Any exception removes the part file and
+    is raised again, leaving the earlier file as it was. A missing directory
+    is made; the file's mode is what a plain ``open`` gives."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with part.open("wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def write_frame(path, magic: str, header: dict, arrays) -> None:
     """Write ``header`` (plus ``format: magic``) and then each array, little-endian, in order."""
-    with Path(path).open("wb") as handle:
-        handle.write(json.dumps({"format": magic, **header}, sort_keys=True).encode() + b"\n")
-        for arr in arrays:  # each array as it is, when it is already little-endian and in C order
-            handle.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+    head = json.dumps({"format": magic, **header}, sort_keys=True) + "\n"
+    # each array as it is, when it is already little-endian and in C order
+    write_file(path, chain([head], (np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")) for arr in arrays)))
 
 
 def read_frame(path, magic: str, decode):

@@ -24,6 +24,7 @@ from .agents.a2c import A2CConfig, a2c_train, load_checkpoint, save_checkpoint
 from .agents.policies import BASELINE_POLICIES, make_baseline
 from .analytics import (TRADER_THRESHOLD, behavior_profile, compare_profiles, load_report, save_report,
                         write_comparison_csv)
+from .binfile import write_file
 from .config import ConfigError, check_fields, decode_config
 from .env import EnvConfig, TradingEnv, Window, load_episode_log, observation_size, run_episode, save_episode_log
 from .errors import TradeLabError
@@ -103,9 +104,7 @@ class RunConfig:
 
     @property
     def out_dir(self) -> Path:
-        path = Path(self.out)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+        return Path(self.out)
 
     @property
     def panel_path(self) -> Path:
@@ -157,7 +156,7 @@ def _windows(cfg: RunConfig, features) -> dict:
 def cmd_ingest(cfg: RunConfig) -> int:
     if not cfg.data:
         raise TradeLabError("no data files configured; supply --config with a data map")
-    cfg.panel_path.unlink(missing_ok=True)  # a failed ingest leaves no panel for later commands
+    cfg.panel_path.unlink(missing_ok=True)  # an ingest that fails on its inputs leaves no stale panel
     series = [load_bars(cfg.data[ticker], ticker=ticker) for ticker in cfg.tickers]
     aux_series = [load_series(path, name) for name, path in sorted(cfg.aux.items())]
     panel = align_panel(series, aux=aux_series, fill=cfg.align)
@@ -301,7 +300,7 @@ def cmd_report(cfg: RunConfig, report_dir: str) -> int:
         ),
     }
     for name, svg in charts.items():
-        (target / name).write_text(svg, encoding="utf-8")
+        write_file(target / name, [svg])
     print(f"rendered {len(charts)} charts -> {target}")
     return 0
 

@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .binfile import write_file
 from .config import check_fields
 from .errors import TradeLabError
 from .indicators import FEATURE_NAMES, FeaturePanel
@@ -59,8 +60,8 @@ from .marketdata import (
     parse_timestamps,
     read_csv_columns,
     sidecar_path,
+    sidecar_text,
     write_csv_columns,
-    write_sidecar,
 )
 
 __all__ = [
@@ -492,6 +493,7 @@ def save_episode_log(log: EpisodeLog, path) -> None:
     sidecar stores agent_label and the run metadata.
     """
     path = Path(path)
+    sidecar = sidecar_text({"agent_label": log.agent_label, "meta": log.meta})
     n = log.n_tickers
     header = [*_LOG_COLUMNS, *(f"action_{i}" for i in range(n)), *(f"hold_{i}" for i in range(n))]
     write_csv_columns(path, header, [
@@ -503,7 +505,7 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         *log.actions.T,
         *log.holdings.T,
     ])
-    write_sidecar(path, {"agent_label": log.agent_label, "meta": log.meta})
+    write_file(sidecar_path(path), [sidecar])
 
 
 def _share_counts(cells) -> np.ndarray:

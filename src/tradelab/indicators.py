@@ -27,9 +27,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .binfile import write_file
 from .config import check_fields
 from .errors import TradeLabError
-from .marketdata import MarketPanel, _freeze, _frozen, write_long_csv, write_sidecar
+from .marketdata import MarketPanel, _freeze, _frozen, sidecar_path, sidecar_text, write_long_csv
 
 __all__ = [
     "FEATURE_NAMES",
@@ -448,10 +449,11 @@ def write_features_csv(fp: FeaturePanel, path) -> None:
     The sidecar records the indicator config, warmup index, feature order,
     and ticker order. Undefined cells serialize as `nan`.
     """
-    write_long_csv(path, fp.timestamps, fp.tickers, {name: fp.features[:, :, k] for k, name in enumerate(FEATURE_NAMES)})
-    write_sidecar(path, {
+    sidecar = sidecar_text({
         "config": asdict(fp.config),
         "warmup": fp.warmup,
         "feature_names": list(FEATURE_NAMES),
         "tickers": list(fp.tickers),
     })
+    write_long_csv(path, fp.timestamps, fp.tickers, {name: fp.features[:, :, k] for k, name in enumerate(FEATURE_NAMES)})
+    write_file(sidecar_path(path), [sidecar])

@@ -12,17 +12,16 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binfile import read_frame, write_frame
+from .binfile import read_frame, write_file, write_frame
 from .errors import TradeLabError
 
 __all__ = [
@@ -49,7 +48,7 @@ __all__ = [
     "load_panel",
     "write_panel_csv",
     "sidecar_path",
-    "write_sidecar",
+    "sidecar_text",
 ]
 
 PANEL_MAGIC = "tradelab-panel-v1"
@@ -171,71 +170,46 @@ def quote_csv(text: str) -> str:
 
 
 def _cells(column, rows: int):
-    """A column's cell texts; an array's numbers are made a block of at most
-    ``rows`` cells (or one array row, if that is wider) at a time."""
+    """A column's cell texts; an array's cells are made a block of at most
+    ``rows`` cells (or one array row, if that is wider) at a time, and an
+    object array's cells are its text, passed through as they are."""
     if not isinstance(column, np.ndarray):
         return column
-    text = float.__repr__ if column.dtype.kind == "f" else str
     step = max(1, rows // max(1, column[:1].size))  # a row of a 2-D column is several cells
-    blocks = (column[k : k + step].ravel().tolist() for k in range(0, len(column), step))
-    return map(text, chain.from_iterable(blocks))
-
-
-# zip(strict=True)'s refusal: the 1-based place of the column that ran out before,
-# or outlasted, the first column
-_UNEVEN_ZIP = re.compile(r"zip\(\) argument (\d+) is (shorter|longer) than argument")
+    cells = chain.from_iterable(column[k : k + step].ravel().tolist() for k in range(0, len(column), step))
+    return cells if column.dtype == object else map(float.__repr__ if column.dtype.kind == "f" else str, cells)
 
 
 def write_csv_columns(path, header: list[str], columns) -> None:
-    """Write a CSV file, byte for byte as ``csv.writer`` writes its rows. A
-    column is a 1-D or 2-D array, written in C order (floats by
-    ``float.__repr__``, integers by ``str``), or an iterable of cell text,
-    written as given: user text (tickers, labels) comes through ``quote_csv``.
-    Rows are turned into Python numbers, joined and written a block at a time,
-    ``_block_rows(len(header))`` rows that hold at most ``_BLOCK_CELLS`` cells,
-    so lazy columns stream and at most one block's text is held, however wide
-    the file.
-
-    Columns of unequal length raise ValueError naming the file and the
-    column: columns with a length before the file is opened, and a lazy column
-    as it runs out (or outlasts the first column). A write that fails removes
-    the partial file."""
-    sized = [(name, column.size if isinstance(column, np.ndarray) else len(column))
-             for name, column in zip(header, columns) if hasattr(column, "__len__")]
-    for name, cells in sized[1:]:
-        if cells != sized[0][1]:
-            raise ValueError(f"{path}: column {name!r} has {cells} cells, column {sized[0][0]!r} has {sized[0][1]}")
+    """Write a CSV file through ``write_file``, byte for byte as ``csv.writer``
+    writes its rows. A column is an array, written in C order (floats by
+    ``float.__repr__``, integers by ``str``, an object array's text as it is),
+    or a sequence of cell text: user text (tickers, labels) comes through
+    ``quote_csv``. Lines are made and written ``_block_rows(len(header))`` at a
+    time, at most ``_BLOCK_CELLS`` cells, however wide the file. A header and
+    columns of different counts, or columns of unequal length, raise
+    ValueError naming the file before anything is written."""
+    sizes = [column.size if isinstance(column, np.ndarray) else len(column) for column in columns]
+    if len(sizes) != len(header):
+        raise ValueError(f"{path}: the header names {len(header)} columns, but {len(sizes)} are given")
+    for name, cells in zip(header[1:], sizes[1:]):
+        if cells != sizes[0]:
+            raise ValueError(f"{path}: column {name!r} has {cells} cells, column {header[0]!r} has {sizes[0]}")
     size = _block_rows(len(header))
-    rows = map(",".join, zip(*(_cells(column, size) for column in columns), strict=True))
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        try:
-            handle.write(",".join(map(quote_csv, header)) + "\r\n")
-            while block := list(islice(rows, size)):
-                block.append("")  # so the join ends the last row too
-                handle.write("\r\n".join(block))
-        except BaseException as exc:
-            handle.close()
-            path.unlink()
-            uneven = _UNEVEN_ZIP.match(str(exc)) if isinstance(exc, ValueError) else None
-            if uneven:
-                other = header[int(uneven[1]) - 1]
-                short, long = (other, header[0]) if uneven[2] == "shorter" else (header[0], other)
-                raise ValueError(f"{path}: column {short!r} runs out before column {long!r}") from None
-            raise
+    lines = chain([",".join(map(quote_csv, header))], map(",".join, zip(*(_cells(column, size) for column in columns))))
+    blocks = iter(lambda: list(islice(lines, size)), [])  # the header, then the rows: `size` lines at a time
+    write_file(path, ("\r\n".join([*block, ""]) for block in blocks))  # each line ends in \r\n
 
 
 def write_long_csv(path, timestamps, tickers, columns: dict) -> None:
     """Write a long-format CSV, ``timestamp,ticker`` and then each name of
     ``columns``: one row per (timestamp, ticker), ticker varying fastest, so
     each column is a (T, N) array. Each timestamp is formatted once and each
-    ticker quoted once."""
-    stamps, quoted = format_timestamps(timestamps), list(map(quote_csv, tickers))
-    write_csv_columns(path, ["timestamp", "ticker", *columns], [
-        chain.from_iterable(map(repeat, stamps, repeat(len(quoted)))),
-        chain.from_iterable(repeat(quoted, len(stamps))),
-        *columns.values(),
-    ])
+    ticker quoted once; the key columns are (T, N) views of those texts."""
+    stamps = np.array(format_timestamps(timestamps), dtype=object)
+    quoted = np.array(list(map(quote_csv, tickers)), dtype=object)
+    write_csv_columns(path, ["timestamp", "ticker", *columns],
+                      [*np.broadcast_arrays(stamps[:, None], quoted), *columns.values()])
 
 
 class _ButLast(NamedTuple):
@@ -359,9 +333,10 @@ def sidecar_path(path) -> Path:
     return Path(f"{path}.json")
 
 
-def write_sidecar(path, doc) -> None:
-    """Write ``doc`` as the sidecar of the artifact at ``path``: sorted keys, indented, one trailing newline."""
-    sidecar_path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def sidecar_text(doc) -> str:
+    """``doc`` as an artifact's sidecar holds it: sorted keys, indented, one trailing newline.
+    Callers encode it before they write the artifact, so a ``doc`` JSON cannot hold writes neither file."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _increasing(ts) -> np.ndarray:

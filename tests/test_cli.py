@@ -821,6 +821,16 @@ class TestFlags:
 
 
 class TestOutFlag:
+    @pytest.mark.parametrize("argv", [["features"], ["simulate", "--agent", "hold"], ["train"], ["analyze", "bad.csv"]],
+                             ids=["features", "simulate", "train", "analyze"])
+    def test_failed_command_makes_no_directory(self, workspace, capsys, argv):
+        """A command that fails before it writes (no panel yet, a malformed
+        log) leaves no empty output directory: only a written artifact makes it."""
+        (workspace / "bad.csv").write_text("t,timestamp\r\n0,x\r\n")
+        assert run(workspace, *(str(workspace / arg) if arg.endswith(".csv") else arg for arg in argv)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (workspace / "out").exists()
+
     def test_out_override_redirects_everything(self, workspace):
         other = workspace / "elsewhere"
         assert run(workspace, "ingest", "--out", str(other)) == 0

@@ -536,44 +536,24 @@ ROWS = 3 * _block_rows(3)  # a column one cell shorter runs out in the third blo
       "x.csv: column 'value' has 4 cells, column 'k' has 5"),
      ([np.arange(ROWS), list(map(str, range(ROWS))), np.arange(ROWS - 1)],
       f"x.csv: column 'value' has {ROWS - 1} cells, column 'k' has {ROWS}"),
-     ([np.arange(ROWS), map(str, range(ROWS - 1)), np.arange(ROWS)],
-      "x.csv: column 'label' runs out before column 'k'"),
-     ([map(str, range(ROWS - 1)), np.arange(ROWS), np.arange(ROWS)],
-      "x.csv: column 'k' runs out before column 'label'"),
-     ([np.arange(ROWS), map(str, range(ROWS + 1)), np.arange(ROWS)],
-      "x.csv: column 'k' runs out before column 'label'")],
-    ids=["short-text-column", "short-array-column", "short-array-past-a-block", "short-lazy-past-a-block",
-         "short-first-lazy-past-a-block", "long-lazy-past-a-block"],
+     ([np.arange(3), np.arange(3.0)], "x.csv: the header names 3 columns, but 2 are given"),
+     ([np.arange(3), ["a", "b", "c"], np.arange(3.0), np.arange(3)],
+      "x.csv: the header names 3 columns, but 4 are given")],
+    ids=["short-text-column", "short-array-column", "short-array-past-a-block", "header-longer", "header-shorter"],
 )
 def test_write_csv_columns_refuses_columns_of_unequal_length(tmp_path, columns, message):
     """The rows would otherwise stop at the shortest column and drop the rest
-    unseen. Columns with a length are refused before the file is opened, so
-    an earlier file stays as it was; a lazy column shows its length only as
-    it runs out (or outlasts the first column), after two blocks of rows
-    could have been written, and the partial file is removed. Either way the
-    error names the file and the columns."""
+    unseen, or sit under a header that names another number of columns. Every
+    column has a length, so both are refused before anything is written: an
+    earlier file stays as it was, and the error names the file and the
+    counts."""
     path = tmp_path / "x.csv"
     path.write_text("earlier\n")
     with pytest.raises(ValueError) as caught:
         write_csv_columns(path, ["k", "label", "value"], columns)
     assert str(caught.value) == str(tmp_path / message)
-    if all(hasattr(column, "__len__") for column in columns):
-        assert path.read_text() == "earlier\n"
-    else:
-        assert not path.exists()
-
-
-def test_write_csv_columns_passes_on_a_lazy_column_error(tmp_path):
-    """An error that a lazy column raises after a block has been written comes
-    through as it was raised, and the partial file is removed."""
-    def labels():
-        yield from map(str, range(ROWS - 1))
-        raise ValueError("no more labels")
-
-    path = tmp_path / "x.csv"
-    with pytest.raises(ValueError, match="^no more labels$"):
-        write_csv_columns(path, ["k", "label"], [np.arange(ROWS), labels()])
-    assert not path.exists()
+    assert path.read_text() == "earlier\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["x.csv"]
 
 
 def test_write_csv_columns_holds_about_one_block_of_text(tmp_path):
