@@ -490,12 +490,15 @@ def save_episode_log(log: EpisodeLog, path) -> None:
     """Write `t,timestamp,cash,portfolio_value,reward,action_*,hold_*` rows.
 
     The terminal row carries reward 0.0 (no step leaves it). A `<path>.json`
-    sidecar stores agent_label and the run metadata.
+    sidecar stores agent_label and the run metadata. It is renamed into place
+    before the CSV, so a save that stops between the two leaves no CSV that
+    would load under its file stem's label.
     """
     path = Path(path)
     sidecar = sidecar_text({"agent_label": log.agent_label, "meta": log.meta})
     n = log.n_tickers
     header = [*_LOG_COLUMNS, *(f"action_{i}" for i in range(n)), *(f"hold_{i}" for i in range(n))]
+    write_file(sidecar_path(path), [sidecar])
     write_csv_columns(path, header, [
         np.arange(log.n_timestamps),
         format_timestamps(log.timestamps),
@@ -505,7 +508,6 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         *log.actions.T,
         *log.holdings.T,
     ])
-    write_file(sidecar_path(path), [sidecar])
 
 
 def _share_counts(cells) -> np.ndarray:

@@ -67,7 +67,8 @@ class IndicatorConfig:
     """Window lengths and parameters for the 8-feature block plus turbulence.
 
     ``turb_window`` is the turbulence index's trailing window. Turbulence is
-    computed only when ``env.turbulence_gate`` is set, and a gate with None is an error.
+    computed only when ``env.turbulence_gate`` is set, so only then does the
+    window bind: it must exceed the ticker count and leave a defined index.
     """
 
     rsi_period: int = 30
@@ -80,7 +81,7 @@ class IndicatorConfig:
     macd_signal: int = 9  # no feature reads it; it stays in the config written beside features.csv
     boll_period: int = 20
     boll_k: float = 2.0
-    turb_window: int | None = 252
+    turb_window: int = 252
 
     def __post_init__(self):
         check_fields(self)
@@ -92,8 +93,8 @@ class IndicatorConfig:
             raise ValueError("macd_fast must be smaller than macd_slow")
         if self.boll_k < 0:
             raise ValueError("boll_k must be non-negative")
-        if self.turb_window is not None and self.turb_window < 2:
-            raise ValueError("turb_window must be >= 2 or None")
+        if self.turb_window < 2:
+            raise ValueError("turb_window must be >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +300,6 @@ def dx(high, low, close, n: int):
 # turbulence
 # ---------------------------------------------------------------------------
 
-def _check_turbulence_window(window: int, n_tickers: int, t_len: int) -> np.ndarray:
-    if window <= n_tickers:
-        raise ValueError(f"turbulence window ({window}) must exceed the ticker count ({n_tickers})")
-    return _check_window(window, t_len, window + 1, "turbulence")
-
-
 def turbulence(panel: MarketPanel, window: int):
     """Mahalanobis distance of each return vector from its trailing window.
 
@@ -316,7 +311,9 @@ def turbulence(panel: MarketPanel, window: int):
     """
     n_tickers = panel.n_tickers
     t_len = panel.n_timestamps
-    defined = _check_turbulence_window(window, n_tickers, t_len)
+    if window <= n_tickers:
+        raise ValueError(f"turbulence window ({window}) must exceed the ticker count ({n_tickers})")
+    defined = _check_window(window, t_len, window + 1, "turbulence")
 
     closes = panel.close
     returns = closes[1:] / closes[:-1] - 1.0  # returns[k] belongs to t = k+1
@@ -389,8 +386,7 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
                    with_turbulence: bool = False) -> FeaturePanel:
     """Compute the 8-feature block for every ticker, and the turbulence
     series when ``with_turbulence`` is set (the CLI sets it exactly when
-    ``env.turbulence_gate`` is set); ``warmup`` then covers turbulence too,
-    and ``cfg.turb_window`` None raises IndicatorError.
+    ``env.turbulence_gate`` is set); ``warmup`` then covers turbulence too.
 
     Each indicator runs on ticker-major copies of high, low and close, bit for
     bit the per-ticker 1-D call. The recurrences (``macd``, ``dx``) make one call
@@ -401,15 +397,12 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
     3.6 MB ``dx``'s sums and temporaries.
 
     Raises InsufficientHistory when the panel is shorter than the longest
-    configured warmup, the turbulence window included whenever it is set.
-    The turbulence window and the gate are checked before any indicator runs,
-    so a config with a turbulence fault and another one reports the turbulence one.
+    configured warmup, ``cfg.turb_window`` included only with turbulence.
+    Turbulence is computed before any indicator runs, so a config with a
+    turbulence fault and another one reports the turbulence one.
     """
     t_len, n = panel.close.shape
-    if cfg.turb_window is not None:
-        _check_turbulence_window(cfg.turb_window, n, t_len)
-    elif with_turbulence:
-        raise IndicatorError("the turbulence gate needs indicators.turb_window, which is null")
+    turb = turbulence(panel, cfg.turb_window) if with_turbulence else None
     h, l, c = (np.ascontiguousarray(x.T).T for x in (panel.high, panel.low, panel.close))
     blocks = [slice(a, a + _WINDOW_BLOCK) for a in range(0, n, _WINDOW_BLOCK)]
     features = np.empty((t_len, n, len(FEATURE_NAMES)))
@@ -425,10 +418,8 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
         features[:, b, 6], d_s = sma(c[:, b], cfg.sma_short)
         features[:, b, 7], d_l = sma(c[:, b], cfg.sma_long)
     ready = d_macd & d_boll & d_rsi & d_cci & d_dx & d_s & d_l
-    turb = None
-    if with_turbulence:
-        turb = turbulence(panel, cfg.turb_window)
-        ready = ready & turb[1]
+    if turb is not None:
+        ready &= turb[1]
     for arr in (features, *(turb or ())):  # read-only, so FeaturePanel keeps them rather than copying
         arr.setflags(write=False)
 
@@ -447,7 +438,8 @@ def write_features_csv(fp: FeaturePanel, path) -> None:
     """Write the long-format feature CSV plus a `<path>.json` sidecar.
 
     The sidecar records the indicator config, warmup index, feature order,
-    and ticker order. Undefined cells serialize as `nan`.
+    and ticker order, and is renamed into place before the CSV, as an episode
+    log's is. Undefined cells serialize as `nan`.
     """
     sidecar = sidecar_text({
         "config": asdict(fp.config),
@@ -455,5 +447,5 @@ def write_features_csv(fp: FeaturePanel, path) -> None:
         "feature_names": list(FEATURE_NAMES),
         "tickers": list(fp.tickers),
     })
-    write_long_csv(path, fp.timestamps, fp.tickers, {name: fp.features[:, :, k] for k, name in enumerate(FEATURE_NAMES)})
     write_file(sidecar_path(path), [sidecar])
+    write_long_csv(path, fp.timestamps, fp.tickers, {name: fp.features[:, :, k] for k, name in enumerate(FEATURE_NAMES)})

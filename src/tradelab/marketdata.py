@@ -515,7 +515,7 @@ def load_series(path, name: str) -> AuxSeries:
     return AuxSeries(name=name, timestamps=timestamps, values=values[order])
 
 
-def align_panel(series, aux=(), fill: str = "forward-fill") -> MarketPanel:
+def align_panel(series, aux=(), *, fill: str) -> MarketPanel:
     """Align bar series (and aux series) onto one shared timestamp axis.
 
     ``intersect`` keeps only timestamps present in every input. ``forward-fill``

@@ -28,7 +28,6 @@ SMALL_INDICATORS = IndicatorConfig(
     macd_slow=10,
     macd_signal=4,
     boll_period=6,
-    turb_window=None,
 )
 
 
@@ -93,14 +92,11 @@ def make_features(
     seed: int = 0,
     vol: float = 0.01,
     drift: float = 0.0,
-    turb_window: int | None = None,
     with_vix: bool = False,
 ) -> FeaturePanel:
     """Feature panel over a seeded random-walk market, warmup 16."""
-    from dataclasses import replace
-
     panel = make_panel(tickers, count, seed=seed, vol=vol, drift=drift, with_vix=with_vix)
-    return build_features(panel, replace(SMALL_INDICATORS, turb_window=turb_window))
+    return build_features(panel, SMALL_INDICATORS)
 
 
 def flat_features(closes, turbulence=None, start: int = 1_646_380_800) -> FeaturePanel:

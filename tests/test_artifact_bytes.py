@@ -397,7 +397,7 @@ class UnfillableLeadingGap(MarketDataError):
     a panel stamp."""
 
 
-def ref_align_panel(series, aux=(), fill="forward-fill"):
+def ref_align_panel(series, aux=(), *, fill):
     series = list(series)
     aux = list(aux)
     if not series:
@@ -985,7 +985,7 @@ def test_align_panel_matches_the_reference_loop(fill):
     aligned = 0
     for seed in range(120):
         series, aux = _alignment_inputs(seed)
-        got, expected = (_outcome(align, series, aux, fill) for align in (align_panel, ref_align_panel))
+        got, expected = (_outcome(lambda: align(series, aux, fill=fill)) for align in (align_panel, ref_align_panel))
         if isinstance(expected, Exception):
             assert type(got) is type(expected) is EmptyIntersection, (seed, got, expected)
             continue

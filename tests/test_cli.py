@@ -36,7 +36,6 @@ SMALL_INDICATOR_DICT = {
     "macd_slow": 10,
     "macd_signal": 4,
     "boll_period": 6,
-    "turb_window": None,
 }
 
 
@@ -379,12 +378,23 @@ class TestTurbulenceGate:
         assert not log.holdings.any()  # the gate acted on every step, the first one included
 
     def test_gate_without_turb_window_exits_one(self, workspace, capsys):
+        # the gate is the one switch: a null window is refused when the config loads, gate or not
+        edit_config(workspace, "indicators", turb_window=None)
         edit_config(workspace, "env", turbulence_gate=5.0)
+        assert run(workspace, "ingest") == 1
+        path = workspace / "config.json"
+        assert capsys.readouterr().err == \
+            f"error: config section 'indicators': turb_window must be int, got None in {path}\n"
+        assert not (workspace / "out").exists()
+
+    def test_default_window_binds_only_behind_the_gate(self, workspace, capsys):
+        # 140 bars are too few for the default 252-bar window, which only a gate reads
         assert run(workspace, "ingest") == 0
+        assert run(workspace, "features") == 0
+        edit_config(workspace, "env", turbulence_gate=5.0)
         assert run(workspace, "features") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "turbulence gate needs indicators.turb_window, which is null" in err
-        assert "Traceback" not in err
+        assert err.endswith(f"turbulence window 252 leaves no defined index in a series of length {BARS}\n")
 
 
 class TestTrain:

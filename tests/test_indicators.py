@@ -649,9 +649,12 @@ def test_build_features_skips_turbulence_unless_asked(rng, monkeypatch):
 
     monkeypatch.setattr(tradelab.indicators, "turbulence", boom)
     assert build_features(make_panel(["AAA", "BBB"], 60, seed=3), SMALL_CFG).turbulence is None
-    # the window's length check still runs: 30 bars leave no turbulence index for a 40-bar window
-    with pytest.raises(InsufficientHistory):
-        build_features(make_panel(["AAA", "BBB"], 30, seed=3), replace_turb(SMALL_CFG, 40))
+    # nor is its window checked: 30 bars leave no turbulence index for a 40-bar window, which only a request reads
+    short = make_panel(["AAA", "BBB"], 30, seed=3)
+    assert build_features(short, replace_turb(SMALL_CFG, 40)).warmup == 16
+    monkeypatch.undo()
+    with pytest.raises(InsufficientHistory, match="turbulence window 40"):
+        build_features(short, replace_turb(SMALL_CFG, 40), with_turbulence=True)
 
 
 def test_macd_fast_must_be_below_slow():
@@ -672,29 +675,57 @@ def test_ops_refuse_a_window_below_one(op):
         op(np.ones(20))
 
 
-@pytest.mark.parametrize("turb_window, gated, error, message", [
-    (3, False, ValueError, "must exceed the ticker count"),
-    (2, True, ValueError, "must exceed the ticker count"),
-    (59, False, InsufficientHistory, "turbulence window 59 leaves no defined index"),
-    (None, True, IndicatorError, "turb_window, which is null"),
-], ids=["at-ticker-count", "below-ticker-count-gated", "too-long", "gate-without-window"])
-def test_build_features_checks_turbulence_before_any_indicator(monkeypatch, turb_window, gated, error, message):
+def _macd_must_not_run(monkeypatch):
     import tradelab.indicators
 
     def boom(*args):
-        raise AssertionError("an indicator ran before the turbulence checks")
+        raise AssertionError("an indicator ran before turbulence")
 
     monkeypatch.setattr(tradelab.indicators, "macd", boom)
-    panel = make_panel(["AAA", "BBB", "CCC"], 60, seed=3)
+
+
+@pytest.mark.parametrize("turb_window, vol, error, message", [
+    (3, 0.01, ValueError, "must exceed the ticker count"),
+    (2, 0.01, ValueError, "must exceed the ticker count"),
+    (59, 0.01, InsufficientHistory, "turbulence window 59 leaves no defined index"),
+    (10, 0.0, IndicatorError, "return covariance is singular"),
+], ids=["at-ticker-count", "below-ticker-count", "too-long", "singular"])
+def test_build_features_checks_turbulence_before_any_indicator(monkeypatch, turb_window, vol, error, message):
+    _macd_must_not_run(monkeypatch)
+    panel = make_panel(["AAA", "BBB", "CCC"], 60, seed=3, vol=vol)  # vol 0: every close the same
     with pytest.raises(error, match=message):
-        build_features(panel, replace_turb(SMALL_CFG, turb_window), with_turbulence=gated)
+        build_features(panel, replace_turb(SMALL_CFG, turb_window), with_turbulence=True)
 
 
-def test_build_features_reports_the_turbulence_fault_of_two():
-    # 12 bars are too few for SMALL_CFG's indicators, and a window of 2 does not exceed 3 tickers
-    panel = make_panel(["AAA", "BBB", "CCC"], 12, seed=3)
-    with pytest.raises(ValueError, match="must exceed the ticker count"):
-        build_features(panel, replace_turb(SMALL_CFG, 2))
+# each builds without turbulence; with it, the window refuses the panel
+UNGATED_PANELS = {
+    "short-for-the-default-window": (3, 200, IndicatorConfig(), InsufficientHistory,
+                                     "turbulence window 252 leaves no defined index in a series of length 200"),
+    "window-within-the-ticker-count": (12, 100, IndicatorConfig(turb_window=10), ValueError,
+                                       r"turbulence window \(10\) must exceed the ticker count \(12\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNGATED_PANELS))
+def test_build_features_window_binds_only_with_turbulence(monkeypatch, case):
+    n, t, cfg, error, message = UNGATED_PANELS[case]
+    panel = make_panel([f"T{j:02d}" for j in range(n)], t, seed=3)
+    fp = build_features(panel, cfg)
+    assert fp.turbulence is None and fp.warmup == 60  # sma_long
+    _macd_must_not_run(monkeypatch)
+    with pytest.raises(error, match=message):
+        build_features(panel, cfg, with_turbulence=True)
+
+
+@pytest.mark.parametrize("turb_window, vol, error, message", [
+    (2, 0.01, ValueError, "must exceed the ticker count"),
+    (4, 0.0, IndicatorError, "return covariance is singular"),
+], ids=["window", "singular"])
+def test_build_features_reports_the_turbulence_fault_of_two(turb_window, vol, error, message):
+    # 12 bars are too few for SMALL_CFG's indicators, and turbulence fails first
+    panel = make_panel(["AAA", "BBB", "CCC"], 12, seed=3, vol=vol)
+    with pytest.raises(error, match=message):
+        build_features(panel, replace_turb(SMALL_CFG, turb_window), with_turbulence=True)
 
 
 def test_build_features_insufficient_history(rng):
@@ -704,13 +735,13 @@ def test_build_features_insufficient_history(rng):
 
 
 def test_build_features_turbulence_optional(rng):
-    from dataclasses import replace
-
     panel = make_panel(["AAA", "BBB"], 25, seed=3)
-    cfg = replace(SMALL_CFG, turb_window=None)
-    assert build_features(panel, cfg).turbulence is None
-    with pytest.raises(IndicatorError, match="turb_window"):
-        build_features(panel, cfg, with_turbulence=True)
+    assert build_features(panel, SMALL_CFG).turbulence is None
+    # the request is the one switch: the window is always a number
+    with pytest.raises(ValueError, match="turb_window must be int, got None"):
+        replace_turb(SMALL_CFG, None)
+    with pytest.raises(ValueError, match="turb_window must be >= 2"):
+        replace_turb(SMALL_CFG, 1)
 
 
 def test_write_features_csv_round_trip(tmp_path, rng):

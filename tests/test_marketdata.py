@@ -315,7 +315,7 @@ def test_align_intersect_set_oracle(rng):
 
 def test_align_panel_needs_a_series():
     with pytest.raises(ValueError, match="at least one BarSeries"):
-        align_panel([])
+        align_panel([], fill="intersect")
 
 
 def test_align_panel_refuses_an_unknown_fill(rng):

@@ -20,7 +20,7 @@ from tradelab.agents.policies import make_baseline
 from tradelab.analytics import behavior_profile, save_report
 from tradelab.binfile import write_file, write_frame
 from tradelab.cli import RunConfig, cmd_report
-from tradelab.env import EnvConfig, Window, run_episode, save_episode_log
+from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.indicators import write_features_csv
 from tradelab.marketdata import _block_rows, save_panel, write_csv_columns
 
@@ -69,14 +69,8 @@ WRITERS = {
 }
 
 
-@pytest.mark.parametrize("name", list(WRITERS))
-def test_a_rename_that_fails_leaves_the_earlier_file(tmp_path, monkeypatch, name):
-    """The last step of every write is the rename; when it fails (here it is
-    refused for this one artifact), the file under the artifact's name is
-    still the earlier one, byte for byte, and the part file is gone."""
-    path = tmp_path / "out" / name
-    path.parent.mkdir()
-    path.write_bytes(EARLIER)
+def _refuse_rename(monkeypatch, path):
+    """Make ``os.replace`` onto ``path``, and only onto it, fail."""
     replace = os.replace
 
     def refuse(src, dst):
@@ -85,6 +79,17 @@ def test_a_rename_that_fails_leaves_the_earlier_file(tmp_path, monkeypatch, name
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", refuse)
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_a_rename_that_fails_leaves_the_earlier_file(tmp_path, monkeypatch, name):
+    """The last step of every write is the rename; when it fails (here it is
+    refused for this one artifact), the file under the artifact's name is
+    still the earlier one, byte for byte, and the part file is gone."""
+    path = tmp_path / "out" / name
+    path.parent.mkdir()
+    path.write_bytes(EARLIER)
+    _refuse_rename(monkeypatch, path)
     with pytest.raises(OSError, match="no room"):
         WRITERS[name](path)
     assert path.read_bytes() == EARLIER
@@ -134,6 +139,22 @@ def test_a_sidecar_json_cannot_hold_writes_neither_file(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="not JSON"):
         write_features_csv(make_features(("AA", "BB"), 60), tmp_path / "features.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("refused, left", [("log_mine.csv", ["log_mine.csv.json"]), ("log_mine.csv.json", [])],
+                         ids=["csv", "sidecar"])
+def test_a_first_save_whose_rename_fails_leaves_no_log_to_load(tmp_path, monkeypatch, refused, left):
+    """The sidecar is renamed into place before the CSV: when either rename is
+    refused on a first save, no CSV is left to load under its file stem's
+    label (``log_mine``) in place of the sidecar's."""
+    path = tmp_path / "log_mine.csv"
+    _refuse_rename(monkeypatch, tmp_path / refused)
+    with pytest.raises(OSError, match="no room"):
+        save_episode_log(_log(), path)
+    monkeypatch.undo()
+    assert [entry.name for entry in tmp_path.iterdir()] == left
+    with pytest.raises(OSError):
+        load_episode_log(path)
 
 
 def _writes(call: ast.Call) -> bool:
