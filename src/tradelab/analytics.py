@@ -21,7 +21,7 @@ import numpy as np
 from .binfile import write_file
 from .env import EpisodeLog
 from .errors import TradeLabError
-from .marketdata import _freeze, _increasing, format_timestamps, quote_csv, write_csv_columns
+from .marketdata import _STAMP_YEARS, _freeze, _increasing, quote_csv, write_csv_columns
 
 __all__ = [
     "TradeStats",
@@ -79,8 +79,8 @@ class BehaviorReport:
     layer derives from the holdings; a report is never handed a statistic.
 
     The four given fields hold their own rule, and a fault raises ValueError
-    naming the field: timestamps (T,) with T >= 2, strictly increasing;
-    holdings (T, N) with N >= 1, never negative; cumulative reward (T-1,).
+    naming the field: timestamps (T,) with T >= 2, strictly increasing, within UTC years
+    1-9999; holdings (T, N) with N >= 1, never negative; cumulative reward (T-1,).
     """
 
     agent_label: str
@@ -100,6 +100,8 @@ class BehaviorReport:
             raise ValueError(f"report field timestamps must be (T,) with T >= 2, got shape {stamps.shape}")
         if not _increasing(stamps).all():
             raise ValueError("report field timestamps must be strictly increasing")
+        if ((stamps < _STAMP_YEARS[0]) | (stamps >= _STAMP_YEARS[1])).any():
+            raise ValueError("report field timestamps must lie in UTC years 1-9999")
         if held.ndim != 2 or held.shape[0] != t or held.shape[1] < 1:
             raise ValueError(f"report field holdings_matrix must be ({t}, N) with N >= 1, got shape {held.shape}")
         if (held < 0).any():
@@ -256,7 +258,7 @@ def save_report(report: BehaviorReport, directory) -> None:
     doc = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
     write_file(directory / "report.json", ["{\n", doc, "\n}\n"])
 
-    stamps = format_timestamps(timestamps)
+    stamps = timestamps.view("datetime64[s]")
     write_csv_columns(directory / "cumulative_reward.csv", ["t", "timestamp", "cumulative_reward"],
                       [np.arange(1, cumulative.shape[0] + 1), stamps[1:], rewards])
     write_csv_columns(directory / "integral_holding.csv", ["ticker", "integral_holding"],

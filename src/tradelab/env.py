@@ -52,10 +52,10 @@ from .config import check_fields
 from .errors import TradeLabError
 from .indicators import FEATURE_NAMES, FeaturePanel
 from .marketdata import (
+    _STAMP_YEARS,
     _ButLast,
     _freeze,
     _increasing,
-    format_timestamps,
     parse_floats,
     parse_timestamps,
     read_csv_columns,
@@ -367,9 +367,9 @@ class EpisodeLog:
 
     ``rewards`` holds UNSCALED portfolio-value deltas (length T-1); the final
     ``actions`` row is zero because no step leaves the terminal state.
-    The label is a string, timestamps strictly increase, holdings are never
-    negative, and cash, values and rewards are finite; a fault names the
-    column and the row it has in the saved log (t + 2).
+    The label is a string, timestamps strictly increase within UTC years 1-9999 (the
+    years a saved log can spell), holdings are never negative, and cash, values and
+    rewards are finite; a fault names the column and the row it has in the saved log (t + 2).
     """
 
     timestamps: np.ndarray  # int64 (T,)
@@ -397,9 +397,10 @@ class EpisodeLog:
         if self.rewards.shape != (t - 1,):
             raise MalformedLog(f"rewards must have length {t - 1}, got {self.rewards.shape}")
         ordered = _increasing(self.timestamps)
+        inside = (self.timestamps >= _STAMP_YEARS[0]) & (self.timestamps < _STAMP_YEARS[1])
         money = {"cash": self.cash, "portfolio_value": self.portfolio_value,
                  "reward": np.append(self.rewards, 0.0)}  # the terminal row has no reward
-        ok = ordered & (self.holdings >= 0).all(axis=1)
+        ok = ordered & inside & (self.holdings >= 0).all(axis=1)
         for values in money.values():
             ok &= np.isfinite(values)
         if not ok.all():  # the first faulty row: by its holding, else its timestamp, cash, value, reward
@@ -407,6 +408,8 @@ class EpisodeLog:
             if (self.holdings[i] < 0).any():
                 j = int(np.argmax(self.holdings[i] < 0))
                 raise MalformedLog(f"negative holding {self.holdings[i, j]}", column=f"hold_{j}", row=i + 2)
+            if not inside[i]:
+                raise MalformedLog("timestamp outside UTC years 1-9999", column="timestamp", row=i + 2)
             if not ordered[i]:
                 raise MalformedLog("timestamp not strictly increasing", column="timestamp", row=i + 2)
             column, values = next((c, v) for c, v in money.items() if not math.isfinite(v[i]))
@@ -499,15 +502,8 @@ def save_episode_log(log: EpisodeLog, path) -> None:
     n = log.n_tickers
     header = [*_LOG_COLUMNS, *(f"action_{i}" for i in range(n)), *(f"hold_{i}" for i in range(n))]
     write_file(sidecar_path(path), [sidecar])
-    write_csv_columns(path, header, [
-        np.arange(log.n_timestamps),
-        format_timestamps(log.timestamps),
-        log.cash,
-        log.portfolio_value,
-        np.append(log.rewards, 0.0),
-        *log.actions.T,
-        *log.holdings.T,
-    ])
+    write_csv_columns(path, header, [np.arange(log.n_timestamps), log.timestamps.view("datetime64[s]"), log.cash,
+                                     log.portfolio_value, np.append(log.rewards, 0.0), *log.actions.T, *log.holdings.T])
 
 
 def _share_counts(cells) -> np.ndarray:

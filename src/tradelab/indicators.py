@@ -11,13 +11,12 @@ index), while Bollinger and CCI windows include the current bar.
 Operations accept a 1-D series ``(T,)`` or a 2-D batch ``(T, M)`` of
 independent columns; the mask depends only on T, never on the data. A series
 too short for a window to define any index raises InsufficientHistory, from
-an operation and from ``build_features`` alike. ``build_features`` runs each
-indicator on ticker-major copies (bit for bit the per-ticker 1-D call): the
-recurrences in one call across all tickers, the windowed ops (``bollinger``,
-``rsi``, ``cci``, ``sma``) in ticker blocks that bound their (T, M, n) window
-temporaries whatever the ticker count. A recurrence (``ema``, ``dx``'s Wilder
-sums) is one in-place row update per bar; the rest runs over the whole block,
-bit for bit.
+an operation and from ``build_features`` alike. The layout rule: a recurrence
+(``ema``, ``macd``, ``dx``'s Wilder sums) sums each column's seed alone and then
+makes one in-place row update per bar, so every column of a batch in any layout
+gets its 1-D call's bits. A windowed op (``bollinger``, ``rsi``, ``cci``, ``sma``)
+runs over the whole block and gets them only on a ticker-major batch (each
+column contiguous): numpy sums a window pairwise only along a contiguous axis.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ def ema(closes, n: int):
     beta = 1.0 - alpha
     out = alpha * x
     out[: n - 1] = np.nan
-    out[n - 1] = x[:n].mean(axis=0)
+    out[n - 1] = np.asfortranarray(x[:n]).mean(axis=0)  # pairwise per column, in any layout: a 1-D call's bits
     for i in range(n, t):
         out[i] += beta * out[i - 1]
     return _restore(out, squeeze), defined
@@ -271,9 +270,7 @@ def dx(high, low, close, n: int):
     np.copyto(up, 0.0, where=~plus)
     np.copyto(down, 0.0, where=~minus)
     del plus, minus
-    # numpy sums time pairwise where it is contiguous (one ticker, ticker-major) and row by row elsewhere
-    pairwise = h.shape[1] == 1 or h.flags.f_contiguous
-    sums[n - 1] = (np.asfortranarray(sums[:n]) if pairwise else sums[:n]).sum(axis=0)
+    sums[n - 1] = np.asfortranarray(sums[:n]).sum(axis=0)  # pairwise per column, in any layout: a 1-D call's bits
     decay = 1.0 - 1.0 / n
     for k in range(n, t - 1):
         sums[k] += sums[k - 1] * decay
@@ -340,7 +337,7 @@ def turbulence(panel: MarketPanel, window: int):
 # feature assembly
 # ---------------------------------------------------------------------------
 
-_WINDOW_BLOCK = 3  # tickers per windowed-op call in build_features
+_WINDOW_BLOCK = 3  # tickers per ticker-major copy, and per windowed-op call, in build_features
 
 @dataclass(frozen=True)
 class FeaturePanel:
@@ -388,13 +385,12 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
     series when ``with_turbulence`` is set (the CLI sets it exactly when
     ``env.turbulence_gate`` is set); ``warmup`` then covers turbulence too.
 
-    Each indicator runs on ticker-major copies of high, low and close, bit for
-    bit the per-ticker 1-D call. The recurrences (``macd``, ``dx``) make one call
-    across all tickers; the windowed ops (``bollinger``, ``rsi``, ``cci``, ``sma``)
-    one call per block of ``_WINDOW_BLOCK`` tickers, so their window temporaries
-    do not grow with the ticker count. At 30 tickers x 3,500 bars the build
-    peaks at 12.9 MB of Python memory, 6.7 MB of it the kept feature block and
-    3.6 MB ``dx``'s sums and temporaries.
+    Each ticker's features are bit for bit its 1-D calls' (the module's layout
+    rule): ``macd`` and ``dx`` make one call on the panel's own matrices, and the
+    windowed ops one call per ticker-major copy of ``_WINDOW_BLOCK`` tickers, so
+    neither the copies nor the window temporaries grow with the ticker count. At
+    30 tickers x 3,500 bars the build peaks at 10.4 MB of Python memory, 6.7 MB
+    of it the kept feature block and 3.6 MB ``dx``'s sums and temporaries.
 
     Raises InsufficientHistory when the panel is shorter than the longest
     configured warmup, ``cfg.turb_window`` included only with turbulence.
@@ -403,20 +399,22 @@ def build_features(panel: MarketPanel, cfg: IndicatorConfig = IndicatorConfig(),
     """
     t_len, n = panel.close.shape
     turb = turbulence(panel, cfg.turb_window) if with_turbulence else None
-    h, l, c = (np.ascontiguousarray(x.T).T for x in (panel.high, panel.low, panel.close))
     blocks = [slice(a, a + _WINDOW_BLOCK) for a in range(0, n, _WINDOW_BLOCK)]
     features = np.empty((t_len, n, len(FEATURE_NAMES)))
     # calls in FEATURE_NAMES order, so of several too-short windows the first in that order is reported;
-    # the recurrences run over all tickers at once, the windowed ops a block of tickers at a time
-    features[..., 0], d_macd = macd(c, cfg)
+    # the recurrences run over the panel's own matrices, the windowed ops over a ticker-major copy of a block
+    features[..., 0], d_macd = macd(panel.close, cfg)
     for b in blocks:
-        features[:, b, 1], features[:, b, 2], d_boll = bollinger(c[:, b], cfg)
-        features[:, b, 3], d_rsi = rsi(c[:, b], cfg.rsi_period)
-        features[:, b, 4], d_cci = cci(h[:, b], l[:, b], c[:, b], cfg.cci_period)
-    features[..., 5], d_dx = dx(h, l, c, cfg.dx_period)
+        h, l, c = (np.ascontiguousarray(x[:, b].T).T for x in (panel.high, panel.low, panel.close))
+        features[:, b, 1], features[:, b, 2], d_boll = bollinger(c, cfg)
+        features[:, b, 3], d_rsi = rsi(c, cfg.rsi_period)
+        features[:, b, 4], d_cci = cci(h, l, c, cfg.cci_period)
+    del h, l, c  # the last block's copies, freed before dx's sums
+    features[..., 5], d_dx = dx(panel.high, panel.low, panel.close, cfg.dx_period)
     for b in blocks:
-        features[:, b, 6], d_s = sma(c[:, b], cfg.sma_short)
-        features[:, b, 7], d_l = sma(c[:, b], cfg.sma_long)
+        c = np.ascontiguousarray(panel.close[:, b].T).T
+        features[:, b, 6], d_s = sma(c, cfg.sma_short)
+        features[:, b, 7], d_l = sma(c, cfg.sma_long)
     ready = d_macd & d_boll & d_rsi & d_cci & d_dx & d_s & d_l
     if turb is not None:
         ready &= turb[1]

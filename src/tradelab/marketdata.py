@@ -142,8 +142,8 @@ def _parse_uniform_stamps(texts) -> np.ndarray | None:
 
 
 def format_timestamps(ts) -> list[str]:
-    """``YYYY-MM-DDTHH:MM:SSZ`` text for each UTC epoch second in ``ts``, the
-    year zero-padded to four digits, so ``parse_timestamps`` reads it back.
+    """``YYYY-MM-DDTHH:MM:SSZ`` text for each UTC epoch second or ``datetime64[s]`` stamp
+    of ``ts``, the year zero-padded to four digits, so ``parse_timestamps`` reads it back.
     The first stamp outside UTC years 1-9999 raises ValueError."""
     ts = np.asarray(ts, dtype=np.int64)
     stamps = ts.astype("datetime64[s]")
@@ -170,25 +170,27 @@ def quote_csv(text: str) -> str:
 
 
 def _cells(column, rows: int):
-    """A column's cell texts; an array's cells are made a block of at most
-    ``rows`` cells (or one array row, if that is wider) at a time, and an
-    object array's cells are its text, passed through as they are."""
+    """A column's cell texts; an array's cells are made a block of at most ``rows``
+    cells (or one array row, if that is wider) at a time, ``datetime64[s]`` stamps
+    by ``format_timestamps``, and an object array's text passed through as it is."""
     if not isinstance(column, np.ndarray):
         return column
     step = max(1, rows // max(1, column[:1].size))  # a row of a 2-D column is several cells
-    cells = chain.from_iterable(column[k : k + step].ravel().tolist() for k in range(0, len(column), step))
-    return cells if column.dtype == object else map(float.__repr__ if column.dtype.kind == "f" else str, cells)
+    blocks = (column[k : k + step].ravel() for k in range(0, len(column), step))
+    cells = chain.from_iterable(map(format_timestamps if column.dtype.kind == "M" else np.ndarray.tolist, blocks))
+    return cells if column.dtype.kind in "OM" else map(float.__repr__ if column.dtype.kind == "f" else str, cells)
 
 
 def write_csv_columns(path, header: list[str], columns) -> None:
     """Write a CSV file through ``write_file``, byte for byte as ``csv.writer``
     writes its rows. A column is an array, written in C order (floats by
-    ``float.__repr__``, integers by ``str``, an object array's text as it is),
-    or a sequence of cell text: user text (tickers, labels) comes through
-    ``quote_csv``. Lines are made and written ``_block_rows(len(header))`` at a
-    time, at most ``_BLOCK_CELLS`` cells, however wide the file. A header and
-    columns of different counts, or columns of unequal length, raise
-    ValueError naming the file before anything is written."""
+    ``float.__repr__``, integers by ``str``, ``datetime64[s]`` stamps by
+    ``format_timestamps``, an object array's text as it is), or a sequence of
+    cell text: user text (tickers, labels) comes through ``quote_csv``. Lines
+    are made and written ``_block_rows(len(header))`` at a time, at most
+    ``_BLOCK_CELLS`` cells, however wide the file. A header and columns of
+    different counts, or columns of unequal length, raise ValueError naming
+    the file before anything is written."""
     sizes = [column.size if isinstance(column, np.ndarray) else len(column) for column in columns]
     if len(sizes) != len(header):
         raise ValueError(f"{path}: the header names {len(header)} columns, but {len(sizes)} are given")

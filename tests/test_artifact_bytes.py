@@ -618,14 +618,6 @@ def test_save_episode_log_matches_csv_writer(tmp_path, case):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_save_episode_log_beyond_year_9999_raises_like_csv_writer(tmp_path):
-    log = _log(np.array([YEAR_10000 - 1, YEAR_10000]), np.zeros((2, 1), dtype=np.int64))
-    with pytest.raises(ValueError):
-        ref_save_episode_log(log, tmp_path / "ref.csv")
-    with pytest.raises(ValueError):
-        save_episode_log(log, tmp_path / "new.csv")
-
-
 @pytest.mark.parametrize("case", LOG_CASES)
 def test_save_report_matches_json_dumps_and_csv_writer(tmp_path, case):
     report = behavior_profile(_logs(tmp_path)[case])

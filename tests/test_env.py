@@ -869,15 +869,37 @@ def test_load_reads_whole_float_holdings(tmp_path):
 LOG_ARRAYS = ("timestamps", "actions", "holdings", "cash", "portfolio_value", "rewards")
 
 
-def _long_log(path, t=20_000, n=8):
-    """Save a seeded t-row, n-ticker log at ``path``; returns its arrays' size in bytes."""
+def _seeded_log(t=20_000, n=8):
+    """A seeded t-row, n-ticker log."""
     rng = np.random.default_rng(0)
-    save_episode_log(EpisodeLog(
+    return EpisodeLog(
         timestamps=1_646_380_800 + 3600 * np.arange(t), actions=rng.uniform(-1.0, 1.0, (t, n)),
         holdings=rng.integers(0, 500, (t, n)), cash=rng.uniform(0.0, 1e6, t),
         portfolio_value=rng.uniform(1e5, 2e6, t), rewards=rng.standard_normal(t - 1) * 100.0, agent_label="long",
-    ), path)
+    )
+
+
+def _long_log(path, t=20_000, n=8):
+    """Save a seeded t-row, n-ticker log at ``path``; returns its arrays' size in bytes."""
+    save_episode_log(_seeded_log(t, n), path)
     return 8 * (t * (2 * n + 4) - 1)
+
+
+def test_save_formats_a_block_of_stamps_at_a_time(tmp_path):
+    """Saving a 20,000-row, 8-ticker log holds under half the size of its
+    arrays: the writer formats each block's stamps as it makes the block's
+    lines (0.74 MB measured), where formatting every stamp of the log first
+    held 4.9 MB, about one and a half array sizes."""
+    log = _seeded_log()
+    size = sum(getattr(log, name).nbytes for name in LOG_ARRAYS)
+    tracemalloc.start()
+    try:
+        save_episode_log(log, tmp_path / "long.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * size, peak / size
+    assert load_episode_log(tmp_path / "long.csv").timestamps.tobytes() == log.timestamps.tobytes()
 
 
 def _traced_load(path):

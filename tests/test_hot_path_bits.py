@@ -781,11 +781,16 @@ def _columns(x):
     return (x, False) if x.ndim == 2 else (x[:, None], True)
 
 
+def _per_column(reduce, x):
+    """``reduce`` of each column of ``x`` alone, as a 1-D call gives it in any layout."""
+    return np.array([reduce(column) for column in x.T])
+
+
 def ref_ema(closes, n):
     x, squeeze = _columns(closes)
     out = np.full(x.shape, np.nan)
     alpha = 2.0 / (n + 1)
-    out[n - 1] = x[:n].mean(axis=0)
+    out[n - 1] = _per_column(np.mean, x[:n])
     for i in range(n, x.shape[0]):
         out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
     return out[:, 0] if squeeze else out
@@ -800,9 +805,7 @@ def ref_dx(high, low, close, n):
     prev_close = c[:-1]
     tr = np.maximum(h[1:] - l[1:], np.maximum(np.abs(h[1:] - prev_close), np.abs(l[1:] - prev_close)))
     out = np.full(h.shape, np.nan)
-    s_plus = dm_plus[:n].sum(axis=0)
-    s_minus = dm_minus[:n].sum(axis=0)
-    s_tr = tr[:n].sum(axis=0)
+    s_plus, s_minus, s_tr = (_per_column(np.sum, terms[:n]) for terms in (dm_plus, dm_minus, tr))
     decay = 1.0 - 1.0 / n
     for k in range(n - 1, h.shape[0] - 1):  # term k belongs to bar index k+1
         if k >= n:

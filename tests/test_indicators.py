@@ -564,11 +564,11 @@ def test_build_features_matches_standalone_ops_across_blocks():
 def test_build_features_bounds_its_window_temporaries():
     """At paper scale (30 tickers x 3,500 bars) the build peaks well below
     the 50 MB that one cci call over all 30 tickers alone would hold: the
-    windowed ops (bollinger, rsi, cci, sma) run a block of three tickers at a
-    time, so their (T, M, n) window temporaries stay below dx's, the peak,
-    beside the 6.7 MB feature block that FeaturePanel keeps rather than copies
-    (12.9 MB measured; 13.9 MB with blocks of five and rsi and sma over all
-    tickers)."""
+    windowed ops (bollinger, rsi, cci, sma) run on a ticker-major copy of three
+    tickers at a time, so their (T, M, n) window temporaries stay below dx's,
+    the peak, beside the 6.7 MB feature block that FeaturePanel keeps rather
+    than copies, and no copy of the whole panel is made (10.4 MB measured;
+    12.9 MB with ticker-major copies of the whole high, low and close)."""
     panel = make_panel([f"T{j:02d}" for j in range(30)], 3500, seed=2)
     tracemalloc.start()
     try:
@@ -576,20 +576,20 @@ def test_build_features_bounds_its_window_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13.3e6, peak
+    assert peak < 11.0e6, peak
 
 
 def test_dx_bounds_its_temporaries():
-    """dx over a paper-scale ticker-major block (30 x 3,500) holds one
-    (T-1, 3, M) array of smoothed sums, 2.5 MB, and at most one (T, M) float
-    temporary of 0.84 MB at a time: the +DM and -DM terms are built in their
-    rows of the sums, and the DIs and DX overwrite the sums (3.64 MB measured;
-    4.5 MB with the terms built in arrays of their own)."""
+    """dx over the paper-scale panel's own C-order matrices (30 x 3,500), as
+    build_features passes them, holds one (T-1, 3, M) array of smoothed sums,
+    2.5 MB, and at most one (T, M) float temporary of 0.84 MB at a time: the
+    +DM and -DM terms are built in their rows of the sums, and the DIs and DX
+    overwrite the sums (3.64 MB measured; 4.5 MB with the terms built in arrays
+    of their own)."""
     panel = make_panel([f"T{j:02d}" for j in range(30)], 3500, seed=2)
-    h, l, c = (np.ascontiguousarray(getattr(panel, name).T).T for name in ("high", "low", "close"))
     tracemalloc.start()
     try:
-        dx(h, l, c, IndicatorConfig().dx_period)
+        dx(panel.high, panel.low, panel.close, IndicatorConfig().dx_period)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -608,14 +608,22 @@ BLOCK_OPS = {
 }
 
 
-@pytest.mark.parametrize("op", list(BLOCK_OPS))
-def test_ticker_major_block_matches_per_ticker_calls(op):
+@pytest.mark.parametrize("op, layout", [*((op, "ticker-major") for op in BLOCK_OPS),
+                                        *((op, "C-order") for op in ("ema", "macd", "dx"))])
+def test_ticker_major_block_matches_per_ticker_calls(op, layout):
     """An op over a ticker-major (T, M) block, each ticker's column
-    contiguous, gives each column bit for bit what build_features' per-ticker
-    1-D call gives, NaN warmup included; a C-order block does not for most ops."""
-    panel = make_panel([f"T{j:02d}" for j in range(12)], 600, seed=5)
+    contiguous, gives each column bit for bit what a per-ticker 1-D call
+    gives, NaN warmup included. The recurrences (ema, macd, dx) do so over the
+    panel's own C-order block too: they sum each column's seed alone. A
+    windowed op sums each window along an axis whose stride decides how numpy
+    adds it up (pairwise where contiguous, row by row elsewhere), so
+    build_features hands the windowed ops ticker-major copies. The walk moves
+    5% a bar: at 1%, dx's seeds (sums of price differences, each a multiple of
+    the price's ulp) come out exact in any order, and no layout shows."""
+    panel = make_panel([f"T{j:02d}" for j in range(12)], 600, seed=5, vol=0.05)
     fn, cfg = BLOCK_OPS[op], IndicatorConfig()
-    block = fn(*(np.ascontiguousarray(getattr(panel, name).T).T for name in ("high", "low", "close")), cfg)
+    prices = [getattr(panel, name) for name in ("high", "low", "close")]
+    block = fn(*(np.ascontiguousarray(x.T).T if layout == "ticker-major" else x for x in prices), cfg)
     for j in range(panel.n_tickers):
         single = fn(panel.high[:, j], panel.low[:, j], panel.close[:, j], cfg)
         assert np.array_equal(block[..., j], single, equal_nan=True), (op, panel.tickers[j])

@@ -20,11 +20,12 @@ from tradelab.agents.policies import make_baseline
 from tradelab.analytics import behavior_profile, save_report
 from tradelab.binfile import write_file, write_frame
 from tradelab.cli import RunConfig, cmd_report
-from tradelab.env import EnvConfig, Window, load_episode_log, run_episode, save_episode_log
+from tradelab.env import EnvConfig, MalformedLog, Window, load_episode_log, run_episode, save_episode_log
 from tradelab.indicators import write_features_csv
 from tradelab.marketdata import _block_rows, save_panel, write_csv_columns
 
 EARLIER = b"earlier\r\n\x00 bytes"
+YEAR_1, YEAR_10000 = -62_135_596_800, 253_402_300_800  # 0001-01-01 and 10000-01-01, 00:00:00Z
 
 
 def test_write_file_writes_text_and_bytes_with_a_plain_open_mode(tmp_path):
@@ -155,6 +156,46 @@ def test_a_first_save_whose_rename_fails_leaves_no_log_to_load(tmp_path, monkeyp
     assert [entry.name for entry in tmp_path.iterdir()] == left
     with pytest.raises(OSError):
         load_episode_log(path)
+
+
+def _files(directory):
+    return {entry.name: entry.read_bytes() for entry in directory.iterdir()}
+
+
+# a stamp that cannot be written, and the index of the stamp it replaces
+UNWRITABLE = {"year-10000-last": (YEAR_10000, -1), "year-0-first": (YEAR_1 - 1, 0)}
+
+
+@pytest.mark.parametrize("stamp, index", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_a_log_stamp_that_cannot_be_written_is_refused_before_the_save(tmp_path, stamp, index):
+    """A log refuses a stamp outside UTC years 1-9999 where it checks its
+    stamps, naming the column and the saved row, so a save over an earlier
+    log never starts: the earlier pair stays and loads under its own label."""
+    log, path = _log(), tmp_path / "log_x.csv"
+    save_episode_log(log, path)
+    earlier = _files(tmp_path)
+    stamps = log.timestamps.copy()
+    stamps[index] = stamp
+    with pytest.raises(MalformedLog, match="outside UTC years 1-9999") as caught:
+        save_episode_log(dataclasses.replace(log, timestamps=stamps, agent_label="second"), path)
+    assert (caught.value.column, caught.value.row) == ("timestamp", range(2, log.n_timestamps + 2)[index])
+    assert _files(tmp_path) == earlier
+    assert load_episode_log(path).agent_label == "mine"
+
+
+@pytest.mark.parametrize("stamp, index", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_a_report_stamp_that_cannot_be_written_is_refused_before_the_save(tmp_path, stamp, index):
+    """A report refuses a stamp outside UTC years 1-9999 where it checks its
+    stamps, naming the field, so a save over an earlier report never starts:
+    report.json and its three CSVs stay the earlier ones."""
+    report = behavior_profile(_log())
+    save_report(report, tmp_path)
+    earlier = _files(tmp_path)
+    stamps = report.timestamps.copy()
+    stamps[index] = stamp
+    with pytest.raises(ValueError, match="report field timestamps must lie in UTC years 1-9999"):
+        save_report(dataclasses.replace(report, timestamps=stamps), tmp_path)
+    assert _files(tmp_path) == earlier
 
 
 def _writes(call: ast.Call) -> bool:
